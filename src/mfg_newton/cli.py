@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,7 +74,6 @@ class RunConfig:
     epsilons: tuple
     seed: int
     output_dir: str
-    workers: int
     draws: int
 
 
@@ -126,7 +124,7 @@ def load_config(path) -> RunConfig:
 
     _check_keys(raw, "", required=("experiment", "grid", "output_dir"),
                 optional=("hamiltonian", "coupling", "newton", "epsilons",
-                          "seed", "workers", "draws"))
+                          "seed", "draws"))
     experiment = _choice(raw["experiment"], "experiment", EXPERIMENTS)
 
     grid = raw["grid"]
@@ -188,7 +186,6 @@ def load_config(path) -> RunConfig:
         for i, e in enumerate(epsilons)
     )
     seed = _number(raw.get("seed", 0), "seed", minimum=0, integer=True)
-    workers = _number(raw.get("workers", 1), "workers", minimum=1, integer=True)
     draws = _number(raw.get("draws", STABILITY_DRAWS), "draws", minimum=1, integer=True)
     if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
         raise ConfigError("output_dir", "expected a non-empty string")
@@ -213,7 +210,7 @@ def load_config(path) -> RunConfig:
         kernel_sigma=kernel_sigma, kernel_sigma_g=kernel_sigma_g,
         max_iter=max_iter, residual_tol=residual_tol, error_floor=error_floor,
         linear_method=linear_method, theta=theta, epsilons=epsilons,
-        seed=seed, output_dir=raw["output_dir"], workers=workers, draws=draws,
+        seed=seed, output_dir=raw["output_dir"], draws=draws,
     )
 
 
@@ -285,6 +282,28 @@ def _final_residual(history) -> float:
     return max(rec.res_u_sup, rec.res_m_sup)
 
 
+def _sweep(work, cfg, problem, exact, out, verbose):
+    """Run ``work`` once per epsilon.
+
+    A solver failure becomes an error row, not a crash; the row names the
+    failed sub-run by its tag and epsilon.
+    """
+    single = len(cfg.epsilons) == 1
+    rows = []
+    for i, eps in enumerate(cfg.epsilons):
+        tag = f"eps{i}"
+        try:
+            rows.append(work((cfg, problem, exact, eps, tag, out, single, verbose)))
+        except SOLVER_ERRORS as exc:
+            row = _base_row(cfg, sub_run=tag)
+            row["epsilon"] = eps
+            row["status"] = "error"
+            row["error"] = type(exc).__name__
+            print(f"[{cfg.experiment}] sub-run {tag} failed: {exc}", file=sys.stderr)
+            rows.append(row)
+    return rows
+
+
 def _rate_sub_run(args):
     """One perturb-and-solve sub-run; shared by the rate experiments."""
     cfg, problem, exact, eps, tag, out, single, verbose = args
@@ -293,11 +312,16 @@ def _rate_sub_run(args):
     initial = diag.perturbed_state(exact, eps)
     final, history = solver.solve_newton(
         problem, initial, _newton_config(cfg), reference=exact)
-    errors = [r.err_sum for r in history]
-    fit = diag.fit_rate(errors, floor=cfg.error_floor)
-    diag.write_history_csv(history, _history_name(out, tag, single), fit=fit)
     tg.write_field_csv(final.u, out / f"fields_u_{tag}.csv")
     tg.write_field_csv(final.m, out / f"fields_m_{tag}.csv")
+    errors = [r.err_sum for r in history]
+    history_path = _history_name(out, tag, single)
+    try:
+        fit = diag.fit_rate(errors, floor=cfg.error_floor)
+    except InsufficientDataError:
+        diag.write_history_csv(history, history_path)  # converged; keep the evidence
+        raise
+    diag.write_history_csv(history, history_path, fit=fit)
     row["iterations"] = len(history) - 1
     row["fitted_q"] = fit.order
     row["final_residual"] = _final_residual(history)
@@ -307,21 +331,11 @@ def _rate_sub_run(args):
     return row
 
 
-def _map_sub_runs(cfg: RunConfig, work, items):
-    if cfg.workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(work, items))
-    return [work(it) for it in items]
-
-
 def _run_newton_rate(cfg: RunConfig, out: Path, verbose: bool):
     grid = _build_grid(cfg)
     problem, exact = diag.make_manufactured(
         grid, _build_hamiltonian(cfg, grid), _build_local_coupling(cfg))
-    single = len(cfg.epsilons) == 1
-    items = [(cfg, problem, exact, eps, f"eps{i}", out, single, verbose)
-             for i, eps in enumerate(cfg.epsilons)]
-    return _map_sub_runs(cfg, _protected(_rate_sub_run, cfg), items)
+    return _sweep(_rate_sub_run, cfg, problem, exact, out, verbose)
 
 
 def _run_nonlocal_rate(cfg: RunConfig, out: Path, verbose: bool):
@@ -332,30 +346,27 @@ def _run_nonlocal_rate(cfg: RunConfig, out: Path, verbose: bool):
     problem, exact = diag.make_manufactured_nonlocal(
         grid, _build_hamiltonian(cfg, grid), coupling)
     cpl.write_kernel_csv(coupling.f, out / "kernel_f.csv")
-    single = len(cfg.epsilons) == 1
-    items = [(cfg, problem, exact, eps, f"eps{i}", out, single, verbose)
-             for i, eps in enumerate(cfg.epsilons)]
-    return _map_sub_runs(cfg, _protected(_rate_sub_run, cfg), items)
+    return _sweep(_rate_sub_run, cfg, problem, exact, out, verbose)
 
 
 def _fixed_point_sub_run(args):
-    cfg, problem, exact, eps, idx, out, verbose = args
+    cfg, problem, exact, eps, tag, out, _, verbose = args
     ncfg = _newton_config(cfg)
     initial = diag.perturbed_state(exact, eps)
     rows = []
 
-    row_n = _base_row(cfg, sub_run=f"eps{idx}", method="newton")
+    row_n = _base_row(cfg, sub_run=tag, method="newton")
     row_n["epsilon"] = eps
     _, hist_n = solver.solve_newton(problem, initial, ncfg, reference=exact)
-    diag.write_history_csv(hist_n, out / f"history_newton_eps{idx}.csv")
+    diag.write_history_csv(hist_n, out / f"history_newton_{tag}.csv")
     row_n["iterations"] = len(hist_n) - 1
     row_n["final_residual"] = _final_residual(hist_n)
     rows.append(row_n)
 
-    row_f = _base_row(cfg, sub_run=f"eps{idx}", method="fixed-point")
+    row_f = _base_row(cfg, sub_run=tag, method="fixed-point")
     row_f["epsilon"] = eps
     _, hist_f = solver.solve_fixed_point(problem, initial, ncfg, reference=exact)
-    diag.write_history_csv(hist_f, out / f"history_fixed_point_eps{idx}.csv")
+    diag.write_history_csv(hist_f, out / f"history_fixed_point_{tag}.csv")
     row_f["iterations"] = len(hist_f) - 1
     row_f["final_residual"] = _final_residual(hist_f)
     rows.append(row_f)
@@ -370,9 +381,7 @@ def _run_fixed_point_compare(cfg: RunConfig, out: Path, verbose: bool):
     grid = _build_grid(cfg)
     problem, exact = diag.make_manufactured(
         grid, _build_hamiltonian(cfg, grid), _build_local_coupling(cfg))
-    items = [(cfg, problem, exact, eps, i, out, verbose)
-             for i, eps in enumerate(cfg.epsilons)]
-    nested = _map_sub_runs(cfg, _protected(_fixed_point_sub_run, cfg), items)
+    nested = _sweep(_fixed_point_sub_run, cfg, problem, exact, out, verbose)
     rows = []
     for group in nested:
         rows.extend(group if isinstance(group, list) else [group])
@@ -441,20 +450,6 @@ def _run_manufactured_verify(cfg: RunConfig, out: Path, verbose: bool):
     if verbose:
         print(f"[manufactured-verify] residual sup {sup:.3e}", file=sys.stderr)
     return [row]
-
-
-def _protected(work, cfg):
-    """Wrap a sub-run so solver failures become summary rows, not crashes."""
-    def run(args):
-        try:
-            return work(args)
-        except SOLVER_ERRORS as exc:
-            row = _base_row(cfg, sub_run="failed")
-            row["status"] = "error"
-            row["error"] = type(exc).__name__
-            print(f"[{cfg.experiment}] sub-run failed: {exc}", file=sys.stderr)
-            return row
-    return run
 
 
 _RUNNERS = {

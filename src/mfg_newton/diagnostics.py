@@ -131,8 +131,8 @@ def make_manufactured(grid: GridSpec, h_spec, local_coupling):
         m0=m_vals[0].copy(), uT=u_vals[-1].copy(),
     )
     exact = mfg_solver.SolverState(
-        u=Field(grid, u_vals, role="value-function"),
-        m=Field(grid, m_vals, role="density"),
+        u=Field(grid, u_vals),
+        m=Field(grid, m_vals),
     )
     r_u, r_m = mfg_solver.residual(problem, exact)
     sourced = mfg_solver.ProblemSpec(
@@ -158,8 +158,8 @@ def make_manufactured_nonlocal(grid: GridSpec, h_spec, nonlocal_coupling):
         m0=m_vals[0].copy(),
     )
     exact = mfg_solver.SolverState(
-        u=Field(grid, u_vals, role="value-function"),
-        m=Field(grid, m_vals, role="density"),
+        u=Field(grid, u_vals),
+        m=Field(grid, m_vals),
     )
     r_u, r_m = mfg_solver.residual(problem, exact)
     if sup_norm(r_u.values[-1]) > 1e-12:
@@ -195,8 +195,8 @@ def perturbed_state(exact, eps: float):
     grid = exact.u.grid
     du, dm = basin_perturbation(grid, eps)
     return mfg_solver.SolverState(
-        u=Field(grid, exact.u.values + du, role="value-function"),
-        m=Field(grid, exact.m.values + dm, role="density"),
+        u=Field(grid, exact.u.values + du),
+        m=Field(grid, exact.m.values + dm),
     )
 
 
@@ -228,7 +228,7 @@ def random_smooth_data(grid: GridSpec, seed: int, kmax: int = 3):
     scale = sup_norm(a_vals) + float(np.sqrt((b_vals * b_vals).sum(axis=0)).max())
     a_vals /= scale
     b_vals /= scale
-    return Field(grid, a_vals, role="perturbation"), VectorField(grid, b_vals)
+    return Field(grid, a_vals), VectorField(grid, b_vals)
 
 
 def write_history_csv(history, path, fit: RateFit | None = None) -> None:

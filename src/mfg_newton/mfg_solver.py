@@ -12,10 +12,17 @@ periodic space-time grid:
 The discretization is fully implicit with every coefficient evaluated at the
 same time node as the unknown it multiplies, so the assembled Jacobian of the
 discrete residual is exactly the discrete linearized system; one sparse solve
-of it per iteration is a Newton step.  Unknowns are the u slices k = 0..nt-1
-(plus the terminal slice in the kernel-coupled variant, whose boundary row
-couples to the unknown terminal density) and the m slices k = 1..nt; known
-boundary slices are moved to the right-hand side.
+of it per iteration is a Newton step.
+
+The Jacobian is assembled once per state on the full unknown vector
+[u_0..u_nt, m_0..m_nt], both boundary rows included, each block family for
+all time slices at once.  The local and kernel variants differ only in the
+coupling block (-f'(m) or -conv_f) and the terminal block (0 or -conv_g).
+Before a solve, one boolean mask removes the known boundary slices, m(0)
+always and u(T) when the terminal block is 0: their rows are identity rows,
+so their values are known, and their columns times those values move to the
+right-hand side.  Newton, the two inner solves of the fixed-point baseline
+and the linearized stability probe all solve masked blocks of this matrix.
 """
 
 from __future__ import annotations
@@ -103,10 +110,7 @@ class SolverState:
 
 
 def make_state(grid: tg.GridSpec, u_vals, m_vals) -> SolverState:
-    return SolverState(
-        u=tg.Field(grid, u_vals, role="value-function"),
-        m=tg.Field(grid, m_vals, role="density"),
-    )
+    return SolverState(u=tg.Field(grid, u_vals), m=tg.Field(grid, m_vals))
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,14 @@ class NewtonConfig:
 
 # -- residual -----------------------------------------------------------------
 
-def _coupling_values(p: ProblemSpec, m_vals: np.ndarray) -> np.ndarray:
-    """f(m) (local) or f[m](x) (kernel) on every time slice."""
+def _coupling_values(p: ProblemSpec, m_vals: np.ndarray):
+    """f(m) (local) or f[m](x) (kernel) on every time slice, and the terminal
+    value u(T): uT (local) or g[m(T)] (kernel)."""
     if p.is_nonlocal:
         flat = m_vals.reshape(p.grid.nt + 1, -1)
-        return (flat @ p.coupling.f.conv.T).reshape(m_vals.shape)
-    return np.asarray(cpl.local_eval(p.coupling, m_vals).f)
+        fvals = (flat @ p.coupling.f.conv.T).reshape(m_vals.shape)
+        return fvals, p.coupling.g.values(m_vals[-1])
+    return np.asarray(cpl.local_eval(p.coupling, m_vals).f), p.uT
 
 
 def _source(f: tg.Field | None, shape) -> np.ndarray:
@@ -152,7 +158,7 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
     u, m = s.u.values, s.m.values
     du = tg.grad_array(u, grid)
     b = ham.eval_bundle_arrays(p.hamiltonian, p.hamiltonian.h, m, du)
-    fvals = _coupling_values(p, m)
+    fvals, u_T = _coupling_values(p, m)
     s_u = _source(p.s_u, u.shape)
     s_m = _source(p.s_m, m.shape)
 
@@ -164,10 +170,7 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
         - fvals[:nt]
         - s_u[:nt]
     )
-    if p.is_nonlocal:
-        r_u[nt] = u[nt] - p.coupling.g.values(m[nt])
-    else:
-        r_u[nt] = u[nt] - p.uT
+    r_u[nt] = u[nt] - u_T
 
     r_m = np.empty_like(m)
     r_m[1:] = (
@@ -177,264 +180,177 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
         - s_m[1:]
     )
     r_m[0] = m[0] - p.m0
-    return (
-        tg.Field(grid, r_u, role="perturbation"),
-        tg.Field(grid, r_m, role="perturbation"),
-    )
+    return tg.Field(grid, r_u), tg.Field(grid, r_m)
 
 
-# -- per-grid stencil operators on flattened spatial indices -------------------
+# -- space-time Jacobian ---------------------------------------------------------
 
-class _SpatialOps:
+class _Stencils:
+    """Stencils of one grid acting on all nt+1 stacked slices of a field."""
+
     def __init__(self, grid: tg.GridSpec):
-        n = grid.n_space
+        n, nt = grid.n_space, grid.nt
         idx = np.arange(n).reshape(grid.spatial_shape)
-        self.n = n
-        self.inv2dx = 1.0 / (2.0 * grid.dx)
-        self.node = np.arange(n)
-        self.ip = [np.roll(idx, -1, axis=a).ravel() for a in range(grid.dim)]
-        self.im = [np.roll(idx, 1, axis=a).ravel() for a in range(grid.dim)]
-        self.eye = sp.identity(n, format="csr")
-        self.diff = []
+        node = np.arange(n)
+        slices = sp.identity(nt + 1, format="csr")
+        inv2dx = 1.0 / (2.0 * grid.dx)
+        self.diff = []  # kron(I_{nt+1}, D_a)
         lap = sp.csr_matrix((n, n))
         for a in range(grid.dim):
-            rows = np.concatenate([self.node, self.node])
-            cols = np.concatenate([self.ip[a], self.im[a]])
+            ip = np.roll(idx, -1, axis=a).ravel()
+            im = np.roll(idx, 1, axis=a).ravel()
             d = sp.csr_matrix(
-                (np.concatenate([np.full(n, self.inv2dx), np.full(n, -self.inv2dx)]),
-                 (rows, cols)), shape=(n, n))
-            self.diff.append(d)
+                (np.concatenate([np.full(n, inv2dx), np.full(n, -inv2dx)]),
+                 (np.concatenate([node, node]), np.concatenate([ip, im]))),
+                shape=(n, n))
+            self.diff.append(sp.kron(slices, d, format="csr"))
             lap = lap + sp.csr_matrix(
                 (np.concatenate([np.full(n, 1.0), np.full(n, 1.0), np.full(n, -2.0)])
                  / grid.dx**2,
-                 (np.concatenate([self.node, self.node, self.node]),
-                  np.concatenate([self.ip[a], self.im[a], self.node]))),
+                 (np.concatenate([node, node, node]), np.concatenate([ip, im, node]))),
                 shape=(n, n))
-        self.lap = lap.tocsr()
-
-    def advection(self, w):
-        """sum_a diag(w_a) D_a, the transport part of the backward equation."""
-        out = sp.diags(w[0]) @ self.diff[0]
-        for a in range(1, len(self.diff)):
-            out = out + sp.diags(w[a]) @ self.diff[a]
-        return out
-
-    def drift_div(self, c):
-        """sum_a D_a diag(c_a): w -> div(c w) for a scalar unknown w."""
-        out = self.diff[0] @ sp.diags(c[0])
-        for a in range(1, len(self.diff)):
-            out = out + self.diff[a] @ sp.diags(c[a])
-        return out
-
-    def flux_div(self, a_mat):
-        """w -> div(A grad w) for a per-node matrix field A, shape (d, d, n)."""
-        out = None
-        for a in range(len(self.diff)):
-            for b in range(len(self.diff)):
-                if not np.any(a_mat[a, b]):
-                    continue
-                term = self.diff[a] @ sp.diags(a_mat[a, b]) @ self.diff[b]
-                out = term if out is None else out + term
-        if out is None:
-            out = sp.csr_matrix((self.n, self.n))
-        return out
+        lap = sp.kron(slices, lap, format="csr")
+        t = np.repeat(np.arange(nt + 1), n)
+        self.last = t == nt    # the u(T) slice
+        self.first = t == 0    # the m(0) slice
+        self.u_rows = (t < nt).astype(float)  # backward-equation rows
+        self.m_rows = (t > 0).astype(float)   # forward-equation rows
+        inv_dt = 1.0 / grid.dt
+        ones = np.ones(nt)
+        # (u_k - u_{k+1})/dt on rows k < nt, and the terminal row u_nt
+        back = sp.diags([np.append(inv_dt * ones, 1.0), -inv_dt * ones], [0, 1])
+        # the initial row m_0, and (m_k - m_{k-1})/dt on rows k >= 1
+        fwd = sp.diags([np.append(1.0, inv_dt * ones), -inv_dt * ones], [0, -1])
+        eye = sp.identity(n, format="csr")
+        self.uu = sp.kron(back, eye, format="csr") - sp.diags(self.u_rows) @ lap
+        self.mm = sp.kron(fwd, eye, format="csr") - sp.diags(self.m_rows) @ lap
+        self.zero = sp.csr_matrix(self.uu.shape)
 
 
 @lru_cache(maxsize=16)
-def _spatial_ops(grid: tg.GridSpec) -> _SpatialOps:
-    return _SpatialOps(grid)
+def _stencils(grid: tg.GridSpec) -> _Stencils:
+    return _Stencils(grid)
 
 
-# -- unknown layout and assembly ----------------------------------------------
-
-class _Layout:
-    """Index map for the stacked unknown vector.
-
-    u slices 0..nt-1 are unknown (plus slice nt in the kernel-coupled
-    variant, which keeps its boundary row because it couples to the unknown
-    terminal density); m slices 1..nt are unknown, m slice 0 is known.
-    """
-
-    def __init__(self, grid: tg.GridSpec, nonlocal_terminal: bool):
-        self.grid = grid
-        self.n = grid.n_space
-        self.nt = grid.nt
-        self.n_u_slices = grid.nt + (1 if nonlocal_terminal else 0)
-        self.size = (self.n_u_slices + grid.nt) * self.n
-
-    def u_off(self, k: int) -> int | None:
-        return k * self.n if k < self.n_u_slices else None
-
-    def m_off(self, k: int) -> int | None:
-        if 1 <= k <= self.nt:
-            return (self.n_u_slices + k - 1) * self.n
-        return None
-
-    def pack(self, u_stack: np.ndarray, m_stack: np.ndarray) -> np.ndarray:
-        u_flat = u_stack.reshape(self.nt + 1, -1)
-        m_flat = m_stack.reshape(self.nt + 1, -1)
-        return np.concatenate([u_flat[: self.n_u_slices].ravel(), m_flat[1:].ravel()])
-
-    def scatter(self, x: np.ndarray):
-        shape = (self.nt + 1,) + self.grid.spatial_shape
-        u_stack = np.zeros(shape)
-        m_stack = np.zeros(shape)
-        nu = self.n_u_slices * self.n
-        u_stack.reshape(self.nt + 1, -1)[: self.n_u_slices] = x[:nu].reshape(self.n_u_slices, self.n)
-        m_stack.reshape(self.nt + 1, -1)[1:] = x[nu:].reshape(self.nt, self.n)
-        return u_stack, m_stack
+def _bundle(p: ProblemSpec, u_vals: np.ndarray, m_vals: np.ndarray):
+    """Hamiltonian bundle on every node of the space-time grid."""
+    du = tg.grad_array(u_vals, p.grid)
+    return ham.eval_bundle_arrays(p.hamiltonian, p.hamiltonian.h, m_vals, du)
 
 
-class _Sink:
-    def __init__(self, size: int):
-        self.rows = []
-        self.cols = []
-        self.vals = []
-        self.rhs_corr = np.zeros(size)
-        self.size = size
-
-    def block(self, row_off: int, col_off: int, op) -> None:
-        coo = sp.coo_matrix(op)
-        self.rows.append(coo.row.astype(np.int64) + row_off)
-        self.cols.append(coo.col.astype(np.int64) + col_off)
-        self.vals.append(coo.data)
-
-    def block_known(self, row_off: int, op, delta: np.ndarray | None) -> None:
-        # Column slice is a known boundary value: its contribution moves to
-        # the right-hand side of the Newton system.
-        if delta is None or not np.any(delta):
-            return
-        self.rhs_corr[row_off:row_off + delta.size] -= op @ delta
-
-    def matrix(self) -> sla.SparseMatrix:
-        rows = np.concatenate(self.rows) if self.rows else np.array([], dtype=np.int64)
-        cols = np.concatenate(self.cols) if self.cols else np.array([], dtype=np.int64)
-        vals = np.concatenate(self.vals) if self.vals else np.array([])
-        return sla.SparseMatrix.from_triplets(self.size, self.size, rows, cols, vals)
-
-
-def _state_coefficients(p: ProblemSpec, u_vals: np.ndarray, m_vals: np.ndarray):
-    """Hamiltonian bundle and coupling slopes at a state, flattened spatially."""
+def _coupling_blocks(p: ProblemSpec, m_vals: np.ndarray):
+    """The variant's two blocks in the value rows and density columns: the
+    coupling block (-f'(m) or -conv_f on rows k < nt) and the terminal block
+    (0 or -conv_g on row nt)."""
     grid = p.grid
-    n = grid.n_space
-    du = tg.grad_array(u_vals, grid).reshape(grid.dim, grid.nt + 1, n)
-    m_flat = m_vals.reshape(grid.nt + 1, n)
-    h_flat = p.hamiltonian.h.ravel()
-    bundle = ham.eval_bundle_arrays(p.hamiltonian, h_flat, m_flat, du)
-    f1 = None
-    if not p.is_nonlocal:
-        f1 = np.asarray(cpl.local_eval(p.coupling, m_flat).f1)
-    return m_flat, bundle, f1
+    st = _stencils(grid)
+    if p.is_nonlocal:
+        per_slice = np.ones(grid.nt + 1)
+        per_slice[-1] = 0.0
+        terminal = np.zeros(grid.nt + 1)
+        terminal[-1] = 1.0
+        return (sp.kron(sp.diags(per_slice), -p.coupling.f.conv, format="csr"),
+                sp.kron(sp.diags(terminal), -p.coupling.g.conv, format="csr"))
+    f1 = np.asarray(cpl.local_eval(p.coupling, m_vals).f1).ravel()
+    return sp.diags(-st.u_rows * f1), st.zero
 
 
-def _assemble_jacobian(p: ProblemSpec, state: SolverState,
-                       delta_uT: np.ndarray | None = None,
-                       delta_m0: np.ndarray | None = None):
-    """Jacobian of the interior residual rows w.r.t. the unknown slices.
+def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBundle):
+    """Jacobian of the full residual (r_u, r_m) with respect to (u, m), both
+    boundary rows included, at density ``m_vals`` with bundle ``b``.
 
-    ``delta_uT``/``delta_m0`` are corrections for boundary slices of the
-    base state that do not yet satisfy their boundary rows; their weighted
-    contributions are returned inside the right-hand-side correction.
+    Returns the CSR matrix and the mask of the known boundary slices: m(0),
+    and u(T) when the terminal block is 0.
     """
     grid = p.grid
-    nt, dt = grid.nt, grid.dt
-    ops = _spatial_ops(grid)
-    layout = _Layout(grid, p.is_nonlocal)
-    sink = _Sink(layout.size)
-    m_flat, b, f1 = _state_coefficients(p, state.u.values, state.m.values)
-    inv_dt = 1.0 / dt
+    dim = grid.dim
+    st = _stencils(grid)
+    m = m_vals.ravel()
+    hp = b.Hp.reshape(dim, -1)
+    drift = st.m_rows * (hp + m * b.Hpm.reshape(dim, -1))
+    flux = st.m_rows * m * b.Hpp.reshape(dim, dim, -1)
+    uu = st.uu + sum(sp.diags(st.u_rows * hp[a]) @ st.diff[a] for a in range(dim))
+    mm = st.mm - sum(st.diff[a] @ sp.diags(drift[a]) for a in range(dim))
+    mu = -sum((st.diff[a] @ sp.diags(flux[a, c]) @ st.diff[c]
+               for a in range(dim) for c in range(dim) if np.any(flux[a, c])),
+              st.zero)
+    coupling, terminal = _coupling_blocks(p, m_vals)
+    um = sp.diags(st.u_rows * b.Hm.ravel()) + coupling + terminal
+    known = np.concatenate([st.last & (terminal.nnz == 0), st.first])
+    return sp.bmat([[uu, um], [mu, mm]], format="csr"), known
 
-    conv_f = p.coupling.f.conv if p.is_nonlocal else None
 
-    for k in range(nt):  # backward-equation rows
-        row = layout.u_off(k)
-        diag_block = inv_dt * ops.eye - ops.lap + ops.advection(b.Hp[:, k])
-        sink.block(row, layout.u_off(k), diag_block)
-        up = layout.u_off(k + 1)
-        if up is not None:
-            sink.block(row, up, -inv_dt * ops.eye)
-        else:
-            sink.block_known(row, -inv_dt * ops.eye, delta_uT)
-        if p.is_nonlocal:
-            m_block = sp.coo_matrix(-conv_f)
-        else:
-            m_block = sp.diags(b.Hm[k] - f1[k])
-        mo = layout.m_off(k)
-        if mo is not None:
-            sink.block(row, mo, m_block)
-        else:
-            sink.block_known(row, m_block, delta_m0)
+def _eliminate(matrix, rhs: np.ndarray, known: np.ndarray) -> sla.LinearSystem:
+    """The system ``matrix @ x = rhs`` without the ``known`` unknowns.
 
-    if p.is_nonlocal:  # terminal boundary row stays in the system
-        row = layout.u_off(nt)
-        sink.block(row, layout.u_off(nt), ops.eye)
-        sink.block(row, layout.m_off(nt), sp.coo_matrix(-p.coupling.g.conv))
+    Their rows are identity rows, so x = rhs there; their columns times those
+    values move to the right-hand side.
+    """
+    free = ~known
+    reduced = matrix[free][:, free]
+    reduced.eliminate_zeros()
+    reduced.sort_indices()
+    a = sla.SparseMatrix(reduced.shape[0], reduced.shape[1],
+                         reduced.indptr, reduced.indices, reduced.data)
+    return sla.LinearSystem(a, (rhs - matrix @ np.where(known, rhs, 0.0))[free])
 
-    for k in range(1, nt + 1):  # forward-equation rows
-        row = layout.m_off(k)
-        drift = b.Hp[:, k].copy()
-        if not p.is_nonlocal:
-            # dH_p/dm contributes an extra drift on the unknown density
-            m_diag = (inv_dt * ops.eye - ops.lap
-                      - ops.drift_div(drift)
-                      - ops.drift_div(m_flat[k] * b.Hpm[:, k]))
-        else:
-            m_diag = inv_dt * ops.eye - ops.lap - ops.drift_div(drift)
-        sink.block(row, layout.m_off(k), m_diag)
-        mo_prev = layout.m_off(k - 1)
-        if mo_prev is not None:
-            sink.block(row, mo_prev, -inv_dt * ops.eye)
-        else:
-            sink.block_known(row, -inv_dt * ops.eye, delta_m0)
-        u_block = -ops.flux_div(m_flat[k] * b.Hpp[:, :, k])
-        uo = layout.u_off(k)
-        if uo is not None:
-            sink.block(row, uo, u_block)
-        else:
-            sink.block_known(row, u_block, delta_uT)
 
-    return sink.matrix(), sink.rhs_corr, layout
+def _solve_eliminated(matrix, rhs, known, method) -> np.ndarray:
+    """Solve the system of :func:`_eliminate`; returns every unknown."""
+    x = np.where(known, rhs, 0.0)
+    x[~known] = sla.solve(_eliminate(matrix, rhs, known), method)
+    return x
+
+
+def _stack(u_vals: np.ndarray, m_vals: np.ndarray) -> np.ndarray:
+    return np.concatenate([u_vals.ravel(), m_vals.ravel()])
+
+
+def _unstack(grid: tg.GridSpec, x: np.ndarray):
+    u_vals, m_vals = x.reshape((2, grid.nt + 1) + grid.spatial_shape)
+    return u_vals, m_vals
 
 
 def newton_system(p: ProblemSpec, prev: SolverState):
-    """Assembled Newton linear system at ``prev`` (matrix, rhs, layout).
+    """Assembled Newton linear system at ``prev`` and the known-slice mask.
 
     The solution vector is the update (u^n - u^{n-1}, m^n - m^{n-1}) on the
-    unknown slices.
+    unknowns the mask leaves free.
     """
-    grid = p.grid
-    delta_uT = None
-    if not p.is_nonlocal:
-        delta_uT = (p.uT - prev.u.values[grid.nt]).ravel()
-    delta_m0 = (p.m0 - prev.m.values[0]).ravel()
-    matrix, rhs_corr, layout = _assemble_jacobian(p, prev, delta_uT, delta_m0)
+    u, m = prev.u.values, prev.m.values
+    matrix, known = _assemble_jacobian(p, m, _bundle(p, u, m))
     r_u, r_m = residual(p, prev)
-    rhs = layout.pack(-r_u.values, -r_m.values) + rhs_corr
-    return sla.LinearSystem(matrix, rhs), layout
+    return _eliminate(matrix, -_stack(r_u.values, r_m.values), known), known
 
 
 def newton_step(p: ProblemSpec, prev: SolverState, cfg: NewtonConfig):
     """One Newton iteration; returns (next state, linear-solve metadata)."""
-    system, layout = newton_system(p, prev)
-    x = sla.solve(system, cfg.linear_method)
-    du, dm = layout.scatter(x)
-    u_next = prev.u.values + du
-    m_next = prev.m.values + dm
-    if not p.is_nonlocal:
-        u_next[p.grid.nt] = p.uT
+    system, known = newton_system(p, prev)
+    x = _stack(prev.u.values, prev.m.values)
+    x[~known] += sla.solve(system, cfg.linear_method)
+    u_next, m_next = _unstack(p.grid, x)
+    # given boundary values are pinned bitwise, not reached by the update
+    if p.uT is not None:
+        u_next[-1] = p.uT
     m_next[0] = p.m0
     return make_state(p.grid, u_next, m_next), system.meta
 
 
 def linearized_apply(p: ProblemSpec, state: SolverState,
                      du_vals: np.ndarray, dm_vals: np.ndarray):
-    """Linearized residual map applied to a direction with zero boundary slices.
+    """Full Jacobian of the residual map at ``state``, boundary rows
+    included, applied to the direction (du, dm).
 
-    Returns stacked row images (u rows on slices 0..nt-1 plus the terminal
-    row in the kernel-coupled variant, m rows on slices 1..nt)."""
-    matrix, _, layout = _assemble_jacobian(p, state)
-    y = matrix.matvec(layout.pack(du_vals, dm_vals))
-    return layout.scatter(y)
+    Returns the row images (ju, jm) laid out like the residual fields: ju
+    holds the backward-equation rows on slices 0..nt-1 and the terminal row
+    on slice nt, jm the initial row on slice 0 and the forward-equation rows
+    on slices 1..nt.  No slice is masked here; for a direction that vanishes
+    on the known boundary slices (du(T) in the local variant, dm(0) always)
+    the other rows are those of the masked system a Newton step solves.
+    """
+    u, m = state.u.values, state.m.values
+    matrix, _ = _assemble_jacobian(p, m, _bundle(p, u, m))
+    return _unstack(p.grid, matrix @ _stack(du_vals, dm_vals))
 
 
 def _record(it, p, state, reference, wall_ms) -> diag.IterationRecord:
@@ -500,77 +416,45 @@ def solve_newton(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
 
 # -- damped fixed-point (Picard) baseline --------------------------------------
 
-def _hjb_terminal(p: ProblemSpec, m_vals: np.ndarray) -> np.ndarray:
-    if p.is_nonlocal:
-        return p.coupling.g.values(m_vals[p.grid.nt])
-    return p.uT
-
-
 def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
                               u_init: np.ndarray, cfg: NewtonConfig,
                               max_inner: int = 50) -> np.ndarray:
     """Inner Newton solve of the backward equation with the density frozen.
 
-    Same machinery as the coupled step with the density columns removed: the
-    unknowns are the u slices 0..nt-1, the terminal slice is pinned.
+    Its matrix is the uu block of the Jacobian; the terminal slice is pinned.
     """
     grid = p.grid
-    nt, dt, n = grid.nt, grid.dt, grid.n_space
-    ops = _spatial_ops(grid)
-    inv_dt = 1.0 / dt
-    fvals = _coupling_values(p, m_vals)
-    s_u = _source(p.s_u, u_init.shape)
     u = u_init.copy()
-    u[nt] = _hjb_terminal(p, m_vals)
-    m_flat = m_vals.reshape(nt + 1, n)
-    h_flat = p.hamiltonian.h.ravel()
-
+    u[-1] = _coupling_values(p, m_vals)[1]
+    pinned = _stencils(grid).last
     for inner in range(max_inner + 1):
-        du = tg.grad_array(u, grid).reshape(grid.dim, nt + 1, n)
-        b = ham.eval_bundle_arrays(p.hamiltonian, h_flat, m_flat, du)
-        r = (-(u[1:] - u[:-1]) / dt - tg.lap_array(u, grid)[:nt]
-             + b.H.reshape(nt + 1, *grid.spatial_shape)[:nt]
-             - fvals[:nt] - s_u[:nt])
-        if tg.sup_norm(r) <= cfg.residual_tol:
+        r_u, _ = residual(p, make_state(grid, u, m_vals))
+        if tg.sup_norm(r_u.values) <= cfg.residual_tol:
             return u
         if inner == max_inner:
             break
-        sink = _Sink(nt * n)
-        for k in range(nt):
-            diag_block = inv_dt * ops.eye - ops.lap + ops.advection(b.Hp[:, k])
-            sink.block(k * n, k * n, diag_block)
-            if k + 1 < nt:
-                sink.block(k * n, (k + 1) * n, -inv_dt * ops.eye)
-        system = sla.LinearSystem(sink.matrix(), -r.reshape(-1))
-        delta = sla.solve(system, cfg.linear_method)
-        u[:nt] += delta.reshape(nt, *grid.spatial_shape)
+        matrix, _ = _assemble_jacobian(p, m_vals, _bundle(p, u, m_vals))
+        uu = matrix[:u.size, :u.size]
+        u += _solve_eliminated(uu, -r_u.values.ravel(), pinned,
+                               cfg.linear_method).reshape(u.shape)
     raise MaxIterExceededError(
         f"inner value-function Newton stalled above tol {cfg.residual_tol:.1e}")
 
 
-def _solve_fp_frozen_drift(p: ProblemSpec, drift: np.ndarray,
-                           cfg: NewtonConfig) -> np.ndarray:
-    """Linear forward solve with a frozen drift field, shape (dim, nt+1, n)."""
-    grid = p.grid
-    nt, dt, n = grid.nt, grid.dt, grid.n_space
-    ops = _spatial_ops(grid)
-    inv_dt = 1.0 / dt
-    s_m = _source(p.s_m, (nt + 1,) + grid.spatial_shape).reshape(nt + 1, n)
-    sink = _Sink(nt * n)
-    rhs = np.empty(nt * n)
-    for k in range(1, nt + 1):
-        row = (k - 1) * n
-        block = inv_dt * ops.eye - ops.lap - ops.drift_div(drift[:, k])
-        sink.block(row, (k - 1) * n, block)
-        if k >= 2:
-            sink.block(row, (k - 2) * n, -inv_dt * ops.eye)
-        rhs[row:row + n] = s_m[k]
-    rhs[:n] += inv_dt * p.m0.ravel()
-    x = sla.solve(sla.LinearSystem(sink.matrix(), rhs), cfg.linear_method)
-    m = np.empty((nt + 1,) + grid.spatial_shape)
-    m[0] = p.m0
-    m[1:] = x.reshape(nt, *grid.spatial_shape)
-    return m
+def _solve_fp_frozen_drift(p: ProblemSpec, m_vals: np.ndarray,
+                           b: ham.HamiltonianBundle, cfg: NewtonConfig) -> np.ndarray:
+    """Linear forward solve with the drift H_p of ``b`` frozen.
+
+    Its matrix is the mm block of the Jacobian without the m H_pm drift; the
+    initial slice is pinned to m0.
+    """
+    matrix, known = _assemble_jacobian(p, m_vals, b._replace(Hpm=np.zeros_like(b.Hpm)))
+    n_u = m_vals.size
+    rhs = np.array(_source(p.s_m, m_vals.shape))
+    rhs[0] = p.m0
+    m = _solve_eliminated(matrix[n_u:, n_u:], rhs.ravel(), known[n_u:],
+                          cfg.linear_method)
+    return m.reshape(m_vals.shape)
 
 
 def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
@@ -582,8 +466,6 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
     state = initial
     steps = 0
     grid = p.grid
-    n = grid.n_space
-    h_flat = p.hamiltonian.h.ravel()
     while _res_sup(history[-1]) > cfg.residual_tol:
         if steps >= cfg.max_iter:
             raise MaxIterExceededError(
@@ -593,10 +475,7 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
         t0 = time.perf_counter()
         m_prev = state.m.values
         u_new = _solve_hjb_frozen_density(p, m_prev, state.u.values, cfg)
-        du = tg.grad_array(u_new, grid).reshape(grid.dim, grid.nt + 1, n)
-        b = ham.eval_bundle_arrays(
-            p.hamiltonian, h_flat, m_prev.reshape(grid.nt + 1, n), du)
-        m_new = _solve_fp_frozen_drift(p, b.Hp, cfg)
+        m_new = _solve_fp_frozen_drift(p, m_prev, _bundle(p, u_new, m_prev), cfg)
         m_next = (1.0 - cfg.damping) * m_prev + cfg.damping * m_new
         state = make_state(grid, u_new, m_next)
         steps += 1
@@ -621,22 +500,14 @@ def solve_linearized(p: ProblemSpec, base: SolverState, a: tg.Field,
     grid = p.grid
     if a.grid != grid or b.grid != grid:
         raise ValueError("data fields must live on the problem grid")
-    matrix, _, layout = _assemble_jacobian(p, base)
-    rhs = np.zeros(layout.size)
-    n = grid.n_space
-    for k in range(grid.nt):
-        rhs[layout.u_off(k):layout.u_off(k) + n] = a.values[k].ravel()
-    if p.is_nonlocal:
-        term = np.zeros(n) if c is None else np.asarray(c, dtype=float).ravel()
-        rhs[layout.u_off(grid.nt):layout.u_off(grid.nt) + n] = term
-    elif c is not None and np.any(c):
+    u, m = base.u.values, base.m.values
+    matrix, known = _assemble_jacobian(p, m, _bundle(p, u, m))
+    rhs_u = np.array(a.values)
+    rhs_u[-1] = 0.0 if c is None else np.asarray(c, dtype=float).reshape(grid.spatial_shape)
+    if known[u.size - 1] and np.any(rhs_u[-1]):  # u(T) given: v(T) = 0
         raise ValueError("terminal data c only applies to kernel-coupled problems")
-    div_b = tg.div_array(b.components, grid)
-    for k in range(1, grid.nt + 1):
-        rhs[layout.m_off(k):layout.m_off(k) + n] = div_b[k].ravel()
-    x = sla.solve(sla.LinearSystem(matrix, rhs), method)
-    v_vals, rho_vals = layout.scatter(x)
-    return (
-        tg.Field(grid, v_vals, role="perturbation"),
-        tg.Field(grid, rho_vals, role="perturbation"),
-    )
+    rhs_m = tg.div_array(b.components, grid)
+    rhs_m[0] = 0.0
+    x = _solve_eliminated(matrix, _stack(rhs_u, rhs_m), known, method)
+    v_vals, rho_vals = _unstack(grid, x)
+    return tg.Field(grid, v_vals), tg.Field(grid, rho_vals)

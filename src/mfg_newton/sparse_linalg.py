@@ -68,11 +68,6 @@ class SparseMatrix:
         np.cumsum(indptr, out=indptr)
         return cls(n_rows, n_cols, indptr, ucols.astype(np.int64), summed)
 
-    @classmethod
-    def from_scipy(cls, mat) -> "SparseMatrix":
-        coo = mat.tocoo()
-        return cls.from_triplets(mat.shape[0], mat.shape[1], coo.row, coo.col, coo.data)
-
     @property
     def nnz(self) -> int:
         return int(self.data.size)

@@ -84,7 +84,6 @@ class Field:
 
     grid: GridSpec
     values: np.ndarray
-    role: str = "field"  # value-function | density | perturbation | field
 
     def __post_init__(self):
         vals = _as_readonly(self.values)
@@ -92,9 +91,6 @@ class Field:
         if vals.shape != expected:
             raise ValueError(f"field shape {vals.shape} != expected {expected}")
         object.__setattr__(self, "values", vals)
-
-    def slice(self, k: int) -> np.ndarray:
-        return self.values[k]
 
 
 @dataclass(frozen=True)

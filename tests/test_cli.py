@@ -139,18 +139,41 @@ class TestExperiments:
         assert (out / "history_fixed_point_eps0.csv").exists()
 
     def test_solver_error_exits_3_and_is_recorded(self, tmp_path):
-        cfg = write_config(tmp_path, newton={"max_iter": 1, "residual_tol": 1e-14})
-        assert cli.main(["run", "--config", str(cfg)]) == 3
-        summary = (tmp_path / "out" / "summary.csv").read_text()
-        assert "MaxIterExceededError" in summary
+        # every epsilon sweep names the failed sub-run by its tag and epsilon
+        for experiment, extra in (
+            ("newton-rate", {}),
+            ("fixed-point-compare", {}),
+            ("nonlocal-rate", {"hamiltonian": {"variant": "separable_quadratic"},
+                               "coupling": {"kernel": {"type": "gaussian", "sigma": 0.1}}}),
+        ):
+            out = tmp_path / experiment
+            cfg = write_config(tmp_path, experiment=experiment, epsilons=[0.02],
+                               output_dir=str(out),
+                               newton={"max_iter": 1, "residual_tol": 1e-14}, **extra)
+            assert cli.main(["run", "--config", str(cfg)]) == 3
+            summary = (out / "summary.csv").read_text().splitlines()
+            row = dict(zip(summary[0].split(","), summary[1].split(",")))
+            assert row["error"] == "MaxIterExceededError"
+            assert row["status"] == "error"
+            assert row["sub_run"] == "eps0"
+            assert float(row["epsilon"]) == 0.02
 
-    def test_epsilon_sweep_with_workers(self, tmp_path):
-        cfg = write_config(tmp_path, epsilons=[0.01, 0.02], workers=2)
-        assert cli.main(["run", "--config", str(cfg)]) == 0
+    def test_unfittable_sub_run_keeps_its_evidence(self, tmp_path):
+        # eps = 5e-3 converges with only two errors above the fit floor
+        cfg = write_config(tmp_path, epsilons=[0.01, 0.005])
+        assert cli.main(["run", "--config", str(cfg)]) == 3
         out = tmp_path / "out"
-        assert (out / "history_eps0.csv").exists()
-        assert (out / "history_eps1.csv").exists()
-        assert len((out / "summary.csv").read_text().splitlines()) == 3
+        summary = (out / "summary.csv").read_text().splitlines()
+        rows = [dict(zip(summary[0].split(","), line.split(","))) for line in summary[1:]]
+        assert [r["sub_run"] for r in rows] == ["eps0", "eps1"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"] == "error"
+        assert rows[1]["error"] == "InsufficientDataError"
+        assert float(rows[1]["epsilon"]) == 0.005
+        history = (out / "history_eps1.csv").read_text().splitlines()
+        assert history[0].startswith("iter,")
+        assert len(history) >= 3
+        assert not any(line.startswith("# fit") for line in history)
 
 
 class TestDeterminism:

@@ -129,18 +129,39 @@ class TestNewtonStep:
         masses = tg.slice_masses(nxt.m.values, p.grid)
         np.testing.assert_allclose(masses, 1.0, atol=1e-10)
 
-    def test_boundary_rows_enforced_from_violating_start(self):
-        p, exact = manufactured()
+    @staticmethod
+    def _violating_step(make, amp):
+        """One Newton step from the root shifted by ``amp`` in u (violating
+        u(T) = uT in the local variant) and by 0.4 * amp in m(0)."""
+        p, exact = make()
         grid = p.grid
-        u0 = exact.u.values + 0.05  # violates u(T) = uT
+        u0 = exact.u.values + amp
         m0 = exact.m.values.copy()
-        m0[0] = m0[0] + 0.02 * np.cos(2 * np.pi * grid.x_nodes()[0])  # violates m(0) = m0
+        m0[0] = m0[0] + 0.4 * amp * np.cos(2 * np.pi * grid.x_nodes()[0])
         start = solver.make_state(grid, u0, m0)
         nxt, _ = solver.newton_step(p, start, solver.NewtonConfig(residual_tol=1e-9))
-        assert np.all(nxt.u.values[-1] == p.uT)
-        assert np.all(nxt.m.values[0] == p.m0)
         r_u, r_m = solver.residual(p, nxt)
-        assert max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values)) <= 1e-2
+        return p, nxt, max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values))
+
+    @pytest.mark.parametrize("amp", [0.05, 0.005])
+    @pytest.mark.parametrize("make", [manufactured, manufactured_nonlocal],
+                             ids=["local", "kernel"])
+    def test_boundary_rows_enforced_from_violating_start(self, make, amp):
+        p, nxt, res = self._violating_step(make, amp)
+        assert np.all(nxt.m.values[0] == p.m0)
+        if p.is_nonlocal:
+            expected = p.coupling.g.values(nxt.m.values[-1])
+            np.testing.assert_allclose(nxt.u.values[-1], expected, rtol=0, atol=1e-11)
+            assert res <= 1e-10
+        else:
+            assert np.all(nxt.u.values[-1] == p.uT)
+            assert res <= 0.1 * amp**2
+
+    def test_boundary_correction_is_quadratic(self):
+        # the known boundary update enters the right-hand side exactly, so a
+        # step from a boundary-violating start still contracts quadratically
+        res = [self._violating_step(manufactured, amp)[2] for amp in (0.05, 0.005)]
+        assert 50 <= res[0] / res[1] <= 200
 
     def test_nonlocal_terminal_row_satisfied_exactly(self):
         p, exact = manufactured_nonlocal()
@@ -154,23 +175,25 @@ class TestNewtonStep:
 
 class TestJacobianAgainstBruteForce:
     """Entrywise comparison of the assembled operator with a finite-difference
-    Jacobian of the residual map on tiny grids."""
+    Jacobian of the residual map on tiny grids, over the full unknown layout
+    with both boundary rows and columns."""
 
     def _check(self, p, state):
-        from mfg_newton.mfg_solver import _assemble_jacobian
+        from mfg_newton.mfg_solver import _assemble_jacobian, _bundle
 
         grid = p.grid
-        mat, _, layout = _assemble_jacobian(p, state)
-        mat.validate()
-        dense = mat.todense()
+        u, m = state.u.values, state.m.values
+        mat, _ = _assemble_jacobian(p, m, _bundle(p, u, m))
+        dense = mat.toarray()
 
         def residual_vec(x):
-            du, dm = layout.scatter(x)
-            s = solver.make_state(grid, state.u.values + du, state.m.values + dm)
+            du, dm = x.reshape((2, grid.nt + 1) + grid.spatial_shape)
+            s = solver.make_state(grid, u + du, m + dm)
             r_u, r_m = solver.residual(p, s)
-            return layout.pack(r_u.values, r_m.values)
+            return np.concatenate([r_u.values.ravel(), r_m.values.ravel()])
 
-        n = layout.size
+        n = 2 * u.size
+        assert dense.shape == (n, n)
         h = 1e-7
         fd = np.zeros((n, n))
         for j in range(n):
@@ -192,6 +215,15 @@ class TestJacobianAgainstBruteForce:
 
     def test_nonlocal_1d(self):
         p, exact = manufactured_nonlocal(nx=8, nt=3, sigma=0.15)
+        self._check(p, diag.perturbed_state(exact, 5e-2))
+
+    def test_congestion_with_kernel_coupling_1d(self):
+        grid = tg.GridSpec(dim=1, nx=8, nt=3, horizon=1.0)
+        nc = solver.NonlocalCoupling(
+            f=cpl.gaussian_kernel_coupling(grid, 0.15),
+            g=cpl.gaussian_kernel_coupling(grid, 0.15))
+        p, exact = diag.make_manufactured_nonlocal(
+            grid, ham.congestion(grid, 1.0, alpha=1.0), nc)
         self._check(p, diag.perturbed_state(exact, 5e-2))
 
 
@@ -330,9 +362,9 @@ class TestSolveNewton:
 class TestNewtonSystem:
     def test_rhs_vanishes_at_root(self):
         p, exact = manufactured(nx=16, nt=8)
-        system, layout = solver.newton_system(p, exact)
+        system, known = solver.newton_system(p, exact)
         assert np.abs(system.rhs).max() <= 1e-13
-        assert system.matrix.n_rows == layout.size
+        assert system.matrix.n_rows == np.count_nonzero(~known)
 
     def test_assembled_matrix_satisfies_csr_invariants(self):
         p, exact = manufactured(nx=16, nt=8)
