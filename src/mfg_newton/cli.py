@@ -283,17 +283,16 @@ def _final_residual(history) -> float:
 
 
 def _sweep(work, cfg, problem, exact, out, verbose):
-    """Run ``work`` once per epsilon.
+    """Run ``work`` once per epsilon and concatenate the rows it returns.
 
     A solver failure becomes an error row, not a crash; the row names the
     failed sub-run by its tag and epsilon.
     """
-    single = len(cfg.epsilons) == 1
     rows = []
     for i, eps in enumerate(cfg.epsilons):
         tag = f"eps{i}"
         try:
-            rows.append(work((cfg, problem, exact, eps, tag, out, single, verbose)))
+            rows.extend(work(cfg, problem, exact, eps, tag, out, verbose))
         except SOLVER_ERRORS as exc:
             row = _base_row(cfg, sub_run=tag)
             row["epsilon"] = eps
@@ -304,9 +303,8 @@ def _sweep(work, cfg, problem, exact, out, verbose):
     return rows
 
 
-def _rate_sub_run(args):
+def _rate_sub_run(cfg, problem, exact, eps, tag, out, verbose):
     """One perturb-and-solve sub-run; shared by the rate experiments."""
-    cfg, problem, exact, eps, tag, out, single, verbose = args
     row = _base_row(cfg, sub_run=tag, method="newton")
     row["epsilon"] = eps
     initial = diag.perturbed_state(exact, eps)
@@ -315,7 +313,7 @@ def _rate_sub_run(args):
     tg.write_field_csv(final.u, out / f"fields_u_{tag}.csv")
     tg.write_field_csv(final.m, out / f"fields_m_{tag}.csv")
     errors = [r.err_sum for r in history]
-    history_path = _history_name(out, tag, single)
+    history_path = _history_name(out, tag, len(cfg.epsilons) == 1)
     try:
         fit = diag.fit_rate(errors, floor=cfg.error_floor)
     except InsufficientDataError:
@@ -328,7 +326,7 @@ def _rate_sub_run(args):
     if verbose:
         print(f"[{cfg.experiment}] {tag}: {len(history) - 1} iterations, "
               f"q={fit.order:.3f}", file=sys.stderr)
-    return row
+    return [row]
 
 
 def _run_newton_rate(cfg: RunConfig, out: Path, verbose: bool):
@@ -349,8 +347,7 @@ def _run_nonlocal_rate(cfg: RunConfig, out: Path, verbose: bool):
     return _sweep(_rate_sub_run, cfg, problem, exact, out, verbose)
 
 
-def _fixed_point_sub_run(args):
-    cfg, problem, exact, eps, tag, out, _, verbose = args
+def _fixed_point_sub_run(cfg, problem, exact, eps, tag, out, verbose):
     ncfg = _newton_config(cfg)
     initial = diag.perturbed_state(exact, eps)
     rows = []
@@ -381,11 +378,7 @@ def _run_fixed_point_compare(cfg: RunConfig, out: Path, verbose: bool):
     grid = _build_grid(cfg)
     problem, exact = diag.make_manufactured(
         grid, _build_hamiltonian(cfg, grid), _build_local_coupling(cfg))
-    nested = _sweep(_fixed_point_sub_run, cfg, problem, exact, out, verbose)
-    rows = []
-    for group in nested:
-        rows.extend(group if isinstance(group, list) else [group])
-    return rows
+    return _sweep(_fixed_point_sub_run, cfg, problem, exact, out, verbose)
 
 
 def _run_lemma_stability(cfg: RunConfig, out: Path, verbose: bool):

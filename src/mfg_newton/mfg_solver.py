@@ -146,6 +146,30 @@ def _source(f: tg.Field | None, shape) -> np.ndarray:
     return np.zeros(shape) if f is None else f.values
 
 
+def _bundle(p: ProblemSpec, u_vals: np.ndarray, m_vals: np.ndarray):
+    """Hamiltonian bundle on every node of the space-time grid."""
+    du = tg.grad_array(u_vals, p.grid)
+    return ham.eval_bundle_arrays(p.hamiltonian, p.hamiltonian.h, m_vals, du)
+
+
+def _value_residual(p: ProblemSpec, u: np.ndarray, b: ham.HamiltonianBundle,
+                    fvals: np.ndarray, u_T: np.ndarray) -> np.ndarray:
+    """r_u: the backward equation on slices 0..nt-1, the terminal condition
+    on slice nt, given the bundle ``b`` and the coupling values."""
+    grid = p.grid
+    nt = grid.nt
+    r_u = np.empty_like(u)
+    r_u[:nt] = (
+        -(u[1:] - u[:-1]) / grid.dt
+        - tg.lap_array(u, grid)[:nt]
+        + b.H[:nt]
+        - fvals[:nt]
+        - _source(p.s_u, u.shape)[:nt]
+    )
+    r_u[nt] = u[nt] - u_T
+    return r_u
+
+
 def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
     """Discrete residual fields (r_u, r_m), boundary rows included.
 
@@ -154,30 +178,16 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
     the forward equation on slices 1..nt.
     """
     grid = p.grid
-    nt, dt = grid.nt, grid.dt
     u, m = s.u.values, s.m.values
-    du = tg.grad_array(u, grid)
-    b = ham.eval_bundle_arrays(p.hamiltonian, p.hamiltonian.h, m, du)
-    fvals, u_T = _coupling_values(p, m)
-    s_u = _source(p.s_u, u.shape)
-    s_m = _source(p.s_m, m.shape)
-
-    r_u = np.empty_like(u)
-    r_u[:nt] = (
-        -(u[1:] - u[:-1]) / dt
-        - tg.lap_array(u, grid)[:nt]
-        + b.H[:nt]
-        - fvals[:nt]
-        - s_u[:nt]
-    )
-    r_u[nt] = u[nt] - u_T
+    b = _bundle(p, u, m)
+    r_u = _value_residual(p, u, b, *_coupling_values(p, m))
 
     r_m = np.empty_like(m)
     r_m[1:] = (
-        (m[1:] - m[:-1]) / dt
+        (m[1:] - m[:-1]) / grid.dt
         - tg.lap_array(m, grid)[1:]
         - tg.div_array(m * b.Hp, grid)[1:]
-        - s_m[1:]
+        - _source(p.s_m, m.shape)[1:]
     )
     r_m[0] = m[0] - p.m0
     return tg.Field(grid, r_u), tg.Field(grid, r_m)
@@ -232,12 +242,6 @@ def _stencils(grid: tg.GridSpec) -> _Stencils:
     return _Stencils(grid)
 
 
-def _bundle(p: ProblemSpec, u_vals: np.ndarray, m_vals: np.ndarray):
-    """Hamiltonian bundle on every node of the space-time grid."""
-    du = tg.grad_array(u_vals, p.grid)
-    return ham.eval_bundle_arrays(p.hamiltonian, p.hamiltonian.h, m_vals, du)
-
-
 def _coupling_blocks(p: ProblemSpec, m_vals: np.ndarray):
     """The variant's two blocks in the value rows and density columns: the
     coupling block (-f'(m) or -conv_f on rows k < nt) and the terminal block
@@ -255,6 +259,23 @@ def _coupling_blocks(p: ProblemSpec, m_vals: np.ndarray):
     return sp.diags(-st.u_rows * f1), st.zero
 
 
+def _value_block(p: ProblemSpec, b: ham.HamiltonianBundle):
+    """The uu block: r_u differentiated in u, terminal row included."""
+    st = _stencils(p.grid)
+    hp = b.Hp.reshape(p.grid.dim, -1)
+    return st.uu + sum(sp.diags(st.u_rows * hp[a]) @ st.diff[a]
+                       for a in range(p.grid.dim))
+
+
+def _density_block(p: ProblemSpec, drift: np.ndarray):
+    """The mm block of a forward equation with linearized drift ``drift``
+    (one row per direction), initial row included.  With drift H_p + m H_pm
+    it is r_m differentiated in m."""
+    st = _stencils(p.grid)
+    return st.mm - sum(st.diff[a] @ sp.diags(st.m_rows * drift[a])
+                       for a in range(p.grid.dim))
+
+
 def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBundle):
     """Jacobian of the full residual (r_u, r_m) with respect to (u, m), both
     boundary rows included, at density ``m_vals`` with bundle ``b``.
@@ -266,18 +287,15 @@ def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBun
     dim = grid.dim
     st = _stencils(grid)
     m = m_vals.ravel()
-    hp = b.Hp.reshape(dim, -1)
-    drift = st.m_rows * (hp + m * b.Hpm.reshape(dim, -1))
+    mm = _density_block(p, b.Hp.reshape(dim, -1) + m * b.Hpm.reshape(dim, -1))
     flux = st.m_rows * m * b.Hpp.reshape(dim, dim, -1)
-    uu = st.uu + sum(sp.diags(st.u_rows * hp[a]) @ st.diff[a] for a in range(dim))
-    mm = st.mm - sum(st.diff[a] @ sp.diags(drift[a]) for a in range(dim))
     mu = -sum((st.diff[a] @ sp.diags(flux[a, c]) @ st.diff[c]
                for a in range(dim) for c in range(dim) if np.any(flux[a, c])),
               st.zero)
     coupling, terminal = _coupling_blocks(p, m_vals)
     um = sp.diags(st.u_rows * b.Hm.ravel()) + coupling + terminal
     known = np.concatenate([st.last & (terminal.nnz == 0), st.first])
-    return sp.bmat([[uu, um], [mu, mm]], format="csr"), known
+    return sp.bmat([[_value_block(p, b), um], [mu, mm]], format="csr"), known
 
 
 def _eliminate(matrix, rhs: np.ndarray, known: np.ndarray) -> sla.LinearSystem:
@@ -424,37 +442,36 @@ def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
     Its matrix is the uu block of the Jacobian; the terminal slice is pinned.
     """
     grid = p.grid
+    fvals, u_T = _coupling_values(p, m_vals)
     u = u_init.copy()
-    u[-1] = _coupling_values(p, m_vals)[1]
+    u[-1] = u_T
     pinned = _stencils(grid).last
     for inner in range(max_inner + 1):
-        r_u, _ = residual(p, make_state(grid, u, m_vals))
-        if tg.sup_norm(r_u.values) <= cfg.residual_tol:
+        b = _bundle(p, u, m_vals)
+        r_u = _value_residual(p, u, b, fvals, u_T)
+        if tg.sup_norm(r_u) <= cfg.residual_tol:
             return u
         if inner == max_inner:
             break
-        matrix, _ = _assemble_jacobian(p, m_vals, _bundle(p, u, m_vals))
-        uu = matrix[:u.size, :u.size]
-        u += _solve_eliminated(uu, -r_u.values.ravel(), pinned,
+        u += _solve_eliminated(_value_block(p, b), -r_u.ravel(), pinned,
                                cfg.linear_method).reshape(u.shape)
     raise MaxIterExceededError(
         f"inner value-function Newton stalled above tol {cfg.residual_tol:.1e}")
 
 
-def _solve_fp_frozen_drift(p: ProblemSpec, m_vals: np.ndarray,
-                           b: ham.HamiltonianBundle, cfg: NewtonConfig) -> np.ndarray:
-    """Linear forward solve with the drift H_p of ``b`` frozen.
+def _solve_fp_frozen_drift(p: ProblemSpec, hp: np.ndarray,
+                           cfg: NewtonConfig) -> np.ndarray:
+    """Linear forward solve with the drift ``hp`` = H_p frozen.
 
-    Its matrix is the mm block of the Jacobian without the m H_pm drift; the
-    initial slice is pinned to m0.
+    Its matrix is the mm block with drift H_p; the initial slice is pinned
+    to m0.
     """
-    matrix, known = _assemble_jacobian(p, m_vals, b._replace(Hpm=np.zeros_like(b.Hpm)))
-    n_u = m_vals.size
-    rhs = np.array(_source(p.s_m, m_vals.shape))
+    grid = p.grid
+    rhs = np.array(_source(p.s_m, hp.shape[1:]))
     rhs[0] = p.m0
-    m = _solve_eliminated(matrix[n_u:, n_u:], rhs.ravel(), known[n_u:],
-                          cfg.linear_method)
-    return m.reshape(m_vals.shape)
+    m = _solve_eliminated(_density_block(p, hp.reshape(grid.dim, -1)),
+                          rhs.ravel(), _stencils(grid).first, cfg.linear_method)
+    return m.reshape(rhs.shape)
 
 
 def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
@@ -475,7 +492,7 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
         t0 = time.perf_counter()
         m_prev = state.m.values
         u_new = _solve_hjb_frozen_density(p, m_prev, state.u.values, cfg)
-        m_new = _solve_fp_frozen_drift(p, m_prev, _bundle(p, u_new, m_prev), cfg)
+        m_new = _solve_fp_frozen_drift(p, _bundle(p, u_new, m_prev).Hp, cfg)
         m_next = (1.0 - cfg.damping) * m_prev + cfg.damping * m_new
         state = make_state(grid, u_new, m_next)
         steps += 1

@@ -202,6 +202,8 @@ class TestJacobianAgainstBruteForce:
             fd[:, j] = (residual_vec(e) - residual_vec(-e)) / (2 * h)
         scale = np.abs(dense).max()
         assert np.abs(dense - fd).max() <= 1e-5 * scale
+        # the masked matrix handed to the sparse solver keeps the CSR invariants
+        solver.newton_system(p, state)[0].matrix.validate()
 
     def test_local_1d(self):
         p, exact = manufactured(nx=8, nt=3)
