@@ -11,11 +11,11 @@ from .errors import (ConfigError, DomainError, InsufficientDataError,
 from .hamiltonian import (HamiltonianBundle, HamiltonianSpec, congestion,
                           eval_bundle, hessian_condition, separable_quadratic)
 from .mfg_solver import (NewtonConfig, NonlocalCoupling, ProblemSpec,
-                         SolverState, make_state, newton_step, newton_system,
-                         residual, solve_fixed_point, solve_linearized,
-                         solve_newton)
+                         SolverState, linearized_solver, make_state,
+                         newton_step, newton_system, residual,
+                         solve_fixed_point, solve_linearized, solve_newton)
 from .sparse_linalg import (Direct, Iterative, LinearSystem, SparseMatrix,
-                            solve, write_matrix_market)
+                            factorize, solve, write_matrix_market)
 from .torus_grid import (Field, GridSpec, VectorField, divergence, gradient,
                          laplacian, norms, write_field_csv)
 

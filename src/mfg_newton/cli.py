@@ -385,12 +385,13 @@ def _run_lemma_stability(cfg: RunConfig, out: Path, verbose: bool):
     grid = _build_grid(cfg)
     problem, exact = diag.make_manufactured(
         grid, _build_hamiltonian(cfg, grid), _build_local_coupling(cfg))
+    solve = solver.linearized_solver(problem, exact)
     ratios = []
     with open(out / "stability.csv", "w") as fh:
         fh.write("draw,seed,v_c10,rho_c0,ratio\n")
         for j in range(cfg.draws):
             a, b = diag.random_smooth_data(grid, seed=cfg.seed + j)
-            v, rho = solver.solve_linearized(problem, exact, a, b)
+            v, rho = solve(a, b)
             v_c10 = tg.sup_norm(v.values) + tg.grad_sup_norm(v.values, grid)
             rho_c0 = tg.sup_norm(rho.values)
             ratio = v_c10 + rho_c0  # data pair is normalized to unit sup norms

@@ -298,19 +298,26 @@ def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBun
     return sp.bmat([[_value_block(p, b), um], [mu, mm]], format="csr"), known
 
 
-def _eliminate(matrix, rhs: np.ndarray, known: np.ndarray) -> sla.LinearSystem:
-    """The system ``matrix @ x = rhs`` without the ``known`` unknowns.
-
-    Their rows are identity rows, so x = rhs there; their columns times those
-    values move to the right-hand side.
-    """
+def _free_block(matrix, known: np.ndarray) -> sla.SparseMatrix:
+    """``matrix`` without the rows and columns of the ``known`` unknowns."""
     free = ~known
     reduced = matrix[free][:, free]
     reduced.eliminate_zeros()
     reduced.sort_indices()
-    a = sla.SparseMatrix(reduced.shape[0], reduced.shape[1],
-                         reduced.indptr, reduced.indices, reduced.data)
-    return sla.LinearSystem(a, (rhs - matrix @ np.where(known, rhs, 0.0))[free])
+    return sla.SparseMatrix(reduced.shape[0], reduced.shape[1],
+                            reduced.indptr, reduced.indices, reduced.data)
+
+
+def _free_rhs(matrix, rhs: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Right-hand side of :func:`_free_block`: the ``known`` rows are identity
+    rows, so x = rhs there, and their columns times those values move to the
+    right-hand side."""
+    return (rhs - matrix @ np.where(known, rhs, 0.0))[~known]
+
+
+def _eliminate(matrix, rhs: np.ndarray, known: np.ndarray) -> sla.LinearSystem:
+    """The system ``matrix @ x = rhs`` without the ``known`` unknowns."""
+    return sla.LinearSystem(_free_block(matrix, known), _free_rhs(matrix, rhs, known))
 
 
 def _solve_eliminated(matrix, rhs, known, method) -> np.ndarray:
@@ -503,6 +510,37 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
 
 # -- perturbed linearized system (stability probe) ------------------------------
 
+def linearized_solver(p: ProblemSpec, base: SolverState,
+                      method: sla.Direct | sla.Iterative = sla.Direct()):
+    """Factor the linearized system around ``base`` once.
+
+    Returns ``solve(a, b, c=None) -> (v, rho)``, which solves it for data
+    (a, div b) and terminal data c as :func:`solve_linearized` does, reusing
+    the factors for every call.
+    """
+    grid = p.grid
+    u, m = base.u.values, base.m.values
+    matrix, known = _assemble_jacobian(p, m, _bundle(p, u, m))
+    factored = sla.factorize(_free_block(matrix, known), method)
+
+    def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):
+        if a.grid != grid or b.grid != grid:
+            raise ValueError("data fields must live on the problem grid")
+        rhs_u = np.array(a.values)
+        rhs_u[-1] = 0.0 if c is None else np.asarray(c, dtype=float).reshape(grid.spatial_shape)
+        if known[u.size - 1] and np.any(rhs_u[-1]):  # u(T) given: v(T) = 0
+            raise ValueError("terminal data c only applies to kernel-coupled problems")
+        rhs_m = tg.div_array(b.components, grid)
+        rhs_m[0] = 0.0
+        rhs = _stack(rhs_u, rhs_m)
+        x = np.where(known, rhs, 0.0)
+        x[~known] = factored(_free_rhs(matrix, rhs, known))[0]
+        v_vals, rho_vals = _unstack(grid, x)
+        return tg.Field(grid, v_vals), tg.Field(grid, rho_vals)
+
+    return solve
+
+
 def solve_linearized(p: ProblemSpec, base: SolverState, a: tg.Field,
                      b: tg.VectorField, c: np.ndarray | None = None,
                      method: sla.Direct | sla.Iterative = sla.Direct()):
@@ -512,19 +550,7 @@ def solve_linearized(p: ProblemSpec, base: SolverState, a: tg.Field,
     frozen at ``base``; the right-hand side carries a on the backward rows and
     div b on the forward rows, with homogeneous boundary rows (v(T) = 0 for
     the local variant, rho(0) = 0).  In the kernel-coupled variant the
-    terminal row reads v(T) = (dg/dm) rho(T) + c.
+    terminal row reads v(T) = (dg/dm) rho(T) + c.  To solve for many data
+    around one base state, factor once with :func:`linearized_solver`.
     """
-    grid = p.grid
-    if a.grid != grid or b.grid != grid:
-        raise ValueError("data fields must live on the problem grid")
-    u, m = base.u.values, base.m.values
-    matrix, known = _assemble_jacobian(p, m, _bundle(p, u, m))
-    rhs_u = np.array(a.values)
-    rhs_u[-1] = 0.0 if c is None else np.asarray(c, dtype=float).reshape(grid.spatial_shape)
-    if known[u.size - 1] and np.any(rhs_u[-1]):  # u(T) given: v(T) = 0
-        raise ValueError("terminal data c only applies to kernel-coupled problems")
-    rhs_m = tg.div_array(b.components, grid)
-    rhs_m[0] = 0.0
-    x = _solve_eliminated(matrix, _stack(rhs_u, rhs_m), known, method)
-    v_vals, rho_vals = _unstack(grid, x)
-    return tg.Field(grid, v_vals), tg.Field(grid, rho_vals)
+    return linearized_solver(p, base, method)(a, b, c)

@@ -352,6 +352,32 @@ class TestSolveNewton:
             p, init, solver.NewtonConfig(residual_tol=1e-9), reference=exact)
         assert history[-1].err_sum <= 1e-9
 
+    def test_kernel_start_near_the_residual_contract_converges(self):
+        # A start from Fourier modes k = 1..3 whose second Newton solve first
+        # lands at a relative residual of ~1.1e-12, just above DIRECT_TOL;
+        # one refinement step brings it back under.
+        p, exact = manufactured_nonlocal(nx=64, nt=64)
+        grid = p.grid
+        x = grid.x_nodes()[0]
+        s = (grid.t_nodes() / grid.horizon)[:, None]
+        rng = np.random.default_rng(10)
+        eps = rng.uniform(5e-3, 2e-2)
+
+        def direction():
+            out = sum(rng.standard_normal() * np.cos(2 * np.pi * k * x)
+                      + rng.standard_normal() * np.sin(2 * np.pi * k * x)
+                      for k in (1, 2, 3))
+            return out / np.abs(out).max()
+
+        u = exact.u.values + eps * (1.0 - s) * direction()
+        m = exact.m.values + eps * s * direction()
+        final, history = solver.solve_newton(
+            p, solver.make_state(grid, u, m),
+            solver.NewtonConfig(residual_tol=1e-10))
+        assert len(history) - 1 == 3
+        r_u, r_m = solver.residual(p, final)
+        assert max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values)) <= 1e-10
+
     def test_iterative_linear_method(self):
         p, exact = manufactured(nx=16, nt=8)
         init = diag.perturbed_state(exact, 1e-2)
@@ -483,6 +509,18 @@ class TestSolveLinearized:
         coupling_term = p.coupling.g.conv @ rho.values[-1]
         np.testing.assert_allclose(v.values[-1] - coupling_term, c, atol=1e-11)
         assert tg.sup_norm(v.values) > 0.0
+
+    @pytest.mark.parametrize("nonlocal_", [False, True])
+    def test_factored_solver_matches_solve_linearized_bitwise(self, nonlocal_):
+        p, exact = manufactured_nonlocal(nx=16, nt=8) if nonlocal_ else self._setup(nx=16, nt=8)
+        c = 0.1 * np.cos(2 * np.pi * p.grid.x_nodes()[0]) if nonlocal_ else None
+        solve = solver.linearized_solver(p, exact)
+        for seed in range(4):
+            a, b = diag.random_smooth_data(p.grid, seed=seed)
+            v, rho = solve(a, b, c)
+            v_ref, rho_ref = solver.solve_linearized(p, exact, a, b, c)
+            assert v.values.tobytes() == v_ref.values.tobytes()
+            assert rho.values.tobytes() == rho_ref.values.tobytes()
 
     def test_local_rejects_terminal_data(self):
         p, exact = self._setup(nx=16, nt=8)

@@ -107,6 +107,43 @@ class TestSolve:
         with pytest.raises(SingularMatrixError):
             sla.solve(sla.LinearSystem(mat, np.ones(2)))
 
+    def test_hilbert_stays_singular_after_refinement(self):
+        # Hilbert(10) has condition ~1.6e13: its residual is ~1e-10 before
+        # the refinement step and ~9e-11 after, so refinement cannot hide a
+        # numerically singular matrix.
+        n = 10
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        mat = sla.SparseMatrix.from_triplets(
+            n, n, i.ravel(), j.ravel(), (1.0 / (i + j + 1)).ravel())
+        with pytest.raises(SingularMatrixError, match="after refinement"):
+            sla.solve(sla.LinearSystem(mat, np.ones(n)))
+
+    @pytest.mark.parametrize("method", [sla.Direct(), sla.Iterative(tol=1e-13)])
+    def test_zero_diagonal_forces_pivoting(self, method):
+        # nonsymmetric, with every diagonal entry zero: no factorization
+        # without row exchanges exists
+        n = 40
+        rng = np.random.default_rng(1)
+        i = np.arange(n)
+        rows = np.concatenate([i, i, i])
+        cols = np.concatenate([(i + 1) % n, (i + 3) % n, (i - 5) % n])
+        vals = np.concatenate([rng.uniform(1.0, 2.0, n), rng.uniform(-1.0, 1.0, n),
+                               rng.uniform(-0.5, 0.5, n)])
+        mat = sla.SparseMatrix.from_triplets(n, n, rows, cols, vals)
+        assert np.all(np.diag(mat.todense()) == 0.0)
+        b = rng.standard_normal(n)
+        x = sla.solve(sla.LinearSystem(mat, b), method)
+        np.testing.assert_allclose(x, dense_gauss_solve(mat.todense(), b), atol=1e-10)
+
+    def test_factor_once_solve_many(self):
+        mat = periodic_minus_lap_plus_identity(16)
+        solve = sla.factorize(mat)
+        for k in range(1, 4):
+            b = np.sin(2 * np.pi * k * np.arange(16) / 16)
+            x, meta = solve(b)
+            np.testing.assert_array_equal(x, sla.solve(sla.LinearSystem(mat, b)))
+            assert meta.method == "direct" and meta.residual_norm <= sla.DIRECT_TOL
+
     def test_non_square_rejected(self):
         mat = sla.SparseMatrix.from_triplets(2, 3, [0, 1], [0, 1], [1.0, 1.0])
         with pytest.raises(ValueError):
