@@ -1,8 +1,7 @@
 """Finite-difference Newton solver for evolutive mean field games on the torus."""
 
-from .coupling import (ComposedKernelCoupling, KernelCoupling, LocalCoupling,
-                       gaussian_kernel_coupling, local_eval, nonlocal_eval,
-                       nonlocal_taylor_gap)
+from .coupling import (KernelCoupling, LocalCoupling, gaussian_kernel_coupling,
+                       local_eval)
 from .diagnostics import (IterationRecord, RateFit, fit_rate, make_manufactured,
                           make_manufactured_nonlocal, perturbed_state)
 from .errors import (ConfigError, DomainError, InsufficientDataError,
@@ -15,8 +14,8 @@ from .mfg_solver import (NewtonConfig, NonlocalCoupling, ProblemSpec,
                          newton_step, newton_system, residual,
                          solve_fixed_point, solve_linearized, solve_newton)
 from .sparse_linalg import (Direct, Iterative, LinearSystem, SparseMatrix,
-                            factorize, solve, write_matrix_market)
+                            factorize, solve)
 from .torus_grid import (Field, GridSpec, VectorField, divergence, gradient,
-                         laplacian, norms, write_field_csv)
+                         laplacian, write_field_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -282,6 +282,16 @@ def _final_residual(history) -> float:
     return max(rec.res_u_sup, rec.res_m_sup)
 
 
+def _solve_keeping_history(solve, history_path, problem, initial, ncfg, exact):
+    """Run one solve; if it exhausts its step budget, write the partial
+    history it carries to ``history_path`` before re-raising."""
+    try:
+        return solve(problem, initial, ncfg, reference=exact)
+    except MaxIterExceededError as exc:
+        diag.write_history_csv(exc.history, history_path)
+        raise
+
+
 def _sweep(work, cfg, problem, exact, out, verbose):
     """Run ``work`` once per epsilon and concatenate the rows it returns.
 
@@ -308,12 +318,12 @@ def _rate_sub_run(cfg, problem, exact, eps, tag, out, verbose):
     row = _base_row(cfg, sub_run=tag, method="newton")
     row["epsilon"] = eps
     initial = diag.perturbed_state(exact, eps)
-    final, history = solver.solve_newton(
-        problem, initial, _newton_config(cfg), reference=exact)
+    history_path = _history_name(out, tag, len(cfg.epsilons) == 1)
+    final, history = _solve_keeping_history(
+        solver.solve_newton, history_path, problem, initial, _newton_config(cfg), exact)
     tg.write_field_csv(final.u, out / f"fields_u_{tag}.csv")
     tg.write_field_csv(final.m, out / f"fields_m_{tag}.csv")
     errors = [r.err_sum for r in history]
-    history_path = _history_name(out, tag, len(cfg.epsilons) == 1)
     try:
         fit = diag.fit_rate(errors, floor=cfg.error_floor)
     except InsufficientDataError:
@@ -354,16 +364,20 @@ def _fixed_point_sub_run(cfg, problem, exact, eps, tag, out, verbose):
 
     row_n = _base_row(cfg, sub_run=tag, method="newton")
     row_n["epsilon"] = eps
-    _, hist_n = solver.solve_newton(problem, initial, ncfg, reference=exact)
-    diag.write_history_csv(hist_n, out / f"history_newton_{tag}.csv")
+    path_n = out / f"history_newton_{tag}.csv"
+    _, hist_n = _solve_keeping_history(
+        solver.solve_newton, path_n, problem, initial, ncfg, exact)
+    diag.write_history_csv(hist_n, path_n)
     row_n["iterations"] = len(hist_n) - 1
     row_n["final_residual"] = _final_residual(hist_n)
     rows.append(row_n)
 
     row_f = _base_row(cfg, sub_run=tag, method="fixed-point")
     row_f["epsilon"] = eps
-    _, hist_f = solver.solve_fixed_point(problem, initial, ncfg, reference=exact)
-    diag.write_history_csv(hist_f, out / f"history_fixed_point_{tag}.csv")
+    path_f = out / f"history_fixed_point_{tag}.csv"
+    _, hist_f = _solve_keeping_history(
+        solver.solve_fixed_point, path_f, problem, initial, ncfg, exact)
+    diag.write_history_csv(hist_f, path_f)
     row_f["iterations"] = len(hist_f) - 1
     row_f["final_residual"] = _final_residual(hist_f)
     rows.append(row_f)

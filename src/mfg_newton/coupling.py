@@ -1,6 +1,6 @@
-"""Density couplings: local f(m) with derivatives, and nonlocal kernel couplings.
+"""Density couplings: local f(m) with its derivative, and a linear kernel coupling.
 
-The nonlocal couplings convolve the density with a periodized Gaussian whose
+The nonlocal coupling convolves the density with a periodized Gaussian whose
 discrete Fourier coefficients are nonnegative by construction, which makes the
 coupling monotone.  The kernel is built from image sums over the min-image
 distance so that evenness K(x) = K(-x) holds bitwise on the grid, and it is
@@ -25,7 +25,7 @@ ZERO = "zero"
 
 @dataclass(frozen=True)
 class LocalCoupling:
-    """Local coupling f(m) with closed-form f' and f''.
+    """Local coupling f(m) with closed-form f'.
 
     Variants: sigmoid 1/(1+e^-m) (bounded, monotone), linear m, power m^alpha
     with alpha >= 2 restricted to m >= 0, and zero.
@@ -44,32 +44,31 @@ class LocalCoupling:
 class CouplingValues(NamedTuple):
     f: float | np.ndarray
     f1: float | np.ndarray
-    f2: float | np.ndarray
 
 
 def local_eval(c: LocalCoupling, m) -> CouplingValues:
-    """f(m), f'(m), f''(m); accepts scalars or arrays."""
+    """f(m) and f'(m); accepts scalars or arrays."""
     m = np.asarray(m, dtype=float)
     scalar = m.ndim == 0
     if c.variant == SIGMOID:
         s = 1.0 / (1.0 + np.exp(-m))
-        out = CouplingValues(s, s * (1.0 - s), s * (1.0 - s) * (1.0 - 2.0 * s))
+        out = CouplingValues(s, s * (1.0 - s))
     elif c.variant == LINEAR:
-        out = CouplingValues(m, np.ones_like(m), np.zeros_like(m))
+        out = CouplingValues(m, np.ones_like(m))
     elif c.variant == ZERO:
         z = np.zeros_like(m)
-        out = CouplingValues(z, z, z)
+        out = CouplingValues(z, z)
     else:  # power
         if np.any(m < 0):
             raise DomainError(f"power coupling needs m >= 0, got min {float(np.min(m)):.6g}")
         a = c.alpha
-        out = CouplingValues(m**a, a * m ** (a - 1.0), a * (a - 1.0) * m ** (a - 2.0))
+        out = CouplingValues(m**a, a * m ** (a - 1.0))
     if scalar:
-        return CouplingValues(float(out.f), float(out.f1), float(out.f2))
+        return CouplingValues(float(out.f), float(out.f1))
     return out
 
 
-def periodized_gaussian(grid: GridSpec, sigma: float, n_images: int | None = None) -> np.ndarray:
+def periodized_gaussian(grid: GridSpec, sigma: float) -> np.ndarray:
     """Gaussian of width sigma wrapped around the torus, sampled on the grid.
 
     Built per axis from the min-image distance d = min(i, nx-i)/nx so values
@@ -78,13 +77,12 @@ def periodized_gaussian(grid: GridSpec, sigma: float, n_images: int | None = Non
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if n_images is None:
-        n_images = max(3, int(np.ceil(6.0 * sigma)) + 1)
+    images = max(3, int(np.ceil(6.0 * sigma)) + 1)
     i = np.arange(grid.nx)
     d = np.minimum(i, grid.nx - i) * grid.dx
     k1 = np.zeros(grid.nx)
     inv = 1.0 / (2.0 * sigma * sigma)
-    for j in range(n_images + 1):
+    for j in range(images + 1):
         k1 += np.exp(-((j + d) ** 2) * inv)
         if j >= 1:
             k1 += np.exp(-((j - d) ** 2) * inv)
@@ -108,11 +106,7 @@ def _conv_matrix(grid: GridSpec, kernel: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelCoupling:
-    """Nonlocal coupling f[m](x) = dx^dim * sum_y K(x-y) m(y), linear in m.
-
-    The measure derivative is the kernel itself normalized to integrate to
-    zero against m: deriv(x, y) = K(x-y) - f[m](x).
-    """
+    """Nonlocal coupling f[m](x) = dx^dim * sum_y K(x-y) m(y), linear in m."""
 
     grid: GridSpec
     kernel: np.ndarray
@@ -122,70 +116,10 @@ class KernelCoupling:
         flat = self.conv @ np.asarray(m_slice, dtype=float).ravel()
         return flat.reshape(self.grid.spatial_shape)
 
-    def deriv_matrix(self, m_slice: np.ndarray) -> np.ndarray:
-        """deriv(x,y) on flat indices; rows are K(x-.) minus the row's f[m](x)."""
-        vals = (self.conv @ np.asarray(m_slice, dtype=float).ravel())
-        return self.conv / self.grid.cell_volume - vals[:, None]
-
 
 def gaussian_kernel_coupling(grid: GridSpec, sigma: float) -> KernelCoupling:
     kernel = periodized_gaussian(grid, sigma)
     return KernelCoupling(grid, kernel, _conv_matrix(grid, kernel))
-
-
-@dataclass(frozen=True)
-class ComposedKernelCoupling:
-    """Nonlinear nonlocal coupling f[m] = phi(K*m) with phi the sigmoid.
-
-    Exercises a genuinely nonlinear measure dependence; its first-order
-    expansion has a quadratic remainder, unlike the plain kernel coupling.
-    """
-
-    base: KernelCoupling
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.base.grid
-
-    def values(self, m_slice: np.ndarray) -> np.ndarray:
-        conv = self.base.values(m_slice)
-        return 1.0 / (1.0 + np.exp(-conv))
-
-    def deriv_matrix(self, m_slice: np.ndarray) -> np.ndarray:
-        conv = (self.base.conv @ np.asarray(m_slice, dtype=float).ravel())
-        s = 1.0 / (1.0 + np.exp(-conv))
-        phi1 = s * (1.0 - s)
-        raw = self.base.conv / self.grid.cell_volume
-        return phi1[:, None] * (raw - conv[:, None])
-
-
-def nonlocal_eval(k: KernelCoupling, m_slice: np.ndarray):
-    """Coupling values on a density slice plus the measure-derivative kernel.
-
-    Returns (values, deriv) with deriv(x, y) -> float on flat spatial indices,
-    normalized so dx^dim * sum_y deriv(x,y) m(y) = 0 for unit-mass m.
-    """
-    values = k.values(m_slice)
-    mat = k.deriv_matrix(m_slice)
-
-    def deriv(x: int, y: int) -> float:
-        return float(mat[x, y])
-
-    return values, deriv
-
-
-def nonlocal_taylor_gap(k, m_slice: np.ndarray, m2_slice: np.ndarray) -> float:
-    """Sup norm of the first-order expansion remainder between two equal-mass
-    slices; exactly zero for couplings linear in m."""
-    grid = k.grid
-    m = np.asarray(m_slice, dtype=float).ravel()
-    m2 = np.asarray(m2_slice, dtype=float).ravel()
-    gap = (
-        k.values(m2).ravel()
-        - k.values(m).ravel()
-        - grid.cell_volume * (k.deriv_matrix(m) @ (m2 - m))
-    )
-    return float(np.max(np.abs(gap)))
 
 
 def write_kernel_csv(k: KernelCoupling, path) -> None:

@@ -9,17 +9,20 @@ class DomainError(ValueError):
     """
 
 
-class SingularMatrixError(RuntimeError):
-    """The linear operator could not be factored or solved reliably."""
+class _LinearSolveError(RuntimeError):
+    """A linear solve failed; ``iterate`` is the outer step it failed in,
+    when an outer (Newton or fixed-point) iteration re-raised it."""
 
     def __init__(self, message, iterate=None):
-        if iterate is not None:
-            message = f"{message} (Newton iterate {iterate})"
         super().__init__(message)
         self.iterate = iterate
 
 
-class NoConvergenceError(RuntimeError):
+class SingularMatrixError(_LinearSolveError):
+    """The linear operator could not be factored or solved reliably."""
+
+
+class NoConvergenceError(_LinearSolveError):
     """An iterative linear solve exhausted its iteration budget."""
 
 

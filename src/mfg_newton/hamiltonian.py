@@ -69,7 +69,6 @@ class HamiltonianBundle(NamedTuple):
     Hm: float | np.ndarray
     Hpp: np.ndarray           # (dim, dim, ...)
     Hpm: np.ndarray           # (dim, ...)
-    Hmm: float | np.ndarray
 
 
 def eval_bundle_arrays(spec: HamiltonianSpec, h: np.ndarray, m: np.ndarray, p: np.ndarray) -> HamiltonianBundle:
@@ -81,14 +80,12 @@ def eval_bundle_arrays(spec: HamiltonianSpec, h: np.ndarray, m: np.ndarray, p: n
     eye = np.eye(d).reshape((d, d) + (1,) * m.ndim)
 
     if spec.variant == SEPARABLE_QUADRATIC:
-        zero = np.zeros_like(m)
         return HamiltonianBundle(
             H=h * p2,
             Hp=2.0 * h * p,
-            Hm=zero,
+            Hm=np.zeros_like(m),
             Hpp=2.0 * h * eye * np.ones_like(m),
             Hpm=np.zeros_like(p),
-            Hmm=zero,
         )
 
     if np.any(m <= spec.m_floor):
@@ -98,14 +95,12 @@ def eval_bundle_arrays(spec: HamiltonianSpec, h: np.ndarray, m: np.ndarray, p: n
     alpha = spec.alpha
     w = (1.0 + m) ** (-alpha)          # (1+m)^-alpha
     w1 = w / (1.0 + m)                 # (1+m)^-(alpha+1)
-    w2 = w1 / (1.0 + m)
     return HamiltonianBundle(
         H=h * p2 * w,
         Hp=2.0 * h * p * w,
         Hm=-alpha * h * p2 * w1,
         Hpp=2.0 * h * eye * w,
         Hpm=-2.0 * alpha * h * p * w1,
-        Hmm=alpha * (alpha + 1.0) * h * p2 * w2,
     )
 
 
@@ -125,7 +120,7 @@ def eval_bundle(spec: HamiltonianSpec, x, m: float, p) -> HamiltonianBundle:
     return HamiltonianBundle(
         H=float(b.H), Hp=np.asarray(b.Hp, dtype=float), Hm=float(b.Hm),
         Hpp=np.asarray(b.Hpp, dtype=float).reshape(d, d),
-        Hpm=np.asarray(b.Hpm, dtype=float), Hmm=float(b.Hmm),
+        Hpm=np.asarray(b.Hpm, dtype=float),
     )
 
 

@@ -39,7 +39,8 @@ from . import diagnostics as diag
 from . import hamiltonian as ham
 from . import sparse_linalg as sla
 from . import torus_grid as tg
-from .errors import DomainError, MaxIterExceededError, SingularMatrixError
+from .errors import (DomainError, MaxIterExceededError, NoConvergenceError,
+                     SingularMatrixError)
 
 MASS_TOL = 1e-8
 
@@ -408,13 +409,22 @@ def _initial_record(p, initial, reference) -> diag.IterationRecord:
         raise DomainError(f"{exc} (iterate 0, initial state)") from exc
 
 
+def _at_iterate(exc, solver: str, iterate: int):
+    """The same error as ``exc``, its message naming the outer iterate it
+    failed in; linear-solve errors also carry the index as ``.iterate``."""
+    message = f"{exc} ({solver} iterate {iterate})"
+    if isinstance(exc, DomainError):
+        return DomainError(message)
+    return type(exc)(message, iterate=iterate)
+
+
 def solve_newton(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
                  reference: SolverState | None = None):
     """Newton iteration to sup-norm residual <= cfg.residual_tol.
 
     history[0] records the initial state; one record follows per step.
     Raises MaxIterExceededError (carrying the history) when the budget is
-    exhausted, and annotates Hamiltonian-domain or singular-operator failures
+    exhausted, and annotates Hamiltonian-domain and linear-solve failures
     with the iterate index so divergence is never silent.
     """
     history = [_initial_record(p, initial, reference)]
@@ -427,15 +437,13 @@ def solve_newton(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
                 f"in {cfg.max_iter} steps (residual {_res_sup(history[-1]):.3e})",
                 final=state, history=history)
         t0 = time.perf_counter()
+        steps += 1
         try:
             state, _ = newton_step(p, state, cfg)
-            steps += 1
             history.append(_record(
                 steps, p, state, reference, (time.perf_counter() - t0) * 1e3))
-        except DomainError as exc:
-            raise DomainError(f"{exc} (Newton iterate {steps + 1})") from exc
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(str(exc), iterate=steps + 1) from exc
+        except (DomainError, SingularMatrixError, NoConvergenceError) as exc:
+            raise _at_iterate(exc, "Newton", steps) from exc
     return state, history
 
 
@@ -485,7 +493,8 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
                       reference: SolverState | None = None):
     """Damped Picard iteration: freeze the density, solve the backward
     equation, solve the forward equation with the resulting drift, and relax
-    the density with factor cfg.damping.  Stops on the coupled residual."""
+    the density with factor cfg.damping.  Stops on the coupled residual;
+    failures inside a step name it as :func:`solve_newton`'s do."""
     history = [_initial_record(p, initial, reference)]
     state = initial
     steps = 0
@@ -498,13 +507,19 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
                 final=state, history=history)
         t0 = time.perf_counter()
         m_prev = state.m.values
-        u_new = _solve_hjb_frozen_density(p, m_prev, state.u.values, cfg)
-        m_new = _solve_fp_frozen_drift(p, _bundle(p, u_new, m_prev).Hp, cfg)
-        m_next = (1.0 - cfg.damping) * m_prev + cfg.damping * m_new
-        state = make_state(grid, u_new, m_next)
         steps += 1
-        history.append(_record(
-            steps, p, state, reference, (time.perf_counter() - t0) * 1e3))
+        try:
+            u_new = _solve_hjb_frozen_density(p, m_prev, state.u.values, cfg)
+            m_new = _solve_fp_frozen_drift(p, _bundle(p, u_new, m_prev).Hp, cfg)
+            m_next = (1.0 - cfg.damping) * m_prev + cfg.damping * m_new
+            state = make_state(grid, u_new, m_next)
+            history.append(_record(
+                steps, p, state, reference, (time.perf_counter() - t0) * 1e3))
+        except (DomainError, SingularMatrixError, NoConvergenceError) as exc:
+            raise _at_iterate(exc, "fixed-point", steps) from exc
+        except MaxIterExceededError as exc:  # the inner value-function solve stalled
+            raise MaxIterExceededError(f"{exc} (fixed-point iterate {steps})",
+                                       final=state, history=history) from exc
     return state, history
 
 

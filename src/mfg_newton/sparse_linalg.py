@@ -198,12 +198,3 @@ def solve(system: LinearSystem, method: Direct | Iterative = Direct()) -> np.nda
     x, system.meta = factorize(system.matrix, method)(system.rhs)
     return x
 
-
-def write_matrix_market(mat: SparseMatrix, path) -> None:
-    """Debug dump in MatrixMarket coordinate format (sorted, 1-based)."""
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{mat.n_rows} {mat.n_cols} {mat.nnz}\n")
-        for r in range(mat.n_rows):
-            for k in range(mat.indptr[r], mat.indptr[r + 1]):
-                fh.write(f"{r + 1} {mat.indices[k] + 1} {mat.data[k]:.17g}\n")

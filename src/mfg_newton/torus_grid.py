@@ -9,7 +9,7 @@ product, which the uniqueness structure of the linearized system relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,13 +157,6 @@ def laplacian(f: Field, k: int) -> np.ndarray:
     return lap_array(f.values[k], f.grid)
 
 
-@dataclass(frozen=True)
-class NormReport:
-    c0: float
-    c10: float
-    mass_per_slice: np.ndarray = field(repr=False)
-
-
 def sup_norm(vals: np.ndarray) -> float:
     return float(np.max(np.abs(vals)))
 
@@ -172,22 +165,6 @@ def grad_sup_norm(vals: np.ndarray, grid: GridSpec) -> float:
     """Max over all nodes of the Euclidean norm of the discrete gradient."""
     g = grad_array(vals, grid)
     return float(np.sqrt((g * g).sum(axis=0)).max())
-
-
-def norms(f: Field, v: Field | None = None) -> NormReport:
-    """Discrete sup norms and per-slice mass of ``f``.
-
-    c0 is the grid max of |f|, c10 adds the grid max of |grad f|, and
-    mass_per_slice[k] = dx^dim * sum over the slice.  When ``v`` is given,
-    c10 is computed for ``v`` instead, so that c0 + c10 is the combined
-    error functional for a (density, value) pair in a single call.
-    """
-    c0 = sup_norm(f.values)
-    target = f if v is None else v
-    c10 = sup_norm(target.values) + grad_sup_norm(target.values, target.grid)
-    axes = tuple(range(1, 1 + f.grid.dim))
-    mass = f.grid.cell_volume * f.values.sum(axis=axes)
-    return NormReport(c0=c0, c10=c10, mass_per_slice=mass)
 
 
 def slice_masses(vals: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -139,12 +139,14 @@ class TestExperiments:
         assert (out / "history_fixed_point_eps0.csv").exists()
 
     def test_solver_error_exits_3_and_is_recorded(self, tmp_path):
-        # every epsilon sweep names the failed sub-run by its tag and epsilon
-        for experiment, extra in (
-            ("newton-rate", {}),
-            ("fixed-point-compare", {}),
-            ("nonlocal-rate", {"hamiltonian": {"variant": "separable_quadratic"},
-                               "coupling": {"kernel": {"type": "gaussian", "sigma": 0.1}}}),
+        # every epsilon sweep names the failed sub-run by its tag and epsilon,
+        # and keeps the partial history (initial state and the one step)
+        for experiment, history_name, extra in (
+            ("newton-rate", "history.csv", {}),
+            ("fixed-point-compare", "history_newton_eps0.csv", {}),
+            ("nonlocal-rate", "history.csv",
+             {"hamiltonian": {"variant": "separable_quadratic"},
+              "coupling": {"kernel": {"type": "gaussian", "sigma": 0.1}}}),
         ):
             out = tmp_path / experiment
             cfg = write_config(tmp_path, experiment=experiment, epsilons=[0.02],
@@ -157,6 +159,21 @@ class TestExperiments:
             assert row["status"] == "error"
             assert row["sub_run"] == "eps0"
             assert float(row["epsilon"]) == 0.02
+            history = (out / history_name).read_text().splitlines()
+            assert history[0].startswith("iter,")
+            assert [line.split(",")[0] for line in history[1:]] == ["0", "1"]
+
+    def test_fixed_point_budget_keeps_its_partial_history(self, tmp_path):
+        # Newton converges within the budget, Picard does not
+        cfg = write_config(tmp_path, experiment="fixed-point-compare",
+                           newton={"max_iter": 5, "residual_tol": 1e-10})
+        assert cli.main(["run", "--config", str(cfg)]) == 3
+        out = tmp_path / "out"
+        summary = (out / "summary.csv").read_text().splitlines()
+        row = dict(zip(summary[0].split(","), summary[1].split(",")))
+        assert (row["sub_run"], row["error"]) == ("eps0", "MaxIterExceededError")
+        history = (out / "history_fixed_point_eps0.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in history[1:]] == ["0", "1", "2", "3", "4", "5"]
 
     def test_unfittable_sub_run_keeps_its_evidence(self, tmp_path):
         # eps = 5e-3 converges with only two errors above the fit floor

@@ -10,24 +10,22 @@ GRID = tg.GridSpec(dim=1, nx=32, nt=2, horizon=1.0)
 
 class TestLocalEval:
     def test_sigmoid_at_zero(self):
-        f, f1, f2 = cpl.local_eval(cpl.LocalCoupling("sigmoid"), 0.0)
+        f, f1 = cpl.local_eval(cpl.LocalCoupling("sigmoid"), 0.0)
         assert f == pytest.approx(0.5)
         assert f1 == pytest.approx(0.25)
-        assert f2 == pytest.approx(0.0, abs=1e-15)
 
     def test_linear(self):
-        f, f1, f2 = cpl.local_eval(cpl.LocalCoupling("linear"), 2.5)
-        assert (f, f1, f2) == (2.5, 1.0, 0.0)
+        f, f1 = cpl.local_eval(cpl.LocalCoupling("linear"), 2.5)
+        assert (f, f1) == (2.5, 1.0)
 
     def test_power_hand_values(self):
-        f, f1, f2 = cpl.local_eval(cpl.LocalCoupling("power", alpha=2.0), 1.5)
+        f, f1 = cpl.local_eval(cpl.LocalCoupling("power", alpha=2.0), 1.5)
         assert f == pytest.approx(2.25)
         assert f1 == pytest.approx(3.0)
-        assert f2 == pytest.approx(2.0)
 
     def test_zero(self):
-        f, f1, f2 = cpl.local_eval(cpl.LocalCoupling("zero"), 7.0)
-        assert (f, f1, f2) == (0.0, 0.0, 0.0)
+        f, f1 = cpl.local_eval(cpl.LocalCoupling("zero"), 7.0)
+        assert (f, f1) == (0.0, 0.0)
 
     def test_power_rejects_negative_density(self):
         with pytest.raises(DomainError):
@@ -44,13 +42,10 @@ class TestLocalEval:
         c = cpl.LocalCoupling(variant, alpha=alpha)
         h = 1e-5
         for m in np.linspace(0.1, 3.0, 25):
-            f, f1, f2 = cpl.local_eval(c, m)
+            f1 = cpl.local_eval(c, m).f1
             fp = cpl.local_eval(c, m + h).f
             fm = cpl.local_eval(c, m - h).f
             assert (fp - fm) / (2 * h) == pytest.approx(f1, rel=1e-6, abs=1e-9)
-            f1p = cpl.local_eval(c, m + h).f1
-            f1m = cpl.local_eval(c, m - h).f1
-            assert (f1p - f1m) / (2 * h) == pytest.approx(f2, rel=1e-6, abs=1e-9)
 
     def test_sigmoid_monotone(self):
         c = cpl.LocalCoupling("sigmoid")
@@ -102,7 +97,7 @@ class TestKernel:
 class TestNonlocalEval:
     def test_uniform_density_gives_kernel_mean(self):
         k = cpl.gaussian_kernel_coupling(GRID, 0.1)
-        values, _ = cpl.nonlocal_eval(k, np.ones(GRID.nx))
+        values = k.values(np.ones(GRID.nx))
         mean = GRID.dx * k.kernel.sum()
         np.testing.assert_allclose(values, mean, atol=1e-13)
 
@@ -111,7 +106,7 @@ class TestNonlocalEval:
         j = 5
         m = np.zeros(GRID.nx)
         m[j] = 1.0 / GRID.dx  # discrete unit mass at node j
-        values, _ = cpl.nonlocal_eval(k, m)
+        values = k.values(m)
         # direct-summation oracle over the nx terms
         expected = np.empty(GRID.nx)
         for i in range(GRID.nx):
@@ -143,45 +138,6 @@ class TestNonlocalEval:
         lhs = k.values(0.3 * m1 + 1.7 * m2)
         rhs = 0.3 * k.values(m1) + 1.7 * k.values(m2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
-
-    def test_deriv_kernel_normalized_against_density(self):
-        k = cpl.gaussian_kernel_coupling(GRID, 0.12)
-        rng = np.random.default_rng(1)
-        m = rng.uniform(0.2, 2.0, GRID.nx)
-        m /= GRID.dx * m.sum()
-        values, deriv = cpl.nonlocal_eval(k, m)
-        for x in (0, 7, 31):
-            pairing = GRID.dx * sum(deriv(x, y) * m[y] for y in range(GRID.nx))
-            assert abs(pairing) <= 1e-12
-
-
-class TestTaylorGap:
-    def _equal_mass_pair(self, eps, seed=2):
-        rng = np.random.default_rng(seed)
-        m = rng.uniform(0.5, 1.5, GRID.nx)
-        m /= GRID.dx * m.sum()
-        psi = np.sin(2 * np.pi * GRID.x_nodes()[0]) + rng.standard_normal(GRID.nx) * 0.2
-        psi -= psi.mean()  # zero total mass perturbation
-        return m, m + eps * psi
-
-    def test_linear_coupling_gap_is_zero(self):
-        k = cpl.gaussian_kernel_coupling(GRID, 0.1)
-        m, m2 = self._equal_mass_pair(0.3)
-        assert cpl.nonlocal_taylor_gap(k, m, m2) <= 1e-14
-
-    def test_same_slice_gap_is_zero(self):
-        k = cpl.gaussian_kernel_coupling(GRID, 0.1)
-        m, _ = self._equal_mass_pair(0.1)
-        assert cpl.nonlocal_taylor_gap(k, m, m) == 0.0
-
-    def test_composed_coupling_gap_is_quadratic(self):
-        k = cpl.ComposedKernelCoupling(cpl.gaussian_kernel_coupling(GRID, 0.1))
-        gaps = []
-        for eps in (1e-1, 1e-2, 1e-3):
-            m, m2 = self._equal_mass_pair(eps)
-            gaps.append(cpl.nonlocal_taylor_gap(k, m, m2))
-        assert 50 <= gaps[0] / gaps[1] <= 200
-        assert 50 <= gaps[1] / gaps[2] <= 200
 
 
 class TestKernelCsv:

@@ -19,12 +19,11 @@ class TestEvalBundle:
         assert b.Hm == pytest.approx(-1.0)
         np.testing.assert_allclose(b.Hpp, [[1.0]])
         np.testing.assert_allclose(b.Hpm, [-1.0])
-        assert b.Hmm == pytest.approx(1.0)
 
     def test_zero_momentum_annihilates_m_derivatives(self):
         spec = ham.congestion(GRID_1D, 2.0, alpha=1.5)
         b = ham.eval_bundle(spec, 3, 0.8, [0.0])
-        assert b.H == 0.0 and b.Hm == 0.0 and b.Hmm == 0.0
+        assert b.H == 0.0 and b.Hm == 0.0
         assert np.all(b.Hp == 0.0) and np.all(b.Hpm == 0.0)
         np.testing.assert_allclose(b.Hpp, [[2 * 2.0 / 1.8**1.5]])
 
@@ -33,7 +32,7 @@ class TestEvalBundle:
         b = ham.eval_bundle(spec, 0, 123.0, [3.0])
         assert b.H == pytest.approx(4.5)
         np.testing.assert_allclose(b.Hp, [3.0])
-        assert b.Hm == 0.0 and b.Hmm == 0.0
+        assert b.Hm == 0.0
         assert np.all(b.Hpm == 0.0)
 
     def test_below_floor_raises(self):
@@ -60,7 +59,7 @@ class TestEvalBundle:
 
 
 class TestDerivativeConsistency:
-    # Chain of central-difference checks: H -> (Hp, Hm) -> (Hpp, Hpm, Hmm).
+    # Chain of central-difference checks: H -> (Hp, Hm) -> (Hpp, Hpm).
     # Second differences of H itself cannot reach 1e-6 relative accuracy in
     # double precision, so the second layer differences the exact first
     # derivatives instead.
@@ -83,8 +82,6 @@ class TestDerivativeConsistency:
 
             hm_fd = (bundle(m + h, p).H - bundle(m - h, p).H) / (2 * h)
             assert hm_fd == pytest.approx(b.Hm, rel=1e-6, abs=1e-9)
-            hmm_fd = (bundle(m + h, p).Hm - bundle(m - h, p).Hm) / (2 * h)
-            assert hmm_fd == pytest.approx(b.Hmm, rel=1e-6, abs=1e-9)
             for a in range(dim):
                 e = np.zeros(dim)
                 e[a] = h

@@ -8,7 +8,10 @@ from mfg_newton import mfg_solver as solver
 from mfg_newton import sparse_linalg as sla
 from mfg_newton import torus_grid as tg
 from mfg_newton.errors import (DomainError, MaxIterExceededError,
-                               SingularMatrixError)
+                               NoConvergenceError, SingularMatrixError)
+
+# A GMRES budget no Newton or Picard linear solve can meet.
+EXHAUSTED_GMRES = sla.Iterative(tol=1e-14, max_iter=1, restart=2)
 
 
 def manufactured(nx=32, nt=16, alpha=1.0, coupling="sigmoid", dim=1):
@@ -308,6 +311,26 @@ class TestSolveNewton:
         with pytest.raises(DomainError, match="iterate"):
             solver.solve_newton(p, init, solver.NewtonConfig(residual_tol=1e-9))
 
+    def test_domain_error_names_the_iterate_that_left_the_domain(self):
+        # the first step from a steep start drops the density below the floor
+        grid = tg.GridSpec(dim=1, nx=16, nt=8, horizon=1.0)
+        spec = ham.congestion(grid, 1.0, alpha=1.0, m_floor=0.5)
+        p, exact = diag.make_manufactured(grid, spec, cpl.LocalCoupling("sigmoid"))
+        u = exact.u.values + 10.0 * np.sin(2 * np.pi * grid.x_nodes()[0])
+        start = solver.make_state(grid, u, np.ones_like(u))
+        first, _ = solver.newton_step(p, start, solver.NewtonConfig())
+        assert first.m.values.min() < 0.5
+        with pytest.raises(DomainError, match=r"\(Newton iterate 1\)$"):
+            solver.solve_newton(p, start, solver.NewtonConfig(residual_tol=1e-9))
+
+    def test_linear_solve_failure_reports_iterate(self):
+        p, exact = manufactured(nx=16, nt=8)
+        init = diag.perturbed_state(exact, 1e-2)
+        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method=EXHAUSTED_GMRES)
+        with pytest.raises(NoConvergenceError, match=r"\(Newton iterate 1\)$") as info:
+            solver.solve_newton(p, init, cfg)
+        assert info.value.iterate == 1
+
     def test_far_start_never_diverges_silently(self):
         # cold start (zero value function, uniform density) on a strongly
         # congested problem: either converges or raises a reported error
@@ -445,6 +468,24 @@ class TestSolveFixedPoint:
         _, history = solver.solve_fixed_point(p, init, cfg)
         for rec in history:
             assert 1 - 1e-9 <= rec.mass_min <= rec.mass_max <= 1 + 1e-9
+
+    def test_linear_solve_failure_reports_iterate(self):
+        p, exact = manufactured(nx=16, nt=8)
+        init = diag.perturbed_state(exact, 1e-2)
+        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method=EXHAUSTED_GMRES)
+        with pytest.raises(NoConvergenceError, match=r"\(fixed-point iterate 1\)$") as info:
+            solver.solve_fixed_point(p, init, cfg)
+        assert info.value.iterate == 1
+        assert "Newton" not in str(info.value)
+
+    def test_inner_stall_reports_iterate_and_keeps_history(self):
+        # no inner value-function solve reaches a tolerance below round-off
+        p, exact = manufactured(nx=16, nt=8)
+        init = diag.perturbed_state(exact, 1e-2)
+        with pytest.raises(MaxIterExceededError, match=r"\(fixed-point iterate 1\)$") as info:
+            solver.solve_fixed_point(p, init, solver.NewtonConfig(residual_tol=1e-17))
+        assert len(info.value.history) == 1
+        assert info.value.final is init
 
     def test_nonlocal_variant(self):
         p, exact = manufactured_nonlocal(nx=16, nt=8)

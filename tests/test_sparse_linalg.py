@@ -172,28 +172,3 @@ class TestSolve:
         with pytest.raises(NoConvergenceError):
             sla.solve(sla.LinearSystem(mat, b), sla.Iterative(tol=1e-14, max_iter=1, restart=2))
 
-
-class TestMatrixMarket:
-    def test_dump_format(self, tmp_path):
-        mat = sla.SparseMatrix.from_triplets(2, 3, [1, 0], [2, 0], [0.5, -1.0])
-        path = tmp_path / "mat.mtx"
-        sla.write_matrix_market(mat, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "%%MatrixMarket matrix coordinate real general"
-        assert lines[1] == "2 3 2"
-        assert lines[2] == "1 1 -1"
-        assert lines[3] == "2 3 0.5"
-
-    def test_round_trip_full_precision(self, tmp_path):
-        mat = periodic_minus_lap_plus_identity(8)
-        path = tmp_path / "mat.mtx"
-        sla.write_matrix_market(mat, path)
-        lines = path.read_text().splitlines()
-        rows, cols, vals = [], [], []
-        for line in lines[2:]:
-            r, c, v = line.split()
-            rows.append(int(r) - 1)
-            cols.append(int(c) - 1)
-            vals.append(float(v))
-        back = sla.SparseMatrix.from_triplets(8, 8, rows, cols, vals)
-        np.testing.assert_array_equal(back.todense(), mat.todense())

@@ -173,16 +173,14 @@ class TestLaplacian:
 class TestNorms:
     def test_unit_field(self):
         grid, f = field_1d(16, lambda x: np.ones_like(x))
-        rep = tg.norms(f)
-        assert rep.c0 == 1.0
-        assert rep.c10 == 1.0
-        np.testing.assert_allclose(rep.mass_per_slice, 1.0, atol=1e-14)
+        assert tg.sup_norm(f.values) == 1.0
+        assert tg.sup_norm(f.values) + tg.grad_sup_norm(f.values, grid) == 1.0
+        np.testing.assert_allclose(tg.slice_masses(f.values, grid), 1.0, atol=1e-14)
 
     def test_sine_mass_cancels(self):
         grid, f = field_1d(32, lambda x: np.sin(2 * np.pi * x))
-        rep = tg.norms(f)
-        assert rep.c0 == pytest.approx(1.0, abs=1e-12)  # node at x = 1/4
-        assert np.abs(rep.mass_per_slice).max() <= 1e-13
+        assert tg.sup_norm(f.values) == pytest.approx(1.0, abs=1e-12)  # node at x = 1/4
+        assert np.abs(tg.slice_masses(f.values, grid)).max() <= 1e-13
 
     def test_cosine_c10_direct_stencil(self):
         nx = 32
@@ -192,16 +190,17 @@ class TestNorms:
         # direct evaluation of the centered stencil on 0.5 cos(2 pi x)
         stencil = 0.5 * (np.cos(2 * np.pi * (x + dx)) - np.cos(2 * np.pi * (x - dx))) / (2 * dx)
         expected_c10 = 1.5 + np.abs(stencil).max()
-        rep = tg.norms(f)
-        assert rep.c0 == pytest.approx(1.5, abs=1e-14)
-        assert rep.c10 == pytest.approx(expected_c10, rel=1e-13)
+        c0 = tg.sup_norm(f.values)
+        assert c0 == pytest.approx(1.5, abs=1e-14)
+        assert c0 + tg.grad_sup_norm(f.values, grid) == pytest.approx(expected_c10, rel=1e-13)
 
     def test_pair_norm_uses_v_for_gradient(self):
+        # the (density, value) error pair: sup of rho plus C^1 norm of v
         grid, rho = field_1d(16, lambda x: np.sin(2 * np.pi * x))
         _, v = field_1d(16, lambda x: np.full_like(x, 2.0))
-        rep = tg.norms(rho, v)
-        assert rep.c0 == pytest.approx(tg.norms(rho).c0)
-        assert rep.c10 == pytest.approx(2.0)  # constant v has zero gradient
+        assert tg.sup_norm(rho.values) == pytest.approx(1.0, abs=1e-12)
+        assert tg.grad_sup_norm(v.values, grid) == 0.0  # constant v has zero gradient
+        assert tg.sup_norm(v.values) + tg.grad_sup_norm(v.values, grid) == pytest.approx(2.0)
 
 
 class TestFieldCsv:
