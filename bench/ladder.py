@@ -3,8 +3,9 @@
 For the seed-0 benchmark start on each rung, solve the masked Newton system
 three times through ``sparse_linalg.solve``; record the LU fill nnz(L+U), the
 median factor time, the relative residual and the peak RSS.  Each rung runs in
-its own process, so the peak RSS is its own.  From the repository root, once
-per source tree (rows are stored in BENCH_4.json under the label):
+its own process, so the peak RSS is its own.  Each labelled entry also records
+the tree's ``src/`` line count.  From the repository root, once per source tree
+(rows are stored in BENCH_4.json under the label):
 
     PYTHONPATH=src python bench/ladder.py --label change
 """
@@ -35,11 +36,10 @@ def rung(name: str) -> dict:
     grid = mn.GridSpec(dim=dim, nx=n, nt=n, horizon=1.0)
     if kind == "kernel":
         k = mn.gaussian_kernel_coupling(grid, KERNEL_SIGMA)
-        problem, exact = mn.make_manufactured_nonlocal(
-            grid, mn.separable_quadratic(grid, 1.0), mn.NonlocalCoupling(f=k, g=k))
+        h_spec, coupling = mn.separable_quadratic(grid, 1.0), mn.NonlocalCoupling(f=k, g=k)
     else:
-        problem, exact = mn.make_manufactured(
-            grid, mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid"))
+        h_spec, coupling = mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid")
+    problem, exact = mn.make_manufactured(grid, h_spec, coupling)
     system, _ = mn.newton_system(problem, newton_start(mn, exact, 0, 0))
     row = {"rung": name, "unknowns": system.matrix.n_rows, "jac_nnz": system.matrix.nnz}
     times, splu = [], sla.spla.splu
@@ -79,7 +79,8 @@ def main() -> None:
         print(rows[-1], file=sys.stderr)
     path = Path(args.out)
     bench = json.loads(path.read_text()) if path.exists() else {}
-    bench[args.label] = {"cpus": os.cpu_count(), "rows": rows}
+    src_lines = sum(len(f.read_text().splitlines()) for f in (ROOT / "src").rglob("*.py"))
+    bench[args.label] = {"cpus": os.cpu_count(), "src_lines": src_lines, "rows": rows}
     path.write_text(json.dumps(bench, indent=1) + "\n")
 
 

@@ -1,7 +1,7 @@
 """Finite-difference Newton solver for evolutive mean field games on the torus."""
 
-from .coupling import (KernelCoupling, LocalCoupling, gaussian_kernel_coupling,
-                       local_eval)
+from .coupling import (KernelCoupling, LocalCoupling, NonlocalCoupling,
+                       gaussian_kernel_coupling, local_eval)
 from .diagnostics import (IterationRecord, RateFit, fit_rate, make_manufactured,
                           make_manufactured_nonlocal, perturbed_state)
 from .errors import (ConfigError, DomainError, InsufficientDataError,
@@ -9,10 +9,10 @@ from .errors import (ConfigError, DomainError, InsufficientDataError,
                      SingularMatrixError)
 from .hamiltonian import (HamiltonianBundle, HamiltonianSpec, congestion,
                           eval_bundle, hessian_condition, separable_quadratic)
-from .mfg_solver import (NewtonConfig, NonlocalCoupling, ProblemSpec,
-                         SolverState, linearized_solver, make_state,
-                         newton_step, newton_system, residual,
-                         solve_fixed_point, solve_linearized, solve_newton)
+from .mfg_solver import (NewtonConfig, ProblemSpec, SolverState,
+                         linearized_solver, make_state, newton_step,
+                         newton_system, residual, solve_fixed_point,
+                         solve_linearized, solve_newton)
 from .sparse_linalg import (Direct, Iterative, LinearSystem, SparseMatrix,
                             factorize, solve)
 from .torus_grid import (Field, GridSpec, VectorField, divergence, gradient,

@@ -4,8 +4,8 @@ Configuration is a single JSON document (experiments carry too many nested
 parameters for positional flags); the only flags are --config and --verbose.
 Every experiment writes its artifacts inside the configured output directory:
 history CSVs, field snapshots, and a summary.csv with one row per sub-run.
-Exit codes: 0 success, 2 config validation error, 3 solver error (the error
-class is recorded in summary.csv).
+Exit codes: 0 success, 2 config validation error, 3 a solver error or a rate
+sub-run too short to fit (summary.csv records the status and error class).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ SUMMARY_COLUMNS = (
 )
 
 SOLVER_ERRORS = (DomainError, SingularMatrixError, MaxIterExceededError,
-                 NoConvergenceError, InsufficientDataError)
+                 NoConvergenceError)
 
 HESSIAN_SWEEP_M = (0.1, 1.0, 10.0, 100.0)
 HESSIAN_SWEEP_P = (0.5, 1.0, 2.0)
@@ -233,8 +233,15 @@ def _build_hamiltonian(cfg: RunConfig, grid: tg.GridSpec) -> ham.HamiltonianSpec
     return ham.separable_quadratic(grid, h)
 
 
-def _build_local_coupling(cfg: RunConfig) -> cpl.LocalCoupling:
-    return cpl.LocalCoupling(cfg.local_variant, alpha=cfg.power_alpha)
+def _manufactured(cfg: RunConfig):
+    """The configured manufactured problem and its exact root."""
+    grid = _build_grid(cfg)
+    if cfg.kernel_sigma is None:
+        coupling = cpl.LocalCoupling(cfg.local_variant, alpha=cfg.power_alpha)
+    else:
+        coupling = cpl.NonlocalCoupling(f=cpl.gaussian_kernel_coupling(grid, cfg.kernel_sigma),
+                                        g=cpl.gaussian_kernel_coupling(grid, cfg.kernel_sigma_g))
+    return diag.make_manufactured(grid, _build_hamiltonian(cfg, grid), coupling)
 
 
 def _newton_config(cfg: RunConfig) -> solver.NewtonConfig:
@@ -293,16 +300,18 @@ def _solve_keeping_history(solve, history_path, problem, initial, ncfg, exact):
 
 
 def _sweep(work, cfg, problem, exact, out, verbose):
-    """Run ``work`` once per epsilon and concatenate the rows it returns.
+    """Run ``work`` once per epsilon and concatenate the rows it yields.
 
     A solver failure becomes an error row, not a crash; the row names the
-    failed sub-run by its tag and epsilon.
+    failed sub-run by its tag and epsilon, and follows the rows the sub-run
+    yielded before it failed.
     """
     rows = []
     for i, eps in enumerate(cfg.epsilons):
         tag = f"eps{i}"
         try:
-            rows.extend(work(cfg, problem, exact, eps, tag, out, verbose))
+            for row in work(cfg, problem, exact, eps, tag, out, verbose):
+                rows.append(row)
         except SOLVER_ERRORS as exc:
             row = _base_row(cfg, sub_run=tag)
             row["epsilon"] = eps
@@ -314,7 +323,8 @@ def _sweep(work, cfg, problem, exact, out, verbose):
 
 
 def _rate_sub_run(cfg, problem, exact, eps, tag, out, verbose):
-    """One perturb-and-solve sub-run; shared by the rate experiments."""
+    """One perturb-and-solve sub-run.  A run that converged with too few
+    iterates to fit keeps its row, with status no_fit."""
     row = _base_row(cfg, sub_run=tag, method="newton")
     row["epsilon"] = eps
     initial = diag.perturbed_state(exact, eps)
@@ -323,44 +333,32 @@ def _rate_sub_run(cfg, problem, exact, eps, tag, out, verbose):
         solver.solve_newton, history_path, problem, initial, _newton_config(cfg), exact)
     tg.write_field_csv(final.u, out / f"fields_u_{tag}.csv")
     tg.write_field_csv(final.m, out / f"fields_m_{tag}.csv")
-    errors = [r.err_sum for r in history]
-    try:
-        fit = diag.fit_rate(errors, floor=cfg.error_floor)
-    except InsufficientDataError:
-        diag.write_history_csv(history, history_path)  # converged; keep the evidence
-        raise
-    diag.write_history_csv(history, history_path, fit=fit)
     row["iterations"] = len(history) - 1
-    row["fitted_q"] = fit.order
     row["final_residual"] = _final_residual(history)
+    try:
+        fit = diag.fit_rate([r.err_sum for r in history], floor=cfg.error_floor)
+        row["fitted_q"] = fit.order
+    except InsufficientDataError as exc:
+        fit = None
+        row.update(status="no_fit", error=type(exc).__name__)
+        print(f"[{cfg.experiment}] sub-run {tag} converged, no fit: {exc}", file=sys.stderr)
+    diag.write_history_csv(history, history_path, fit=fit)
     if verbose:
-        print(f"[{cfg.experiment}] {tag}: {len(history) - 1} iterations, "
-              f"q={fit.order:.3f}", file=sys.stderr)
-    return [row]
+        print(f"[{cfg.experiment}] {tag}: {row['iterations']} iterations, "
+              f"q={row['fitted_q']}", file=sys.stderr)
+    yield row
 
 
-def _run_newton_rate(cfg: RunConfig, out: Path, verbose: bool):
-    grid = _build_grid(cfg)
-    problem, exact = diag.make_manufactured(
-        grid, _build_hamiltonian(cfg, grid), _build_local_coupling(cfg))
-    return _sweep(_rate_sub_run, cfg, problem, exact, out, verbose)
-
-
-def _run_nonlocal_rate(cfg: RunConfig, out: Path, verbose: bool):
-    grid = _build_grid(cfg)
-    coupling = solver.NonlocalCoupling(
-        f=cpl.gaussian_kernel_coupling(grid, cfg.kernel_sigma),
-        g=cpl.gaussian_kernel_coupling(grid, cfg.kernel_sigma_g))
-    problem, exact = diag.make_manufactured_nonlocal(
-        grid, _build_hamiltonian(cfg, grid), coupling)
-    cpl.write_kernel_csv(coupling.f, out / "kernel_f.csv")
+def _run_rate(cfg: RunConfig, out: Path, verbose: bool):
+    problem, exact = _manufactured(cfg)
+    if cfg.kernel_sigma is not None:
+        cpl.write_kernel_csv(problem.coupling.f, out / "kernel_f.csv")
     return _sweep(_rate_sub_run, cfg, problem, exact, out, verbose)
 
 
 def _fixed_point_sub_run(cfg, problem, exact, eps, tag, out, verbose):
     ncfg = _newton_config(cfg)
     initial = diag.perturbed_state(exact, eps)
-    rows = []
 
     row_n = _base_row(cfg, sub_run=tag, method="newton")
     row_n["epsilon"] = eps
@@ -370,7 +368,7 @@ def _fixed_point_sub_run(cfg, problem, exact, eps, tag, out, verbose):
     diag.write_history_csv(hist_n, path_n)
     row_n["iterations"] = len(hist_n) - 1
     row_n["final_residual"] = _final_residual(hist_n)
-    rows.append(row_n)
+    yield row_n
 
     row_f = _base_row(cfg, sub_run=tag, method="fixed-point")
     row_f["epsilon"] = eps
@@ -380,25 +378,20 @@ def _fixed_point_sub_run(cfg, problem, exact, eps, tag, out, verbose):
     diag.write_history_csv(hist_f, path_f)
     row_f["iterations"] = len(hist_f) - 1
     row_f["final_residual"] = _final_residual(hist_f)
-    rows.append(row_f)
-
     if verbose:
         print(f"[fixed-point-compare] eps={eps}: newton {row_n['iterations']} "
               f"vs fixed-point {row_f['iterations']}", file=sys.stderr)
-    return rows
+    yield row_f
 
 
 def _run_fixed_point_compare(cfg: RunConfig, out: Path, verbose: bool):
-    grid = _build_grid(cfg)
-    problem, exact = diag.make_manufactured(
-        grid, _build_hamiltonian(cfg, grid), _build_local_coupling(cfg))
+    problem, exact = _manufactured(cfg)
     return _sweep(_fixed_point_sub_run, cfg, problem, exact, out, verbose)
 
 
 def _run_lemma_stability(cfg: RunConfig, out: Path, verbose: bool):
-    grid = _build_grid(cfg)
-    problem, exact = diag.make_manufactured(
-        grid, _build_hamiltonian(cfg, grid), _build_local_coupling(cfg))
+    problem, exact = _manufactured(cfg)
+    grid = problem.grid
     solve = solver.linearized_solver(problem, exact)
     ratios = []
     with open(out / "stability.csv", "w") as fh:
@@ -441,9 +434,8 @@ def _run_hessian_sweep(cfg: RunConfig, out: Path, verbose: bool):
 
 
 def _run_manufactured_verify(cfg: RunConfig, out: Path, verbose: bool):
-    grid = _build_grid(cfg)
-    problem, exact = diag.make_manufactured(
-        grid, _build_hamiltonian(cfg, grid), _build_local_coupling(cfg))
+    problem, exact = _manufactured(cfg)
+    grid = problem.grid
     r_u, r_m = solver.residual(problem, exact)
     sup = max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values))
     masses = tg.slice_masses(exact.m.values, grid)
@@ -461,11 +453,11 @@ def _run_manufactured_verify(cfg: RunConfig, out: Path, verbose: bool):
 
 
 _RUNNERS = {
-    "newton-rate": _run_newton_rate,
+    "newton-rate": _run_rate,
     "fixed-point-compare": _run_fixed_point_compare,
     "lemma-stability": _run_lemma_stability,
     "hessian-sweep": _run_hessian_sweep,
-    "nonlocal-rate": _run_nonlocal_rate,
+    "nonlocal-rate": _run_rate,
     "manufactured-verify": _run_manufactured_verify,
 }
 
@@ -488,7 +480,7 @@ def run(config_path, verbose: bool = False) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     _write_summary(rows, out / "summary.csv")
-    if any(r.get("status") == "error" for r in rows):
+    if any(r["status"] != "ok" for r in rows):
         return 3
     return 0
 

@@ -1,6 +1,12 @@
-"""Density couplings: local f(m) with its derivative, and a linear kernel coupling.
+"""Density couplings behind one interface: local f(m), and linear kernel
+couplings that also derive the terminal value u(T) = g[m(T)].
 
-The nonlocal coupling convolves the density with a periodized Gaussian whose
+Each coupling gives the solver ``values(m)``, the running cost on every time
+slice; ``blocks(m)``, its derivative on the stacked slices and the terminal
+block dg/dm(T), or None; ``derives_terminal``, with ``terminal(m_T)`` when it
+is true; and ``grids``, the grids its kernels are built on.
+
+The kernel coupling convolves the density with a periodized Gaussian whose
 discrete Fourier coefficients are nonnegative by construction, which makes the
 coupling monotone.  The kernel is built from image sums over the min-image
 distance so that evenness K(x) = K(-x) holds bitwise on the grid, and it is
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError
 from .torus_grid import GridSpec
@@ -33,12 +40,22 @@ class LocalCoupling:
 
     variant: str
     alpha: float = 2.0  # power variant only
+    derives_terminal = False
+    grids = ()
 
     def __post_init__(self):
         if self.variant not in (SIGMOID, LINEAR, POWER, ZERO):
             raise ValueError(f"unknown coupling variant {self.variant!r}")
         if self.variant == POWER and self.alpha < 2:
             raise ValueError(f"power coupling requires alpha >= 2, got {self.alpha}")
+
+    def values(self, m) -> np.ndarray:
+        """f(m) on every node of m."""
+        return np.asarray(local_eval(self, m).f)
+
+    def blocks(self, m):
+        """diag f'(m) on the stacked slices of m; no terminal block."""
+        return sp.diags(np.asarray(local_eval(self, m).f1).ravel()), None
 
 
 class CouplingValues(NamedTuple):
@@ -115,6 +132,32 @@ class KernelCoupling:
     def values(self, m_slice: np.ndarray) -> np.ndarray:
         flat = self.conv @ np.asarray(m_slice, dtype=float).ravel()
         return flat.reshape(self.grid.spatial_shape)
+
+
+@dataclass(frozen=True)
+class NonlocalCoupling:
+    """Kernel couplings for the running cost (f) and the terminal cost (g)."""
+
+    f: KernelCoupling
+    g: KernelCoupling
+    derives_terminal = True
+
+    @property
+    def grids(self) -> tuple[GridSpec, GridSpec]:
+        return self.f.grid, self.g.grid
+
+    def values(self, m: np.ndarray) -> np.ndarray:
+        """f[m](x) on every slice of m."""
+        flat = m.reshape(m.shape[0], -1)
+        return (flat @ self.f.conv.T).reshape(m.shape)
+
+    def blocks(self, m: np.ndarray):
+        """conv_f on each of the stacked slices of m, and conv_g."""
+        return sp.kron(sp.identity(m.shape[0]), self.f.conv), self.g.conv
+
+    def terminal(self, m_T: np.ndarray) -> np.ndarray:
+        """u(T) = g[m(T)]."""
+        return self.g.values(m_T)
 
 
 def gaussian_kernel_coupling(grid: GridSpec, sigma: float) -> KernelCoupling:

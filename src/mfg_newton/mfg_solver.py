@@ -17,9 +17,10 @@ of it per iteration is a Newton step.
 The Jacobian is assembled once per state on the full unknown vector
 [u_0..u_nt, m_0..m_nt], both boundary rows included, each block family for
 all time slices at once.  The local and kernel variants differ only in the
-coupling block (-f'(m) or -conv_f) and the terminal block (0 or -conv_g).
+coupling's values and blocks, which ``coupling.py`` supplies through one
+interface (coupling block -f'(m) or -conv_f, terminal block none or -conv_g).
 Before a solve, one boolean mask removes the known boundary slices, m(0)
-always and u(T) when the terminal block is 0: their rows are identity rows,
+always and u(T) unless the coupling derives it: their rows are identity rows,
 so their values are known, and their columns times those values move to the
 right-hand side.  Newton, the two inner solves of the fixed-point baseline
 and the linearized stability probe all solve masked blocks of this matrix.
@@ -34,11 +35,11 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from . import coupling as cpl
 from . import diagnostics as diag
 from . import hamiltonian as ham
 from . import sparse_linalg as sla
 from . import torus_grid as tg
+from .coupling import LocalCoupling, NonlocalCoupling
 from .errors import (DomainError, MaxIterExceededError, NoConvergenceError,
                      SingularMatrixError)
 
@@ -46,18 +47,10 @@ MASS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class NonlocalCoupling:
-    """Kernel couplings for the running cost (f) and the terminal cost (g)."""
-
-    f: cpl.KernelCoupling
-    g: cpl.KernelCoupling
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     grid: tg.GridSpec
     hamiltonian: ham.HamiltonianSpec
-    coupling: cpl.LocalCoupling | NonlocalCoupling
+    coupling: LocalCoupling | NonlocalCoupling
     m0: np.ndarray
     uT: np.ndarray | None = None
     s_u: tg.Field | None = None
@@ -75,14 +68,14 @@ class ProblemSpec:
             raise ValueError(f"m0 mass {mass:.12g} != 1")
         m0.setflags(write=False)
         object.__setattr__(self, "m0", m0)
-        if self.is_nonlocal:
+        if any(g != grid for g in self.coupling.grids):
+            raise ValueError("coupling grid does not match problem grid")
+        if self.coupling.derives_terminal:
             if self.uT is not None:
                 raise ValueError("kernel-coupled problems derive u(T) from g[m(T)]")
-            if self.coupling.f.grid != grid or self.coupling.g.grid != grid:
-                raise ValueError("kernel coupling grid does not match problem grid")
+        elif self.uT is None:
+            raise ValueError("local problems need a terminal value uT")
         else:
-            if self.uT is None:
-                raise ValueError("local problems need a terminal value uT")
             uT = np.array(self.uT, dtype=float).reshape(grid.spatial_shape)
             uT.setflags(write=False)
             object.__setattr__(self, "uT", uT)
@@ -90,10 +83,6 @@ class ProblemSpec:
             f = getattr(self, name)
             if f is not None and f.grid != grid:
                 raise ValueError(f"{name} grid does not match problem grid")
-
-    @property
-    def is_nonlocal(self) -> bool:
-        return isinstance(self.coupling, NonlocalCoupling)
 
 
 @dataclass(frozen=True)
@@ -134,13 +123,10 @@ class NewtonConfig:
 # -- residual -----------------------------------------------------------------
 
 def _coupling_values(p: ProblemSpec, m_vals: np.ndarray):
-    """f(m) (local) or f[m](x) (kernel) on every time slice, and the terminal
-    value u(T): uT (local) or g[m(T)] (kernel)."""
-    if p.is_nonlocal:
-        flat = m_vals.reshape(p.grid.nt + 1, -1)
-        fvals = (flat @ p.coupling.f.conv.T).reshape(m_vals.shape)
-        return fvals, p.coupling.g.values(m_vals[-1])
-    return np.asarray(cpl.local_eval(p.coupling, m_vals).f), p.uT
+    """The running cost on every time slice, and the terminal value u(T):
+    the given uT, or the one the coupling derives from m(T)."""
+    c = p.coupling
+    return c.values(m_vals), c.terminal(m_vals[-1]) if c.derives_terminal else p.uT
 
 
 def _source(f: tg.Field | None, shape) -> np.ndarray:
@@ -243,23 +229,6 @@ def _stencils(grid: tg.GridSpec) -> _Stencils:
     return _Stencils(grid)
 
 
-def _coupling_blocks(p: ProblemSpec, m_vals: np.ndarray):
-    """The variant's two blocks in the value rows and density columns: the
-    coupling block (-f'(m) or -conv_f on rows k < nt) and the terminal block
-    (0 or -conv_g on row nt)."""
-    grid = p.grid
-    st = _stencils(grid)
-    if p.is_nonlocal:
-        per_slice = np.ones(grid.nt + 1)
-        per_slice[-1] = 0.0
-        terminal = np.zeros(grid.nt + 1)
-        terminal[-1] = 1.0
-        return (sp.kron(sp.diags(per_slice), -p.coupling.f.conv, format="csr"),
-                sp.kron(sp.diags(terminal), -p.coupling.g.conv, format="csr"))
-    f1 = np.asarray(cpl.local_eval(p.coupling, m_vals).f1).ravel()
-    return sp.diags(-st.u_rows * f1), st.zero
-
-
 def _value_block(p: ProblemSpec, b: ham.HamiltonianBundle):
     """The uu block: r_u differentiated in u, terminal row included."""
     st = _stencils(p.grid)
@@ -282,7 +251,7 @@ def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBun
     boundary rows included, at density ``m_vals`` with bundle ``b``.
 
     Returns the CSR matrix and the mask of the known boundary slices: m(0),
-    and u(T) when the terminal block is 0.
+    and u(T) unless the coupling derives it.
     """
     grid = p.grid
     dim = grid.dim
@@ -293,9 +262,12 @@ def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBun
     mu = -sum((st.diff[a] @ sp.diags(flux[a, c]) @ st.diff[c]
                for a in range(dim) for c in range(dim) if np.any(flux[a, c])),
               st.zero)
-    coupling, terminal = _coupling_blocks(p, m_vals)
-    um = sp.diags(st.u_rows * b.Hm.ravel()) + coupling + terminal
-    known = np.concatenate([st.last & (terminal.nnz == 0), st.first])
+    # the running cost enters the backward rows k < nt, the terminal block row nt
+    coupling, terminal = p.coupling.blocks(m_vals[:-1])
+    if terminal is None:
+        terminal = sp.csr_matrix((grid.n_space, grid.n_space))
+    um = sp.diags(st.u_rows * b.Hm.ravel()) - sp.block_diag((coupling, terminal))
+    known = np.concatenate([st.last & (not p.coupling.derives_terminal), st.first])
     return sp.bmat([[_value_block(p, b), um], [mu, mm]], format="csr"), known
 
 
@@ -543,7 +515,7 @@ def linearized_solver(p: ProblemSpec, base: SolverState,
             raise ValueError("data fields must live on the problem grid")
         rhs_u = np.array(a.values)
         rhs_u[-1] = 0.0 if c is None else np.asarray(c, dtype=float).reshape(grid.spatial_shape)
-        if known[u.size - 1] and np.any(rhs_u[-1]):  # u(T) given: v(T) = 0
+        if not p.coupling.derives_terminal and np.any(rhs_u[-1]):  # v(T) = 0
             raise ValueError("terminal data c only applies to kernel-coupled problems")
         rhs_m = tg.div_array(b.components, grid)
         rhs_m[0] = 0.0

@@ -170,8 +170,14 @@ class TestExperiments:
         assert cli.main(["run", "--config", str(cfg)]) == 3
         out = tmp_path / "out"
         summary = (out / "summary.csv").read_text().splitlines()
-        row = dict(zip(summary[0].split(","), summary[1].split(",")))
-        assert (row["sub_run"], row["error"]) == ("eps0", "MaxIterExceededError")
+        rows = [dict(zip(summary[0].split(","), line.split(","))) for line in summary[1:]]
+        assert len(rows) == 2
+        newton, failed = rows
+        assert (newton["sub_run"], newton["method"], newton["status"]) == ("eps0", "newton", "ok")
+        assert 1 <= int(newton["iterations"]) <= 5
+        assert float(newton["final_residual"]) <= 1e-10
+        assert (failed["sub_run"], failed["status"], failed["error"]) == \
+            ("eps0", "error", "MaxIterExceededError")
         history = (out / "history_fixed_point_eps0.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in history[1:]] == ["0", "1", "2", "3", "4", "5"]
 
@@ -184,9 +190,12 @@ class TestExperiments:
         rows = [dict(zip(summary[0].split(","), line.split(","))) for line in summary[1:]]
         assert [r["sub_run"] for r in rows] == ["eps0", "eps1"]
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"] == "error"
+        assert rows[1]["status"] == "no_fit"
         assert rows[1]["error"] == "InsufficientDataError"
         assert float(rows[1]["epsilon"]) == 0.005
+        assert int(rows[1]["iterations"]) >= 1
+        assert float(rows[1]["final_residual"]) <= 1e-10
+        assert rows[1]["fitted_q"] == ""
         history = (out / "history_eps1.csv").read_text().splitlines()
         assert history[0].startswith("iter,")
         assert len(history) >= 3

@@ -107,6 +107,20 @@ class TestManufactured:
         assert tg.sup_norm(r_u.values) <= 1e-12
         assert tg.sup_norm(r_m.values) <= 1e-12
 
+    def test_one_builder_serves_the_kernel_coupling(self):
+        grid = tg.GridSpec(dim=1, nx=32, nt=8, horizon=1.0)
+        spec = ham.separable_quadratic(grid, 1.0)
+        nc = solver.NonlocalCoupling(
+            f=cpl.gaussian_kernel_coupling(grid, 0.1),
+            g=cpl.gaussian_kernel_coupling(grid, 0.1))
+        problem, exact = diag.make_manufactured(grid, spec, nc)
+        assert problem.uT is None
+        r_u, r_m = solver.residual(problem, exact)
+        assert max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values)) <= 1e-12
+        named, _ = diag.make_manufactured_nonlocal(grid, spec, nc)
+        assert problem.s_u.values.tobytes() == named.s_u.values.tobytes()
+        assert problem.s_m.values.tobytes() == named.s_m.values.tobytes()
+
 
 class TestPerturbation:
     GRID = tg.GridSpec(dim=1, nx=32, nt=8, horizon=1.0)

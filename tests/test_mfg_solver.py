@@ -152,7 +152,7 @@ class TestNewtonStep:
     def test_boundary_rows_enforced_from_violating_start(self, make, amp):
         p, nxt, res = self._violating_step(make, amp)
         assert np.all(nxt.m.values[0] == p.m0)
-        if p.is_nonlocal:
+        if p.coupling.derives_terminal:
             expected = p.coupling.g.values(nxt.m.values[-1])
             np.testing.assert_allclose(nxt.u.values[-1], expected, rtol=0, atol=1e-11)
             assert res <= 1e-10
@@ -243,7 +243,7 @@ class TestLinearizedConsistency:
         for _ in range(3):
             du = rng.standard_normal(state.u.values.shape)
             dm = rng.standard_normal(state.m.values.shape)
-            if not p.is_nonlocal:
+            if not p.coupling.derives_terminal:
                 du[-1] = 0.0
             dm[0] = 0.0
             du /= np.abs(du).max()
@@ -256,7 +256,7 @@ class TestLinearizedConsistency:
                 r1_u, r1_m = solver.residual(p, s1)
                 rem_u = (r1_u.values - r0_u.values) - h * ju
                 rem_m = (r1_m.values - r0_m.values)[1:] - h * jm[1:]
-                if not p.is_nonlocal:
+                if not p.coupling.derives_terminal:
                     rem_u = rem_u[:-1]
                 rems.append(max(np.abs(rem_u).max(), np.abs(rem_m).max()))
             assert 50 <= rems[0] / rems[1] <= 200
