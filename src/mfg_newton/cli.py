@@ -54,27 +54,22 @@ STABILITY_DRAWS = 20
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated config, holding the solver's own objects.
+
+    ``coupling`` is None for hessian-sweep, which reads none; its label
+    still names the configured coupling in the summary.
+    """
+
     experiment: str
-    dim: int
-    nx: int
-    nt: int
-    horizon: float
-    h_variant: str
-    h_profile: str
-    alpha: float
-    local_variant: str | None
-    power_alpha: float
-    kernel_sigma: float | None
-    kernel_sigma_g: float | None
-    max_iter: int
-    residual_tol: float
-    error_floor: float
-    linear_method: str
-    theta: float
+    grid: tg.GridSpec
+    hamiltonian: ham.HamiltonianSpec
+    coupling: cpl.LocalCoupling | cpl.NonlocalCoupling | None
+    coupling_label: str
+    newton: solver.NewtonConfig
     epsilons: tuple
     seed: int
-    output_dir: str
     draws: int
+    output_dir: str
 
 
 def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
@@ -127,28 +122,31 @@ def load_config(path) -> RunConfig:
                           "seed", "draws"))
     experiment = _choice(raw["experiment"], "experiment", EXPERIMENTS)
 
-    grid = raw["grid"]
-    _check_keys(grid, "grid", required=("dim", "nx", "nt", "T"))
-    dim = _number(grid["dim"], "grid.dim", integer=True)
+    g = raw["grid"]
+    _check_keys(g, "grid", required=("dim", "nx", "nt", "T"))
+    dim = _number(g["dim"], "grid.dim", integer=True)
     if dim not in (1, 2):
         raise ConfigError("grid.dim", f"must be 1 or 2, got {dim}")
-    nx = _number(grid["nx"], "grid.nx", minimum=4, integer=True)
-    nt = _number(grid["nt"], "grid.nt", minimum=2, integer=True)
-    horizon = _number(grid["T"], "grid.T", minimum=0.0, strict=True)
+    grid = tg.GridSpec(dim=dim, nx=_number(g["nx"], "grid.nx", minimum=4, integer=True),
+                       nt=_number(g["nt"], "grid.nt", minimum=2, integer=True),
+                       horizon=_number(g["T"], "grid.T", minimum=0.0, strict=True))
 
     hml = raw.get("hamiltonian", {})
     _check_keys(hml, "hamiltonian", required=(), optional=("variant", "alpha", "h"))
     h_variant = _choice(hml.get("variant", "congestion"), "hamiltonian.variant",
                         (ham.CONGESTION, ham.SEPARABLE_QUADRATIC))
     alpha = _number(hml.get("alpha", 1.0), "hamiltonian.alpha", minimum=0.0, strict=True)
-    h_profile = _choice(hml.get("h", "constant"), "hamiltonian.h", H_CHOICES)
+    if _choice(hml.get("h", "constant"), "hamiltonian.h", H_CHOICES) == "constant":
+        h = np.ones(grid.spatial_shape)
+    else:
+        h = 1.0 + 0.5 * np.cos(2.0 * np.pi * grid.x_nodes()[0])
+    hamiltonian = ham.HamiltonianSpec(h_variant, grid, h, alpha)
 
     coup = raw.get("coupling", {})
     _check_keys(coup, "coupling", required=(),
                 optional=("local", "power_alpha", "kernel", "kernel_g"))
-    local_variant = None
+    local_variant = kernel_sigma = None
     power_alpha = 2.0
-    kernel_sigma = kernel_sigma_g = None
     if "local" in coup:
         if "kernel" in coup or "kernel_g" in coup:
             raise ConfigError("coupling", "choose either local or kernel coupling")
@@ -163,20 +161,24 @@ def load_config(path) -> RunConfig:
     elif "power_alpha" in coup or "kernel_g" in coup:
         raise ConfigError("coupling", "incomplete coupling specification")
 
-    newton = raw.get("newton", {})
-    _check_keys(newton, "newton", required=(),
+    nwt = raw.get("newton", {})
+    _check_keys(nwt, "newton", required=(),
                 optional=("max_iter", "residual_tol", "linear_method", "theta",
                           "error_floor"))
-    max_iter = _number(newton.get("max_iter", 30), "newton.max_iter", minimum=1, integer=True)
-    residual_tol = _number(newton.get("residual_tol", 1e-9), "newton.residual_tol",
+    max_iter = _number(nwt.get("max_iter", 30), "newton.max_iter", minimum=1, integer=True)
+    residual_tol = _number(nwt.get("residual_tol", 1e-9), "newton.residual_tol",
                            minimum=0.0, strict=True)
-    error_floor = _number(newton.get("error_floor", 1e-10), "newton.error_floor",
+    error_floor = _number(nwt.get("error_floor", 1e-10), "newton.error_floor",
                           minimum=0.0)
-    linear_method = _choice(newton.get("linear_method", "direct"),
+    linear_method = _choice(nwt.get("linear_method", "direct"),
                             "newton.linear_method", ("direct", "iterative"))
-    theta = _number(newton.get("theta", 0.5), "newton.theta", minimum=0.0, strict=True)
+    theta = _number(nwt.get("theta", 0.5), "newton.theta", minimum=0.0, strict=True)
     if theta > 1.0:
         raise ConfigError("newton.theta", f"must lie in (0, 1], got {theta}")
+    newton = solver.NewtonConfig(
+        max_iter=max_iter, residual_tol=residual_tol, error_floor=error_floor,
+        linear_method=sla.Direct() if linear_method == "direct" else sla.Iterative(),
+        damping=theta)
 
     epsilons = raw.get("epsilons", [1e-2])
     if not isinstance(epsilons, list) or not epsilons:
@@ -203,67 +205,34 @@ def load_config(path) -> RunConfig:
             raise ConfigError("hamiltonian.variant",
                               "nonlocal-rate requires separable_quadratic")
 
+    if experiment == "hessian-sweep":
+        if h_variant != ham.CONGESTION:
+            raise ConfigError("hamiltonian.variant", "hessian-sweep requires congestion")
+        coupling = None  # the sweep reads none, and a 2D kernel's dense conv is large
+    elif kernel_sigma is None:
+        coupling = cpl.LocalCoupling(local_variant, alpha=power_alpha)
+    else:
+        coupling = cpl.NonlocalCoupling(f=cpl.gaussian_kernel_coupling(grid, kernel_sigma),
+                                        g=cpl.gaussian_kernel_coupling(grid, kernel_sigma_g))
+    label = local_variant or ("" if kernel_sigma is None else f"gaussian:{kernel_sigma}")
     return RunConfig(
-        experiment=experiment, dim=dim, nx=nx, nt=nt, horizon=horizon,
-        h_variant=h_variant, h_profile=h_profile, alpha=alpha,
-        local_variant=local_variant, power_alpha=power_alpha,
-        kernel_sigma=kernel_sigma, kernel_sigma_g=kernel_sigma_g,
-        max_iter=max_iter, residual_tol=residual_tol, error_floor=error_floor,
-        linear_method=linear_method, theta=theta, epsilons=epsilons,
-        seed=seed, output_dir=raw["output_dir"], draws=draws,
+        experiment=experiment, grid=grid, hamiltonian=hamiltonian, coupling=coupling,
+        coupling_label=label, newton=newton, epsilons=epsilons, seed=seed, draws=draws,
+        output_dir=raw["output_dir"],
     )
 
 
 # -- experiment building blocks -------------------------------------------------
 
-def _build_grid(cfg: RunConfig) -> tg.GridSpec:
-    return tg.GridSpec(dim=cfg.dim, nx=cfg.nx, nt=cfg.nt, horizon=cfg.horizon)
-
-
-def _build_h(cfg: RunConfig, grid: tg.GridSpec) -> np.ndarray:
-    if cfg.h_profile == "constant":
-        return np.ones(grid.spatial_shape)
-    return 1.0 + 0.5 * np.cos(2.0 * np.pi * grid.x_nodes()[0])
-
-
-def _build_hamiltonian(cfg: RunConfig, grid: tg.GridSpec) -> ham.HamiltonianSpec:
-    h = _build_h(cfg, grid)
-    if cfg.h_variant == ham.CONGESTION:
-        return ham.congestion(grid, h, cfg.alpha)
-    return ham.separable_quadratic(grid, h)
-
-
-def _manufactured(cfg: RunConfig):
-    """The configured manufactured problem and its exact root."""
-    grid = _build_grid(cfg)
-    if cfg.kernel_sigma is None:
-        coupling = cpl.LocalCoupling(cfg.local_variant, alpha=cfg.power_alpha)
-    else:
-        coupling = cpl.NonlocalCoupling(f=cpl.gaussian_kernel_coupling(grid, cfg.kernel_sigma),
-                                        g=cpl.gaussian_kernel_coupling(grid, cfg.kernel_sigma_g))
-    return diag.make_manufactured(grid, _build_hamiltonian(cfg, grid), coupling)
-
-
-def _newton_config(cfg: RunConfig) -> solver.NewtonConfig:
-    method = sla.Direct() if cfg.linear_method == "direct" else sla.Iterative()
-    return solver.NewtonConfig(
-        max_iter=cfg.max_iter, residual_tol=cfg.residual_tol,
-        error_floor=cfg.error_floor, linear_method=method, damping=cfg.theta)
-
-
 def _base_row(cfg: RunConfig, sub_run: str, method: str = "") -> dict:
-    if cfg.local_variant:
-        coupling = cfg.local_variant
-    elif cfg.kernel_sigma is not None:
-        coupling = f"gaussian:{cfg.kernel_sigma}"
-    else:
-        coupling = ""
+    grid = cfg.grid
     return {
         "experiment": cfg.experiment, "sub_run": sub_run, "method": method,
-        "dim": cfg.dim, "nx": cfg.nx, "nt": cfg.nt, "T": cfg.horizon,
-        "hamiltonian": cfg.h_variant, "alpha": cfg.alpha, "coupling": coupling,
-        "epsilon": "", "seed": cfg.seed, "iterations": "", "fitted_q": "",
-        "final_residual": "", "ratio_max": "", "status": "ok", "error": "",
+        "dim": grid.dim, "nx": grid.nx, "nt": grid.nt, "T": grid.horizon,
+        "hamiltonian": cfg.hamiltonian.variant, "alpha": cfg.hamiltonian.alpha,
+        "coupling": cfg.coupling_label, "epsilon": "", "seed": cfg.seed,
+        "iterations": "", "fitted_q": "", "final_residual": "", "ratio_max": "",
+        "status": "ok", "error": "",
     }
 
 
@@ -280,118 +249,86 @@ def _write_summary(rows, path) -> None:
             fh.write(",".join(_fmt_cell(row.get(c, "")) for c in SUMMARY_COLUMNS) + "\n")
 
 
-def _history_name(out: Path, tag: str, single: bool) -> Path:
-    return out / ("history.csv" if single else f"history_{tag}.csv")
+def _solve_row(cfg, solve, method, problem, exact, eps, tag, history_path):
+    """Perturb the exact root by ``eps`` and run ``solve`` from there.
 
-
-def _final_residual(history) -> float:
-    rec = history[-1]
-    return max(rec.res_u_sup, rec.res_m_sup)
-
-
-def _solve_keeping_history(solve, history_path, problem, initial, ncfg, exact):
-    """Run one solve; if it exhausts its step budget, write the partial
-    history it carries to ``history_path`` before re-raising."""
-    try:
-        return solve(problem, initial, ncfg, reference=exact)
-    except MaxIterExceededError as exc:
-        diag.write_history_csv(exc.history, history_path)
-        raise
-
-
-def _sweep(work, cfg, problem, exact, out, verbose):
-    """Run ``work`` once per epsilon and concatenate the rows it yields.
-
-    A solver failure becomes an error row, not a crash; the row names the
-    failed sub-run by its tag and epsilon, and follows the rows the sub-run
-    yielded before it failed.
+    Returns ``(row, final, history)``.  A solver failure becomes an error row
+    naming the sub-run, its epsilon and the method, with ``final`` and
+    ``history`` None; a run that exhausted its step budget first writes the
+    partial history it carries to ``history_path``.
     """
-    rows = []
-    for i, eps in enumerate(cfg.epsilons):
-        tag = f"eps{i}"
-        try:
-            for row in work(cfg, problem, exact, eps, tag, out, verbose):
-                rows.append(row)
-        except SOLVER_ERRORS as exc:
-            row = _base_row(cfg, sub_run=tag)
-            row["epsilon"] = eps
-            row["status"] = "error"
-            row["error"] = type(exc).__name__
-            print(f"[{cfg.experiment}] sub-run {tag} failed: {exc}", file=sys.stderr)
-            rows.append(row)
-    return rows
-
-
-def _rate_sub_run(cfg, problem, exact, eps, tag, out, verbose):
-    """One perturb-and-solve sub-run.  A run that converged with too few
-    iterates to fit keeps its row, with status no_fit."""
-    row = _base_row(cfg, sub_run=tag, method="newton")
+    row = _base_row(cfg, sub_run=tag, method=method)
     row["epsilon"] = eps
-    initial = diag.perturbed_state(exact, eps)
-    history_path = _history_name(out, tag, len(cfg.epsilons) == 1)
-    final, history = _solve_keeping_history(
-        solver.solve_newton, history_path, problem, initial, _newton_config(cfg), exact)
-    tg.write_field_csv(final.u, out / f"fields_u_{tag}.csv")
-    tg.write_field_csv(final.m, out / f"fields_m_{tag}.csv")
-    row["iterations"] = len(history) - 1
-    row["final_residual"] = _final_residual(history)
     try:
-        fit = diag.fit_rate([r.err_sum for r in history], floor=cfg.error_floor)
-        row["fitted_q"] = fit.order
-    except InsufficientDataError as exc:
-        fit = None
-        row.update(status="no_fit", error=type(exc).__name__)
-        print(f"[{cfg.experiment}] sub-run {tag} converged, no fit: {exc}", file=sys.stderr)
-    diag.write_history_csv(history, history_path, fit=fit)
-    if verbose:
-        print(f"[{cfg.experiment}] {tag}: {row['iterations']} iterations, "
-              f"q={row['fitted_q']}", file=sys.stderr)
-    yield row
+        final, history = solve(problem, diag.perturbed_state(exact, eps), cfg.newton,
+                               reference=exact)
+    except SOLVER_ERRORS as exc:
+        if isinstance(exc, MaxIterExceededError):
+            diag.write_history_csv(exc.history, history_path)
+        row.update(status="error", error=type(exc).__name__)
+        print(f"[{cfg.experiment}] sub-run {tag} failed: {exc}", file=sys.stderr)
+        return row, None, None
+    row["iterations"] = len(history) - 1
+    row["final_residual"] = max(history[-1].res_u_sup, history[-1].res_m_sup)
+    return row, final, history
 
 
 def _run_rate(cfg: RunConfig, out: Path, verbose: bool):
-    problem, exact = _manufactured(cfg)
-    if cfg.kernel_sigma is not None:
-        cpl.write_kernel_csv(problem.coupling.f, out / "kernel_f.csv")
-    return _sweep(_rate_sub_run, cfg, problem, exact, out, verbose)
-
-
-def _fixed_point_sub_run(cfg, problem, exact, eps, tag, out, verbose):
-    ncfg = _newton_config(cfg)
-    initial = diag.perturbed_state(exact, eps)
-
-    row_n = _base_row(cfg, sub_run=tag, method="newton")
-    row_n["epsilon"] = eps
-    path_n = out / f"history_newton_{tag}.csv"
-    _, hist_n = _solve_keeping_history(
-        solver.solve_newton, path_n, problem, initial, ncfg, exact)
-    diag.write_history_csv(hist_n, path_n)
-    row_n["iterations"] = len(hist_n) - 1
-    row_n["final_residual"] = _final_residual(hist_n)
-    yield row_n
-
-    row_f = _base_row(cfg, sub_run=tag, method="fixed-point")
-    row_f["epsilon"] = eps
-    path_f = out / f"history_fixed_point_{tag}.csv"
-    _, hist_f = _solve_keeping_history(
-        solver.solve_fixed_point, path_f, problem, initial, ncfg, exact)
-    diag.write_history_csv(hist_f, path_f)
-    row_f["iterations"] = len(hist_f) - 1
-    row_f["final_residual"] = _final_residual(hist_f)
-    if verbose:
-        print(f"[fixed-point-compare] eps={eps}: newton {row_n['iterations']} "
-              f"vs fixed-point {row_f['iterations']}", file=sys.stderr)
-    yield row_f
+    """One Newton sub-run per epsilon.  A run that converged with too few
+    iterates to fit keeps its row, with status no_fit."""
+    problem, exact = diag.make_manufactured(cfg.grid, cfg.hamiltonian, cfg.coupling)
+    if cfg.coupling.derives_terminal:
+        cpl.write_kernel_csv(cfg.coupling.f, out / "kernel_f.csv")
+    rows = []
+    for i, eps in enumerate(cfg.epsilons):
+        tag = f"eps{i}"
+        path = out / ("history.csv" if len(cfg.epsilons) == 1 else f"history_{tag}.csv")
+        row, final, history = _solve_row(cfg, solver.solve_newton, "newton",
+                                         problem, exact, eps, tag, path)
+        rows.append(row)
+        if history is None:
+            continue
+        tg.write_field_csv(final.u, out / f"fields_u_{tag}.csv")
+        tg.write_field_csv(final.m, out / f"fields_m_{tag}.csv")
+        try:
+            fit = diag.fit_rate([r.err_sum for r in history], floor=cfg.newton.error_floor)
+            row["fitted_q"] = fit.order
+        except InsufficientDataError as exc:
+            fit = None
+            row.update(status="no_fit", error=type(exc).__name__)
+            print(f"[{cfg.experiment}] sub-run {tag} converged, no fit: {exc}",
+                  file=sys.stderr)
+        diag.write_history_csv(history, path, fit=fit)
+        if verbose:
+            print(f"[{cfg.experiment}] {tag}: {row['iterations']} iterations, "
+                  f"q={row['fitted_q']}", file=sys.stderr)
+    return rows
 
 
 def _run_fixed_point_compare(cfg: RunConfig, out: Path, verbose: bool):
-    problem, exact = _manufactured(cfg)
-    return _sweep(_fixed_point_sub_run, cfg, problem, exact, out, verbose)
+    """Newton, then Picard, from the same start for every epsilon; Picard is
+    not run once Newton has failed."""
+    problem, exact = diag.make_manufactured(cfg.grid, cfg.hamiltonian, cfg.coupling)
+    rows = []
+    for i, eps in enumerate(cfg.epsilons):
+        tag = f"eps{i}"
+        for method, solve in (("newton", solver.solve_newton),
+                              ("fixed-point", solver.solve_fixed_point)):
+            path = out / f"history_{method.replace('-', '_')}_{tag}.csv"
+            row, _, history = _solve_row(cfg, solve, method, problem, exact, eps, tag, path)
+            rows.append(row)
+            if history is None:
+                break
+            diag.write_history_csv(history, path)
+        if verbose and history is not None:
+            print(f"[fixed-point-compare] eps={eps}: newton {rows[-2]['iterations']} "
+                  f"vs fixed-point {rows[-1]['iterations']}", file=sys.stderr)
+    return rows
 
 
 def _run_lemma_stability(cfg: RunConfig, out: Path, verbose: bool):
-    problem, exact = _manufactured(cfg)
-    grid = problem.grid
+    grid = cfg.grid
+    problem, exact = diag.make_manufactured(grid, cfg.hamiltonian, cfg.coupling)
     solve = solver.linearized_solver(problem, exact)
     ratios = []
     with open(out / "stability.csv", "w") as fh:
@@ -413,32 +350,29 @@ def _run_lemma_stability(cfg: RunConfig, out: Path, verbose: bool):
 
 
 def _run_hessian_sweep(cfg: RunConfig, out: Path, verbose: bool):
-    grid = _build_grid(cfg)
-    spec = ham.congestion(grid, _build_h(cfg, grid), cfg.alpha)
+    spec = cfg.hamiltonian
     rows = []
     n_unsat = 0
     for m in HESSIAN_SWEEP_M:
         for p_mag in HESSIAN_SWEEP_P:
-            p = np.full(grid.dim, p_mag)
-            rep = ham.hessian_condition(spec, 0, m, p)
-            rows.append((cfg.alpha, m, p_mag, rep.min_eigenvalue, rep.satisfied))
+            rep = ham.hessian_condition(spec, 0, m, np.full(cfg.grid.dim, p_mag))
+            rows.append((spec.alpha, m, p_mag, rep.min_eigenvalue, rep.satisfied))
             n_unsat += not rep.satisfied
     ham.write_hessian_sweep_csv(rows, out / "hessian_sweep.csv")
     row = _base_row(cfg, sub_run="sweep")
     row["iterations"] = len(rows)
     row["final_residual"] = float(n_unsat)
     if verbose:
-        print(f"[hessian-sweep] alpha={cfg.alpha}: {n_unsat} unsatisfied points",
+        print(f"[hessian-sweep] alpha={spec.alpha}: {n_unsat} unsatisfied points",
               file=sys.stderr)
     return [row]
 
 
 def _run_manufactured_verify(cfg: RunConfig, out: Path, verbose: bool):
-    problem, exact = _manufactured(cfg)
-    grid = problem.grid
+    problem, exact = diag.make_manufactured(cfg.grid, cfg.hamiltonian, cfg.coupling)
     r_u, r_m = solver.residual(problem, exact)
     sup = max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values))
-    masses = tg.slice_masses(exact.m.values, grid)
+    masses = tg.slice_masses(exact.m.values, cfg.grid)
     tg.write_field_csv(exact.u, out / "fields_u_exact.csv")
     tg.write_field_csv(exact.m, out / "fields_m_exact.csv")
     row = _base_row(cfg, sub_run="verify")

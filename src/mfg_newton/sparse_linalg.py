@@ -86,22 +86,6 @@ class SparseMatrix:
         return sp.csr_matrix((self.data, self.indices, self.indptr),
                              shape=(self.n_rows, self.n_cols))
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ np.asarray(x, dtype=float)
-
-    def todense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def validate(self) -> None:
-        if self.indptr.shape != (self.n_rows + 1,):
-            raise ValueError("bad indptr length")
-        for r in range(self.n_rows):
-            cols = self.indices[self.indptr[r]:self.indptr[r + 1]]
-            if cols.size and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"row {r}: column indices not strictly increasing")
-        if np.any(self.data == 0.0):
-            raise ValueError("explicitly stored zero survived pruning")
-
 
 @dataclass(frozen=True)
 class SolveMeta:

@@ -32,11 +32,29 @@ def strip_wall_ms(text):
     return "\n".join(out)
 
 
+# one out-of-bounds value per bound the solver's constructors also enforce;
+# the config check must catch each before the constructor raises
+OUT_OF_BOUNDS = [
+    ("grid.nx", {"grid": {"dim": 1, "nx": 2, "nt": 8, "T": 1.0}}),
+    ("grid.dim", {"grid": {"dim": 3, "nx": 16, "nt": 8, "T": 1.0}}),
+    ("grid.nt", {"grid": {"dim": 1, "nx": 16, "nt": 1, "T": 1.0}}),
+    ("grid.T", {"grid": {"dim": 1, "nx": 16, "nt": 8, "T": 0}}),
+    ("hamiltonian.alpha", {"hamiltonian": {"alpha": 0}}),
+    ("coupling.power_alpha", {"coupling": {"local": "power", "power_alpha": 1.5}}),
+    ("coupling.kernel.sigma", {"coupling": {"kernel": {"type": "gaussian", "sigma": 0}}}),
+    ("newton.theta", {"newton": {"theta": 1.5}}),
+    ("newton.max_iter", {"newton": {"max_iter": 0}}),
+    ("newton.residual_tol", {"newton": {"residual_tol": 0}}),
+]
+
+
 class TestValidation:
-    def test_small_nx_exits_2_citing_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, grid={"dim": 1, "nx": 2, "nt": 8, "T": 1.0})
+    @pytest.mark.parametrize("key, overrides", OUT_OF_BOUNDS,
+                             ids=[key for key, _ in OUT_OF_BOUNDS])
+    def test_small_nx_exits_2_citing_key(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path, **overrides)
         assert cli.main(["run", "--config", str(cfg)]) == 2
-        assert "grid.nx" in capsys.readouterr().err
+        assert f"config error: {key}:" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid={"dim": 1, "nx": 16, "nt": 8, "T": 1.0,
@@ -67,6 +85,13 @@ class TestValidation:
                            hamiltonian={"variant": "separable_quadratic"})
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "kernel" in capsys.readouterr().err
+
+    def test_hessian_sweep_needs_congestion(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, experiment="hessian-sweep",
+                           hamiltonian={"variant": "separable_quadratic", "alpha": 2.5})
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "hamiltonian.variant" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_local_and_kernel_conflict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coupling={
@@ -158,6 +183,7 @@ class TestExperiments:
             assert row["error"] == "MaxIterExceededError"
             assert row["status"] == "error"
             assert row["sub_run"] == "eps0"
+            assert row["method"] == "newton"
             assert float(row["epsilon"]) == 0.02
             history = (out / history_name).read_text().splitlines()
             assert history[0].startswith("iter,")
@@ -176,8 +202,8 @@ class TestExperiments:
         assert (newton["sub_run"], newton["method"], newton["status"]) == ("eps0", "newton", "ok")
         assert 1 <= int(newton["iterations"]) <= 5
         assert float(newton["final_residual"]) <= 1e-10
-        assert (failed["sub_run"], failed["status"], failed["error"]) == \
-            ("eps0", "error", "MaxIterExceededError")
+        assert (failed["sub_run"], failed["method"], failed["status"], failed["error"]) == \
+            ("eps0", "fixed-point", "error", "MaxIterExceededError")
         history = (out / "history_fixed_point_eps0.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in history[1:]] == ["0", "1", "2", "3", "4", "5"]
 

@@ -38,6 +38,13 @@ def periodic_minus_lap_plus_identity(nx):
     return sla.SparseMatrix.from_triplets(nx, nx, rows, cols, vals)
 
 
+def assert_csr_invariants(mat):
+    """Strictly increasing columns in every row, and no stored zero."""
+    assert mat.indptr.shape == (mat.n_rows + 1,)
+    assert mat.to_scipy().has_canonical_format
+    assert np.all(mat.data != 0.0)
+
+
 class TestAssembly:
     def test_duplicates_summed_and_zeros_pruned(self):
         mat = sla.SparseMatrix.from_triplets(
@@ -47,7 +54,7 @@ class TestAssembly:
             vals=[1.5, 2.5, 3.0, -3.0, 0.0],
         )
         assert mat.nnz == 1
-        np.testing.assert_array_equal(mat.todense(), [[4.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(mat.to_scipy().toarray(), [[4.0, 0.0], [0.0, 0.0]])
 
     def test_permutation_gives_bit_identical_csr(self):
         rng = np.random.default_rng(0)
@@ -64,8 +71,7 @@ class TestAssembly:
             assert mat.data.tobytes() == ref.data.tobytes()
 
     def test_column_indices_strictly_increasing(self):
-        mat = periodic_minus_lap_plus_identity(16)
-        mat.validate()
+        assert_csr_invariants(periodic_minus_lap_plus_identity(16))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -73,7 +79,7 @@ class TestAssembly:
 
     def test_matvec(self):
         mat = sla.SparseMatrix.from_triplets(2, 2, [0, 1], [1, 0], [2.0, 3.0])
-        np.testing.assert_allclose(mat.matvec([1.0, 4.0]), [8.0, 3.0])
+        np.testing.assert_allclose(mat.to_scipy() @ [1.0, 4.0], [8.0, 3.0])
 
 
 class TestSolve:
@@ -91,7 +97,7 @@ class TestSolve:
         b = np.sin(2 * np.pi * x_nodes)
         sys = sla.LinearSystem(mat, b)
         x = sla.solve(sys, sla.Direct())
-        expected = dense_gauss_solve(mat.todense(), b)
+        expected = dense_gauss_solve(mat.to_scipy().toarray(), b)
         np.testing.assert_allclose(x, expected, atol=1e-10)
         assert sys.meta.method == "direct"
         assert sys.meta.residual_norm <= 1e-12
@@ -130,10 +136,11 @@ class TestSolve:
         vals = np.concatenate([rng.uniform(1.0, 2.0, n), rng.uniform(-1.0, 1.0, n),
                                rng.uniform(-0.5, 0.5, n)])
         mat = sla.SparseMatrix.from_triplets(n, n, rows, cols, vals)
-        assert np.all(np.diag(mat.todense()) == 0.0)
+        dense = mat.to_scipy().toarray()
+        assert np.all(np.diag(dense) == 0.0)
         b = rng.standard_normal(n)
         x = sla.solve(sla.LinearSystem(mat, b), method)
-        np.testing.assert_allclose(x, dense_gauss_solve(mat.todense(), b), atol=1e-10)
+        np.testing.assert_allclose(x, dense_gauss_solve(dense, b), atol=1e-10)
 
     def test_factor_once_solve_many(self):
         mat = periodic_minus_lap_plus_identity(16)
