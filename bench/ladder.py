@@ -1,11 +1,13 @@
-"""Grid ladder for the sparse factorization of the Newton system.
+"""Grid ladder for the factorization of the Newton system.
 
 For the seed-0 benchmark start on each rung, solve the masked Newton system
-three times through ``sparse_linalg.solve``; record the LU fill nnz(L+U), the
-median factor time, the relative residual and the peak RSS.  Each rung runs in
-its own process, so the peak RSS is its own.  Each labelled entry also records
-the tree's ``src/`` line count.  From the repository root, once per source tree
-(rows are stored in BENCH_4.json under the label):
+three times through ``sparse_linalg.solve``; record the stored factor entries
+(the block LU in time keeps one dense LU per time slice, so the sum of the
+squared slice sizes), the median ``factorize`` time, the relative residual
+and the peak RSS.  Each rung runs in its own process, so the peak RSS is its
+own.  Each labelled entry also records the tree's ``src/`` line count.  From
+the repository root, once per source tree (rows are stored in BENCH_4.json
+under the label):
 
     PYTHONPATH=src python bench/ladder.py --label change
 """
@@ -20,10 +22,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
          "1d-256-local": (1, 256, "local"), "1d-64-kernel": (1, 64, "kernel"),
-         "2d-16-local": (2, 16, "local"), "2d-24-local": (2, 24, "local")}
+         "2d-16-local": (2, 16, "local"), "2d-24-local": (2, 24, "local"),
+         "2d-32-local": (2, 32, "local")}
 
 
 def rung(name: str) -> dict:
@@ -41,17 +46,17 @@ def rung(name: str) -> dict:
         h_spec, coupling = mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid")
     problem, exact = mn.make_manufactured(grid, h_spec, coupling)
     system, _ = mn.newton_system(problem, newton_start(mn, exact, 0, 0))
-    row = {"rung": name, "unknowns": system.matrix.n_rows, "jac_nnz": system.matrix.nnz}
-    times, splu = [], sla.spla.splu
+    row = {"rung": name, "unknowns": system.matrix.n_rows, "jac_nnz": system.matrix.nnz,
+           "factor_entries": int((np.unique(system.slices, return_counts=True)[1] ** 2).sum())}
+    times, factorize = [], sla.factorize
 
-    def timed_splu(*args, **kwargs):
+    def timed_factorize(*args, **kwargs):
         t0 = time.perf_counter()
-        lu = splu(*args, **kwargs)
+        solve = factorize(*args, **kwargs)
         times.append(time.perf_counter() - t0)
-        row["lu_fill"] = int(lu.L.nnz + lu.U.nnz)
-        return lu
+        return solve
 
-    sla.spla.splu = timed_splu  # this process runs one rung and exits
+    sla.factorize = timed_factorize  # this process runs one rung and exits
     try:
         for _ in range(3):
             sla.solve(system)

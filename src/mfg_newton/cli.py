@@ -211,9 +211,10 @@ def load_config(path) -> RunConfig:
         coupling = None  # the sweep reads none, and a 2D kernel's dense conv is large
     elif kernel_sigma is None:
         coupling = cpl.LocalCoupling(local_variant, alpha=power_alpha)
-    else:
-        coupling = cpl.NonlocalCoupling(f=cpl.gaussian_kernel_coupling(grid, kernel_sigma),
-                                        g=cpl.gaussian_kernel_coupling(grid, kernel_sigma_g))
+    else:  # one kernel, and one dense conv, serves f and g when their widths agree
+        f = cpl.gaussian_kernel_coupling(grid, kernel_sigma)
+        g = f if kernel_sigma_g == kernel_sigma else cpl.gaussian_kernel_coupling(grid, kernel_sigma_g)
+        coupling = cpl.NonlocalCoupling(f=f, g=g)
     label = local_variant or ("" if kernel_sigma is None else f"gaussian:{kernel_sigma}")
     return RunConfig(
         experiment=experiment, grid=grid, hamiltonian=hamiltonian, coupling=coupling,

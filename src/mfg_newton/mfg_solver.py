@@ -11,8 +11,8 @@ periodic space-time grid:
 
 The discretization is fully implicit with every coefficient evaluated at the
 same time node as the unknown it multiplies, so the assembled Jacobian of the
-discrete residual is exactly the discrete linearized system; one sparse solve
-of it per iteration is a Newton step.
+discrete residual is exactly the discrete linearized system; one solve of it
+per iteration, by the block LU in time of ``sparse_linalg``, is a Newton step.
 
 The Jacobian is assembled once per state on the full unknown vector
 [u_0..u_nt, m_0..m_nt], both boundary rows included, each block family for
@@ -288,15 +288,18 @@ def _free_rhs(matrix, rhs: np.ndarray, known: np.ndarray) -> np.ndarray:
     return (rhs - matrix @ np.where(known, rhs, 0.0))[~known]
 
 
-def _eliminate(matrix, rhs: np.ndarray, known: np.ndarray) -> sla.LinearSystem:
-    """The system ``matrix @ x = rhs`` without the ``known`` unknowns."""
-    return sla.LinearSystem(_free_block(matrix, known), _free_rhs(matrix, rhs, known))
+def _eliminate(grid: tg.GridSpec, matrix, rhs: np.ndarray,
+               known: np.ndarray) -> sla.LinearSystem:
+    """The system ``matrix @ x = rhs`` without the ``known`` unknowns, each
+    free unknown tagged with its time slice (unknowns are slice-stacked)."""
+    slices = (np.arange(known.size) // grid.n_space % (grid.nt + 1))[~known]
+    return sla.LinearSystem(_free_block(matrix, known), _free_rhs(matrix, rhs, known), slices)
 
 
-def _solve_eliminated(matrix, rhs, known, method) -> np.ndarray:
+def _solve_eliminated(grid, matrix, rhs, known, method) -> np.ndarray:
     """Solve the system of :func:`_eliminate`; returns every unknown."""
     x = np.where(known, rhs, 0.0)
-    x[~known] = sla.solve(_eliminate(matrix, rhs, known), method)
+    x[~known] = sla.solve(_eliminate(grid, matrix, rhs, known), method)
     return x
 
 
@@ -318,7 +321,7 @@ def newton_system(p: ProblemSpec, prev: SolverState):
     u, m = prev.u.values, prev.m.values
     matrix, known = _assemble_jacobian(p, m, _bundle(p, u, m))
     r_u, r_m = residual(p, prev)
-    return _eliminate(matrix, -_stack(r_u.values, r_m.values), known), known
+    return _eliminate(p.grid, matrix, -_stack(r_u.values, r_m.values), known), known
 
 
 def newton_step(p: ProblemSpec, prev: SolverState, cfg: NewtonConfig):
@@ -440,7 +443,7 @@ def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
             return u
         if inner == max_inner:
             break
-        u += _solve_eliminated(_value_block(p, b), -r_u.ravel(), pinned,
+        u += _solve_eliminated(grid, _value_block(p, b), -r_u.ravel(), pinned,
                                cfg.linear_method).reshape(u.shape)
     raise MaxIterExceededError(
         f"inner value-function Newton stalled above tol {cfg.residual_tol:.1e}")
@@ -456,7 +459,7 @@ def _solve_fp_frozen_drift(p: ProblemSpec, hp: np.ndarray,
     grid = p.grid
     rhs = np.array(_source(p.s_m, hp.shape[1:]))
     rhs[0] = p.m0
-    m = _solve_eliminated(_density_block(p, hp.reshape(grid.dim, -1)),
+    m = _solve_eliminated(grid, _density_block(p, hp.reshape(grid.dim, -1)),
                           rhs.ravel(), _stencils(grid).first, cfg.linear_method)
     return m.reshape(rhs.shape)
 
@@ -508,7 +511,8 @@ def linearized_solver(p: ProblemSpec, base: SolverState,
     grid = p.grid
     u, m = base.u.values, base.m.values
     matrix, known = _assemble_jacobian(p, m, _bundle(p, u, m))
-    factored = sla.factorize(_free_block(matrix, known), method)
+    system = _eliminate(grid, matrix, np.zeros(known.size), known)
+    factored = sla.factorize(system.matrix, method, system.slices)
 
     def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):
         if a.grid != grid or b.grid != grid:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mfg_newton import cli
@@ -148,6 +149,17 @@ class TestExperiments:
             coupling={"kernel": {"type": "gaussian", "sigma": 0.1}})
         assert cli.main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "kernel_f.csv").exists()
+
+    @pytest.mark.parametrize("kernel_g, shared", [(None, True), (0.2, False)])
+    def test_one_kernel_unless_kernel_g_differs(self, tmp_path, kernel_g, shared):
+        coupling = {"kernel": {"type": "gaussian", "sigma": 0.1}}
+        if kernel_g is not None:
+            coupling["kernel_g"] = {"type": "gaussian", "sigma": kernel_g}
+        cfg = cli.load_config(write_config(
+            tmp_path, experiment="nonlocal-rate",
+            hamiltonian={"variant": "separable_quadratic"}, coupling=coupling))
+        assert (cfg.coupling.g is cfg.coupling.f) == shared
+        assert np.array_equal(cfg.coupling.g.conv, cfg.coupling.f.conv) == shared
 
     def test_fixed_point_compare(self, tmp_path):
         cfg = write_config(tmp_path, experiment="fixed-point-compare",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mfg_newton import coupling as cpl
 from mfg_newton import diagnostics as diag
@@ -439,6 +440,48 @@ class TestDirectVsIterativeOnNewtonSystem:
         xi = sla.solve(sla.LinearSystem(system.matrix, system.rhs),
                        sla.Iterative(tol=1e-12, max_iter=5000))
         assert np.linalg.norm(xd - xi) / np.linalg.norm(xd) <= 1e-8
+
+
+class TestBlockLUAgainstSuperLU:
+    """Every system the solver hands to the block LU in time, solved again by
+    SuperLU, which serves here as an oracle only."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        solved = []
+        real = sla.solve
+
+        def record(system, method=sla.Direct()):
+            x = real(system, method)
+            solved.append((system, x))
+            return x
+
+        monkeypatch.setattr(sla, "solve", record)
+        return solved
+
+    @staticmethod
+    def assert_matches_splu(solved):
+        assert solved
+        for system, x in solved:
+            assert system.slices is not None
+            expected = spla.splu(system.matrix.to_scipy().tocsc()).solve(system.rhs)
+            assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("make", [
+        manufactured, manufactured_nonlocal, lambda: manufactured(nx=8, nt=6, dim=2)])
+    def test_newton_matrix(self, make, handed):
+        p, exact = make()
+        solver.newton_step(p, diag.perturbed_state(exact, 1e-2), solver.NewtonConfig())
+        self.assert_matches_splu(handed)
+
+    def test_picard_value_and_density_blocks(self, handed):
+        p, exact = manufactured()
+        with pytest.raises(MaxIterExceededError):
+            solver.solve_fixed_point(p, diag.perturbed_state(exact, 1e-2),
+                                     solver.NewtonConfig(max_iter=1))
+        # the value block lives on slices 0..nt-1, the density block on 1..nt
+        assert {int(system.slices.min()) for system, _ in handed} == {0, 1}
+        self.assert_matches_splu(handed)
 
 
 class TestSolveFixedPoint:
