@@ -6,17 +6,21 @@ summed and exact zeros pruned.  The direct path (the default, because the
 Newton-rate measurements must not be polluted by inner-solver error) is a
 block LU in time.  The implicit scheme couples a time slice only to its two
 neighbours, so in slice-major order the matrix is block tridiagonal: each
-Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` gets a dense
-LAPACK LU, and a solve is one forward and one backward sweep over the
-slices.  A direct solve whose relative residual exceeds ``DIRECT_TOL`` gets
-one step of iterative refinement with the same factors; only if it still
-exceeds it is the matrix reported as numerically singular.  The iterative
-path is restarted GMRES with an incomplete LU, ordered by minimum degree on
-the pattern of A^T + A (``PERMC_SPEC``).
+Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` gets a dense LAPACK
+LU, and a solve is one forward and one backward sweep over the slices.  A plan
+of where each stored entry goes is built once per sparsity pattern and slice
+index, so a Newton step, whose pattern never changes, redoes only the numeric
+factorization; the two most recent plans are kept, as Picard alternates
+between two patterns.  A direct solve whose relative residual exceeds
+``DIRECT_TOL`` gets one step of iterative refinement with the same factors;
+only if it still exceeds it is the matrix reported as numerically singular.
+The iterative path is restarted GMRES with an incomplete LU, ordered by
+minimum degree on the pattern of A^T + A (``PERMC_SPEC``).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,74 +111,110 @@ def _rel_residual(a_csr, x, b) -> float:
     return float(np.linalg.norm(a_csr @ x - b) / max(np.linalg.norm(b), 1.0))
 
 
-def _dense(rows, cols, vals, shape) -> np.ndarray:
-    """Fortran-ordered dense matrix of the triplets, duplicates summed."""
-    return np.bincount(cols * shape[0] + rows, vals,
-                       minlength=shape[0] * shape[1]).reshape(shape, order="F")
+_PLANS: dict = {}  # pattern key -> _SlicePlan, least recently used first
+PLAN_CACHE = 2  # Picard alternates between its value block and its density block
 
 
-class _SliceLU:
-    """Block LU in time.  Slices are taken in increasing index order, so an
-    index no unknown has is skipped; each slice's rows are read from the CSR
-    matrix as the sweep reaches them, and its couplings to the previous and
-    next slice are kept as slice-local (row, column, value) triplets."""
+class _SlicePlan:
+    """Where the block LU in time puts each stored entry of one CSR pattern,
+    as int32 index arrays.  Slices go in increasing index order (an index no
+    unknown has is skipped).  Per slice: its diagonal block's entries and their
+    flat Fortran positions, its couplings to the previous and next slice as
+    slice-local (row, column, entry) triplets, and the ranges the Schur update
+    touches (see ``_SliceLU._schur_update``)."""
 
-    def __init__(self, a: sp.csr_matrix, slices: np.ndarray | None):
+    def __init__(self, a: sp.csr_matrix, slices: np.ndarray):
         n = a.shape[0]
-        slices = np.zeros(n, dtype=np.int64) if slices is None else np.asarray(slices)
-        if slices.shape != (n,):
-            raise ValueError(f"slice index length {slices.shape} != n_rows {n}")
-        self.order = np.argsort(slices, kind="stable")
-        ids, self.sizes = np.unique(slices, return_counts=True)
-        off = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.order = np.argsort(slices, kind="stable").astype(np.int32)
+        self.ids, self.sizes = np.unique(slices, return_counts=True)
+        off = np.concatenate([[0], np.cumsum(self.sizes)]).tolist()
         self.parts = [slice(lo, hi) for lo, hi in zip(off[:-1], off[1:])]
-        self.pos = pos = np.empty(n, dtype=np.int64)  # slice-major position of each unknown
+        self.pos = pos = np.empty(n, dtype=np.int32)  # slice-major position of each unknown
         pos[self.order] = np.arange(n)
-        self.lu, self.lower, self.upper = [], [], []
-        for k, size in enumerate(self.sizes):
+        self.blocks, self.lower, self.upper, self.schur = [], [], [], []
+        for k, size in enumerate(self.sizes.tolist()):
             lo, hi = off[k], off[k + 1]
             prev, after = off[max(k - 1, 0)], off[min(k + 2, len(self.sizes))]
             rows = self.order[lo:hi]  # slice k's rows, read straight from the CSR arrays
             count = a.indptr[rows + 1] - a.indptr[rows]
             at = np.arange(count.sum()) + np.repeat(a.indptr[rows] - np.cumsum(count) + count, count)
-            row, col, val = np.repeat(np.arange(size), count), pos[a.indices[at]], a.data[at]
+            row, at = np.repeat(np.arange(size, dtype=np.int32), count), at.astype(np.int32)
+            col = pos[a.indices[at]]
             if col.size and (col.min() < prev or col.max() >= after):
-                raise ValueError(f"matrix couples time slice {ids[k]} to a non-neighbour slice")
+                raise ValueError(f"matrix couples time slice {self.ids[k]} to a non-neighbour slice")
             below, above = col < lo, col >= hi
             inside = ~(below | above)
-            s = _dense(row[inside], col[inside] - lo, val[inside], (size, size))
-            self.lower.append((row[below], col[below] - prev, val[below]))
-            self.upper.append((row[above], col[above] - hi, val[above]))
-            if k and below.any() and self.upper[k - 1][0].size:
-                c = np.unique(self.upper[k - 1][1])
-                s[:, c] -= self._schur_update(k, c)  # whole columns, contiguous in Fortran order
+            lr, lc = row[below], col[below] - prev
+            self.blocks.append((at[inside], row[inside] + (col[inside] - lo) * size))
+            self.lower.append((lr, lc, at[below]))
+            self.upper.append((row[above], col[above] - hi, at[above]))
+            starts = np.flatnonzero(np.r_[True, lr[1:] != lr[:-1]])
+            uc = self.upper[k - 1][1]  # read only for k > 0: slice 0 has no lower coupling
+            self.schur.append((lc.min(), uc.min(), uc.max() + 1, lr[starts], starts)
+                              if lr.size and uc.size else None)
+
+
+def _plan(a: sp.csr_matrix, slices: np.ndarray | None) -> _SlicePlan:
+    """The plan of ``a``'s pattern and ``slices``, from the cache or built."""
+    n = a.shape[0]
+    slices = np.zeros(n, dtype=np.int64) if slices is None else np.asarray(slices)
+    if slices.shape != (n,):
+        raise ValueError(f"slice index length {slices.shape} != n_rows {n}")
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (a.indptr, a.indices, slices):
+        h.update(arr.dtype.str.encode())
+        h.update(np.ascontiguousarray(arr).data)
+    key = (n, a.nnz, h.digest())
+    plan = _PLANS.pop(key) if key in _PLANS else _SlicePlan(a, slices)
+    _PLANS[key] = plan
+    if len(_PLANS) > PLAN_CACHE:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
+class _SliceLU:
+    """Numeric block LU in time of the values ``data`` on a plan's pattern:
+    each Schur complement ``S_k`` is filled from ``data`` with one gather,
+    updated, and factored with LAPACK ``dgetrf``."""
+
+    def __init__(self, plan: _SlicePlan, data: np.ndarray):
+        self.plan, self.lu = plan, []
+        self.lower, self.upper = ([(r, c, data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
+        for k, (entries, flat) in enumerate(plan.blocks):
+            s = np.zeros((plan.sizes[k],) * 2, order="F")
+            s.ravel("F")[flat] = data[entries]  # a view: s is Fortran-ordered
+            if plan.schur[k] is not None:
+                self._schur_update(k, s)
             lu, piv, info = lapack.dgetrf(s, overwrite_a=True)
             if info > 0:
-                raise SingularMatrixError(f"exact zero pivot in time slice {ids[k]}: singular")
+                raise SingularMatrixError(f"exact zero pivot in time slice {plan.ids[k]}: singular")
             self.lu.append((lu, piv))
 
-    def _schur_update(self, k, c):
-        """Columns ``c`` (the nonzero ones) of A_k,k-1 S_k-1^-1 A_k-1,k.  A_k,k-1
-        reads rows t: of S_k-1^-1 A_k-1,k only, t its first nonzero column;
+    def _schur_update(self, k, s):
+        """s[rows, c0:c1] -= A_k,k-1 S_k-1^-1 A_k-1,k, on the rows of A_k,k-1 and the
+        columns c0:c1 of A_k-1,k.  A_k,k-1 reads rows t: only, t its first column;
         with S_k-1 = P L U these need all of L but only U's trailing block."""
-        (lr, lc, lv), (ur, uc, uv), (lu, piv) = self.lower[k], self.upper[k - 1], self.lu[k - 1]
-        coupling = _dense(ur, np.searchsorted(c, uc), uv, (self.sizes[k - 1], c.size))
+        t, c0, c1, rows, starts = self.plan.schur[k]
+        (_, lc, lv), (ur, uc, uv), (lu, piv) = self.lower[k], self.upper[k - 1], self.lu[k - 1]
+        coupling = np.zeros((lu.shape[0], c1 - c0), order="F")
+        coupling[ur, uc - c0] = uv
         y = blas.dtrsm(1.0, lu, lapack.dlaswp(coupling, piv, overwrite_a=True),
                        lower=1, diag=1, overwrite_b=True)
-        t = lc.min()
         w = blas.dtrsm(1.0, lu[t:, t:], y[t:], lower=0, overwrite_b=True)
-        indptr = np.cumsum(np.bincount(lr + 1, minlength=self.sizes[k] + 1))
-        return sp.csr_matrix((lv, lc - t, indptr), shape=(self.sizes[k], w.shape[0])) @ w
+        update = lv[:, None] * w[lc - t]
+        if starts.size < lc.size:  # a row of A_k,k-1 with several entries
+            update = np.add.reduceat(update, starts)
+        s[rows, c0:c1] -= update
 
     def _solve(self, k, b):
         return lapack.dgetrs(*self.lu[k], b)[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y, part = b[self.order], self.parts
+        y, part, sizes = b[self.plan.order], self.plan.parts, self.plan.sizes
 
         def subtract(k, coupling, x):  # y_k -= (coupling block) x
             r, c, v = coupling
-            y[part[k]] -= np.bincount(r, v * x[c], minlength=self.sizes[k])
+            y[part[k]] -= np.bincount(r, v * x[c], minlength=sizes[k])
 
         for k in range(1, len(part)):  # forward: y_k -= A_k,k-1 S_k-1^-1 y_k-1
             if self.lower[k][0].size:
@@ -183,7 +223,7 @@ class _SliceLU:
             if k + 1 < len(part):
                 subtract(k, self.upper[k], y[part[k + 1]])
             y[part[k]] = self._solve(k, y[part[k]])
-        return y[self.pos]
+        return y[self.plan.pos]
 
 
 def factorize(mat: SparseMatrix, method: Direct | Iterative = Direct(),
@@ -203,7 +243,7 @@ def factorize(mat: SparseMatrix, method: Direct | Iterative = Direct(),
     a = mat.to_scipy()
 
     if isinstance(method, Direct):
-        lu = _SliceLU(a, slices)
+        lu = _SliceLU(_plan(a, slices), a.data)
 
         def solve_direct(b):
             b = np.asarray(b, dtype=float)

@@ -484,6 +484,27 @@ class TestBlockLUAgainstSuperLU:
         self.assert_matches_splu(handed)
 
 
+class TestPlanReuse:
+    """The block LU's pattern is planned once per sparsity pattern: every
+    Newton step reuses the first step's plan, and Picard needs one plan for
+    its value block and one for its density block."""
+
+    def test_newton_builds_one_plan(self, plan_builds):
+        p, exact = manufactured(nx=16, nt=16)
+        _, history = solver.solve_newton(p, diag.perturbed_state(exact, 1e-2),
+                                         solver.NewtonConfig(residual_tol=1e-10))
+        assert len(history) - 1 >= 3
+        assert len(plan_builds) == 1
+
+    def test_fixed_point_builds_at_most_two(self, plan_builds):
+        p, exact = manufactured(nx=16, nt=16)
+        _, history = solver.solve_fixed_point(
+            p, diag.perturbed_state(exact, 1e-2),
+            solver.NewtonConfig(residual_tol=1e-9, max_iter=200, damping=0.5))
+        assert len(history) - 1 > 2  # each iteration solves both blocks
+        assert len(plan_builds) <= 2
+
+
 class TestSolveFixedPoint:
     def test_reference_start_single_record(self):
         p, exact = manufactured()

@@ -245,13 +245,15 @@ class TestSliceLU:
         x = sla.solve(sla.LinearSystem(mat, b, slices))
         np.testing.assert_array_equal(x, sla.factorize(mat, sla.Direct(), slices)(b)[0])
 
-    def test_coupling_two_slices_apart_rejected(self):
+    def test_coupling_two_slices_apart_rejected(self, plan_builds):
         mat, dense, slices = random_block_tridiagonal((3, 3, 3), seed=9)
         dense[0, 7] = 1.0  # slice 0 row, slice 2 column
         i, j = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(9, 9, i, j, dense[i, j])
-        with pytest.raises(ValueError, match="non-neighbour"):
-            sla.factorize(mat, sla.Direct(), slices)
+        for _ in range(2):  # a rejected pattern is not cached
+            with pytest.raises(ValueError, match="non-neighbour"):
+                sla.factorize(mat, sla.Direct(), slices)
+        assert sla._PLANS == {}
 
     def test_slice_index_length_checked(self):
         mat, _, slices = random_block_tridiagonal((3, 3), seed=10)
@@ -265,3 +267,43 @@ class TestSliceLU:
             2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(SingularMatrixError, match="zero pivot"):
             sla.factorize(mat, sla.Direct(), np.array([0, 1]))
+
+
+class TestPlanCache:
+    def test_refactor_matches_fresh_plan_bitwise(self, plan_builds):
+        mat, _, slices = random_block_tridiagonal((4, 6, 3, 5), seed=11)
+        sla.factorize(mat, sla.Direct(), slices)
+        values = np.random.default_rng(12).standard_normal(mat.nnz)
+        a = sla.SparseMatrix(mat.n_rows, mat.n_cols, mat.indptr, mat.indices,
+                             mat.data + values).to_scipy()
+        cached = sla._SliceLU(sla._plan(a, slices), a.data)
+        assert len(plan_builds) == 1 and cached.plan is plan_builds[0]
+        fresh = sla._SliceLU(sla._SlicePlan(a, slices), a.data)  # built, not cached
+        for (lu, piv), (lu_ref, piv_ref) in zip(cached.lu, fresh.lu, strict=True):
+            assert lu.tobytes() == lu_ref.tobytes() and piv.tobytes() == piv_ref.tobytes()
+        b = np.random.default_rng(13).standard_normal(mat.n_rows)
+        assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
+
+    def test_moved_column_builds_new_plan(self, plan_builds):
+        mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=14, density=0.5)
+        b = np.random.default_rng(15).standard_normal(mat.n_rows)
+        sla.factorize(mat, sla.Direct(), slices)
+        # in a slice 1 row, move one entry of its coupling to slice 0 to a free column
+        row = next(r for r in range(3, 7) if 0 < np.count_nonzero(dense[r, :3]) < 3)
+        stored, free = np.flatnonzero(dense[row, :3]), np.flatnonzero(dense[row, :3] == 0.0)
+        dense[row, free[0]], dense[row, stored[0]] = dense[row, stored[0]], 0.0
+        i, j = np.nonzero(dense)
+        moved = sla.SparseMatrix.from_triplets(mat.n_rows, mat.n_cols, i, j, dense[i, j])
+        assert moved.nnz == mat.nnz
+        x, _ = sla.factorize(moved, sla.Direct(), slices)(b)
+        assert len(plan_builds) == 2
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+
+    def test_changed_slices_build_new_plan(self, plan_builds):
+        mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=16)
+        b = np.random.default_rng(17).standard_normal(mat.n_rows)
+        sla.factorize(mat, sla.Direct(), slices)
+        merged = np.minimum(slices, 1)  # slices 1 and 2 become one slice
+        x, _ = sla.factorize(mat, sla.Direct(), merged)(b)
+        assert len(plan_builds) == 2
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
