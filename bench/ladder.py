@@ -49,7 +49,7 @@ def rung(name: str) -> dict:
         h_spec, coupling = mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid")
     problem, exact = mn.make_manufactured(grid, h_spec, coupling)
     system, _ = mn.newton_system(problem, newton_start(mn, exact, 0, 0))
-    row = {"rung": name, "unknowns": system.matrix.n_rows, "jac_nnz": system.matrix.nnz,
+    row = {"rung": name, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
            "factor_entries": int((np.unique(system.slices, return_counts=True)[1] ** 2).sum())}
     times, factorize = [], sla.factorize
 

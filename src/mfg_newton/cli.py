@@ -73,6 +73,8 @@ class RunConfig:
 
 
 def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
     for key in obj:
         if key not in required and key not in optional:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
@@ -81,10 +83,11 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> 
             raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
 
 
-def _number(obj, path, minimum=None, strict=False, integer=False):
-    v = obj
+def _number(v, path, minimum=None, strict=False, integer=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(v).__name__}")
+    if not abs(v) <= sys.float_info.max:  # Infinity, NaN, or a literal such as 1e400
+        raise ConfigError(path, "must be a finite number")
     if integer and int(v) != v:
         raise ConfigError(path, f"expected an integer, got {v}")
     if minimum is not None:

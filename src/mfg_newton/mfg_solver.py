@@ -44,6 +44,7 @@ from .errors import (DomainError, MaxIterExceededError, NoConvergenceError,
                      SingularMatrixError)
 
 MASS_TOL = 1e-8
+MAX_INNER = 50  # Newton steps of the fixed-point baseline's inner value-function solve
 
 
 @dataclass(frozen=True)
@@ -246,9 +247,9 @@ def _density_block(p: ProblemSpec, drift: np.ndarray):
                        for a in range(p.grid.dim))
 
 
-def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBundle):
-    """Jacobian of the full residual (r_u, r_m) with respect to (u, m), both
-    boundary rows included, at density ``m_vals`` with bundle ``b``.
+def _jacobian(p: ProblemSpec, state: SolverState):
+    """Jacobian of the full residual (r_u, r_m) with respect to (u, m) at
+    ``state``, both boundary rows included.
 
     Returns the CSR matrix and the mask of the known boundary slices: m(0),
     and u(T) unless the coupling derives it.
@@ -256,6 +257,8 @@ def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBun
     grid = p.grid
     dim = grid.dim
     st = _stencils(grid)
+    m_vals = state.m.values
+    b = _bundle(p, state.u.values, m_vals)
     m = m_vals.ravel()
     mm = _density_block(p, b.Hp.reshape(dim, -1) + m * b.Hpm.reshape(dim, -1))
     flux = st.m_rows * m * b.Hpp.reshape(dim, dim, -1)
@@ -271,14 +274,14 @@ def _assemble_jacobian(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBun
     return sp.bmat([[_value_block(p, b), um], [mu, mm]], format="csr"), known
 
 
-def _free_block(matrix, known: np.ndarray) -> sla.SparseMatrix:
-    """``matrix`` without the rows and columns of the ``known`` unknowns."""
+def _free_block(matrix, known: np.ndarray) -> sp.csr_matrix:
+    """``matrix`` without the rows and columns of the ``known`` unknowns, in
+    the canonical form ``sparse_linalg`` factors."""
     free = ~known
     reduced = matrix[free][:, free]
     reduced.eliminate_zeros()
     reduced.sort_indices()
-    return sla.SparseMatrix(reduced.shape[0], reduced.shape[1],
-                            reduced.indptr, reduced.indices, reduced.data)
+    return reduced
 
 
 def _free_rhs(matrix, rhs: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -318,8 +321,7 @@ def newton_system(p: ProblemSpec, prev: SolverState):
     The solution vector is the update (u^n - u^{n-1}, m^n - m^{n-1}) on the
     unknowns the mask leaves free.
     """
-    u, m = prev.u.values, prev.m.values
-    matrix, known = _assemble_jacobian(p, m, _bundle(p, u, m))
+    matrix, known = _jacobian(p, prev)
     r_u, r_m = residual(p, prev)
     return _eliminate(p.grid, matrix, -_stack(r_u.values, r_m.values), known), known
 
@@ -349,8 +351,7 @@ def linearized_apply(p: ProblemSpec, state: SolverState,
     on the known boundary slices (du(T) in the local variant, dm(0) always)
     the other rows are those of the masked system a Newton step solves.
     """
-    u, m = state.u.values, state.m.values
-    matrix, _ = _assemble_jacobian(p, m, _bundle(p, u, m))
+    matrix, _ = _jacobian(p, state)
     return _unstack(p.grid, matrix @ _stack(du_vals, dm_vals))
 
 
@@ -377,13 +378,6 @@ def _res_sup(rec: diag.IterationRecord) -> float:
     return max(rec.res_u_sup, rec.res_m_sup)
 
 
-def _initial_record(p, initial, reference) -> diag.IterationRecord:
-    try:
-        return _record(0, p, initial, reference, 0.0)
-    except DomainError as exc:
-        raise DomainError(f"{exc} (iterate 0, initial state)") from exc
-
-
 def _at_iterate(exc, solver: str, iterate: int):
     """The same error as ``exc``, its message naming the outer iterate it
     failed in; linear-solve errors also carry the index as ``.iterate``."""
@@ -391,6 +385,40 @@ def _at_iterate(exc, solver: str, iterate: int):
     if isinstance(exc, DomainError):
         return DomainError(message)
     return type(exc)(message, iterate=iterate)
+
+
+def _iterate(p, initial, cfg, reference, step, solver: str, unit: str):
+    """The outer iteration of :func:`solve_newton` and
+    :func:`solve_fixed_point`: ``state = step(state)`` until the sup-norm
+    residual is <= cfg.residual_tol, one history record per state.
+
+    ``solver`` names the iterate in failure messages ("Newton iterate 2");
+    the budget message reads it with spaces ("fixed point did not reach").
+    """
+    try:
+        history = [_record(0, p, initial, reference, 0.0)]
+    except DomainError as exc:
+        raise DomainError(f"{exc} (iterate 0, initial state)") from exc
+    state = initial
+    steps = 0
+    while _res_sup(history[-1]) > cfg.residual_tol:
+        if steps >= cfg.max_iter:
+            raise MaxIterExceededError(
+                f"{solver.replace('-', ' ')} did not reach tol {cfg.residual_tol:.1e} "
+                f"in {cfg.max_iter} {unit} (residual {_res_sup(history[-1]):.3e})",
+                final=state, history=history)
+        t0 = time.perf_counter()
+        steps += 1
+        try:
+            state = step(state)
+            history.append(_record(
+                steps, p, state, reference, (time.perf_counter() - t0) * 1e3))
+        except (DomainError, SingularMatrixError, NoConvergenceError) as exc:
+            raise _at_iterate(exc, solver, steps) from exc
+        except MaxIterExceededError as exc:  # Picard's inner value-function solve stalled
+            raise MaxIterExceededError(f"{exc} ({solver} iterate {steps})",
+                                       final=state, history=history) from exc
+    return state, history
 
 
 def solve_newton(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
@@ -402,31 +430,14 @@ def solve_newton(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
     exhausted, and annotates Hamiltonian-domain and linear-solve failures
     with the iterate index so divergence is never silent.
     """
-    history = [_initial_record(p, initial, reference)]
-    state = initial
-    steps = 0
-    while _res_sup(history[-1]) > cfg.residual_tol:
-        if steps >= cfg.max_iter:
-            raise MaxIterExceededError(
-                f"Newton did not reach tol {cfg.residual_tol:.1e} "
-                f"in {cfg.max_iter} steps (residual {_res_sup(history[-1]):.3e})",
-                final=state, history=history)
-        t0 = time.perf_counter()
-        steps += 1
-        try:
-            state, _ = newton_step(p, state, cfg)
-            history.append(_record(
-                steps, p, state, reference, (time.perf_counter() - t0) * 1e3))
-        except (DomainError, SingularMatrixError, NoConvergenceError) as exc:
-            raise _at_iterate(exc, "Newton", steps) from exc
-    return state, history
+    return _iterate(p, initial, cfg, reference,
+                    lambda state: newton_step(p, state, cfg)[0], "Newton", "steps")
 
 
 # -- damped fixed-point (Picard) baseline --------------------------------------
 
 def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
-                              u_init: np.ndarray, cfg: NewtonConfig,
-                              max_inner: int = 50) -> np.ndarray:
+                              u_init: np.ndarray, cfg: NewtonConfig) -> np.ndarray:
     """Inner Newton solve of the backward equation with the density frozen.
 
     Its matrix is the uu block of the Jacobian; the terminal slice is pinned.
@@ -436,12 +447,12 @@ def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
     u = u_init.copy()
     u[-1] = u_T
     pinned = _stencils(grid).last
-    for inner in range(max_inner + 1):
+    for inner in range(MAX_INNER + 1):
         b = _bundle(p, u, m_vals)
         r_u = _value_residual(p, u, b, fvals, u_T)
         if tg.sup_norm(r_u) <= cfg.residual_tol:
             return u
-        if inner == max_inner:
+        if inner == MAX_INNER:
             break
         u += _solve_eliminated(grid, _value_block(p, b), -r_u.ravel(), pinned,
                                cfg.linear_method).reshape(u.shape)
@@ -470,49 +481,29 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
     equation, solve the forward equation with the resulting drift, and relax
     the density with factor cfg.damping.  Stops on the coupled residual;
     failures inside a step name it as :func:`solve_newton`'s do."""
-    history = [_initial_record(p, initial, reference)]
-    state = initial
-    steps = 0
-    grid = p.grid
-    while _res_sup(history[-1]) > cfg.residual_tol:
-        if steps >= cfg.max_iter:
-            raise MaxIterExceededError(
-                f"fixed point did not reach tol {cfg.residual_tol:.1e} "
-                f"in {cfg.max_iter} iterations (residual {_res_sup(history[-1]):.3e})",
-                final=state, history=history)
-        t0 = time.perf_counter()
+
+    def step(state):
         m_prev = state.m.values
-        steps += 1
-        try:
-            u_new = _solve_hjb_frozen_density(p, m_prev, state.u.values, cfg)
-            m_new = _solve_fp_frozen_drift(p, _bundle(p, u_new, m_prev).Hp, cfg)
-            m_next = (1.0 - cfg.damping) * m_prev + cfg.damping * m_new
-            state = make_state(grid, u_new, m_next)
-            history.append(_record(
-                steps, p, state, reference, (time.perf_counter() - t0) * 1e3))
-        except (DomainError, SingularMatrixError, NoConvergenceError) as exc:
-            raise _at_iterate(exc, "fixed-point", steps) from exc
-        except MaxIterExceededError as exc:  # the inner value-function solve stalled
-            raise MaxIterExceededError(f"{exc} (fixed-point iterate {steps})",
-                                       final=state, history=history) from exc
-    return state, history
+        u_new = _solve_hjb_frozen_density(p, m_prev, state.u.values, cfg)
+        m_new = _solve_fp_frozen_drift(p, _bundle(p, u_new, m_prev).Hp, cfg)
+        return make_state(p.grid, u_new, (1.0 - cfg.damping) * m_prev + cfg.damping * m_new)
+
+    return _iterate(p, initial, cfg, reference, step, "fixed-point", "iterations")
 
 
 # -- perturbed linearized system (stability probe) ------------------------------
 
-def linearized_solver(p: ProblemSpec, base: SolverState,
-                      method: sla.Direct | sla.Iterative = sla.Direct()):
-    """Factor the linearized system around ``base`` once.
+def linearized_solver(p: ProblemSpec, base: SolverState):
+    """Factor the linearized system around ``base`` once, directly.
 
     Returns ``solve(a, b, c=None) -> (v, rho)``, which solves it for data
     (a, div b) and terminal data c as :func:`solve_linearized` does, reusing
     the factors for every call.
     """
     grid = p.grid
-    u, m = base.u.values, base.m.values
-    matrix, known = _assemble_jacobian(p, m, _bundle(p, u, m))
+    matrix, known = _jacobian(p, base)
     system = _eliminate(grid, matrix, np.zeros(known.size), known)
-    factored = sla.factorize(system.matrix, method, system.slices)
+    factored = sla.factorize(system.matrix, slices=system.slices)
 
     def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):
         if a.grid != grid or b.grid != grid:
@@ -533,8 +524,7 @@ def linearized_solver(p: ProblemSpec, base: SolverState,
 
 
 def solve_linearized(p: ProblemSpec, base: SolverState, a: tg.Field,
-                     b: tg.VectorField, c: np.ndarray | None = None,
-                     method: sla.Direct | sla.Iterative = sla.Direct()):
+                     b: tg.VectorField, c: np.ndarray | None = None):
     """Solve the linearized system around ``base`` with data (a, div b).
 
     The operator is the same Jacobian a Newton step solves, with coefficients
@@ -544,4 +534,4 @@ def solve_linearized(p: ProblemSpec, base: SolverState, a: tg.Field,
     terminal row reads v(T) = (dg/dm) rho(T) + c.  To solve for many data
     around one base state, factor once with :func:`linearized_solver`.
     """
-    return linearized_solver(p, base, method)(a, b, c)
+    return linearized_solver(p, base)(a, b, c)

@@ -1,15 +1,16 @@
-"""Compressed sparse row matrices, triplet assembly, and space-time solves.
+"""Space-time solves of canonical scipy CSR matrices, and triplet assembly.
 
-Assembly canonicalizes triplets by (row, col, value) so that any permutation
-of the same triplet stream produces a bit-identical matrix; duplicates are
-summed and exact zeros pruned.  The direct path (the default, because the
-Newton-rate measurements must not be polluted by inner-solver error) is a
-block LU in time.  The implicit scheme couples a time slice only to its two
-neighbours, so in slice-major order the matrix is block tridiagonal: each
-Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` gets a dense LAPACK
-LU, and a solve is one forward and one backward sweep over the slices.  A plan
-of where each stored entry goes is built once per sparsity pattern and slice
-index, so a Newton step, whose pattern never changes, redoes only the numeric
+Matrices are ``scipy.sparse.csr_matrix`` with sorted column indices and no
+stored zeros.  Triplet assembly sorts triplets by (row, col, value), so any
+permutation of the same triplet stream gives a bit-identical matrix.  The
+direct path (the default, because the Newton-rate measurements must not be
+polluted by inner-solver error) is a block LU in time.  The implicit scheme
+couples a time slice only to its two neighbours, so in slice-major order the
+matrix is block tridiagonal: each Schur complement
+``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` gets a dense LAPACK LU, and a solve
+is one forward and one backward sweep over the slices.  A plan of where each
+stored entry goes is built once per sparsity pattern and slice index, so a
+Newton step, whose pattern never changes, redoes only the numeric
 factorization; the two most recent plans are kept, as Picard alternates
 between two patterns.  A direct solve whose relative residual exceeds
 ``DIRECT_TOL`` gets one step of iterative refinement with the same factors;
@@ -46,18 +47,12 @@ class Iterative:
     restart: int = 50
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
-    """CSR matrix with strictly increasing column indices within each row."""
-
-    n_rows: int
-    n_cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    """Triplet assembly; the solver builds its matrices with scipy instead."""
 
     @classmethod
-    def from_triplets(cls, n_rows, n_cols, rows, cols, vals) -> "SparseMatrix":
+    def from_triplets(cls, n_rows, n_cols, rows, cols, vals) -> sp.csr_matrix:
+        """Canonical CSR of the triplets: duplicates summed, zeros pruned."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
@@ -77,15 +72,7 @@ class SparseMatrix:
         keep = summed != 0.0
         urows, ucols, summed = urows[keep], ucols[keep], summed[keep]
         indptr = np.cumsum(np.bincount(urows + 1, minlength=n_rows + 1))
-        return cls(n_rows, n_cols, indptr, ucols.astype(np.int64), summed)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.data.size)
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr),
-                             shape=(self.n_rows, self.n_cols))
+        return sp.csr_matrix((summed, ucols, indptr), shape=(n_rows, n_cols))
 
 
 @dataclass(frozen=True)
@@ -97,14 +84,14 @@ class SolveMeta:
 
 @dataclass
 class LinearSystem:
-    matrix: SparseMatrix
+    matrix: sp.csr_matrix
     rhs: np.ndarray
     slices: np.ndarray | None = None  # time slice of each unknown
     meta: SolveMeta | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.rhs.shape != (self.matrix.n_rows,):
-            raise ValueError(f"rhs length {self.rhs.shape} != n_rows {self.matrix.n_rows}")
+        if self.rhs.shape != (self.matrix.shape[0],):
+            raise ValueError(f"rhs length {self.rhs.shape} != n_rows {self.matrix.shape[0]}")
 
 
 def _rel_residual(a_csr, x, b) -> float:
@@ -226,9 +213,9 @@ class _SliceLU:
         return y[self.plan.pos]
 
 
-def factorize(mat: SparseMatrix, method: Direct | Iterative = Direct(),
+def factorize(a: sp.csr_matrix, method: Direct | Iterative = Direct(),
               slices: np.ndarray | None = None):
-    """Factor the square matrix once (block LU in time, or ILU).
+    """Factor the square canonical CSR matrix once (block LU in time, or ILU).
 
     ``slices`` holds each unknown's time slice (direct path only; ``None``
     makes the matrix one slice, a dense LU).  Returns ``solve(b) -> (x,
@@ -238,9 +225,8 @@ def factorize(mat: SparseMatrix, method: Direct | Iterative = Direct(),
     misses ``DIRECT_TOL`` after one refinement step, NoConvergenceError when
     GMRES exhausts its budget.
     """
-    if mat.n_rows != mat.n_cols:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("solve requires a square matrix")
-    a = mat.to_scipy()
 
     if isinstance(method, Direct):
         lu = _SliceLU(_plan(a, slices), a.data)

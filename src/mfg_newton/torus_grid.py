@@ -175,16 +175,10 @@ def slice_masses(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
 def write_field_csv(f: Field, path) -> None:
     """Field snapshot: header k,t,i[,j],value, row-major over time then space."""
     grid = f.grid
-    dt = grid.dt
+    nodes = [",".join(map(str, node)) for node in np.ndindex(grid.spatial_shape)]
     with open(path, "w") as fh:
-        if grid.dim == 1:
-            fh.write("k,t,i,value\n")
-            for k in range(grid.nt + 1):
-                for i in range(grid.nx):
-                    fh.write(f"{k},{k * dt:.17g},{i},{f.values[k, i]:.17g}\n")
-        else:
-            fh.write("k,t,i,j,value\n")
-            for k in range(grid.nt + 1):
-                for i in range(grid.nx):
-                    for j in range(grid.nx):
-                        fh.write(f"{k},{k * dt:.17g},{i},{j},{f.values[k, i, j]:.17g}\n")
+        fh.write(f"k,t,{','.join('ij'[:grid.dim])},value\n")
+        for k in range(grid.nt + 1):
+            time_k = f"{k},{k * grid.dt:.17g}"
+            for node, v in zip(nodes, f.values[k].ravel().tolist()):
+                fh.write(f"{time_k},{node},{v:.17g}\n")

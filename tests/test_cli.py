@@ -1,9 +1,18 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from mfg_newton import cli
+
+
+class Literal:
+    """A JSON number that ``write_config`` writes as is, such as 1e400,
+    which json.dumps never writes."""
+
+    def __init__(self, text):
+        self.text = text
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -19,7 +28,8 @@ def write_config(tmp_path, name="config.json", **overrides):
     }
     base.update(overrides)
     path = tmp_path / name
-    path.write_text(json.dumps(base))
+    text = json.dumps(base, default=lambda literal: f"<literal {literal.text}>")
+    path.write_text(re.sub(r'"<literal (.*?)>"', r"\1", text))
     return path
 
 
@@ -46,12 +56,25 @@ OUT_OF_BOUNDS = [
     ("newton.theta", {"newton": {"theta": 1.5}}),
     ("newton.max_iter", {"newton": {"max_iter": 0}}),
     ("newton.residual_tol", {"newton": {"residual_tol": 0}}),
+    # malformed input: a config error naming the key, never a traceback
+    ("grid", {"grid": 5}),
+    ("newton", {"newton": None}),
+    ("coupling.kernel", {"coupling": {"kernel": 3}}),
+    ("hamiltonian", {"hamiltonian": []}),
+] + [
+    pytest.param(key, overrides, id=f"{key}={text}")
+    for text in ("Infinity", "NaN", "1e400")  # Python reads them as inf, nan, inf
+    for key, overrides in (
+        ("grid.nx", {"grid": {"dim": 1, "nx": Literal(text), "nt": 8, "T": 1.0}}),
+        ("grid.T", {"grid": {"dim": 1, "nx": 16, "nt": 8, "T": Literal(text)}}),
+        ("epsilons[0]", {"epsilons": [Literal(text)]}))
 ]
 
 
 class TestValidation:
     @pytest.mark.parametrize("key, overrides", OUT_OF_BOUNDS,
-                             ids=[key for key, _ in OUT_OF_BOUNDS])
+                             ids=[case[0] if len(case) == 2 else None  # pytest.param has its id
+                                  for case in OUT_OF_BOUNDS])
     def test_small_nx_exits_2_citing_key(self, tmp_path, capsys, key, overrides):
         cfg = write_config(tmp_path, **overrides)
         assert cli.main(["run", "--config", str(cfg)]) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mfg_newton import sparse_linalg as sla
 from mfg_newton.errors import NoConvergenceError, SingularMatrixError
@@ -40,8 +41,8 @@ def periodic_minus_lap_plus_identity(nx):
 
 def assert_csr_invariants(mat):
     """Strictly increasing columns in every row, and no stored zero."""
-    assert mat.indptr.shape == (mat.n_rows + 1,)
-    assert mat.to_scipy().has_canonical_format
+    assert mat.indptr.shape == (mat.shape[0] + 1,)
+    assert mat.has_canonical_format
     assert np.all(mat.data != 0.0)
 
 
@@ -54,7 +55,7 @@ class TestAssembly:
             vals=[1.5, 2.5, 3.0, -3.0, 0.0],
         )
         assert mat.nnz == 1
-        np.testing.assert_array_equal(mat.to_scipy().toarray(), [[4.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(mat.toarray(), [[4.0, 0.0], [0.0, 0.0]])
 
     def test_permutation_gives_bit_identical_csr(self):
         rng = np.random.default_rng(0)
@@ -79,7 +80,7 @@ class TestAssembly:
 
     def test_matvec(self):
         mat = sla.SparseMatrix.from_triplets(2, 2, [0, 1], [1, 0], [2.0, 3.0])
-        np.testing.assert_allclose(mat.to_scipy() @ [1.0, 4.0], [8.0, 3.0])
+        np.testing.assert_allclose(mat @ [1.0, 4.0], [8.0, 3.0])
 
 
 class TestSolve:
@@ -97,7 +98,7 @@ class TestSolve:
         b = np.sin(2 * np.pi * x_nodes)
         sys = sla.LinearSystem(mat, b)
         x = sla.solve(sys, sla.Direct())
-        expected = dense_gauss_solve(mat.to_scipy().toarray(), b)
+        expected = dense_gauss_solve(mat.toarray(), b)
         np.testing.assert_allclose(x, expected, atol=1e-10)
         assert sys.meta.method == "direct"
         assert sys.meta.residual_norm <= 1e-12
@@ -136,7 +137,7 @@ class TestSolve:
         vals = np.concatenate([rng.uniform(1.0, 2.0, n), rng.uniform(-1.0, 1.0, n),
                                rng.uniform(-0.5, 0.5, n)])
         mat = sla.SparseMatrix.from_triplets(n, n, rows, cols, vals)
-        dense = mat.to_scipy().toarray()
+        dense = mat.toarray()
         assert np.all(np.diag(dense) == 0.0)
         b = rng.standard_normal(n)
         x = sla.solve(sla.LinearSystem(mat, b), method)
@@ -184,7 +185,7 @@ class TestSolve:
 
 def random_block_tridiagonal(sizes, seed, density=0.3):
     """Random matrix coupling each slice to its neighbours only, as a
-    SparseMatrix in slice-major order, its dense copy, and the slice index of
+    CSR matrix in slice-major order, its dense copy, and the slice index of
     each unknown.  Diagonal blocks are dense and diagonally heavy; the
     couplings keep each entry with probability ``density``."""
     rng = np.random.default_rng(seed)
@@ -206,8 +207,8 @@ def random_block_tridiagonal(sizes, seed, density=0.3):
 
 def permuted(mat, dense, perm):
     """The same system with its unknowns (rows and columns) reordered."""
-    a = mat.to_scipy()[perm][:, perm].tocoo()
-    return (sla.SparseMatrix.from_triplets(mat.n_rows, mat.n_cols, a.row, a.col, a.data),
+    a = mat[perm][:, perm].tocoo()
+    return (sla.SparseMatrix.from_triplets(*mat.shape, a.row, a.col, a.data),
             dense[np.ix_(perm, perm)])
 
 
@@ -215,7 +216,7 @@ class TestSliceLU:
     @pytest.mark.parametrize("sizes", [(5, 5, 5, 5), (1, 7, 3, 12, 2), (9,)])
     def test_matches_dense_solve(self, sizes):
         mat, dense, slices = random_block_tridiagonal(sizes, seed=len(sizes))
-        b = np.random.default_rng(7).standard_normal(mat.n_rows)
+        b = np.random.default_rng(7).standard_normal(mat.shape[0])
         x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.residual_norm <= sla.DIRECT_TOL
@@ -224,24 +225,24 @@ class TestSliceLU:
         # unknowns interleaved across slices, and ids 0, 2, 5, 6 with the
         # empty slices 1, 3, 4 skipped: adjacent ids present are neighbours
         mat, dense, slices = random_block_tridiagonal((4, 6, 3, 5), seed=3)
-        perm = np.random.default_rng(4).permutation(mat.n_rows)
+        perm = np.random.default_rng(4).permutation(mat.shape[0])
         mat, dense = permuted(mat, dense, perm)
         ids = np.array([0, 2, 5, 6])[slices[perm]]
-        b = np.random.default_rng(5).standard_normal(mat.n_rows)
+        b = np.random.default_rng(5).standard_normal(mat.shape[0])
         x, _ = sla.factorize(mat, sla.Direct(), ids)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
 
     def test_single_slice_is_dense_lu(self):
         mat, dense, _ = random_block_tridiagonal((4, 4, 4), seed=6, density=1.0)
-        b = np.arange(mat.n_rows, dtype=float)
-        x_one, _ = sla.factorize(mat, sla.Direct(), np.zeros(mat.n_rows, dtype=int))(b)
+        b = np.arange(mat.shape[0], dtype=float)
+        x_one, _ = sla.factorize(mat, sla.Direct(), np.zeros(mat.shape[0], dtype=int))(b)
         x_none, _ = sla.factorize(mat)(b)
         np.testing.assert_array_equal(x_one, x_none)
         np.testing.assert_allclose(x_none, np.linalg.solve(dense, b), rtol=1e-10)
 
     def test_system_carries_its_slices(self):
         mat, _, slices = random_block_tridiagonal((3, 4, 5), seed=8)
-        b = np.ones(mat.n_rows)
+        b = np.ones(mat.shape[0])
         x = sla.solve(sla.LinearSystem(mat, b, slices))
         np.testing.assert_array_equal(x, sla.factorize(mat, sla.Direct(), slices)(b)[0])
 
@@ -274,26 +275,25 @@ class TestPlanCache:
         mat, _, slices = random_block_tridiagonal((4, 6, 3, 5), seed=11)
         sla.factorize(mat, sla.Direct(), slices)
         values = np.random.default_rng(12).standard_normal(mat.nnz)
-        a = sla.SparseMatrix(mat.n_rows, mat.n_cols, mat.indptr, mat.indices,
-                             mat.data + values).to_scipy()
+        a = sp.csr_matrix((mat.data + values, mat.indices, mat.indptr), shape=mat.shape)
         cached = sla._SliceLU(sla._plan(a, slices), a.data)
         assert len(plan_builds) == 1 and cached.plan is plan_builds[0]
         fresh = sla._SliceLU(sla._SlicePlan(a, slices), a.data)  # built, not cached
         for (lu, piv), (lu_ref, piv_ref) in zip(cached.lu, fresh.lu, strict=True):
             assert lu.tobytes() == lu_ref.tobytes() and piv.tobytes() == piv_ref.tobytes()
-        b = np.random.default_rng(13).standard_normal(mat.n_rows)
+        b = np.random.default_rng(13).standard_normal(mat.shape[0])
         assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
 
     def test_moved_column_builds_new_plan(self, plan_builds):
         mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=14, density=0.5)
-        b = np.random.default_rng(15).standard_normal(mat.n_rows)
+        b = np.random.default_rng(15).standard_normal(mat.shape[0])
         sla.factorize(mat, sla.Direct(), slices)
         # in a slice 1 row, move one entry of its coupling to slice 0 to a free column
         row = next(r for r in range(3, 7) if 0 < np.count_nonzero(dense[r, :3]) < 3)
         stored, free = np.flatnonzero(dense[row, :3]), np.flatnonzero(dense[row, :3] == 0.0)
         dense[row, free[0]], dense[row, stored[0]] = dense[row, stored[0]], 0.0
         i, j = np.nonzero(dense)
-        moved = sla.SparseMatrix.from_triplets(mat.n_rows, mat.n_cols, i, j, dense[i, j])
+        moved = sla.SparseMatrix.from_triplets(*mat.shape, i, j, dense[i, j])
         assert moved.nnz == mat.nnz
         x, _ = sla.factorize(moved, sla.Direct(), slices)(b)
         assert len(plan_builds) == 2
@@ -301,7 +301,7 @@ class TestPlanCache:
 
     def test_changed_slices_build_new_plan(self, plan_builds):
         mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=16)
-        b = np.random.default_rng(17).standard_normal(mat.n_rows)
+        b = np.random.default_rng(17).standard_normal(mat.shape[0])
         sla.factorize(mat, sla.Direct(), slices)
         merged = np.minimum(slices, 1)  # slices 1 and 2 become one slice
         x, _ = sla.factorize(mat, sla.Direct(), merged)(b)
