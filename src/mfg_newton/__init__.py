@@ -6,7 +6,7 @@ from .diagnostics import (IterationRecord, RateFit, fit_rate, make_manufactured,
                           make_manufactured_nonlocal, perturbed_state)
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      MaxIterExceededError, NoConvergenceError,
-                     SingularMatrixError)
+                     SingularMatrixError, SolverError)
 from .hamiltonian import (HamiltonianBundle, HamiltonianSpec, congestion,
                           eval_bundle, hessian_condition, separable_quadratic)
 from .mfg_solver import (NewtonConfig, ProblemSpec, SolverState,

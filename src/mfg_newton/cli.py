@@ -24,18 +24,9 @@ from . import hamiltonian as ham
 from . import mfg_solver as solver
 from . import sparse_linalg as sla
 from . import torus_grid as tg
-from .errors import (ConfigError, DomainError, InsufficientDataError,
-                     MaxIterExceededError, NoConvergenceError,
-                     SingularMatrixError)
+from .errors import (ConfigError, InsufficientDataError, MaxIterExceededError,
+                     SolverError)
 
-EXPERIMENTS = (
-    "newton-rate",
-    "fixed-point-compare",
-    "lemma-stability",
-    "hessian-sweep",
-    "nonlocal-rate",
-    "manufactured-verify",
-)
 H_CHOICES = ("constant", "1+0.5cos(2pix)")
 
 SUMMARY_COLUMNS = (
@@ -43,9 +34,6 @@ SUMMARY_COLUMNS = (
     "alpha", "coupling", "epsilon", "seed", "iterations", "fitted_q",
     "final_residual", "ratio_max", "status", "error",
 )
-
-SOLVER_ERRORS = (DomainError, SingularMatrixError, MaxIterExceededError,
-                 NoConvergenceError)
 
 HESSIAN_SWEEP_M = (0.1, 1.0, 10.0, 100.0)
 HESSIAN_SWEEP_P = (0.5, 1.0, 2.0)
@@ -123,7 +111,7 @@ def load_config(path) -> RunConfig:
     _check_keys(raw, "", required=("experiment", "grid", "output_dir"),
                 optional=("hamiltonian", "coupling", "newton", "epsilons",
                           "seed", "draws"))
-    experiment = _choice(raw["experiment"], "experiment", EXPERIMENTS)
+    experiment = _choice(raw["experiment"], "experiment", tuple(_RUNNERS))
 
     g = raw["grid"]
     _check_keys(g, "grid", required=("dim", "nx", "nt", "T"))
@@ -230,14 +218,12 @@ def load_config(path) -> RunConfig:
 
 def _base_row(cfg: RunConfig, sub_run: str, method: str = "") -> dict:
     grid = cfg.grid
-    return {
-        "experiment": cfg.experiment, "sub_run": sub_run, "method": method,
-        "dim": grid.dim, "nx": grid.nx, "nt": grid.nt, "T": grid.horizon,
-        "hamiltonian": cfg.hamiltonian.variant, "alpha": cfg.hamiltonian.alpha,
-        "coupling": cfg.coupling_label, "epsilon": "", "seed": cfg.seed,
-        "iterations": "", "fitted_q": "", "final_residual": "", "ratio_max": "",
-        "status": "ok", "error": "",
-    }
+    row = dict.fromkeys(SUMMARY_COLUMNS, "")
+    row.update(experiment=cfg.experiment, sub_run=sub_run, method=method, dim=grid.dim,
+               nx=grid.nx, nt=grid.nt, T=grid.horizon, hamiltonian=cfg.hamiltonian.variant,
+               alpha=cfg.hamiltonian.alpha, coupling=cfg.coupling_label, seed=cfg.seed,
+               status="ok")
+    return row
 
 
 def _fmt_cell(v) -> str:
@@ -250,7 +236,7 @@ def _write_summary(rows, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(row.get(c, "")) for c in SUMMARY_COLUMNS) + "\n")
+            fh.write(",".join(_fmt_cell(row[c]) for c in SUMMARY_COLUMNS) + "\n")
 
 
 def _solve_row(cfg, solve, method, problem, exact, eps, tag, history_path):
@@ -266,7 +252,7 @@ def _solve_row(cfg, solve, method, problem, exact, eps, tag, history_path):
     try:
         final, history = solve(problem, diag.perturbed_state(exact, eps), cfg.newton,
                                reference=exact)
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
         if isinstance(exc, MaxIterExceededError):
             diag.write_history_csv(exc.history, history_path)
         row.update(status="error", error=type(exc).__name__)
@@ -410,7 +396,7 @@ def run(config_path, verbose: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         rows = _RUNNERS[cfg.experiment](cfg, out, verbose)
-    except SOLVER_ERRORS as exc:
+    except SolverError as exc:
         row = _base_row(cfg, sub_run="failed")
         row["status"] = "error"
         row["error"] = type(exc).__name__

@@ -9,7 +9,7 @@ error norms measure distance to a known solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -202,17 +202,16 @@ def random_smooth_data(grid: GridSpec, seed: int, kmax: int = 3):
 
 
 def write_history_csv(history, path, fit: RateFit | None = None) -> None:
-    """Iteration records as CSV, optionally with a trailing fit comment."""
+    """Iteration records as CSV, one column per ``IterationRecord`` field,
+    optionally with a trailing fit comment."""
+    names = [f.name for f in fields(IterationRecord)]
+
     def _fmt(v):
-        return "" if v is None else f"{v:.17g}"
+        return "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
 
     with open(path, "w") as fh:
-        fh.write("iter,res_u_sup,res_m_sup,err_c10_u,err_c0_m,err_sum,mass_min,mass_max,wall_ms\n")
+        fh.write(",".join(names) + "\n")
         for r in history:
-            fh.write(",".join([
-                str(r.iter), f"{r.res_u_sup:.17g}", f"{r.res_m_sup:.17g}",
-                _fmt(r.err_c10_u), _fmt(r.err_c0_m), _fmt(r.err_sum),
-                f"{r.mass_min:.17g}", f"{r.mass_max:.17g}", f"{r.wall_ms:.17g}",
-            ]) + "\n")
+            fh.write(",".join(_fmt(getattr(r, name)) for name in names) + "\n")
         if fit is not None:
             fh.write(f"# fit: q={fit.order:.17g} c={fit.constant:.17g} n={fit.points_used}\n")

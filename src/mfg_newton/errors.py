@@ -1,7 +1,17 @@
 """Exception types shared across the solver stack."""
 
 
-class DomainError(ValueError):
+class SolverError(Exception):
+    """A solve failed.  ``iterate`` is the outer (Newton or fixed-point)
+    iterate it failed in, 0 for the initial state, once the outer iteration
+    re-raised it; None when raised outside one."""
+
+    def __init__(self, message, iterate=None):
+        super().__init__(message)
+        self.iterate = iterate
+
+
+class DomainError(SolverError, ValueError):
     """An evaluation was requested outside the admissible region.
 
     Raised e.g. when a density iterate drops below the Hamiltonian's
@@ -9,32 +19,24 @@ class DomainError(ValueError):
     """
 
 
-class _LinearSolveError(RuntimeError):
-    """A linear solve failed; ``iterate`` is the outer step it failed in,
-    when an outer (Newton or fixed-point) iteration re-raised it."""
-
-    def __init__(self, message, iterate=None):
-        super().__init__(message)
-        self.iterate = iterate
-
-
-class SingularMatrixError(_LinearSolveError):
+class SingularMatrixError(SolverError, RuntimeError):
     """The linear operator could not be factored or solved reliably."""
 
 
-class NoConvergenceError(_LinearSolveError):
+class NoConvergenceError(SolverError, RuntimeError):
     """An iterative linear solve exhausted its iteration budget."""
 
 
-class MaxIterExceededError(RuntimeError):
-    """An outer (Newton or fixed-point) iteration hit its step budget.
+class MaxIterExceededError(SolverError, RuntimeError):
+    """An outer (Newton or fixed-point) iteration hit its step budget, or
+    the fixed-point baseline's inner value-function solve stalled.
 
     Carries the last state and the full iteration history so callers can
     inspect the divergence instead of losing it.
     """
 
-    def __init__(self, message, final=None, history=None):
-        super().__init__(message)
+    def __init__(self, message, final=None, history=None, iterate=None):
+        super().__init__(message, iterate)
         self.final = final
         self.history = history if history is not None else []
 

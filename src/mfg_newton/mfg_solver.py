@@ -19,11 +19,14 @@ The Jacobian is assembled once per state on the full unknown vector
 all time slices at once.  The local and kernel variants differ only in the
 coupling's values and blocks, which ``coupling.py`` supplies through one
 interface (coupling block -f'(m) or -conv_f, terminal block none or -conv_g).
-Before a solve, one boolean mask removes the known boundary slices, m(0)
+Before a solve, one boolean mask marks the known boundary slices, m(0)
 always and u(T) unless the coupling derives it: their rows are identity rows,
 so their values are known, and their columns times those values move to the
 right-hand side.  Newton, the two inner solves of the fixed-point baseline
-and the linearized stability probe all solve masked blocks of this matrix.
+and the linearized stability probe all solve masked blocks of this matrix,
+and ``_eliminate`` is their one way into the block LU: it drops the masked
+rows and columns and tags each free unknown with its time slice.  The
+probe's boundary data are zero, so its draws reuse one factor as they are.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ from . import hamiltonian as ham
 from . import sparse_linalg as sla
 from . import torus_grid as tg
 from .coupling import LocalCoupling, NonlocalCoupling
-from .errors import (DomainError, MaxIterExceededError, NoConvergenceError,
-                     SingularMatrixError)
+from .errors import MaxIterExceededError, SolverError
 
 MASS_TOL = 1e-8
 MAX_INNER = 50  # Newton steps of the fixed-point baseline's inner value-function solve
@@ -274,29 +276,19 @@ def _jacobian(p: ProblemSpec, state: SolverState):
     return sp.bmat([[_value_block(p, b), um], [mu, mm]], format="csr"), known
 
 
-def _free_block(matrix, known: np.ndarray) -> sp.csr_matrix:
-    """``matrix`` without the rows and columns of the ``known`` unknowns, in
-    the canonical form ``sparse_linalg`` factors."""
+def _eliminate(grid: tg.GridSpec, matrix, rhs: np.ndarray,
+               known: np.ndarray) -> sla.LinearSystem:
+    """The system ``matrix @ x = rhs`` without the ``known`` unknowns: their
+    rows are identity rows, so x = rhs there, and their columns times those
+    values move to the right-hand side.  The matrix is in the canonical form
+    ``sparse_linalg`` factors, each free unknown tagged with its time slice
+    (unknowns are slice-stacked)."""
     free = ~known
     reduced = matrix[free][:, free]
     reduced.eliminate_zeros()
     reduced.sort_indices()
-    return reduced
-
-
-def _free_rhs(matrix, rhs: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Right-hand side of :func:`_free_block`: the ``known`` rows are identity
-    rows, so x = rhs there, and their columns times those values move to the
-    right-hand side."""
-    return (rhs - matrix @ np.where(known, rhs, 0.0))[~known]
-
-
-def _eliminate(grid: tg.GridSpec, matrix, rhs: np.ndarray,
-               known: np.ndarray) -> sla.LinearSystem:
-    """The system ``matrix @ x = rhs`` without the ``known`` unknowns, each
-    free unknown tagged with its time slice (unknowns are slice-stacked)."""
-    slices = (np.arange(known.size) // grid.n_space % (grid.nt + 1))[~known]
-    return sla.LinearSystem(_free_block(matrix, known), _free_rhs(matrix, rhs, known), slices)
+    slices = (np.arange(known.size) // grid.n_space % (grid.nt + 1))[free]
+    return sla.LinearSystem(reduced, (rhs - matrix @ np.where(known, rhs, 0.0))[free], slices)
 
 
 def _solve_eliminated(grid, matrix, rhs, known, method) -> np.ndarray:
@@ -378,13 +370,12 @@ def _res_sup(rec: diag.IterationRecord) -> float:
     return max(rec.res_u_sup, rec.res_m_sup)
 
 
-def _at_iterate(exc, solver: str, iterate: int):
-    """The same error as ``exc``, its message naming the outer iterate it
-    failed in; linear-solve errors also carry the index as ``.iterate``."""
-    message = f"{exc} ({solver} iterate {iterate})"
-    if isinstance(exc, DomainError):
-        return DomainError(message)
-    return type(exc)(message, iterate=iterate)
+def _at_iterate(exc: SolverError, where: str, iterate: int, state=None, history=None):
+    """The same error as ``exc``, its message naming ``where`` it failed and
+    its ``.iterate`` the outer iterate; a budget error also carries the outer
+    ``state`` and ``history``."""
+    outer = {"final": state, "history": history} if isinstance(exc, MaxIterExceededError) else {}
+    return type(exc)(f"{exc} ({where})", iterate=iterate, **outer)
 
 
 def _iterate(p, initial, cfg, reference, step, solver: str, unit: str):
@@ -397,8 +388,8 @@ def _iterate(p, initial, cfg, reference, step, solver: str, unit: str):
     """
     try:
         history = [_record(0, p, initial, reference, 0.0)]
-    except DomainError as exc:
-        raise DomainError(f"{exc} (iterate 0, initial state)") from exc
+    except SolverError as exc:
+        raise _at_iterate(exc, "iterate 0, initial state", 0) from exc
     state = initial
     steps = 0
     while _res_sup(history[-1]) > cfg.residual_tol:
@@ -406,18 +397,15 @@ def _iterate(p, initial, cfg, reference, step, solver: str, unit: str):
             raise MaxIterExceededError(
                 f"{solver.replace('-', ' ')} did not reach tol {cfg.residual_tol:.1e} "
                 f"in {cfg.max_iter} {unit} (residual {_res_sup(history[-1]):.3e})",
-                final=state, history=history)
+                final=state, history=history, iterate=steps)
         t0 = time.perf_counter()
         steps += 1
         try:
             state = step(state)
             history.append(_record(
                 steps, p, state, reference, (time.perf_counter() - t0) * 1e3))
-        except (DomainError, SingularMatrixError, NoConvergenceError) as exc:
-            raise _at_iterate(exc, solver, steps) from exc
-        except MaxIterExceededError as exc:  # Picard's inner value-function solve stalled
-            raise MaxIterExceededError(f"{exc} ({solver} iterate {steps})",
-                                       final=state, history=history) from exc
+        except SolverError as exc:
+            raise _at_iterate(exc, f"{solver} iterate {steps}", steps, state, history) from exc
     return state, history
 
 
@@ -427,8 +415,8 @@ def solve_newton(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
 
     history[0] records the initial state; one record follows per step.
     Raises MaxIterExceededError (carrying the history) when the budget is
-    exhausted, and annotates Hamiltonian-domain and linear-solve failures
-    with the iterate index so divergence is never silent.
+    exhausted.  Every failure is a SolverError naming the iterate it failed
+    in, in its message and as ``.iterate``, so divergence is never silent.
     """
     return _iterate(p, initial, cfg, reference,
                     lambda state: newton_step(p, state, cfg)[0], "Newton", "steps")
@@ -514,9 +502,8 @@ def linearized_solver(p: ProblemSpec, base: SolverState):
             raise ValueError("terminal data c only applies to kernel-coupled problems")
         rhs_m = tg.div_array(b.components, grid)
         rhs_m[0] = 0.0
-        rhs = _stack(rhs_u, rhs_m)
-        x = np.where(known, rhs, 0.0)
-        x[~known] = factored(_free_rhs(matrix, rhs, known))[0]
+        x = _stack(rhs_u, rhs_m)  # zero on the known slices, so none moves to the rhs
+        x[~known] = factored(x[~known])[0]
         v_vals, rho_vals = _unstack(grid, x)
         return tg.Field(grid, v_vals), tg.Field(grid, rho_vals)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import mfg_newton as mn
 from mfg_newton import coupling as cpl
 from mfg_newton import diagnostics as diag
 from mfg_newton import hamiltonian as ham
@@ -309,6 +310,22 @@ class TestSolveNewton:
         assert len(info.value.history) == 2
         assert info.value.final is not None
 
+    @pytest.mark.parametrize("solve", [solver.solve_newton, solver.solve_fixed_point])
+    def test_budget_error_carries_the_budget_as_iterate(self, solve):
+        p, exact = manufactured(nx=16, nt=8)
+        init = diag.perturbed_state(exact, 1e-2)
+        with pytest.raises(MaxIterExceededError, match="did not reach") as info:
+            solve(p, init, solver.NewtonConfig(residual_tol=1e-13, max_iter=2))
+        assert info.value.iterate == 2
+        assert len(info.value.history) == 3
+
+    @pytest.mark.parametrize("cls, base", [
+        (DomainError, ValueError), (SingularMatrixError, RuntimeError),
+        (NoConvergenceError, RuntimeError), (MaxIterExceededError, RuntimeError)])
+    def test_every_solver_error_is_a_solver_error(self, cls, base):
+        assert issubclass(cls, mn.SolverError) and issubclass(cls, base)
+        assert cls("failed").iterate is None
+
     def test_domain_error_reports_iterate(self):
         # raise the floor so the exact state is evaluable but the perturbed
         # start is not: failure must name the iterate, never pass silently
@@ -316,8 +333,9 @@ class TestSolveNewton:
         spec = ham.congestion(grid, 1.0, alpha=1.0, m_floor=0.65)
         p, exact = diag.make_manufactured(grid, spec, cpl.LocalCoupling("sigmoid"))
         init = diag.perturbed_state(exact, 0.5)  # density dips to 0.5 at t = T
-        with pytest.raises(DomainError, match="iterate"):
+        with pytest.raises(DomainError, match=r"\(iterate 0, initial state\)$") as info:
             solver.solve_newton(p, init, solver.NewtonConfig(residual_tol=1e-9))
+        assert info.value.iterate == 0
 
     def test_domain_error_names_the_iterate_that_left_the_domain(self):
         # the first step from a steep start drops the density below the floor
@@ -328,8 +346,9 @@ class TestSolveNewton:
         start = solver.make_state(grid, u, np.ones_like(u))
         first, _ = solver.newton_step(p, start, solver.NewtonConfig())
         assert first.m.values.min() < 0.5
-        with pytest.raises(DomainError, match=r"\(Newton iterate 1\)$"):
+        with pytest.raises(DomainError, match=r"\(Newton iterate 1\)$") as info:
             solver.solve_newton(p, start, solver.NewtonConfig(residual_tol=1e-9))
+        assert info.value.iterate == 1
 
     def test_linear_solve_failure_reports_iterate(self):
         p, exact = manufactured(nx=16, nt=8)
@@ -557,6 +576,7 @@ class TestSolveFixedPoint:
             solver.solve_fixed_point(p, init, solver.NewtonConfig(residual_tol=1e-17))
         assert len(info.value.history) == 1
         assert info.value.final is init
+        assert info.value.iterate == 1
 
     def test_nonlocal_variant(self):
         p, exact = manufactured_nonlocal(nx=16, nt=8)
@@ -633,6 +653,27 @@ class TestSolveLinearized:
             v_ref, rho_ref = solver.solve_linearized(p, exact, a, b, c)
             assert v.values.tobytes() == v_ref.values.tobytes()
             assert rho.values.tobytes() == rho_ref.values.tobytes()
+
+    @pytest.mark.parametrize("nonlocal_", [False, True])
+    def test_jacobian_of_the_solution_reproduces_the_data(self, nonlocal_):
+        # the probe solves the full Jacobian's system: its solution, mapped
+        # back through every row (boundary rows included), gives the data
+        p, exact = manufactured_nonlocal(nx=16, nt=8) if nonlocal_ else self._setup(nx=16, nt=8)
+        grid = p.grid
+        c = 0.1 * np.cos(2 * np.pi * grid.x_nodes()[0]) if nonlocal_ else None
+        solve = solver.linearized_solver(p, exact)
+        for seed in range(3):
+            a, b = diag.random_smooth_data(grid, seed=seed)
+            v, rho = solve(a, b, c)
+            ju, jm = solver.linearized_apply(p, exact, v.values, rho.values)
+            want_u = np.array(a.values)
+            # the terminal row: v(T) = 0, or v(T) - (dg/dm) rho(T) = c
+            want_u[-1] = 0.0 if c is None else c
+            want_m = tg.div_array(b.components, grid)
+            want_m[0] = 0.0  # the initial row: rho(0) = 0
+            scale = max(np.abs(want_u).max(), np.abs(want_m).max())
+            assert np.abs(ju - want_u).max() <= 1e-12 * scale
+            assert np.abs(jm - want_m).max() <= 1e-12 * scale
 
     def test_local_rejects_terminal_data(self):
         p, exact = self._setup(nx=16, nt=8)
