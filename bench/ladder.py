@@ -2,8 +2,8 @@
 
 For the seed-0 benchmark start on each rung, solve the masked Newton system
 four times through ``sparse_linalg.solve``; record the stored factor entries
-(the block LU in time keeps one dense LU per time slice, so the sum of the
-squared slice sizes), the ``factorize`` time of the first call
+(the floating-point entries of the arrays the block LU in time keeps for its
+slices, counted from the factor itself), the ``factorize`` time of the first call
 (``factor_first_s``: the pattern's plan is built, then the numeric
 factorization runs) and the median of the three repeats (``factor_repeat_s``:
 the plan is reused), the relative residual and the peak RSS.  Each rung runs
@@ -13,6 +13,9 @@ the repository root, once per source tree (rows are stored in BENCH_4.json
 under the label):
 
     PYTHONPATH=src python bench/ladder.py --label change
+
+``--rung NAME`` runs one rung in this process and prints its row as JSON,
+writing nothing.
 """
 
 import argparse
@@ -31,7 +34,15 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
          "1d-256-local": (1, 256, "local"), "1d-64-kernel": (1, 64, "kernel"),
          "2d-16-local": (2, 16, "local"), "2d-24-local": (2, 24, "local"),
-         "2d-32-local": (2, 32, "local")}
+         "2d-32-local": (2, 32, "local"), "2d-16-kernel": (2, 16, "kernel"),
+         "2d-24-kernel": (2, 24, "kernel")}
+
+
+def stored_entries(x) -> int:
+    """Floating-point entries in the arrays a factor keeps, nested or not."""
+    if isinstance(x, np.ndarray):
+        return x.size if x.dtype.kind == "f" else 0
+    return sum(map(stored_entries, x)) if isinstance(x, (tuple, list)) else 0
 
 
 def rung(name: str) -> dict:
@@ -49,9 +60,13 @@ def rung(name: str) -> dict:
         h_spec, coupling = mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid")
     problem, exact = mn.make_manufactured(grid, h_spec, coupling)
     system, _ = mn.newton_system(problem, newton_start(mn, exact, 0, 0))
-    row = {"rung": name, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
-           "factor_entries": int((np.unique(system.slices, return_counts=True)[1] ** 2).sum())}
-    times, factorize = [], sla.factorize
+    row = {"rung": name, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz}
+    times, factorize, entries = [], sla.factorize, []
+
+    class CountedLU(sla._SliceLU):  # counts what each factor stores, keeps none alive
+        def __init__(self, *args):
+            super().__init__(*args)
+            entries.append(stored_entries(self.lu))
 
     def timed_factorize(*args, **kwargs):
         t0 = time.perf_counter()
@@ -59,14 +74,16 @@ def rung(name: str) -> dict:
         times.append(time.perf_counter() - t0)
         return solve
 
-    sla.factorize = timed_factorize  # this process runs one rung and exits
+    sla.factorize, sla._SliceLU = timed_factorize, CountedLU  # one rung, then exit
     try:
         for _ in range(4):
             sla.solve(system)
         row["relres"] = system.meta.residual_norm
     except mn.SingularMatrixError as exc:
         row["error"] = str(exc)
-    row["factor_first_s"], row["factor_repeat_s"] = times[0], statistics.median(times[1:])
+    row["factor_entries"] = entries[-1] if entries else None
+    row["factor_first_s"] = times[0]
+    row["factor_repeat_s"] = statistics.median(times[1:]) if times[1:] else None
     row["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return row
 
@@ -75,7 +92,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description="Factor the Newton matrix on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
     ap.add_argument("--out", default=str(ROOT / "BENCH_4.json"))
-    ap.add_argument("--rung", choices=RUNGS, help=argparse.SUPPRESS)
+    ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     args = ap.parse_args()
     if args.rung:
         return print(json.dumps(rung(args.rung)))

@@ -47,6 +47,7 @@ from .errors import MaxIterExceededError, SolverError
 
 MASS_TOL = 1e-8
 MAX_INNER = 50  # Newton steps of the fixed-point baseline's inner value-function solve
+STALL_STEPS = 3  # steps without a new best residual after which an iteration gives up
 
 
 @dataclass(frozen=True)
@@ -370,6 +371,11 @@ def _res_sup(rec: diag.IterationRecord) -> float:
     return max(rec.res_u_sup, rec.res_m_sup)
 
 
+def _stalled(res: list) -> bool:
+    """Whether the last STALL_STEPS residuals in ``res`` set no new best."""
+    return len(res) > STALL_STEPS and min(res[-STALL_STEPS:]) >= min(res[:-STALL_STEPS])
+
+
 def _at_iterate(exc: SolverError, where: str, iterate: int, state=None, history=None):
     """The same error as ``exc``, its message naming ``where`` it failed and
     its ``.iterate`` the outer iterate; a budget error also carries the outer
@@ -381,7 +387,8 @@ def _at_iterate(exc: SolverError, where: str, iterate: int, state=None, history=
 def _iterate(p, initial, cfg, reference, step, solver: str, unit: str):
     """The outer iteration of :func:`solve_newton` and
     :func:`solve_fixed_point`: ``state = step(state)`` until the sup-norm
-    residual is <= cfg.residual_tol, one history record per state.
+    residual is <= cfg.residual_tol (in cfg.max_iter steps, each STALL_STEPS
+    setting a new best), one history record per state.
 
     ``solver`` names the iterate in failure messages ("Newton iterate 2");
     the budget message reads it with spaces ("fixed point did not reach").
@@ -393,10 +400,12 @@ def _iterate(p, initial, cfg, reference, step, solver: str, unit: str):
     state = initial
     steps = 0
     while _res_sup(history[-1]) > cfg.residual_tol:
-        if steps >= cfg.max_iter:
+        stalled = _stalled([_res_sup(rec) for rec in history])
+        if steps >= cfg.max_iter or stalled:
+            why = f", no new best residual in the last {STALL_STEPS}" if stalled else ""
             raise MaxIterExceededError(
                 f"{solver.replace('-', ' ')} did not reach tol {cfg.residual_tol:.1e} "
-                f"in {cfg.max_iter} {unit} (residual {_res_sup(history[-1]):.3e})",
+                f"in {steps} {unit}{why} (residual {_res_sup(history[-1]):.3e})",
                 final=state, history=history, iterate=steps)
         t0 = time.perf_counter()
         steps += 1
@@ -434,13 +443,14 @@ def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
     fvals, u_T = _coupling_values(p, m_vals)
     u = u_init.copy()
     u[-1] = u_T
-    pinned = _stencils(grid).last
+    pinned, res = _stencils(grid).last, []
     for inner in range(MAX_INNER + 1):
         b = _bundle(p, u, m_vals)
         r_u = _value_residual(p, u, b, fvals, u_T)
-        if tg.sup_norm(r_u) <= cfg.residual_tol:
+        res.append(tg.sup_norm(r_u))
+        if res[-1] <= cfg.residual_tol:
             return u
-        if inner == MAX_INNER:
+        if inner == MAX_INNER or _stalled(res):
             break
         u += _solve_eliminated(grid, _value_block(p, b), -r_u.ravel(), pinned,
                                cfg.linear_method).reshape(u.shape)

@@ -4,19 +4,21 @@ Matrices are ``scipy.sparse.csr_matrix`` with sorted column indices and no
 stored zeros.  Triplet assembly sorts triplets by (row, col, value), so any
 permutation of the same triplet stream gives a bit-identical matrix.  The
 direct path (the default, because the Newton-rate measurements must not be
-polluted by inner-solver error) is a block LU in time.  The implicit scheme
-couples a time slice only to its two neighbours, so in slice-major order the
-matrix is block tridiagonal: each Schur complement
-``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` gets a dense LAPACK LU, and a solve
-is one forward and one backward sweep over the slices.  A plan of where each
-stored entry goes is built once per sparsity pattern and slice index, so a
-Newton step, whose pattern never changes, redoes only the numeric
-factorization; the two most recent plans are kept, as Picard alternates
-between two patterns.  A direct solve whose relative residual exceeds
-``DIRECT_TOL`` gets one step of iterative refinement with the same factors;
-only if it still exceeds it is the matrix reported as numerically singular.
-The iterative path is restarted GMRES with an incomplete LU, ordered by
-minimum degree on the pattern of A^T + A (``PERMC_SPEC``).
+polluted by inner-solver error) is a block LU in time, one forward and one
+backward sweep over the slices: the implicit scheme couples a slice only to
+its neighbours, reading the density m of the previous one and the value u
+of the next, so each Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1
+A_k-1,k`` differs from ``A_kk`` only in its (m rows, u columns) block C.
+Such a slice ``[[A, B], [C, D]]`` is factored in two levels (Golub & Van
+Loan, Matrix Computations, 4.5): dense LUs of A and of ``D - C A^-1 B``;
+any other slice gets one dense LU.  Where each stored entry goes is planned
+once per sparsity pattern and slice index, and the two most recent plans
+are kept (Picard alternates between two patterns), so a Newton step redoes
+only the numeric factorization.  A direct solve whose relative residual
+exceeds ``DIRECT_TOL`` gets one step of iterative refinement; only if it
+still exceeds it is the matrix reported as numerically singular.  The
+iterative path is restarted GMRES with an incomplete LU, ordered by minimum
+degree on the pattern of A^T + A (``PERMC_SPEC``).
 """
 
 from __future__ import annotations
@@ -104,41 +106,71 @@ PLAN_CACHE = 2  # Picard alternates between its value block and its density bloc
 
 class _SlicePlan:
     """Where the block LU in time puts each stored entry of one CSR pattern,
-    as int32 index arrays.  Slices go in increasing index order (an index no
-    unknown has is skipped).  Per slice: its diagonal block's entries and their
-    flat Fortran positions, its couplings to the previous and next slice as
-    slice-local (row, column, entry) triplets, and the ranges the Schur update
-    touches (see ``_SliceLU._schur_update``)."""
+    as int32 index arrays, slices in increasing index order (an index no
+    unknown has is skipped).  A slice splits, u before m, when m (its rows
+    that read the previous slice, its columns the next slice reads) leaves u
+    nonempty and meets no other coupling.  Per slice: ``split`` (u's size or
+    0, the block's length, B's rows and columns if kept as entries), block
+    entries and flat positions (packed A, m rows, B), couplings as local
+    (row, column, entry) triplets, and the Schur update's ranges."""
 
     def __init__(self, a: sp.csr_matrix, slices: np.ndarray):
         n = a.shape[0]
-        self.order = np.argsort(slices, kind="stable").astype(np.int32)
-        self.ids, self.sizes = np.unique(slices, return_counts=True)
+        self.ids, rank, self.sizes = np.unique(slices, return_inverse=True, return_counts=True)
+        rank = rank.astype(np.int32)
+        step = rank[a.indices]  # per entry, its column's slice less its row's
+        step -= np.repeat(rank, np.diff(a.indptr))
+
+        def ends(entries):  # the rows and the columns of the masked entries
+            e = np.flatnonzero(entries)
+            return np.searchsorted(a.indptr, e, "right") - 1, a.indices[e]
+
+        if np.any(far := (step > 1) | (step < -1)):
+            raise ValueError(f"matrix couples time slice {self.ids[rank[ends(far)[0]].min()]}"
+                             " to a non-neighbour slice")
+        u, m = (np.isin(np.arange(n), np.r_[ends(step == d)]) for d in (1, -1))
+        del step  # a per-entry array, freed before the per-slice arrays are built
+        n_m, clash = (np.bincount(rank[f], minlength=self.sizes.size) for f in (m, u & m))
+        n_u = np.where((n_m > 0) & (n_m < self.sizes) & (clash == 0), self.sizes - n_m, 0)
+        self.order = np.lexsort((m & (n_u > 0)[rank], rank)).astype(np.int32)
         off = np.concatenate([[0], np.cumsum(self.sizes)]).tolist()
         self.parts = [slice(lo, hi) for lo, hi in zip(off[:-1], off[1:])]
         self.pos = pos = np.empty(n, dtype=np.int32)  # slice-major position of each unknown
         pos[self.order] = np.arange(n)
-        self.blocks, self.lower, self.upper, self.schur = [], [], [], []
-        for k, size in enumerate(self.sizes.tolist()):
+        self.split, self.blocks, self.lower, self.upper, self.schur = [], [], [], [], []
+        for k, (size, nu) in enumerate(zip(self.sizes.tolist(), n_u.tolist())):
             lo, hi = off[k], off[k + 1]
-            prev, after = off[max(k - 1, 0)], off[min(k + 2, len(self.sizes))]
             rows = self.order[lo:hi]  # slice k's rows, read straight from the CSR arrays
             count = a.indptr[rows + 1] - a.indptr[rows]
             at = np.arange(count.sum()) + np.repeat(a.indptr[rows] - np.cumsum(count) + count, count)
             row, at = np.repeat(np.arange(size, dtype=np.int32), count), at.astype(np.int32)
             col = pos[a.indices[at]]
-            if col.size and (col.min() < prev or col.max() >= after):
-                raise ValueError(f"matrix couples time slice {self.ids[k]} to a non-neighbour slice")
             below, above = col < lo, col >= hi
             inside = ~(below | above)
-            lr, lc = row[below], col[below] - prev
-            self.blocks.append((at[inside], row[inside] + (col[inside] - lo) * size))
+            lr, lc = row[below], col[below] - off[max(k - 1, 0)]
+            r, c, nm = row[inside], col[inside] - lo, size - nu
+            b = (r < nu) & (c >= nu)
+            br, bc = r[b], c[b] - nu
+            one = br.size <= nu and all(np.bincount(x, minlength=1).max() <= 1 for x in (br, bc))
+            flat = np.where(r >= nu, nu * nu + r - nu + c * nm, r + c * nu)  # column-major A, m rows
+            flat[b] = nu * size + nm * nm + (np.arange(br.size) if one else br + bc * nu)  # then B
+            self.split.append((nu, nu * size + nm * nm + (br.size if one else nu * nm))
+                              + ((_run(br), _run(bc)) if one else (None, None)))
+            self.blocks.append((at[inside], flat))
             self.lower.append((lr, lc, at[below]))
             self.upper.append((row[above], col[above] - hi, at[above]))
             starts = np.flatnonzero(np.r_[True, lr[1:] != lr[:-1]])
-            uc = self.upper[k - 1][1]  # read only for k > 0: slice 0 has no lower coupling
-            self.schur.append((lc.min(), uc.min(), uc.max() + 1, lr[starts], starts)
-                              if lr.size and uc.size else None)
+            ur, uc = self.upper[k - 1][:2]  # read only for k > 0: slice 0 has no lower coupling
+            t = self.split[k - 1][0] or (lc.min() if lc.size else 0)
+            self.schur.append((t, uc.min(), uc.max() + 1, _run(lr[starts] - nu), starts, _run(lc - t),
+                               _run(ur), isinstance(_run(uc), slice)) if lr.size and uc.size else None)
+
+
+def _run(index: np.ndarray):
+    """``index`` as a slice if it is a run of consecutive integers, for views."""
+    lo = int(index[0]) if index.size else 0
+    run = index.size and int(index[-1]) - lo == index.size - 1 and (index[1:] > index[:-1]).all()
+    return slice(lo, lo + index.size) if run else index
 
 
 def _plan(a: sp.csr_matrix, slices: np.ndarray | None) -> _SlicePlan:
@@ -160,41 +192,79 @@ def _plan(a: sp.csr_matrix, slices: np.ndarray | None) -> _SlicePlan:
 
 
 class _SliceLU:
-    """Numeric block LU in time of the values ``data`` on a plan's pattern:
-    each Schur complement ``S_k`` is filled from ``data`` with one gather,
-    updated, and factored with LAPACK ``dgetrf``."""
+    """Numeric block LU in time of ``data`` on a plan's pattern: each Schur
+    complement ``S_k`` is gathered, updated and factored with LAPACK, a split
+    ``S_k = [[A, B], [C, D]]`` in place in its packed blocks: ``dgetrf(A)``,
+    ``W = C A^-1`` over C, ``dgetrf(D - W B)`` over D.  B stays its entries
+    (the local coupling's diagonal) or dense (the kernel coupling's)."""
 
     def __init__(self, plan: _SlicePlan, data: np.ndarray):
         self.plan, self.lu = plan, []
         self.lower, self.upper = ([(r, c, data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
         for k, (entries, flat) in enumerate(plan.blocks):
-            s = np.zeros((plan.sizes[k],) * 2, order="F")
-            s.ravel("F")[flat] = data[entries]  # a view: s is Fortran-ordered
+            (nu, length, br, bc), size = plan.split[k], plan.sizes[k]
+            nm, buf = size - nu, np.zeros(length)
+            buf[flat] = data[entries]
+            a, b = buf[:nu * nu].reshape(nu, nu, order="F"), buf[nu * size + nm * nm:]
+            cd = buf[nu * nu:nu * size + nm * nm].reshape(nm, size, order="F")  # m rows, or all
             if plan.schur[k] is not None:
-                self._schur_update(k, s)
-            lu, piv, info = lapack.dgetrf(s, overwrite_a=True)
-            if info > 0:
-                raise SingularMatrixError(f"exact zero pivot in time slice {plan.ids[k]}: singular")
-            self.lu.append((lu, piv))
+                self._schur_update(k, cd)
+            d = cd[:, nu:]
+            if nu:
+                a = self._dgetrf(k, a)
+                # W = C A^-1 = C U^-1 L^-1 P^T, column-major so that its columns gather
+                w = blas.dtrsm(1.0, a[0], cd[:, :nu], side=1, lower=0, overwrite_b=True)
+                w = blas.dtrsm(1.0, a[0], w, side=1, lower=1, diag=1, overwrite_b=True)
+                w[:] = w[:, np.argsort(lapack.dlaswp(np.arange(nu, dtype=float)[:, None], a[1])[:, 0])]
+                if br is None:
+                    b = b.reshape(nu, nm, order="F")
+                    d = blas.dgemm(-1.0, w, b, 1.0, d, overwrite_c=True)
+                else:  # a column gather stands in for W B
+                    d[:, bc] -= w[:, br] * b
+                    b = (br, bc, b)
+            self.lu.append((a, w, self._dgetrf(k, d), b) if nu else self._dgetrf(k, d))
+
+    def _dgetrf(self, k, s):
+        lu, piv, info = lapack.dgetrf(s, overwrite_a=True)
+        if info > 0:
+            raise SingularMatrixError(f"exact zero pivot in time slice {self.plan.ids[k]}: singular")
+        return lu, piv
 
     def _schur_update(self, k, s):
-        """s[rows, c0:c1] -= A_k,k-1 S_k-1^-1 A_k-1,k, on the rows of A_k,k-1 and the
-        columns c0:c1 of A_k-1,k.  A_k,k-1 reads rows t: only, t its first column;
-        with S_k-1 = P L U these need all of L but only U's trailing block."""
-        t, c0, c1, rows, starts = self.plan.schur[k]
-        (_, lc, lv), (ur, uc, uv), (lu, piv) = self.lower[k], self.upper[k - 1], self.lu[k - 1]
-        coupling = np.zeros((lu.shape[0], c1 - c0), order="F")
-        coupling[ur, uc - c0] = uv
-        y = blas.dtrsm(1.0, lu, lapack.dlaswp(coupling, piv, overwrite_a=True),
-                       lower=1, diag=1, overwrite_b=True)
-        w = blas.dtrsm(1.0, lu[t:, t:], y[t:], lower=0, overwrite_b=True)
-        update = lv[:, None] * w[lc - t]
+        """s[rows, c0:c1] -= A_k,k-1 w, w rows t: of S_k-1^-1 A_k-1,k (t is A_k,k-1's
+        first column): all of L but only U's trailing block for S_k-1 = P L U,
+        or, t u's size for a split S_k-1, -Sigma^-1 W A_k-1,k (W = C A^-1)."""
+        t, c0, c1, rows, starts, lcol, urow, gather = self.plan.schur[k]
+        (_, lc, lv), (ur, uc, uv), prev = self.lower[k], self.upper[k - 1], self.lu[k - 1]
+        if len(prev) > 2 and gather:  # A_k-1,k's columns c0:c1 in order, one entry each
+            w = np.multiply(prev[1][:, urow], -uv, order="F")
+        else:
+            w = np.zeros((self.plan.sizes[k - 1], c1 - c0), order="F")  # A_k-1,k, dense
+            w[ur, uc - c0] = uv
+        if len(prev) == 2:
+            y = blas.dtrsm(1.0, prev[0], lapack.dlaswp(w, prev[1], overwrite_a=True),
+                           lower=1, diag=1, overwrite_b=True)
+            w = blas.dtrsm(1.0, prev[0][t:, t:], y[t:], lower=0, overwrite_b=True)
+        else:
+            w = lapack.dgetrs(*prev[2], w if gather else blas.dgemm(-1.0, prev[1], w[:t]),
+                              overwrite_b=True)[0]
+        update = lv[:, None] * w[lcol]
         if starts.size < lc.size:  # a row of A_k,k-1 with several entries
             update = np.add.reduceat(update, starts)
         s[rows, c0:c1] -= update
 
     def _solve(self, k, b):
-        return lapack.dgetrs(*self.lu[k], b)[0]
+        if len(self.lu[k]) == 2:
+            return lapack.dgetrs(*self.lu[k], b)[0]
+        a, w, sigma, bq = self.lu[k]  # x_m = Sigma^-1 (b_m - W b_u), x_u = A^-1 (b_u - B x_m)
+        nu = w.shape[1]
+        xm = lapack.dgetrs(*sigma, blas.dgemv(-1.0, w, b[:nu], 1.0, b[nu:]))[0]
+        if isinstance(bq, tuple):
+            bu = b[:nu].copy()
+            bu[bq[0]] -= bq[2] * xm[bq[1]]
+        else:
+            bu = blas.dgemv(-1.0, bq, xm, 1.0, b[:nu])
+        return np.concatenate([lapack.dgetrs(*a, bu)[0], xm])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y, part, sizes = b[self.plan.order], self.plan.parts, self.plan.sizes

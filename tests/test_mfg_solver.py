@@ -12,6 +12,19 @@ from mfg_newton import torus_grid as tg
 from mfg_newton.errors import (DomainError, MaxIterExceededError,
                                NoConvergenceError, SingularMatrixError)
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Record every call of ``sparse_linalg.factorize``."""
+    calls, factorize = [], sla.factorize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "factorize", counting)
+    return calls
+
+
 # A GMRES budget no Newton or Picard linear solve can meet.
 EXHAUSTED_GMRES = sla.Iterative(tol=1e-14, max_iter=1, restart=2)
 
@@ -310,6 +323,17 @@ class TestSolveNewton:
         assert len(info.value.history) == 2
         assert info.value.final is not None
 
+    def test_stagnation_stops_before_the_budget(self, factorizations):
+        # round-off pins the residual above a tolerance of 5e-14
+        p, exact = manufactured(nx=16, nt=8)
+        cfg = solver.NewtonConfig(residual_tol=5e-14)
+        with pytest.raises(MaxIterExceededError, match="no new best residual in the last 3") as info:
+            solver.solve_newton(p, diag.perturbed_state(exact, 1e-2), cfg)
+        res = [max(r.res_u_sup, r.res_m_sup) for r in info.value.history]
+        assert len(factorizations) == info.value.iterate == len(res) - 1 < cfg.max_iter
+        assert min(res[-solver.STALL_STEPS:]) >= min(res[:-solver.STALL_STEPS]) > cfg.residual_tol
+        assert info.value.final is not None
+
     @pytest.mark.parametrize("solve", [solver.solve_newton, solver.solve_fixed_point])
     def test_budget_error_carries_the_budget_as_iterate(self, solve):
         p, exact = manufactured(nx=16, nt=8)
@@ -567,6 +591,13 @@ class TestSolveFixedPoint:
             solver.solve_fixed_point(p, init, cfg)
         assert info.value.iterate == 1
         assert "Newton" not in str(info.value)
+
+    def test_inner_stagnation_stops_before_the_inner_budget(self, factorizations):
+        p, exact = manufactured(nx=32, nt=16)
+        with pytest.raises(MaxIterExceededError, match="inner value-function Newton stalled"):
+            solver.solve_fixed_point(p, diag.perturbed_state(exact, 1e-2),
+                                     solver.NewtonConfig(residual_tol=1e-17))
+        assert solver.STALL_STEPS < len(factorizations) < solver.MAX_INNER
 
     def test_inner_stall_reports_iterate_and_keeps_history(self):
         # no inner value-function solve reaches a tolerance below round-off

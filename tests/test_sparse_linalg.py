@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from mfg_newton import sparse_linalg as sla
 from mfg_newton.errors import NoConvergenceError, SingularMatrixError
@@ -307,3 +308,144 @@ class TestPlanCache:
         x, _ = sla.factorize(mat, sla.Direct(), merged)(b)
         assert len(plan_builds) == 2
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+
+
+def two_field(n_u, n_m, seed, aligned=True, dense_b=False, density=0.4):
+    """Random two-field block-tridiagonal matrix laid out like the Newton
+    matrix: every value unknown u_0..u_K, then every density unknown
+    m_0..m_K, slice k holding n_u[k] of u and n_m[k] of m.  The couplings
+    are those of the implicit scheme, u_k reading u_k+1 and m_k reading
+    m_k-1: -I/dt when ``aligned`` (equal field sizes), else random sparse.
+    B, the (u, m) block, is diagonal or dense; A and D are diagonally heavy
+    and C random.  Returns the CSR matrix, its dense copy and the slices."""
+    rng = np.random.default_rng(seed)
+    off = np.concatenate([[0], np.cumsum(np.r_[n_u, n_m])])
+    field = [slice(lo, hi) for lo, hi in zip(off[:-1], off[1:])]
+    us, ms = field[:len(n_u)], field[len(n_u):]
+    dense = np.zeros((off[-1], off[-1]))
+
+    def sparse(shape):
+        return np.where(rng.random(shape) < density, rng.standard_normal(shape), 0.0)
+
+    for k, (nu, nm) in enumerate(zip(n_u, n_m)):
+        dense[us[k], us[k]] = sparse((nu, nu)) + 4.0 * np.eye(nu)
+        dense[ms[k], ms[k]] = sparse((nm, nm)) + 4.0 * np.eye(nm)
+        dense[ms[k], us[k]] = sparse((nm, nu))
+        dense[us[k], ms[k]] = (rng.standard_normal((nu, nm)) if dense_b
+                               else np.eye(nu, nm) * rng.uniform(0.5, 1.5, nm))
+        if k + 1 < len(n_u):
+            for rows, cols in ((us[k], us[k + 1]), (ms[k + 1], ms[k])):
+                shape = dense[rows, cols].shape
+                dense[rows, cols] = -8.0 * np.eye(*shape) if aligned else sparse(shape)
+    i, j = np.nonzero(dense)
+    slices = np.r_[np.repeat(np.arange(len(n_u)), n_u), np.repeat(np.arange(len(n_m)), n_m)]
+    return sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j]), dense, slices
+
+
+def stored(factor):
+    """Every array and index that a factor keeps for its slices, in order."""
+    def flat(x):
+        return [y for part in x for y in flat(part)] if isinstance(x, tuple) else [x]
+    return flat(tuple(factor.lu))
+
+
+def same(a, b):
+    return (a.dtype == b.dtype and a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b
+
+
+class TestTwoLevel:
+    """Slices whose couplings read only the density of the previous slice and
+    only the value of the next are factored in two levels."""
+
+    @pytest.mark.parametrize("n_u, n_m, aligned, dense_b", [
+        ((6, 6, 6, 6, 0), (0, 6, 6, 6, 6), True, False),  # local coupling: m(T) alone
+        ((5, 5, 5, 5), (0, 5, 5, 5), True, True),  # kernel coupling: u(T) and m(T)
+        ((4, 7, 3, 6, 2), (0, 5, 6, 2, 4), False, False),
+        ((4, 7, 3, 6, 2), (0, 5, 6, 2, 4), False, True),
+    ])
+    def test_matches_dense_solve(self, n_u, n_m, aligned, dense_b):
+        mat, dense, slices = two_field(n_u, n_m, seed=sum(n_u), aligned=aligned, dense_b=dense_b)
+        plan = sla._plan(mat, slices)
+        assert all(plan.split[k][0] > 0 for k in range(len(n_u)) if n_u[k] and n_m[k])
+        assert any(s is not None and s[-1] == aligned for s in plan.schur)  # gathered, or not
+        b = np.random.default_rng(1).standard_normal(mat.shape[0])
+        x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        assert meta.residual_norm <= sla.DIRECT_TOL
+
+    @pytest.mark.parametrize("aligned, dense_b", [(True, False), (True, True), (False, False)])
+    def test_one_block_slice_between_split_slices(self, aligned, dense_b):
+        # slice 2's first density row also reads slice 3's value: slice 2
+        # keeps one block between split slices, so updates cross both ways
+        mat, dense, slices = two_field((5, 5, 5, 5, 5), (0, 5, 5, 5, 5), seed=9,
+                                       aligned=aligned, dense_b=dense_b)
+        dense[30, 15] = 0.5
+        i, j = np.nonzero(dense)
+        mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
+        assert [s[0] > 0 for s in sla._plan(mat, slices).split] == [False, True, False, True, True]
+        b = np.random.default_rng(10).standard_normal(mat.shape[0])
+        x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        assert meta.residual_norm <= sla.DIRECT_TOL
+
+    def test_stores_three_quarters_of_a_dense_slice(self):
+        mat, _, slices = two_field((8, 8, 8), (0, 8, 8), seed=2)
+        factor = sla._SliceLU(sla._plan(mat, slices), mat.data)
+        entries = sum(x.size for x in stored(factor) if isinstance(x, np.ndarray) and x.dtype == float)
+        assert entries == 8 * 8 + 2 * (3 * 8 * 8 + 8)  # slice 0 whole; A, W, Sigma and B's diagonal
+
+    def test_refactor_matches_fresh_plan_bitwise(self, plan_builds):
+        mat, _, slices = two_field((6, 6, 6, 6), (0, 6, 6, 6), seed=3, dense_b=True)
+        sla.factorize(mat, sla.Direct(), slices)
+        values = np.random.default_rng(4).uniform(0.5, 1.0, mat.nnz)
+        a = sp.csr_matrix((mat.data * values, mat.indices, mat.indptr), shape=mat.shape)
+        cached = sla._SliceLU(sla._plan(a, slices), a.data)
+        assert len(plan_builds) == 1 and cached.plan is plan_builds[0]
+        fresh = sla._SliceLU(sla._SlicePlan(a, slices), a.data)  # built, not cached
+        assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
+        b = np.random.default_rng(5).standard_normal(mat.shape[0])
+        assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
+
+    def test_overlapping_fields_fall_back_to_one_block(self):
+        # the first density row of slices 1 and 2 also reads the next slice's
+        # value, and a value row of slice 2 reads slice 3's density: every
+        # slice's fields overlap
+        mat, dense, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=6)
+        dense[20, 10] = dense[25, 15] = dense[10, 30] = 0.5
+        i, j = np.nonzero(dense)
+        mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
+        plan = sla._plan(mat, slices)
+        assert [s[0] for s in plan.split] == [0, 0, 0, 0]
+        factor, one_block = sla._SliceLU(plan, mat.data), OneBlockLU(plan, mat.data)
+        assert all(same(x, y) for x, y in zip(stored(factor), stored(one_block), strict=True))
+        b = np.random.default_rng(7).standard_normal(mat.shape[0])
+        x = factor.solve(b)
+        assert x.tobytes() == one_block.solve(b).tobytes()
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+
+
+class OneBlockLU(sla._SliceLU):
+    """The block LU in time as it was before slices were split in two levels:
+    a dense LU of every Schur complement, updated through the whole LU of the
+    previous slice.  The oracle for patterns that do not split."""
+
+    def __init__(self, plan, data):
+        self.plan, self.lu = plan, []
+        self.lower, self.upper = ([(r, c, data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
+        for k, (entries, flat) in enumerate(plan.blocks):
+            s = np.zeros((plan.sizes[k],) * 2, order="F")
+            s.ravel("F")[flat] = data[entries]
+            if plan.schur[k] is not None:
+                t, c0, c1, rows, starts = plan.schur[k][:5]
+                (_, lc, lv), (ur, uc, uv), (lu, piv) = self.lower[k], self.upper[k - 1], self.lu[k - 1]
+                coupling = np.zeros((lu.shape[0], c1 - c0), order="F")
+                coupling[ur, uc - c0] = uv
+                y = blas.dtrsm(1.0, lu, lapack.dlaswp(coupling, piv, overwrite_a=True),
+                               lower=1, diag=1, overwrite_b=True)
+                w = blas.dtrsm(1.0, lu[t:, t:], y[t:], lower=0, overwrite_b=True)
+                update = lv[:, None] * w[lc - t]
+                if starts.size < lc.size:
+                    update = np.add.reduceat(update, starts)
+                s[rows, c0:c1] -= update
+            lu, piv, _ = lapack.dgetrf(s, overwrite_a=True)
+            self.lu.append((lu, piv))
