@@ -95,7 +95,10 @@ def _choice(obj, path, choices):
 def _parse_kernel(obj, path):
     _check_keys(obj, path, required=("type", "sigma"))
     _choice(obj["type"], f"{path}.type", ("gaussian",))
-    return _number(obj["sigma"], f"{path}.sigma", minimum=0.0, strict=True)
+    sigma = _number(obj["sigma"], f"{path}.sigma", minimum=0.0, strict=True)
+    if sigma > 1.0:
+        raise ConfigError(f"{path}.sigma", f"must be <= 1, the torus's width, got {sigma}")
+    return sigma
 
 
 def load_config(path) -> RunConfig:
@@ -393,7 +396,11 @@ def run(config_path, verbose: bool = False) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: output_dir: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 2
     try:
         rows = _RUNNERS[cfg.experiment](cfg, out, verbose)
     except SolverError as exc:

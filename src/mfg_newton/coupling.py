@@ -92,8 +92,8 @@ def periodized_gaussian(grid: GridSpec, sigma: float) -> np.ndarray:
     at i and nx-i are identical bitwise; the remaining images enter through
     sums over j +- d.  Normalized so dx^dim * sum(K) = 1 exactly.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma <= 1:  # no wider than the unit torus: the image sum runs ~6 sigma terms
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     images = max(3, int(np.ceil(6.0 * sigma)) + 1)
     i = np.arange(grid.nx)
     d = np.minimum(i, grid.nx - i) * grid.dx

@@ -6,14 +6,13 @@ permutation of the same triplet stream gives a bit-identical matrix.  The
 direct path (the default, because the Newton-rate measurements must not be
 polluted by inner-solver error) is a block LU in time, one forward and one
 backward sweep over the slices: the implicit scheme couples a slice only to
-its neighbours, reading the density m of the previous one and the value u
-of the next, so each Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1
-A_k-1,k`` differs from ``A_kk`` only in its (m rows, u columns) block C.
-Such a slice ``[[A, B], [C, D]]`` is factored in two levels (Golub & Van
-Loan, Matrix Computations, 4.5): dense LUs of A and of ``D - C A^-1 B``;
-any other slice gets one dense LU.  Where each stored entry goes is planned
-once per sparsity pattern and slice index, and the two most recent plans
-are kept (Picard alternates between two patterns), so a Newton step redoes
+its neighbours, so each Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1
+A_k-1,k`` differs from ``A_kk`` only in its m rows, those that read the
+previous slice.  A slice holding both m and u (the rest) is factored in two
+levels (Golub & Van Loan, Matrix Computations, 4.5), as ``[[A, B], [C, D]]``
+with dense LUs of A and of ``D - C A^-1 B``; any other slice gets one dense
+LU.  Plans are cached per sparsity pattern and slice index (the two most
+recent: Picard alternates between two patterns), so a Newton step redoes
 only the numeric factorization.  A direct solve whose relative residual
 exceeds ``DIRECT_TOL`` gets one step of iterative refinement; only if it
 still exceeds it is the matrix reported as numerically singular.  The
@@ -107,12 +106,12 @@ PLAN_CACHE = 2  # Picard alternates between its value block and its density bloc
 class _SlicePlan:
     """Where the block LU in time puts each stored entry of one CSR pattern,
     as int32 index arrays, slices in increasing index order (an index no
-    unknown has is skipped).  A slice splits, u before m, when m (its rows
-    that read the previous slice, its columns the next slice reads) leaves u
-    nonempty and meets no other coupling.  Per slice: ``split`` (u's size or
-    0, the block's length, B's rows and columns if kept as entries), block
-    entries and flat positions (packed A, m rows, B), couplings as local
-    (row, column, entry) triplets, and the Schur update's ranges."""
+    unknown has is skipped).  A slice holding both m (its rows that read the
+    previous slice, its columns the next slice reads) and u (the rest)
+    splits, u before m.  Per slice: ``split`` (u's size or 0, the block's
+    length, B's rows and columns if kept as entries), block entries and flat
+    positions (packed A, m rows, B), couplings as local (row, column, entry)
+    triplets (A_k,k-1's columns from S_k-1's m block on), the Schur update's."""
 
     def __init__(self, a: sp.csr_matrix, slices: np.ndarray):
         n = a.shape[0]
@@ -128,17 +127,17 @@ class _SlicePlan:
         if np.any(far := (step > 1) | (step < -1)):
             raise ValueError(f"matrix couples time slice {self.ids[rank[ends(far)[0]].min()]}"
                              " to a non-neighbour slice")
-        u, m = (np.isin(np.arange(n), np.r_[ends(step == d)]) for d in (1, -1))
+        m = np.isin(np.arange(n), np.r_[ends(step == -1)])
         del step  # a per-entry array, freed before the per-slice arrays are built
-        n_m, clash = (np.bincount(rank[f], minlength=self.sizes.size) for f in (m, u & m))
-        n_u = np.where((n_m > 0) & (n_m < self.sizes) & (clash == 0), self.sizes - n_m, 0)
-        self.order = np.lexsort((m & (n_u > 0)[rank], rank)).astype(np.int32)
+        n_m = np.bincount(rank[m], minlength=self.sizes.size)
+        n_u = np.where((n_m > 0) & (n_m < self.sizes), self.sizes - n_m, 0).tolist()
+        self.order = np.lexsort((m, rank)).astype(np.int32)
         off = np.concatenate([[0], np.cumsum(self.sizes)]).tolist()
         self.parts = [slice(lo, hi) for lo, hi in zip(off[:-1], off[1:])]
         self.pos = pos = np.empty(n, dtype=np.int32)  # slice-major position of each unknown
         pos[self.order] = np.arange(n)
         self.split, self.blocks, self.lower, self.upper, self.schur = [], [], [], [], []
-        for k, (size, nu) in enumerate(zip(self.sizes.tolist(), n_u.tolist())):
+        for k, (size, nu) in enumerate(zip(self.sizes.tolist(), n_u)):
             lo, hi = off[k], off[k + 1]
             rows = self.order[lo:hi]  # slice k's rows, read straight from the CSR arrays
             count = a.indptr[rows + 1] - a.indptr[rows]
@@ -147,7 +146,7 @@ class _SlicePlan:
             col = pos[a.indices[at]]
             below, above = col < lo, col >= hi
             inside = ~(below | above)
-            lr, lc = row[below], col[below] - off[max(k - 1, 0)]
+            lr, lc = row[below], col[below] - off[k - 1] - n_u[k - 1]  # none for k = 0
             r, c, nm = row[inside], col[inside] - lo, size - nu
             b = (r < nu) & (c >= nu)
             br, bc = r[b], c[b] - nu
@@ -161,9 +160,9 @@ class _SlicePlan:
             self.upper.append((row[above], col[above] - hi, at[above]))
             starts = np.flatnonzero(np.r_[True, lr[1:] != lr[:-1]])
             ur, uc = self.upper[k - 1][:2]  # read only for k > 0: slice 0 has no lower coupling
-            t = self.split[k - 1][0] or (lc.min() if lc.size else 0)
-            self.schur.append((t, uc.min(), uc.max() + 1, _run(lr[starts] - nu), starts, _run(lc - t),
-                               _run(ur), isinstance(_run(uc), slice)) if lr.size and uc.size else None)
+            self.schur.append((uc.min(), uc.max() + 1, _run(lr[starts] - nu), starts, _run(lc), _run(ur),
+                               ur.max() < n_u[k - 1] and isinstance(_run(uc), slice))
+                              if lr.size and uc.size else None)
 
 
 def _run(index: np.ndarray):
@@ -193,9 +192,9 @@ def _plan(a: sp.csr_matrix, slices: np.ndarray | None) -> _SlicePlan:
 
 class _SliceLU:
     """Numeric block LU in time of ``data`` on a plan's pattern: each Schur
-    complement ``S_k`` is gathered, updated and factored with LAPACK, a split
-    ``S_k = [[A, B], [C, D]]`` in place in its packed blocks: ``dgetrf(A)``,
-    ``W = C A^-1`` over C, ``dgetrf(D - W B)`` over D.  B stays its entries
+    complement ``S_k`` is gathered, updated in its m rows and factored with
+    LAPACK, a split ``[[A, B], [C, D]]`` in its packed blocks: ``dgetrf(A)``,
+    ``W = C A^-1`` over C, ``dgetrf(D - W B)`` over D, B kept as entries
     (the local coupling's diagonal) or dense (the kernel coupling's)."""
 
     def __init__(self, plan: _SlicePlan, data: np.ndarray):
@@ -222,7 +221,7 @@ class _SliceLU:
                 else:  # a column gather stands in for W B
                     d[:, bc] -= w[:, br] * b
                     b = (br, bc, b)
-            self.lu.append((a, w, self._dgetrf(k, d), b) if nu else self._dgetrf(k, d))
+            self.lu.append((a, w, self._dgetrf(k, d), b) if nu else (None, None, self._dgetrf(k, d), None))
 
     def _dgetrf(self, k, s):
         lu, piv, info = lapack.dgetrf(s, overwrite_a=True)
@@ -230,40 +229,41 @@ class _SliceLU:
             raise SingularMatrixError(f"exact zero pivot in time slice {self.plan.ids[k]}: singular")
         return lu, piv
 
+    def _solve_m(self, k, r):
+        """x_m = Sigma^-1 (r_m - W r_u), the rows of S_k^-1 r that slice k+1 reads (all of
+        them if S_k = Sigma is unsplit), r a vector or column-major block it may overwrite;
+        r may hold only r_m - W r_u, as the gathered Schur update's does."""
+        _, w, sigma, _ = self.lu[k]
+        if w is not None and r.shape[0] > w.shape[0]:  # all of S_k's rows: reduce to r_m - W r_u
+            nu = w.shape[1]
+            r = (blas.dgemv if r.ndim == 1 else blas.dgemm)(-1.0, w, r[:nu], 1.0, r[nu:])
+        return lapack.dgetrs(*sigma, r, overwrite_b=True)[0]
+
     def _schur_update(self, k, s):
-        """s[rows, c0:c1] -= A_k,k-1 w, w rows t: of S_k-1^-1 A_k-1,k (t is A_k,k-1's
-        first column): all of L but only U's trailing block for S_k-1 = P L U,
-        or, t u's size for a split S_k-1, -Sigma^-1 W A_k-1,k (W = C A^-1)."""
-        t, c0, c1, rows, starts, lcol, urow, gather = self.plan.schur[k]
-        (_, lc, lv), (ur, uc, uv), prev = self.lower[k], self.upper[k - 1], self.lu[k - 1]
-        if len(prev) > 2 and gather:  # A_k-1,k's columns c0:c1 in order, one entry each
-            w = np.multiply(prev[1][:, urow], -uv, order="F")
+        """s[rows, c0:c1] -= A_k,k-1 x_m for S_k-1 x = A_k-1,k; r_m - W r_u is -W A_k-1,k, a
+        column gather, when A_k-1,k's rows lie in S_k-1's u, its columns c0:c1 one entry each."""
+        c0, c1, rows, starts, lcol, urow, gather = self.plan.schur[k]
+        (_, lc, lv), (ur, uc, uv) = self.lower[k], self.upper[k - 1]
+        if gather:
+            w = np.multiply(self.lu[k - 1][1][:, urow], -uv, order="F")
         else:
             w = np.zeros((self.plan.sizes[k - 1], c1 - c0), order="F")  # A_k-1,k, dense
             w[ur, uc - c0] = uv
-        if len(prev) == 2:
-            y = blas.dtrsm(1.0, prev[0], lapack.dlaswp(w, prev[1], overwrite_a=True),
-                           lower=1, diag=1, overwrite_b=True)
-            w = blas.dtrsm(1.0, prev[0][t:, t:], y[t:], lower=0, overwrite_b=True)
-        else:
-            w = lapack.dgetrs(*prev[2], w if gather else blas.dgemm(-1.0, prev[1], w[:t]),
-                              overwrite_b=True)[0]
-        update = lv[:, None] * w[lcol]
+        update = lv[:, None] * self._solve_m(k - 1, w)[lcol]
         if starts.size < lc.size:  # a row of A_k,k-1 with several entries
             update = np.add.reduceat(update, starts)
         s[rows, c0:c1] -= update
 
     def _solve(self, k, b):
-        if len(self.lu[k]) == 2:
-            return lapack.dgetrs(*self.lu[k], b)[0]
-        a, w, sigma, bq = self.lu[k]  # x_m = Sigma^-1 (b_m - W b_u), x_u = A^-1 (b_u - B x_m)
-        nu = w.shape[1]
-        xm = lapack.dgetrs(*sigma, blas.dgemv(-1.0, w, b[:nu], 1.0, b[nu:]))[0]
-        if isinstance(bq, tuple):
-            bu = b[:nu].copy()
+        a, w, _, bq = self.lu[k]
+        xm = self._solve_m(k, b)  # then x_u = A^-1 (b_u - B x_m), overwriting b_u
+        if a is None:
+            return xm
+        bu = b[:w.shape[1]]
+        if isinstance(bq, tuple):  # B's entries
             bu[bq[0]] -= bq[2] * xm[bq[1]]
         else:
-            bu = blas.dgemv(-1.0, bq, xm, 1.0, b[:nu])
+            bu = blas.dgemv(-1.0, bq, xm, 1.0, bu)
         return np.concatenate([lapack.dgetrs(*a, bu)[0], xm])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -275,7 +275,7 @@ class _SliceLU:
 
         for k in range(1, len(part)):  # forward: y_k -= A_k,k-1 S_k-1^-1 y_k-1
             if self.lower[k][0].size:
-                subtract(k, self.lower[k], self._solve(k - 1, y[part[k - 1]]))
+                subtract(k, self.lower[k], self._solve_m(k - 1, y[part[k - 1]].copy()))
         for k in reversed(range(len(part))):  # backward: x_k = S_k^-1 (y_k - A_k,k+1 x_k+1)
             if k + 1 < len(part):
                 subtract(k, self.upper[k], y[part[k + 1]])

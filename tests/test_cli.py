@@ -53,6 +53,11 @@ OUT_OF_BOUNDS = [
     ("hamiltonian.alpha", {"hamiltonian": {"alpha": 0}}),
     ("coupling.power_alpha", {"coupling": {"local": "power", "power_alpha": 1.5}}),
     ("coupling.kernel.sigma", {"coupling": {"kernel": {"type": "gaussian", "sigma": 0}}}),
+    # a Gaussian wider than the unit torus: its image sum would run ~6 sigma terms
+    pytest.param("coupling.kernel.sigma", {"coupling": {"kernel": {"type": "gaussian", "sigma": 1e9}}},
+                 id="coupling.kernel.sigma=1e9"),
+    ("coupling.kernel_g.sigma", {"coupling": {"kernel": {"type": "gaussian", "sigma": 0.1},
+                                              "kernel_g": {"type": "gaussian", "sigma": 1.5}}}),
     ("newton.theta", {"newton": {"theta": 1.5}}),
     ("newton.max_iter", {"newton": {"max_iter": 0}}),
     ("newton.residual_tol", {"newton": {"residual_tol": 0}}),
@@ -116,6 +121,15 @@ class TestValidation:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "hamiltonian.variant" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
+    def test_output_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys, under):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "out" if under else tmp_path / "taken"
+        cfg = write_config(tmp_path, output_dir=str(out))
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "config error: output_dir: " in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_local_and_kernel_conflict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, coupling={

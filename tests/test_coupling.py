@@ -70,6 +70,11 @@ class TestKernel:
         assert np.abs(coeffs.imag).max() <= 1e-10 * np.abs(coeffs.real).max()
         assert coeffs.real.min() >= -1e-12
 
+    @pytest.mark.parametrize("sigma", [0.0, 1.0 + 1e-12, 1e9, float("nan")])
+    def test_width_outside_unit_interval_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            cpl.periodized_gaussian(GRID, sigma)
+
     def test_2d_kernel_is_product(self):
         grid2 = tg.GridSpec(dim=2, nx=8, nt=2, horizon=1.0)
         k2 = cpl.periodized_gaussian(grid2, sigma=0.2)

@@ -548,6 +548,26 @@ class TestPlanReuse:
         assert len(plan_builds) <= 2
 
 
+class TestNewtonSlices:
+    """Every slice of the Newton matrix that holds both fields is factored in
+    two levels, and every Schur update is the column gather through its
+    predecessor's W that the -I/dt coupling allows, never the general path's
+    dense solve of the coupling block."""
+
+    @pytest.mark.parametrize("case", ["1d-local", "1d-kernel", "2d-local"])
+    def test_every_schur_update_is_gathered(self, case):
+        if case == "1d-kernel":
+            p, exact = manufactured_nonlocal(nx=16, nt=8)
+        else:
+            p, exact = manufactured(nx=16 if case == "1d-local" else 6, nt=8, dim=int(case[0]))
+        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        plan = sla._plan(system.matrix, system.slices)
+        assert all(s[0] > 0 for s in plan.split[1:-1])
+        updates = [u for u in plan.schur if u is not None]
+        assert len(updates) >= p.grid.nt - 2
+        assert all(u[-1] for u in updates)
+
+
 class TestSolveFixedPoint:
     def test_reference_start_single_record(self):
         p, exact = manufactured()

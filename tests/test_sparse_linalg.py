@@ -280,8 +280,7 @@ class TestPlanCache:
         cached = sla._SliceLU(sla._plan(a, slices), a.data)
         assert len(plan_builds) == 1 and cached.plan is plan_builds[0]
         fresh = sla._SliceLU(sla._SlicePlan(a, slices), a.data)  # built, not cached
-        for (lu, piv), (lu_ref, piv_ref) in zip(cached.lu, fresh.lu, strict=True):
-            assert lu.tobytes() == lu_ref.tobytes() and piv.tobytes() == piv_ref.tobytes()
+        assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
         b = np.random.default_rng(13).standard_normal(mat.shape[0])
         assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
 
@@ -354,8 +353,8 @@ def same(a, b):
 
 
 class TestTwoLevel:
-    """Slices whose couplings read only the density of the previous slice and
-    only the value of the next are factored in two levels."""
+    """Slices that hold both rows that read the previous slice (or columns
+    the next slice reads) and other unknowns are factored in two levels."""
 
     @pytest.mark.parametrize("n_u, n_m, aligned, dense_b", [
         ((6, 6, 6, 6, 0), (0, 6, 6, 6, 6), True, False),  # local coupling: m(T) alone
@@ -376,13 +375,16 @@ class TestTwoLevel:
     @pytest.mark.parametrize("aligned, dense_b", [(True, False), (True, True), (False, False)])
     def test_one_block_slice_between_split_slices(self, aligned, dense_b):
         # slice 2's first density row also reads slice 3's value: slice 2
-        # keeps one block between split slices, so updates cross both ways
+        # splits all the same, with a coupling row in its m block, so the
+        # update it passes to slice 3 is never gathered
         mat, dense, slices = two_field((5, 5, 5, 5, 5), (0, 5, 5, 5, 5), seed=9,
                                        aligned=aligned, dense_b=dense_b)
         dense[30, 15] = 0.5
         i, j = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
-        assert [s[0] > 0 for s in sla._plan(mat, slices).split] == [False, True, False, True, True]
+        plan = sla._plan(mat, slices)
+        assert [s[0] > 0 for s in plan.split] == [False, True, True, True, True]
+        assert [s is not None and s[-1] for s in plan.schur] == [False, False, aligned, False, aligned]
         b = np.random.default_rng(10).standard_normal(mat.shape[0])
         x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
@@ -406,46 +408,103 @@ class TestTwoLevel:
         b = np.random.default_rng(5).standard_normal(mat.shape[0])
         assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
 
-    def test_overlapping_fields_fall_back_to_one_block(self):
+    def test_overlapping_fields_split_and_match_dense_solve(self):
         # the first density row of slices 1 and 2 also reads the next slice's
         # value, and a value row of slice 2 reads slice 3's density: every
-        # slice's fields overlap
+        # two-field slice still splits, and slice 3's update reaches its D
         mat, dense, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=6)
         dense[20, 10] = dense[25, 15] = dense[10, 30] = 0.5
         i, j = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
         plan = sla._plan(mat, slices)
-        assert [s[0] for s in plan.split] == [0, 0, 0, 0]
-        factor, one_block = sla._SliceLU(plan, mat.data), OneBlockLU(plan, mat.data)
-        assert all(same(x, y) for x, y in zip(stored(factor), stored(one_block), strict=True))
+        assert [s[0] for s in plan.split] == [0, 5, 5, 5]
+        assert plan.schur[:2] == [None, None] and not any(s[-1] for s in plan.schur[2:])
+        assert plan.schur[3][1] > plan.split[3][0]  # the update's columns run into m
         b = np.random.default_rng(7).standard_normal(mat.shape[0])
-        x = factor.solve(b)
-        assert x.tobytes() == one_block.solve(b).tobytes()
+        x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(OneBlockLU(mat, slices).solve(b), x, rtol=1e-10, atol=1e-12)
+        assert meta.residual_norm <= sla.DIRECT_TOL
+
+
+def random_two_field(seed):
+    """A random pattern in ``two_field``'s layout: 2 to 5 slices of 0 to 6
+    unknowns per field, some slices holding one field only, -I/dt or random
+    sparse couplings, diagonal or dense B, and for about half the seeds up
+    to four extra entries from any row to any column of a neighbour slice,
+    so that the fields overlap.  Returns what ``two_field`` does."""
+    rng = np.random.default_rng([seed, 1])
+    n = int(rng.integers(2, 6))
+    n_u, n_m = rng.integers(1, 7, n), rng.integers(1, 7, n)
+    single, value = rng.random(n) < 0.3, rng.random(n) < 0.5
+    n_u[single & ~value], n_m[single & value] = 0, 0
+    mat, dense, slices = two_field(tuple(n_u), tuple(n_m), seed, aligned=rng.random() < 0.5,
+                                   dense_b=rng.random() < 0.5)
+    if rng.random() < 0.5:
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.integers(n - 1))
+            rows, cols = np.flatnonzero(slices == k), np.flatnonzero(slices == k + 1)
+            if rng.random() < 0.5:
+                rows, cols = cols, rows
+            dense[rng.choice(rows), rng.choice(cols)] = rng.uniform(0.5, 1.0)
+        i, j = np.nonzero(dense)
+        mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
+    return mat, dense, slices
+
+
+class TestSweep:
+    def test_random_patterns_match_dense_solve(self):
+        # every pattern against a dense solve; the sweep must reach each
+        # kind of Schur update and split slices whose coupling rows lie in m
+        seen = {"gathered": 0, "from a split slice": 0, "from one block": 0, "into D": 0,
+                "coupling row in m": 0}
+        for seed in range(200):
+            mat, dense, slices = random_two_field(seed)
+            plan = sla._plan(mat, slices)
+            for k, update in enumerate(plan.schur):
+                if update is not None:
+                    nu = plan.split[k - 1][0]
+                    seen["gathered" if update[-1] else "from a split slice" if nu else "from one block"] += 1
+                    seen["into D"] += update[1] > plan.split[k][0] > 0
+                    seen["coupling row in m"] += bool(nu) and plan.upper[k - 1][0].max() >= nu
+            b = np.random.default_rng(seed).standard_normal(mat.shape[0])
+            x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12,
+                                       err_msg=f"seed {seed}")
+            assert meta.residual_norm <= sla.DIRECT_TOL, seed
+        assert min(seen.values()) > 0, seen
 
 
 class OneBlockLU(sla._SliceLU):
     """The block LU in time as it was before slices were split in two levels:
-    a dense LU of every Schur complement, updated through the whole LU of the
-    previous slice.  The oracle for patterns that do not split."""
+    a dense LU of every Schur complement, here in the plan's order of the
+    unknowns, updated through the whole L and only the trailing block of U
+    of the previous slice, from the first row that A_k,k-1 reads.  The
+    single-LU oracle, for any pattern."""
 
-    def __init__(self, plan, data):
+    def __init__(self, a, slices):
+        plan = sla._SlicePlan(a, slices)
         self.plan, self.lu = plan, []
-        self.lower, self.upper = ([(r, c, data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
-        for k, (entries, flat) in enumerate(plan.blocks):
-            s = np.zeros((plan.sizes[k],) * 2, order="F")
-            s.ravel("F")[flat] = data[entries]
-            if plan.schur[k] is not None:
-                t, c0, c1, rows, starts = plan.schur[k][:5]
-                (_, lc, lv), (ur, uc, uv), (lu, piv) = self.lower[k], self.upper[k - 1], self.lu[k - 1]
+        self.lower, self.upper = ([(r, c, a.data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
+        for k, part in enumerate(plan.parts):
+            s = np.asfortranarray(a[plan.order[part]][:, plan.order[part]].toarray())
+            (lr, lc, lv), (ur, uc, uv) = self.lower[k], self.upper[k - 1]
+            if k and lr.size and uc.size:
+                lu, piv = self.lu[k - 1]
+                lc = lc + plan.split[k - 1][0]  # A_k,k-1's columns in all of slice k-1
+                t, c0, c1 = lc.min(), uc.min(), uc.max() + 1
                 coupling = np.zeros((lu.shape[0], c1 - c0), order="F")
                 coupling[ur, uc - c0] = uv
                 y = blas.dtrsm(1.0, lu, lapack.dlaswp(coupling, piv, overwrite_a=True),
                                lower=1, diag=1, overwrite_b=True)
                 w = blas.dtrsm(1.0, lu[t:, t:], y[t:], lower=0, overwrite_b=True)
-                update = lv[:, None] * w[lc - t]
-                if starts.size < lc.size:
-                    update = np.add.reduceat(update, starts)
-                s[rows, c0:c1] -= update
+                starts = np.flatnonzero(np.r_[True, lr[1:] != lr[:-1]])
+                s[lr[starts], c0:c1] -= np.add.reduceat(lv[:, None] * w[lc - t], starts)
             lu, piv, _ = lapack.dgetrf(s, overwrite_a=True)
             self.lu.append((lu, piv))
+
+    def _solve_m(self, k, r):
+        return lapack.dgetrs(*self.lu[k], r)[0][self.plan.split[k][0]:]
+
+    def _solve(self, k, b):
+        return lapack.dgetrs(*self.lu[k], b)[0]
