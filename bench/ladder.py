@@ -1,6 +1,8 @@
 """Grid ladder for the factorization of the Newton system.
 
-For the seed-0 benchmark start on each rung, solve the masked Newton system
+For the seed-0 benchmark start on each rung, assemble the masked Newton
+system four times (``assembly_s``: the median ``newton_system`` time of the
+three repeats; the first call also builds the grid's stencils) and solve it
 four times through ``sparse_linalg.solve``; record the stored factor entries
 (the floating-point entries of the arrays the block LU in time keeps for its
 slices, counted from the factor itself), the ``factorize`` time of the first call
@@ -35,7 +37,7 @@ RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
          "1d-256-local": (1, 256, "local"), "1d-64-kernel": (1, 64, "kernel"),
          "2d-16-local": (2, 16, "local"), "2d-24-local": (2, 24, "local"),
          "2d-32-local": (2, 32, "local"), "2d-16-kernel": (2, 16, "kernel"),
-         "2d-24-kernel": (2, 24, "kernel")}
+         "2d-24-kernel": (2, 24, "kernel"), "2d-32-kernel": (2, 32, "kernel")}
 
 
 def stored_entries(x) -> int:
@@ -59,8 +61,14 @@ def rung(name: str) -> dict:
     else:
         h_spec, coupling = mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid")
     problem, exact = mn.make_manufactured(grid, h_spec, coupling)
-    system, _ = mn.newton_system(problem, newton_start(mn, exact, 0, 0))
-    row = {"rung": name, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz}
+    start, assembly = newton_start(mn, exact, 0, 0), []
+    for _ in range(4):
+        system = None  # the previous system is freed before the next is built
+        t0 = time.perf_counter()
+        system, _ = mn.newton_system(problem, start)
+        assembly.append(time.perf_counter() - t0)
+    row = {"rung": name, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
+           "assembly_s": statistics.median(assembly[1:])}
     times, factorize, entries = [], sla.factorize, []
 
     class CountedLU(sla._SliceLU):  # counts what each factor stores, keeps none alive

@@ -95,7 +95,7 @@ def _choice(obj, path, choices):
 def _parse_kernel(obj, path):
     _check_keys(obj, path, required=("type", "sigma"))
     _choice(obj["type"], f"{path}.type", ("gaussian",))
-    sigma = _number(obj["sigma"], f"{path}.sigma", minimum=0.0, strict=True)
+    sigma = _number(obj["sigma"], f"{path}.sigma", minimum=cpl.MIN_SIGMA)
     if sigma > 1.0:
         raise ConfigError(f"{path}.sigma", f"must be <= 1, the torus's width, got {sigma}")
     return sigma

@@ -2,9 +2,10 @@
 couplings that also derive the terminal value u(T) = g[m(T)].
 
 Each coupling gives the solver ``values(m)``, the running cost on every time
-slice; ``blocks(m)``, its derivative on the stacked slices and the terminal
-block dg/dm(T), or None; ``derives_terminal``, with ``terminal(m_T)`` when it
-is true; and ``grids``, the grids its kernels are built on.
+slice; ``blocks(m)``, the value rows' derivative in m as a diagonal (-f'(m))
+and dense blocks, one per slice (-conv_f, one array for all, then -conv_g);
+``derives_terminal``, with ``terminal(m_T)`` when it is true; and ``grids``,
+the grids its kernels are built on.
 
 The kernel coupling convolves the density with a periodized Gaussian whose
 discrete Fourier coefficients are nonnegative by construction, which makes the
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError
 from .torus_grid import GridSpec
 
+MIN_SIGMA = 1e-6  # far below any dx, and 1/sigma^2 stays finite (NaN kernel at 1e-160)
 SIGMOID = "sigmoid"
 LINEAR = "linear"
 POWER = "power"
@@ -54,8 +55,8 @@ class LocalCoupling:
         return np.asarray(local_eval(self, m).f)
 
     def blocks(self, m):
-        """diag f'(m) on the stacked slices of m; no terminal block."""
-        return sp.diags(np.asarray(local_eval(self, m).f1).ravel()), None
+        """-f'(m) on every node of m, and no dense block."""
+        return -np.asarray(local_eval(self, m).f1).ravel(), ()
 
 
 class CouplingValues(NamedTuple):
@@ -92,8 +93,8 @@ def periodized_gaussian(grid: GridSpec, sigma: float) -> np.ndarray:
     at i and nx-i are identical bitwise; the remaining images enter through
     sums over j +- d.  Normalized so dx^dim * sum(K) = 1 exactly.
     """
-    if not 0 < sigma <= 1:  # no wider than the unit torus: the image sum runs ~6 sigma terms
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    if not MIN_SIGMA <= sigma <= 1:  # at most the unit torus: the image sum runs ~6 sigma terms
+        raise ValueError(f"sigma must lie in [{MIN_SIGMA:g}, 1], got {sigma}")
     images = max(3, int(np.ceil(6.0 * sigma)) + 1)
     i = np.arange(grid.nx)
     d = np.minimum(i, grid.nx - i) * grid.dx
@@ -152,8 +153,8 @@ class NonlocalCoupling:
         return (flat @ self.f.conv.T).reshape(m.shape)
 
     def blocks(self, m: np.ndarray):
-        """conv_f on each of the stacked slices of m, and conv_g."""
-        return sp.kron(sp.identity(m.shape[0]), self.f.conv), self.g.conv
+        """No diagonal; -conv_f on each slice of m but the last, -conv_g on the last."""
+        return 0.0, [-self.f.conv] * (m.shape[0] - 1) + [-self.g.conv]
 
     def terminal(self, m_T: np.ndarray) -> np.ndarray:
         """u(T) = g[m(T)]."""

@@ -18,7 +18,8 @@ The Jacobian is assembled once per state on the full unknown vector
 [u_0..u_nt, m_0..m_nt], both boundary rows included, each block family for
 all time slices at once.  The local and kernel variants differ only in the
 coupling's values and blocks, which ``coupling.py`` supplies through one
-interface (coupling block -f'(m) or -conv_f, terminal block none or -conv_g).
+interface: a diagonal -f'(m), kept in the CSR, or dense blocks -conv_f and
+-conv_g, kept out of it as addends to the slices' value-density blocks.
 Before a solve, one boolean mask marks the known boundary slices, m(0)
 always and u(T) unless the coupling derives it: their rows are identity rows,
 so their values are known, and their columns times those values move to the
@@ -254,8 +255,9 @@ def _jacobian(p: ProblemSpec, state: SolverState):
     """Jacobian of the full residual (r_u, r_m) with respect to (u, m) at
     ``state``, both boundary rows included.
 
-    Returns the CSR matrix and the mask of the known boundary slices: m(0),
-    and u(T) unless the coupling derives it.
+    Returns the CSR matrix of its sparse part, the coupling's dense blocks
+    as (row, column, block) addends, and the mask of the known boundary
+    slices: m(0), and u(T) unless the coupling derives it.
     """
     grid = p.grid
     dim = grid.dim
@@ -268,28 +270,31 @@ def _jacobian(p: ProblemSpec, state: SolverState):
     mu = -sum((st.diff[a] @ sp.diags(flux[a, c]) @ st.diff[c]
                for a in range(dim) for c in range(dim) if np.any(flux[a, c])),
               st.zero)
-    # the running cost enters the backward rows k < nt, the terminal block row nt
-    coupling, terminal = p.coupling.blocks(m_vals[:-1])
-    if terminal is None:
-        terminal = sp.csr_matrix((grid.n_space, grid.n_space))
-    um = sp.diags(st.u_rows * b.Hm.ravel()) - sp.block_diag((coupling, terminal))
+    # -f'(m) enters the backward rows k < nt, a dense block also the terminal row
+    diagonal, dense = p.coupling.blocks(m_vals)
+    um = sp.diags(st.u_rows * (b.Hm.ravel() + diagonal))
+    dense = [(k * grid.n_space, (grid.nt + 1 + k) * grid.n_space, block) for k, block in enumerate(dense)]
     known = np.concatenate([st.last & (not p.coupling.derives_terminal), st.first])
-    return sp.bmat([[_value_block(p, b), um], [mu, mm]], format="csr"), known
+    return sp.bmat([[_value_block(p, b), um], [mu, mm]], format="csr"), dense, known
 
 
 def _eliminate(grid: tg.GridSpec, matrix, rhs: np.ndarray,
-               known: np.ndarray) -> sla.LinearSystem:
-    """The system ``matrix @ x = rhs`` without the ``known`` unknowns: their
-    rows are identity rows, so x = rhs there, and their columns times those
-    values move to the right-hand side.  The matrix is in the canonical form
-    ``sparse_linalg`` factors, each free unknown tagged with its time slice
-    (unknowns are slice-stacked)."""
+               known: np.ndarray, dense=()) -> sla.LinearSystem:
+    """The system ``(matrix + dense) @ x = rhs`` without the ``known``
+    unknowns: their rows are identity rows, so x = rhs there, and their
+    columns (dense blocks on them too) times those values move to the
+    right-hand side.  The matrix is in the canonical form ``sparse_linalg``
+    factors, each free unknown tagged with its time slice (unknowns and dense
+    blocks are slice-stacked), and the free dense blocks are its addends."""
     free = ~known
     reduced = matrix[free][:, free]
     reduced.eliminate_zeros()
     reduced.sort_indices()
     slices = (np.arange(known.size) // grid.n_space % (grid.nt + 1))[free]
-    return sla.LinearSystem(reduced, (rhs - matrix @ np.where(known, rhs, 0.0))[free], slices)
+    index = np.cumsum(free) - 1  # each free unknown's index in the system
+    addends = [(index[r], index[c], block) for r, c, block in dense if free[r] and free[c]]
+    rhs = rhs - sla.apply(matrix, [d for d in dense if known[d[1]]], np.where(known, rhs, 0.0))
+    return sla.LinearSystem(reduced, rhs[free], slices, addends)
 
 
 def _solve_eliminated(grid, matrix, rhs, known, method) -> np.ndarray:
@@ -314,9 +319,9 @@ def newton_system(p: ProblemSpec, prev: SolverState):
     The solution vector is the update (u^n - u^{n-1}, m^n - m^{n-1}) on the
     unknowns the mask leaves free.
     """
-    matrix, known = _jacobian(p, prev)
+    matrix, dense, known = _jacobian(p, prev)
     r_u, r_m = residual(p, prev)
-    return _eliminate(p.grid, matrix, -_stack(r_u.values, r_m.values), known), known
+    return _eliminate(p.grid, matrix, -_stack(r_u.values, r_m.values), known, dense), known
 
 
 def newton_step(p: ProblemSpec, prev: SolverState, cfg: NewtonConfig):
@@ -344,8 +349,8 @@ def linearized_apply(p: ProblemSpec, state: SolverState,
     on the known boundary slices (du(T) in the local variant, dm(0) always)
     the other rows are those of the masked system a Newton step solves.
     """
-    matrix, _ = _jacobian(p, state)
-    return _unstack(p.grid, matrix @ _stack(du_vals, dm_vals))
+    matrix, dense, _ = _jacobian(p, state)
+    return _unstack(p.grid, sla.apply(matrix, dense, _stack(du_vals, dm_vals)))
 
 
 def _record(it, p, state, reference, wall_ms) -> diag.IterationRecord:
@@ -499,9 +504,9 @@ def linearized_solver(p: ProblemSpec, base: SolverState):
     the factors for every call.
     """
     grid = p.grid
-    matrix, known = _jacobian(p, base)
-    system = _eliminate(grid, matrix, np.zeros(known.size), known)
-    factored = sla.factorize(system.matrix, slices=system.slices)
+    matrix, dense, known = _jacobian(p, base)
+    system = _eliminate(grid, matrix, np.zeros(known.size), known, dense)
+    factored = sla.factorize(system.matrix, slices=system.slices, dense=system.dense)
 
     def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):
         if a.grid != grid or b.grid != grid:

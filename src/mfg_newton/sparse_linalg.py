@@ -11,13 +11,16 @@ A_k-1,k`` differs from ``A_kk`` only in its m rows, those that read the
 previous slice.  A slice holding both m and u (the rest) is factored in two
 levels (Golub & Van Loan, Matrix Computations, 4.5), as ``[[A, B], [C, D]]``
 with dense LUs of A and of ``D - C A^-1 B``; any other slice gets one dense
-LU.  Plans are cached per sparsity pattern and slice index (the two most
-recent: Picard alternates between two patterns), so a Newton step redoes
-only the numeric factorization.  A direct solve whose relative residual
-exceeds ``DIRECT_TOL`` gets one step of iterative refinement; only if it
-still exceeds it is the matrix reported as numerically singular.  The
-iterative path is restarted GMRES with an incomplete LU, ordered by minimum
-degree on the pattern of A^T + A (``PERMC_SPEC``).
+LU.  Dense addends, ``(row, column, block)`` triples that each lie in one
+slice's B (the kernel coupling's blocks), stay out of the CSR and its plan
+and are added straight into that B.  Plans are cached per sparsity pattern
+and slice index (the two most recent: Picard alternates between two
+patterns), so a Newton step redoes only the numeric factorization.  A direct
+solve whose relative residual, addends included, exceeds ``DIRECT_TOL``
+gets one step of iterative refinement; only if it still exceeds it is the
+matrix reported as numerically singular.  The iterative path is restarted
+GMRES with an incomplete LU, ordered by minimum degree on the pattern of
+A^T + A (``PERMC_SPEC``), of the matrix and its addends in one CSR.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     slices: np.ndarray | None = None  # time slice of each unknown
+    dense: list = field(default_factory=list)  # dense addends (row, column, block)
     meta: SolveMeta | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -95,8 +99,16 @@ class LinearSystem:
             raise ValueError(f"rhs length {self.rhs.shape} != n_rows {self.matrix.shape[0]}")
 
 
-def _rel_residual(a_csr, x, b) -> float:
-    return float(np.linalg.norm(a_csr @ x - b) / max(np.linalg.norm(b), 1.0))
+def apply(a: sp.csr_matrix, dense, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` plus each dense addend's block times its columns of x."""
+    y = a @ x
+    for r, c, block in dense:
+        y[r:r + block.shape[0]] += block @ x[c:c + block.shape[1]]
+    return y
+
+
+def _rel_residual(a_csr, dense, x, b) -> float:
+    return float(np.linalg.norm(apply(a_csr, dense, x) - b) / max(np.linalg.norm(b), 1.0))
 
 
 _PLANS: dict = {}  # pattern key -> _SlicePlan, least recently used first
@@ -116,7 +128,7 @@ class _SlicePlan:
     def __init__(self, a: sp.csr_matrix, slices: np.ndarray):
         n = a.shape[0]
         self.ids, rank, self.sizes = np.unique(slices, return_inverse=True, return_counts=True)
-        rank = rank.astype(np.int32)
+        self.rank = rank = rank.astype(np.int32)
         step = rank[a.indices]  # per entry, its column's slice less its row's
         step -= np.repeat(rank, np.diff(a.indptr))
 
@@ -132,7 +144,7 @@ class _SlicePlan:
         n_m = np.bincount(rank[m], minlength=self.sizes.size)
         n_u = np.where((n_m > 0) & (n_m < self.sizes), self.sizes - n_m, 0).tolist()
         self.order = np.lexsort((m, rank)).astype(np.int32)
-        off = np.concatenate([[0], np.cumsum(self.sizes)]).tolist()
+        self.offsets = off = np.concatenate([[0], np.cumsum(self.sizes)]).tolist()
         self.parts = [slice(lo, hi) for lo, hi in zip(off[:-1], off[1:])]
         self.pos = pos = np.empty(n, dtype=np.int32)  # slice-major position of each unknown
         pos[self.order] = np.arange(n)
@@ -164,6 +176,22 @@ class _SlicePlan:
                                ur.max() < n_u[k - 1] and isinstance(_run(uc), slice))
                               if lr.size and uc.size else None)
 
+    def place(self, dense) -> dict:
+        """Each dense addend's (row, column, block) in its slice's B, by slice;
+        ValueError unless it lies there.  A field keeps its unknowns' order, so
+        a run whose two ends lie in one field, length - 1 apart, lies in it."""
+        placed = {}
+        for r, c, block in dense:
+            (nr, nc), n = block.shape, self.pos.size
+            r0, r1, c0, c1 = self.pos.take([r, r + nr - 1, c, c + nc - 1], mode="clip").tolist()
+            k = int(self.rank.take(r, mode="clip"))
+            lo, mid, hi = self.offsets[k], self.offsets[k] + self.split[k][0], self.offsets[k + 1]
+            if not (min(r, c) >= 0 and max(r + nr, c + nc) <= n and r1 - r0 == nr - 1
+                    and c1 - c0 == nc - 1 and r1 < mid <= c0 and c1 < hi):
+                raise ValueError(f"dense addend at ({r}, {c}) does not lie in one slice's B block")
+            placed.setdefault(k, []).append((r0 - lo, c0 - mid, block))
+        return placed
+
 
 def _run(index: np.ndarray):
     """``index`` as a slice if it is a run of consecutive integers, for views."""
@@ -172,7 +200,7 @@ def _run(index: np.ndarray):
     return slice(lo, lo + index.size) if run else index
 
 
-def _plan(a: sp.csr_matrix, slices: np.ndarray | None) -> _SlicePlan:
+def _plan(a: sp.csr_matrix, slices: np.ndarray | None, dense=()) -> _SlicePlan:
     """The plan of ``a``'s pattern and ``slices``, from the cache or built."""
     n = a.shape[0]
     slices = np.zeros(n, dtype=np.int64) if slices is None else np.asarray(slices)
@@ -184,6 +212,7 @@ def _plan(a: sp.csr_matrix, slices: np.ndarray | None) -> _SlicePlan:
         h.update(np.ascontiguousarray(arr).data)
     key = (n, a.nnz, h.digest())
     plan = _PLANS.pop(key) if key in _PLANS else _SlicePlan(a, slices)
+    plan.place(dense)  # a misplaced addend raises before the plan is cached
     _PLANS[key] = plan
     if len(_PLANS) > PLAN_CACHE:
         del _PLANS[next(iter(_PLANS))]
@@ -195,10 +224,10 @@ class _SliceLU:
     complement ``S_k`` is gathered, updated in its m rows and factored with
     LAPACK, a split ``[[A, B], [C, D]]`` in its packed blocks: ``dgetrf(A)``,
     ``W = C A^-1`` over C, ``dgetrf(D - W B)`` over D, B kept as entries
-    (the local coupling's diagonal) or dense (the kernel coupling's)."""
+    (the local coupling's diagonal) or dense (the kernel coupling's addends)."""
 
-    def __init__(self, plan: _SlicePlan, data: np.ndarray):
-        self.plan, self.lu = plan, []
+    def __init__(self, plan: _SlicePlan, data: np.ndarray, dense=()):
+        self.plan, self.lu, placed = plan, [], plan.place(dense)
         self.lower, self.upper = ([(r, c, data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
         for k, (entries, flat) in enumerate(plan.blocks):
             (nu, length, br, bc), size = plan.split[k], plan.sizes[k]
@@ -215,8 +244,13 @@ class _SliceLU:
                 w = blas.dtrsm(1.0, a[0], cd[:, :nu], side=1, lower=0, overwrite_b=True)
                 w = blas.dtrsm(1.0, a[0], w, side=1, lower=1, diag=1, overwrite_b=True)
                 w[:] = w[:, np.argsort(lapack.dlaswp(np.arange(nu, dtype=float)[:, None], a[1])[:, 0])]
+                if br is not None and k in placed:  # B's entries, made dense for the addends
+                    ij, b, br = np.arange(nu)[br] + nu * np.arange(nm)[bc], np.zeros(nu * nm), None
+                    b[ij] = buf[nu * size + nm * nm:]
                 if br is None:
                     b = b.reshape(nu, nm, order="F")
+                    for r, c, block in placed.get(k, ()):
+                        b[r:r + block.shape[0], c:c + block.shape[1]] += block
                     d = blas.dgemm(-1.0, w, b, 1.0, d, overwrite_c=True)
                 else:  # a column gather stands in for W B
                     d[:, bc] -= w[:, br] * b
@@ -284,32 +318,33 @@ class _SliceLU:
 
 
 def factorize(a: sp.csr_matrix, method: Direct | Iterative = Direct(),
-              slices: np.ndarray | None = None):
-    """Factor the square canonical CSR matrix once (block LU in time, or ILU).
+              slices: np.ndarray | None = None, dense=()):
+    """Factor the square canonical CSR matrix and its ``dense`` addends once
+    (block LU in time, or ILU of both as one CSR).
 
     ``slices`` holds each unknown's time slice (direct path only; ``None``
     makes the matrix one slice, a dense LU).  Returns ``solve(b) -> (x,
     SolveMeta)``.  Raises ValueError when the matrix couples slices that are
-    not neighbours, SingularMatrixError on an exact zero pivot or an ILU
-    failure; the solve raises SingularMatrixError when the direct residual
-    misses ``DIRECT_TOL`` after one refinement step, NoConvergenceError when
-    GMRES exhausts its budget.
+    not neighbours or an addend lies outside one slice's B, SingularMatrixError
+    on an exact zero pivot or an ILU failure; the solve raises
+    SingularMatrixError when the direct residual misses ``DIRECT_TOL`` after
+    one refinement step, NoConvergenceError when GMRES exhausts its budget.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve requires a square matrix")
 
     if isinstance(method, Direct):
-        lu = _SliceLU(_plan(a, slices), a.data)
+        lu = _SliceLU(_plan(a, slices, dense), a.data, dense)
 
         def solve_direct(b):
             b = np.asarray(b, dtype=float)
             x = lu.solve(b)
             if not np.all(np.isfinite(x)):
                 raise SingularMatrixError("direct solve produced non-finite values")
-            res = _rel_residual(a, x, b)
+            res = _rel_residual(a, dense, x, b)
             if res > DIRECT_TOL:  # one step of iterative refinement
-                x += lu.solve(b - a @ x)
-                res = _rel_residual(a, x, b)
+                x += lu.solve(b - apply(a, dense, x))
+                res = _rel_residual(a, dense, x, b)
             if not res <= DIRECT_TOL:  # also when refinement left a NaN
                 raise SingularMatrixError(
                     f"direct solve residual {res:.3e} exceeds {DIRECT_TOL:.1e} "
@@ -319,6 +354,9 @@ def factorize(a: sp.csr_matrix, method: Direct | Iterative = Direct(),
 
         return solve_direct
 
+    for r, c, block in dense:  # GMRES and its ILU take the addends into one CSR
+        i, j = np.indices(block.shape).reshape(2, -1)
+        a = a + sp.csr_matrix((block.ravel(), (i + r, j + c)), shape=a.shape)
     try:
         ilu = spla.spilu(a.tocsc(), drop_tol=1e-6, fill_factor=20.0,
                          permc_spec=PERMC_SPEC)
@@ -342,7 +380,7 @@ def factorize(a: sp.csr_matrix, method: Direct | Iterative = Direct(),
             )
         if info < 0 or not np.all(np.isfinite(x)):
             raise SingularMatrixError("GMRES breakdown: invalid input or non-finite iterate")
-        return x, SolveMeta("iterative", count["n"], _rel_residual(a, x, b))
+        return x, SolveMeta("iterative", count["n"], _rel_residual(a, (), x, b))
 
     return solve_iterative
 
@@ -352,6 +390,6 @@ def solve(system: LinearSystem, method: Direct | Iterative = Direct()) -> np.nda
 
     Raises as :func:`factorize` and the solve it returns do.
     """
-    x, system.meta = factorize(system.matrix, method, system.slices)(system.rhs)
+    x, system.meta = factorize(system.matrix, method, system.slices, system.dense)(system.rhs)
     return x
 

@@ -58,6 +58,13 @@ OUT_OF_BOUNDS = [
                  id="coupling.kernel.sigma=1e9"),
     ("coupling.kernel_g.sigma", {"coupling": {"kernel": {"type": "gaussian", "sigma": 0.1},
                                               "kernel_g": {"type": "gaussian", "sigma": 1.5}}}),
+    # narrower than the floor: 1/sigma^2 would overflow to a NaN kernel or divide by zero
+    pytest.param("coupling.kernel.sigma", {"coupling": {"kernel": {"type": "gaussian", "sigma": 1e-200}}},
+                 id="coupling.kernel.sigma=1e-200"),
+    pytest.param("coupling.kernel_g.sigma",
+                 {"coupling": {"kernel": {"type": "gaussian", "sigma": 0.1},
+                               "kernel_g": {"type": "gaussian", "sigma": 1e-160}}},
+                 id="coupling.kernel_g.sigma=1e-160"),
     ("newton.theta", {"newton": {"theta": 1.5}}),
     ("newton.max_iter", {"newton": {"max_iter": 0}}),
     ("newton.residual_tol", {"newton": {"residual_tol": 0}}),

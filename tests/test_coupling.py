@@ -70,7 +70,8 @@ class TestKernel:
         assert np.abs(coeffs.imag).max() <= 1e-10 * np.abs(coeffs.real).max()
         assert coeffs.real.min() >= -1e-12
 
-    @pytest.mark.parametrize("sigma", [0.0, 1.0 + 1e-12, 1e9, float("nan")])
+    # below the floor, 1e-200 divided by zero and 1e-160 gave an all-NaN kernel
+    @pytest.mark.parametrize("sigma", [0.0, 1e-200, 1.0 + 1e-12, 1e9, float("nan")])
     def test_width_outside_unit_interval_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must lie in"):
             cpl.periodized_gaussian(GRID, sigma)

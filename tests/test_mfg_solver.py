@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import mfg_newton as mn
@@ -42,6 +43,14 @@ def manufactured_nonlocal(nx=32, nt=16, sigma=0.1):
         f=cpl.gaussian_kernel_coupling(grid, sigma),
         g=cpl.gaussian_kernel_coupling(grid, sigma))
     return diag.make_manufactured_nonlocal(grid, spec, nc)
+
+
+def whole(mat, dense):
+    """The CSR matrix ``mat`` plus its dense addends, as a dense array."""
+    out = mat.toarray()
+    for r, c, block in dense:
+        out[r:r + block.shape[0], c:c + block.shape[1]] += block
+    return out
 
 
 def assert_csr_invariants(mat):
@@ -199,17 +208,16 @@ class TestNewtonStep:
 
 
 class TestJacobianAgainstBruteForce:
-    """Entrywise comparison of the assembled operator with a finite-difference
-    Jacobian of the residual map on tiny grids, over the full unknown layout
-    with both boundary rows and columns."""
+    """Entrywise comparison of the assembled operator, its CSR plus its dense
+    blocks, with a finite-difference Jacobian of the residual map on tiny
+    grids, over the full unknown layout with both boundary rows and columns."""
 
     def _check(self, p, state):
         from mfg_newton.mfg_solver import _jacobian
 
         grid = p.grid
         u, m = state.u.values, state.m.values
-        mat, _ = _jacobian(p, state)
-        dense = mat.toarray()
+        dense = whole(*_jacobian(p, state)[:2])
 
         def residual_vec(x):
             du, dm = x.reshape((2, grid.nt + 1) + grid.spatial_shape)
@@ -460,6 +468,16 @@ class TestSolveNewton:
         final, history = solver.solve_newton(p, init, cfg, reference=exact)
         assert history[-1].err_sum <= 1e-8
 
+    def test_iterative_linear_method_kernel(self):
+        # GMRES must see the kernel coupling's dense blocks: without them it
+        # stalls at residual 1e-1 and the budget runs out
+        p, exact = manufactured_nonlocal(nx=16, nt=8)
+        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method=sla.Iterative(tol=1e-12))
+        _, history = solver.solve_newton(p, diag.perturbed_state(exact, 1e-2), cfg,
+                                         reference=exact)
+        assert len(history) - 1 == 3
+        assert history[-1].err_sum <= 1e-8
+
 
 class TestNewtonSystem:
     def test_rhs_vanishes_at_root(self):
@@ -507,7 +525,7 @@ class TestBlockLUAgainstSuperLU:
         assert solved
         for system, x in solved:
             assert system.slices is not None
-            expected = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+            expected = spla.splu(sp.csc_matrix(whole(system.matrix, system.dense))).solve(system.rhs)
             assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("make", [
@@ -566,6 +584,23 @@ class TestNewtonSlices:
         updates = [u for u in plan.schur if u is not None]
         assert len(updates) >= p.grid.nt - 2
         assert all(u[-1] for u in updates)
+
+    def test_kernel_blocks_stay_out_of_the_csr(self):
+        # the CSR keeps the stencils only (7 entries in a row here, 20 when
+        # it held conv_f and conv_g), and every two-field slice, 1..nt,
+        # still gets the dense B that the addends fill
+        p, exact = manufactured_nonlocal(nx=16, nt=8)
+        n = p.grid.n_space
+        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        assert np.diff(system.matrix.indptr).max() < n
+        assert len(system.dense) == p.grid.nt
+        factor = sla._SliceLU(sla._plan(system.matrix, system.slices, system.dense),
+                              system.matrix.data, system.dense)
+        assert [s[0] for s in factor.plan.split] == [0] + [n] * p.grid.nt
+        for k in range(1, p.grid.nt + 1):
+            b = factor.lu[k][3]
+            assert isinstance(b, np.ndarray) and b.shape == (n, n)
+        assert np.array_equal(factor.lu[-1][3], -p.coupling.g.conv)
 
 
 class TestSolveFixedPoint:

@@ -427,6 +427,56 @@ class TestTwoLevel:
         assert meta.residual_norm <= sla.DIRECT_TOL
 
 
+class TestDenseAddends:
+    """Dense blocks added to a slice's B outside the CSR, as the kernel
+    coupling's are: the factor, the residual check, ``apply`` and GMRES
+    all see the whole operator."""
+
+    # two_field((5, 5, 5, 5), (0, 5, 5, 5)): u_k at 5k.., m_k at 15 + 5k..
+    ADDENDS = [(5, 20, (5, 5)), (11, 27, (3, 2)), (15, 30, (5, 5)), (15, 30, (2, 2))]
+
+    @pytest.mark.parametrize("dense_b", [False, True])
+    def test_match_dense_solve(self, dense_b):
+        mat, dense, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=20, dense_b=dense_b)
+        rng = np.random.default_rng(21)
+        addends = [(r, c, rng.standard_normal(shape)) for r, c, shape in self.ADDENDS]
+        for r, c, block in addends:
+            dense[r:r + block.shape[0], c:c + block.shape[1]] += block
+        b = rng.standard_normal(mat.shape[0])
+        np.testing.assert_allclose(sla.apply(mat, addends, b), dense @ b, rtol=1e-12)
+        x, meta = sla.factorize(mat, sla.Direct(), slices, addends)(b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        assert meta.residual_norm <= sla.DIRECT_TOL
+        xi = sla.solve(sla.LinearSystem(mat, b, dense=addends), sla.Iterative(tol=1e-13))
+        np.testing.assert_allclose(xi, x, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("r, c, shape", [
+        (8, 20, (5, 5)),   # rows straddle the u of slices 1 and 2
+        (5, 22, (5, 5)),   # columns straddle the m of slices 1 and 2
+        (5, 5, (5, 5)),    # slice 1's A
+        (20, 20, (5, 5)),  # slice 1's D
+        (0, 15, (5, 1)),   # slice 0 holds u only: it has no B
+        (15, 33, (5, 5)),  # past the last column
+    ])
+    def test_misplaced_rejected_before_plan_cached(self, plan_builds, r, c, shape):
+        mat, _, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
+        with pytest.raises(ValueError, match="one slice's B block"):
+            sla.factorize(mat, sla.Direct(), slices, [(r, c, np.ones(shape))])
+        assert len(plan_builds) == 1 and sla._PLANS == {}
+
+    def test_run_through_another_field_rejected(self, plan_builds):
+        # unknowns reordered so that rows 0..2 are u_1, m_1, u_1: both ends of
+        # the run lie in slice 1's u, its middle does not
+        mat, dense, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
+        order = np.r_[5, 20, 6:10, 0:5, 10:20, 21:35]
+        i, j = np.nonzero(dense[order][:, order])
+        mat = sla.SparseMatrix.from_triplets(35, 35, i, j, dense[order][:, order][i, j])
+        column = int(np.flatnonzero(order == 21)[0])  # in slice 1's m
+        with pytest.raises(ValueError, match="one slice's B block"):
+            sla.factorize(mat, sla.Direct(), slices[order], [(0, column, np.ones((3, 1)))])
+        assert sla._PLANS == {}
+
+
 def random_two_field(seed):
     """A random pattern in ``two_field``'s layout: 2 to 5 slices of 0 to 6
     unknowns per field, some slices holding one field only, -I/dt or random
