@@ -57,15 +57,15 @@ class RateFit:
 
 
 def fit_rate(errors, floor: float = 0.0) -> RateFit:
-    """Fit the convergence order of a positive error sequence.
+    """Fit the convergence order of a non-negative error sequence.
 
-    Only consecutive pairs with both entries strictly above ``floor`` enter
-    the fit; entries at the numerical floor would bias the order downward.
+    Only consecutive pairs with both entries strictly above ``floor`` and 0
+    enter the fit; entries at the numerical floor would bias the order downward.
     """
     e = np.asarray(list(errors), dtype=float)
-    if np.any(e <= 0):
-        raise ValueError("error sequence must be strictly positive")
-    above = e > floor
+    if np.any(e < 0):
+        raise ValueError("error sequence must be non-negative")
+    above = e > max(floor, 0.0)  # an exact 0.0 (a start on the root) lies at any floor
     pair_ok = above[:-1] & above[1:]
     n_pairs = int(pair_ok.sum())
     if n_pairs < 2:

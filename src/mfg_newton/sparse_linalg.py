@@ -5,22 +5,25 @@ stored zeros.  Triplet assembly sorts triplets by (row, col, value), so any
 permutation of the same triplet stream gives a bit-identical matrix.  The
 direct path (the default, because the Newton-rate measurements must not be
 polluted by inner-solver error) is a block LU in time, one forward and one
-backward sweep over the slices: the implicit scheme couples a slice only to
-its neighbours, so each Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1
-A_k-1,k`` differs from ``A_kk`` only in its m rows, those that read the
-previous slice.  A slice holding both m and u (the rest) is factored in two
-levels (Golub & Van Loan, Matrix Computations, 4.5), as ``[[A, B], [C, D]]``
-with dense LUs of A and of ``D - C A^-1 B``; any other slice gets one dense
-LU.  Dense addends, ``(row, column, block)`` triples that each lie in one
-slice's B (the kernel coupling's blocks), stay out of the CSR and its plan
-and are added straight into that B.  Plans are cached per sparsity pattern
-and slice index (the two most recent: Picard alternates between two
-patterns), so a Newton step redoes only the numeric factorization.  A direct
-solve whose relative residual, addends included, exceeds ``DIRECT_TOL``
-gets one step of iterative refinement; only if it still exceeds it is the
-matrix reported as numerically singular.  The iterative path is restarted
-GMRES with an incomplete LU, ordered by minimum degree on the pattern of
-A^T + A (``PERMC_SPEC``), of the matrix and its addends in one CSR.
+backward sweep over the slices.  The implicit scheme's density unknowns m
+read the previous slice, its value unknowns u (the rest) the next, so each
+Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` differs from
+``A_kk`` only in its m rows and u columns, by a column gather.  A slice
+holding both m and u is factored in two levels (Golub & Van Loan, Matrix
+Computations, 4.5), as ``[[A, B], [C, D]]`` with dense LUs of A and of ``D
+- C A^-1 B``; any other slice gets one dense LU.  W B is a column gather
+over B's entries (the local coupling's diagonal) and one ``dgemm`` over
+dense addends, ``(row, column, block)`` triples that each lie in one
+slice's B (the kernel coupling's blocks) and stay out of the CSR and its
+plan.  Any other pattern raises ValueError naming its slice.  Plans are
+cached per sparsity pattern and slice index (the two most recent: Picard
+alternates between two patterns), so a Newton step redoes only the numeric
+factorization.  A direct solve whose relative residual, addends included,
+exceeds ``DIRECT_TOL`` gets one step of iterative refinement; only if it
+still exceeds it is the matrix reported as numerically singular.  The
+iterative path is restarted GMRES with an incomplete LU, ordered by minimum
+degree on the pattern of A^T + A (``PERMC_SPEC``), of the matrix and its
+addends in one CSR.
 """
 
 from __future__ import annotations
@@ -121,9 +124,13 @@ class _SlicePlan:
     unknown has is skipped).  A slice holding both m (its rows that read the
     previous slice, its columns the next slice reads) and u (the rest)
     splits, u before m.  Per slice: ``split`` (u's size or 0, the block's
-    length, B's rows and columns if kept as entries), block entries and flat
-    positions (packed A, m rows, B), couplings as local (row, column, entry)
-    triplets (A_k,k-1's columns from S_k-1's m block on), the Schur update's."""
+    length, B's rows and columns), block entries and flat positions (packed
+    A, m rows, B's entries), couplings as local (row, column, entry)
+    triplets (A_k,k-1's columns from S_k-1's m block on), the Schur update's
+    (columns, rows, A_k,k-1's columns, A_k-1,k's rows).  ValueError names a
+    slice whose B has two entries in a row or column, or whose update is no
+    column gather into C: a run of u columns, one entry each, read from
+    S_k-1's u rows, through one entry per row of A_k,k-1."""
 
     def __init__(self, a: sp.csr_matrix, slices: np.ndarray):
         n = a.shape[0]
@@ -162,24 +169,26 @@ class _SlicePlan:
             r, c, nm = row[inside], col[inside] - lo, size - nu
             b = (r < nu) & (c >= nu)
             br, bc = r[b], c[b] - nu
-            one = br.size <= nu and all(np.bincount(x, minlength=1).max() <= 1 for x in (br, bc))
+            if any(np.bincount(x, minlength=1).max() > 1 for x in (br, bc)):
+                raise ValueError(f"time slice {self.ids[k]}: B holds two entries in a row or a column")
             flat = np.where(r >= nu, nu * nu + r - nu + c * nm, r + c * nu)  # column-major A, m rows
-            flat[b] = nu * size + nm * nm + (np.arange(br.size) if one else br + bc * nu)  # then B
-            self.split.append((nu, nu * size + nm * nm + (br.size if one else nu * nm))
-                              + ((_run(br), _run(bc)) if one else (None, None)))
+            flat[b] = nu * size + nm * nm + np.arange(br.size)  # then B's entries
+            self.split.append((nu, nu * size + nm * nm + br.size, _run(br), _run(bc)))
             self.blocks.append((at[inside], flat))
             self.lower.append((lr, lc, at[below]))
             self.upper.append((row[above], col[above] - hi, at[above]))
-            starts = np.flatnonzero(np.r_[True, lr[1:] != lr[:-1]])
             ur, uc = self.upper[k - 1][:2]  # read only for k > 0: slice 0 has no lower coupling
-            self.schur.append((uc.min(), uc.max() + 1, _run(lr[starts] - nu), starts, _run(lc), _run(ur),
-                               ur.max() < n_u[k - 1] and isinstance(_run(uc), slice))
-                              if lr.size and uc.size else None)
+            cols = _run(uc) if lr.size and uc.size else None
+            if cols is not None and not (isinstance(cols, slice) and cols.stop <= nu
+                                         and ur.max() < n_u[k - 1] and np.all(lr[1:] > lr[:-1])):
+                raise ValueError(f"time slice {self.ids[k]}: Schur update is not a column gather")
+            self.schur.append(None if cols is None else (cols, _run(lr - nu), _run(lc), _run(ur)))
 
     def place(self, dense) -> dict:
-        """Each dense addend's (row, column, block) in its slice's B, by slice;
-        ValueError unless it lies there.  A field keeps its unknowns' order, so
-        a run whose two ends lie in one field, length - 1 apart, lies in it."""
+        """The dense addends summed into one dense B per slice, by slice;
+        ValueError unless each lies in one slice's B.  A field keeps its
+        unknowns' order, so a run whose ends lie in one field, length - 1
+        apart, lies in it."""
         placed = {}
         for r, c, block in dense:
             (nr, nc), n = block.shape, self.pos.size
@@ -189,19 +198,21 @@ class _SlicePlan:
             if not (min(r, c) >= 0 and max(r + nr, c + nc) <= n and r1 - r0 == nr - 1
                     and c1 - c0 == nc - 1 and r1 < mid <= c0 and c1 < hi):
                 raise ValueError(f"dense addend at ({r}, {c}) does not lie in one slice's B block")
-            placed.setdefault(k, []).append((r0 - lo, c0 - mid, block))
+            b = placed.setdefault(k, np.zeros((mid - lo, hi - mid), order="F"))
+            b[r0 - lo:r1 - lo + 1, c0 - mid:c1 - mid + 1] += block
         return placed
 
 
 def _run(index: np.ndarray):
-    """``index`` as a slice if it is a run of consecutive integers, for views."""
+    """``index`` as a slice if it is a run of consecutive integers (or empty), for views."""
     lo = int(index[0]) if index.size else 0
-    run = index.size and int(index[-1]) - lo == index.size - 1 and (index[1:] > index[:-1]).all()
+    run = not index.size or int(index[-1]) - lo == index.size - 1 and (index[1:] > index[:-1]).all()
     return slice(lo, lo + index.size) if run else index
 
 
-def _plan(a: sp.csr_matrix, slices: np.ndarray | None, dense=()) -> _SlicePlan:
-    """The plan of ``a``'s pattern and ``slices``, from the cache or built."""
+def _plan(a: sp.csr_matrix, slices: np.ndarray | None, dense=()) -> tuple[_SlicePlan, dict]:
+    """The plan of ``a``'s pattern and ``slices``, from the cache or built,
+    and the ``dense`` addends it places."""
     n = a.shape[0]
     slices = np.zeros(n, dtype=np.int64) if slices is None else np.asarray(slices)
     if slices.shape != (n,):
@@ -212,28 +223,29 @@ def _plan(a: sp.csr_matrix, slices: np.ndarray | None, dense=()) -> _SlicePlan:
         h.update(np.ascontiguousarray(arr).data)
     key = (n, a.nnz, h.digest())
     plan = _PLANS.pop(key) if key in _PLANS else _SlicePlan(a, slices)
-    plan.place(dense)  # a misplaced addend raises before the plan is cached
+    placed = plan.place(dense)  # a misplaced addend raises before the plan is cached
     _PLANS[key] = plan
     if len(_PLANS) > PLAN_CACHE:
         del _PLANS[next(iter(_PLANS))]
-    return plan
+    return plan, placed
 
 
 class _SliceLU:
-    """Numeric block LU in time of ``data`` on a plan's pattern: each Schur
-    complement ``S_k`` is gathered, updated in its m rows and factored with
-    LAPACK, a split ``[[A, B], [C, D]]`` in its packed blocks: ``dgetrf(A)``,
-    ``W = C A^-1`` over C, ``dgetrf(D - W B)`` over D, B kept as entries
-    (the local coupling's diagonal) or dense (the kernel coupling's addends)."""
+    """Numeric block LU in time of ``data`` on a plan's pattern, with the
+    addends its ``place`` returned: each Schur complement ``S_k`` is
+    gathered, its C updated by a column gather, and factored with LAPACK, a
+    split ``[[A, B], [C, D]]`` in its packed blocks: ``dgetrf(A)``, ``W = C
+    A^-1`` over C, ``dgetrf(D - W B)`` over D, B's entries and its dense
+    addends kept for the solve."""
 
-    def __init__(self, plan: _SlicePlan, data: np.ndarray, dense=()):
-        self.plan, self.lu, placed = plan, [], plan.place(dense)
+    def __init__(self, plan: _SlicePlan, placed: dict, data: np.ndarray):
+        self.plan, self.lu = plan, []
         self.lower, self.upper = ([(r, c, data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
         for k, (entries, flat) in enumerate(plan.blocks):
             (nu, length, br, bc), size = plan.split[k], plan.sizes[k]
             nm, buf = size - nu, np.zeros(length)
             buf[flat] = data[entries]
-            a, b = buf[:nu * nu].reshape(nu, nu, order="F"), buf[nu * size + nm * nm:]
+            a, bv = buf[:nu * nu].reshape(nu, nu, order="F"), buf[nu * size + nm * nm:]
             cd = buf[nu * nu:nu * size + nm * nm].reshape(nm, size, order="F")  # m rows, or all
             if plan.schur[k] is not None:
                 self._schur_update(k, cd)
@@ -244,18 +256,11 @@ class _SliceLU:
                 w = blas.dtrsm(1.0, a[0], cd[:, :nu], side=1, lower=0, overwrite_b=True)
                 w = blas.dtrsm(1.0, a[0], w, side=1, lower=1, diag=1, overwrite_b=True)
                 w[:] = w[:, np.argsort(lapack.dlaswp(np.arange(nu, dtype=float)[:, None], a[1])[:, 0])]
-                if br is not None and k in placed:  # B's entries, made dense for the addends
-                    ij, b, br = np.arange(nu)[br] + nu * np.arange(nm)[bc], np.zeros(nu * nm), None
-                    b[ij] = buf[nu * size + nm * nm:]
-                if br is None:
-                    b = b.reshape(nu, nm, order="F")
-                    for r, c, block in placed.get(k, ()):
-                        b[r:r + block.shape[0], c:c + block.shape[1]] += block
-                    d = blas.dgemm(-1.0, w, b, 1.0, d, overwrite_c=True)
-                else:  # a column gather stands in for W B
-                    d[:, bc] -= w[:, br] * b
-                    b = (br, bc, b)
-            self.lu.append((a, w, self._dgetrf(k, d), b) if nu else (None, None, self._dgetrf(k, d), None))
+                d[:, bc] -= w[:, br] * bv  # W B: a column gather over B's entries,
+                if k in placed:  # one dgemm over its addends
+                    d = blas.dgemm(-1.0, w, placed[k], 1.0, d, overwrite_c=True)
+            self.lu.append((a, w, self._dgetrf(k, d), (br, bc, bv, placed.get(k))) if nu
+                           else (None, None, self._dgetrf(k, d), None))
 
     def _dgetrf(self, k, s):
         lu, piv, info = lapack.dgetrf(s, overwrite_a=True)
@@ -266,7 +271,7 @@ class _SliceLU:
     def _solve_m(self, k, r):
         """x_m = Sigma^-1 (r_m - W r_u), the rows of S_k^-1 r that slice k+1 reads (all of
         them if S_k = Sigma is unsplit), r a vector or column-major block it may overwrite;
-        r may hold only r_m - W r_u, as the gathered Schur update's does."""
+        r may hold only r_m - W r_u, as the Schur update's does."""
         _, w, sigma, _ = self.lu[k]
         if w is not None and r.shape[0] > w.shape[0]:  # all of S_k's rows: reduce to r_m - W r_u
             nu = w.shape[1]
@@ -274,30 +279,22 @@ class _SliceLU:
         return lapack.dgetrs(*sigma, r, overwrite_b=True)[0]
 
     def _schur_update(self, k, s):
-        """s[rows, c0:c1] -= A_k,k-1 x_m for S_k-1 x = A_k-1,k; r_m - W r_u is -W A_k-1,k, a
-        column gather, when A_k-1,k's rows lie in S_k-1's u, its columns c0:c1 one entry each."""
-        c0, c1, rows, starts, lcol, urow, gather = self.plan.schur[k]
-        (_, lc, lv), (ur, uc, uv) = self.lower[k], self.upper[k - 1]
-        if gather:
-            w = np.multiply(self.lu[k - 1][1][:, urow], -uv, order="F")
-        else:
-            w = np.zeros((self.plan.sizes[k - 1], c1 - c0), order="F")  # A_k-1,k, dense
-            w[ur, uc - c0] = uv
-        update = lv[:, None] * self._solve_m(k - 1, w)[lcol]
-        if starts.size < lc.size:  # a row of A_k,k-1 with several entries
-            update = np.add.reduceat(update, starts)
-        s[rows, c0:c1] -= update
+        """s[rows, cols] -= A_k,k-1 x_m for S_k-1 x = A_k-1,k; r_m - W r_u is -W A_k-1,k, a
+        column gather, as A_k-1,k's rows lie in S_k-1's u, its columns cols one entry each."""
+        cols, rows, lcol, urow = self.plan.schur[k]
+        lv, uv = self.lower[k][2], self.upper[k - 1][2]
+        w = np.multiply(self.lu[k - 1][1][:, urow], -uv, order="F")
+        s[rows, cols] -= lv[:, None] * self._solve_m(k - 1, w)[lcol]
 
     def _solve(self, k, b):
         a, w, _, bq = self.lu[k]
         xm = self._solve_m(k, b)  # then x_u = A^-1 (b_u - B x_m), overwriting b_u
         if a is None:
             return xm
-        bu = b[:w.shape[1]]
-        if isinstance(bq, tuple):  # B's entries
-            bu[bq[0]] -= bq[2] * xm[bq[1]]
-        else:
-            bu = blas.dgemv(-1.0, bq, xm, 1.0, bu)
+        (br, bc, bv, addends), bu = bq, b[:w.shape[1]]
+        bu[br] -= bv * xm[bc]
+        if addends is not None:
+            bu = blas.dgemv(-1.0, addends, xm, 1.0, bu)
         return np.concatenate([lapack.dgetrs(*a, bu)[0], xm])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -324,9 +321,9 @@ def factorize(a: sp.csr_matrix, method: Direct | Iterative = Direct(),
 
     ``slices`` holds each unknown's time slice (direct path only; ``None``
     makes the matrix one slice, a dense LU).  Returns ``solve(b) -> (x,
-    SolveMeta)``.  Raises ValueError when the matrix couples slices that are
-    not neighbours or an addend lies outside one slice's B, SingularMatrixError
-    on an exact zero pivot or an ILU failure; the solve raises
+    SolveMeta)``.  Raises ValueError on a pattern ``_SlicePlan`` rejects or
+    an addend outside one slice's B, SingularMatrixError on an exact zero
+    pivot or an ILU failure; the solve raises
     SingularMatrixError when the direct residual misses ``DIRECT_TOL`` after
     one refinement step, NoConvergenceError when GMRES exhausts its budget.
     """
@@ -334,7 +331,7 @@ def factorize(a: sp.csr_matrix, method: Direct | Iterative = Direct(),
         raise ValueError("solve requires a square matrix")
 
     if isinstance(method, Direct):
-        lu = _SliceLU(_plan(a, slices, dense), a.data, dense)
+        lu = _SliceLU(*_plan(a, slices, dense), a.data)
 
         def solve_direct(b):
             b = np.asarray(b, dtype=float)

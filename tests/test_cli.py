@@ -283,6 +283,18 @@ class TestExperiments:
         assert len(history) >= 3
         assert not any(line.startswith("# fit") for line in history)
 
+    def test_start_on_the_root_is_no_fit(self, tmp_path):
+        # eps = 1e-300 leaves the start on the root: err_sum is exactly 0.0
+        cfg = write_config(tmp_path, epsilons=[1e-300])
+        assert cli.main(["run", "--config", str(cfg)]) == 3
+        out = tmp_path / "out"
+        summary = (out / "summary.csv").read_text().splitlines()
+        row = dict(zip(summary[0].split(","), summary[1].split(",")))
+        assert (row["status"], row["error"]) == ("no_fit", "InsufficientDataError")
+        assert row["iterations"] == "0"
+        history = (out / "history.csv").read_text().splitlines()
+        assert history[0].startswith("iter,") and history[1].split(",")[5] == "0"
+
 
 class TestDeterminism:
     def test_identical_outputs_modulo_wall_clock(self, tmp_path):

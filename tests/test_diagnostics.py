@@ -51,6 +51,14 @@ class TestFitRate:
         with pytest.raises(InsufficientDataError):
             diag.fit_rate([1e-2, 1e-4, 1e-8], floor=1e-6)
 
+    def test_trailing_exact_zero_lies_at_the_floor(self):
+        # a step that lands on the root: its 0.0 ends the usable pairs
+        fit = diag.fit_rate([1e-1, 1e-2, 1e-4, 0.0], floor=0.0)
+        assert fit.order == pytest.approx(2.0, abs=1e-12)
+        assert fit.points_used == 3 and fit.floor_index == 3
+        with pytest.raises(ValueError):
+            diag.fit_rate([1e-1, 1e-2, -1e-4], floor=0.0)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             diag.fit_rate([1e-2, 0.0, 1e-4], floor=0.0)

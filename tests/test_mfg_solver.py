@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,11 +17,11 @@ from mfg_newton.errors import (DomainError, MaxIterExceededError,
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Record every call of ``sparse_linalg.factorize``."""
+    """Record every call of ``sparse_linalg.factorize``, its arguments by name."""
     calls, factorize = [], sla.factorize
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(inspect.signature(factorize).bind(*args, **kwargs).arguments)
         return factorize(*args, **kwargs)
 
     monkeypatch.setattr(sla, "factorize", counting)
@@ -36,9 +38,9 @@ def manufactured(nx=32, nt=16, alpha=1.0, coupling="sigmoid", dim=1):
     return diag.make_manufactured(grid, spec, cpl.LocalCoupling(coupling))
 
 
-def manufactured_nonlocal(nx=32, nt=16, sigma=0.1):
+def manufactured_nonlocal(nx=32, nt=16, sigma=0.1, congestion=False):
     grid = tg.GridSpec(dim=1, nx=nx, nt=nt, horizon=1.0)
-    spec = ham.separable_quadratic(grid, 1.0)
+    spec = ham.congestion(grid, 1.0, alpha=1.0) if congestion else ham.separable_quadratic(grid, 1.0)
     nc = solver.NonlocalCoupling(
         f=cpl.gaussian_kernel_coupling(grid, sigma),
         g=cpl.gaussian_kernel_coupling(grid, sigma))
@@ -529,7 +531,8 @@ class TestBlockLUAgainstSuperLU:
             assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("make", [
-        manufactured, manufactured_nonlocal, lambda: manufactured(nx=8, nt=6, dim=2)])
+        manufactured, manufactured_nonlocal, lambda: manufactured(nx=8, nt=6, dim=2),
+        pytest.param(lambda: manufactured_nonlocal(congestion=True), id="kernel-congestion")])
     def test_newton_matrix(self, make, handed):
         p, exact = make()
         solver.newton_step(p, diag.perturbed_state(exact, 1e-2), solver.NewtonConfig())
@@ -567,40 +570,59 @@ class TestPlanReuse:
 
 
 class TestNewtonSlices:
-    """Every slice of the Newton matrix that holds both fields is factored in
-    two levels, and every Schur update is the column gather through its
-    predecessor's W that the -I/dt coupling allows, never the general path's
-    dense solve of the coupling block."""
+    """Every matrix the solver factors has the pattern the block LU in time
+    plans: every slice that holds both fields splits, its value unknowns
+    as u and its density unknowns as m, and every Schur update is a column
+    gather (the plan rejects any other)."""
 
-    @pytest.mark.parametrize("case", ["1d-local", "1d-kernel", "2d-local"])
-    def test_every_schur_update_is_gathered(self, case):
-        if case == "1d-kernel":
-            p, exact = manufactured_nonlocal(nx=16, nt=8)
+    @pytest.mark.parametrize("case", ["1d-local", "1d-kernel", "2d-local", "kernel-congestion",
+                                      "picard", "probe"])
+    def test_every_schur_update_is_gathered(self, case, factorizations):
+        if case in ("1d-kernel", "kernel-congestion"):
+            p, exact = manufactured_nonlocal(nx=16, nt=8, congestion=case == "kernel-congestion")
+        elif case == "2d-local":
+            p, exact = manufactured(nx=6, nt=8, dim=2)
         else:
-            p, exact = manufactured(nx=16 if case == "1d-local" else 6, nt=8, dim=int(case[0]))
-        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        plan = sla._plan(system.matrix, system.slices)
-        assert all(s[0] > 0 for s in plan.split[1:-1])
-        updates = [u for u in plan.schur if u is not None]
-        assert len(updates) >= p.grid.nt - 2
-        assert all(u[-1] for u in updates)
+            p, exact = manufactured(nx=16, nt=8)
+        start = diag.perturbed_state(exact, 1e-2)
+        if case == "picard":
+            with pytest.raises(MaxIterExceededError):
+                solver.solve_fixed_point(p, start, solver.NewtonConfig(max_iter=1))
+        elif case == "probe":
+            solver.linearized_solver(p, start)
+        else:
+            solver.newton_step(p, start, solver.NewtonConfig())
+        assert factorizations
+        for call in factorizations:
+            slices = call["slices"]
+            plan, _ = sla._plan(call["a"], slices, call.get("dense", ()))
+            # the unknowns are slice-stacked, value before density: the slice
+            # ids drop where the density unknowns start
+            density = np.r_[0, np.cumsum(np.diff(slices) < 0)][plan.order]
+            n_u = [np.count_nonzero(density[part] == 0) for part in plan.parts]
+            assert [s[0] for s in plan.split] == [nu if 0 < nu < size else 0
+                                                  for nu, size in zip(n_u, plan.sizes)]
+            assert all(np.all(np.diff(density[part]) >= 0) for part in plan.parts)
+            # a split slice passes an update to a split successor, and only there
+            assert [u is not None for u in plan.schur[1:]] == \
+                [s[0] > 0 and t[0] > 0 for s, t in zip(plan.split, plan.split[1:])]
 
     def test_kernel_blocks_stay_out_of_the_csr(self):
         # the CSR keeps the stencils only (7 entries in a row here, 20 when
         # it held conv_f and conv_g), and every two-field slice, 1..nt,
-        # still gets the dense B that the addends fill
+        # splits with a dense block of addends in B and no entry there (H_m = 0)
         p, exact = manufactured_nonlocal(nx=16, nt=8)
         n = p.grid.n_space
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
         assert np.diff(system.matrix.indptr).max() < n
         assert len(system.dense) == p.grid.nt
-        factor = sla._SliceLU(sla._plan(system.matrix, system.slices, system.dense),
-                              system.matrix.data, system.dense)
+        factor = sla._SliceLU(*sla._plan(system.matrix, system.slices, system.dense),
+                              system.matrix.data)
         assert [s[0] for s in factor.plan.split] == [0] + [n] * p.grid.nt
         for k in range(1, p.grid.nt + 1):
-            b = factor.lu[k][3]
-            assert isinstance(b, np.ndarray) and b.shape == (n, n)
-        assert np.array_equal(factor.lu[-1][3], -p.coupling.g.conv)
+            _, _, entries, addends = factor.lu[k][3]
+            assert entries.size == 0 and addends.shape == (n, n)
+        assert np.array_equal(factor.lu[-1][3][3], -p.coupling.g.conv)
 
 
 class TestSolveFixedPoint:

@@ -185,10 +185,12 @@ class TestSolve:
 
 
 def random_block_tridiagonal(sizes, seed, density=0.3):
-    """Random matrix coupling each slice to its neighbours only, as a
-    CSR matrix in slice-major order, its dense copy, and the slice index of
-    each unknown.  Diagonal blocks are dense and diagonally heavy; the
-    couplings keep each entry with probability ``density``."""
+    """Random matrix in which each slice reads the next one only, as the
+    fixed-point baseline's value block does, as a CSR matrix in slice-major
+    order, its dense copy, and the slice index of each unknown.  Diagonal
+    blocks are dense and diagonally heavy; the couplings keep each entry
+    with probability ``density``.  No row reads the previous slice, so every
+    slice keeps one dense LU."""
     rng = np.random.default_rng(seed)
     off = np.concatenate([[0], np.cumsum(sizes)])
     n = off[-1]
@@ -198,9 +200,8 @@ def random_block_tridiagonal(sizes, seed, density=0.3):
         dense[part, part] = rng.standard_normal((size, size)) + 3.0 * np.eye(size)
         if k:
             prev = slice(off[k - 1], off[k])
-            for rows, cols in ((part, prev), (prev, part)):
-                block = rng.standard_normal(dense[rows, cols].shape)
-                dense[rows, cols] = np.where(rng.random(block.shape) < density, block, 0.0)
+            block = rng.standard_normal(dense[prev, part].shape)
+            dense[prev, part] = np.where(rng.random(block.shape) < density, block, 0.0)
     i, j = np.nonzero(dense)
     mat = sla.SparseMatrix.from_triplets(n, n, i, j, dense[i, j])
     return mat, dense, np.repeat(np.arange(len(sizes)), sizes)
@@ -263,12 +264,13 @@ class TestSliceLU:
             sla.factorize(mat, sla.Direct(), slices[:-1])
 
     def test_exact_zero_pivot_is_singular(self):
-        # slice 1's Schur complement A_11 - A_10 A_00^-1 A_01 is exactly 0
-        # although A_11 = 1 is not
+        # unknowns u_0, m_0, u_1, m_1; m_1 reads m_0 and u_0 reads u_1.  The
+        # Schur update turns slice 1's C from 0 into 1, so D - C A^-1 B is
+        # 1 - 1 = 0 exactly, although slice 1's block is not singular
         mat = sla.SparseMatrix.from_triplets(
-            2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(SingularMatrixError, match="zero pivot"):
-            sla.factorize(mat, sla.Direct(), np.array([0, 1]))
+            4, 4, [0, 0, 1, 1, 2, 2, 3, 3], [0, 2, 0, 1, 2, 3, 1, 3], np.ones(8))
+        with pytest.raises(SingularMatrixError, match="zero pivot in time slice 1"):
+            sla.factorize(mat, sla.Direct(), np.array([0, 0, 1, 1]))
 
 
 class TestPlanCache:
@@ -277,9 +279,9 @@ class TestPlanCache:
         sla.factorize(mat, sla.Direct(), slices)
         values = np.random.default_rng(12).standard_normal(mat.nnz)
         a = sp.csr_matrix((mat.data + values, mat.indices, mat.indptr), shape=mat.shape)
-        cached = sla._SliceLU(sla._plan(a, slices), a.data)
+        cached = sla._SliceLU(*sla._plan(a, slices), a.data)
         assert len(plan_builds) == 1 and cached.plan is plan_builds[0]
-        fresh = sla._SliceLU(sla._SlicePlan(a, slices), a.data)  # built, not cached
+        fresh = sla._SliceLU(sla._SlicePlan(a, slices), {}, a.data)  # built, not cached
         assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
         b = np.random.default_rng(13).standard_normal(mat.shape[0])
         assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
@@ -288,9 +290,9 @@ class TestPlanCache:
         mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=14, density=0.5)
         b = np.random.default_rng(15).standard_normal(mat.shape[0])
         sla.factorize(mat, sla.Direct(), slices)
-        # in a slice 1 row, move one entry of its coupling to slice 0 to a free column
-        row = next(r for r in range(3, 7) if 0 < np.count_nonzero(dense[r, :3]) < 3)
-        stored, free = np.flatnonzero(dense[row, :3]), np.flatnonzero(dense[row, :3] == 0.0)
+        # in a slice 0 row, move one entry of its coupling to slice 1 to a free column
+        row = next(r for r in range(3) if 0 < np.count_nonzero(dense[r, 3:7]) < 4)
+        stored, free = np.flatnonzero(dense[row, 3:7]) + 3, np.flatnonzero(dense[row, 3:7] == 0.0) + 3
         dense[row, free[0]], dense[row, stored[0]] = dense[row, stored[0]], 0.0
         i, j = np.nonzero(dense)
         moved = sla.SparseMatrix.from_triplets(*mat.shape, i, j, dense[i, j])
@@ -309,36 +311,59 @@ class TestPlanCache:
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
 
 
-def two_field(n_u, n_m, seed, aligned=True, dense_b=False, density=0.4):
+def two_field(n_u, n_m, seed, aligned=True, holes=0.0, addends=False, density=0.4):
     """Random two-field block-tridiagonal matrix laid out like the Newton
     matrix: every value unknown u_0..u_K, then every density unknown
     m_0..m_K, slice k holding n_u[k] of u and n_m[k] of m.  The couplings
-    are those of the implicit scheme, u_k reading u_k+1 and m_k reading
-    m_k-1: -I/dt when ``aligned`` (equal field sizes), else random sparse.
-    B, the (u, m) block, is diagonal or dense; A and D are diagonally heavy
-    and C random.  Returns the CSR matrix, its dense copy and the slices."""
+    are those of the implicit scheme: each row of m_k reads one column of
+    m_k-1, and rows of u_k read a run of u_k+1's columns, one entry each.
+    They are -I/dt between leading unknowns when ``aligned``, otherwise
+    random values, shifted columns of m_k-1, and sorted random rows of u_k
+    reading a run at a random offset.  Density unknowns lie on consecutive
+    slices, the first holding no more than the second, so that each reads
+    the previous slice or is read by the next: these are the fields the
+    plan finds.  B, the (u, m) block, is a diagonal lacking each entry with
+    probability ``holes``, as the solver prunes B where H_m = 0; with
+    ``addends`` a dense block is added to every B outside the CSR, as the
+    kernel coupling's are.  A and D are diagonally heavy and C random.
+    Returns the CSR matrix, its dense copy (addends included), the slices
+    and the addends."""
     rng = np.random.default_rng(seed)
     off = np.concatenate([[0], np.cumsum(np.r_[n_u, n_m])])
     field = [slice(lo, hi) for lo, hi in zip(off[:-1], off[1:])]
     us, ms = field[:len(n_u)], field[len(n_u):]
-    dense = np.zeros((off[-1], off[-1]))
+    dense, blocks = np.zeros((off[-1], off[-1])), []
 
     def sparse(shape):
         return np.where(rng.random(shape) < density, rng.standard_normal(shape), 0.0)
+
+    def coupling(size):
+        return np.full(size, -8.0) if aligned else rng.uniform(-2.0, 2.0, size)
 
     for k, (nu, nm) in enumerate(zip(n_u, n_m)):
         dense[us[k], us[k]] = sparse((nu, nu)) + 4.0 * np.eye(nu)
         dense[ms[k], ms[k]] = sparse((nm, nm)) + 4.0 * np.eye(nm)
         dense[ms[k], us[k]] = sparse((nm, nu))
-        dense[us[k], ms[k]] = (rng.standard_normal((nu, nm)) if dense_b
-                               else np.eye(nu, nm) * rng.uniform(0.5, 1.5, nm))
-        if k + 1 < len(n_u):
-            for rows, cols in ((us[k], us[k + 1]), (ms[k + 1], ms[k])):
-                shape = dense[rows, cols].shape
-                dense[rows, cols] = -8.0 * np.eye(*shape) if aligned else sparse(shape)
+        i = np.arange(min(nu, nm))  # B's diagonal, less its holes
+        dense[us[k].start + i, ms[k].start + i] = np.where(rng.random(i.size) < holes, 0.0,
+                                                           rng.uniform(0.5, 1.5, i.size))
+        if addends and nu and nm:
+            blocks.append((us[k].start, ms[k].start, rng.standard_normal((nu, nm))))
+        if k + 1 < len(n_u) and nm and n_m[k + 1]:
+            rows = np.arange(n_m[k + 1])
+            cols = (rows + (0 if aligned else rng.integers(nm))) % nm
+            dense[ms[k + 1].start + rows, ms[k].start + cols] = coupling(rows.size)
+        if k + 1 < len(n_u) and nu and n_u[k + 1]:
+            run = min(nu, n_u[k + 1]) if aligned else int(rng.integers(1, min(nu, n_u[k + 1]) + 1))
+            rows = np.arange(run) if aligned else np.sort(rng.choice(nu, run, replace=False))
+            c0 = 0 if aligned else int(rng.integers(n_u[k + 1] - run + 1))
+            dense[us[k].start + rows, us[k + 1].start + c0 + np.arange(run)] = coupling(run)
     i, j = np.nonzero(dense)
+    mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
+    for r, c, block in blocks:
+        dense[r:r + block.shape[0], c:c + block.shape[1]] += block
     slices = np.r_[np.repeat(np.arange(len(n_u)), n_u), np.repeat(np.arange(len(n_m)), n_m)]
-    return sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j]), dense, slices
+    return mat, dense, slices, blocks
 
 
 def stored(factor):
@@ -356,75 +381,67 @@ class TestTwoLevel:
     """Slices that hold both rows that read the previous slice (or columns
     the next slice reads) and other unknowns are factored in two levels."""
 
-    @pytest.mark.parametrize("n_u, n_m, aligned, dense_b", [
+    @pytest.mark.parametrize("n_u, n_m, aligned, addends", [
         ((6, 6, 6, 6, 0), (0, 6, 6, 6, 6), True, False),  # local coupling: m(T) alone
         ((5, 5, 5, 5), (0, 5, 5, 5), True, True),  # kernel coupling: u(T) and m(T)
         ((4, 7, 3, 6, 2), (0, 5, 6, 2, 4), False, False),
-        ((4, 7, 3, 6, 2), (0, 5, 6, 2, 4), False, True),
+        ((4, 7, 3, 6, 2), (0, 5, 6, 2, 4), False, True),  # B's entries and addends
     ])
-    def test_matches_dense_solve(self, n_u, n_m, aligned, dense_b):
-        mat, dense, slices = two_field(n_u, n_m, seed=sum(n_u), aligned=aligned, dense_b=dense_b)
-        plan = sla._plan(mat, slices)
-        assert all(plan.split[k][0] > 0 for k in range(len(n_u)) if n_u[k] and n_m[k])
-        assert any(s is not None and s[-1] == aligned for s in plan.schur)  # gathered, or not
+    def test_matches_dense_solve(self, n_u, n_m, aligned, addends):
+        # the kernel coupling's B has no entries (H_m = 0); a random B has holes
+        holes = float(addends) if aligned else 0.3
+        mat, dense, slices, added = two_field(n_u, n_m, seed=sum(n_u), aligned=aligned,
+                                              holes=holes, addends=addends)
+        plan, _ = sla._plan(mat, slices, added)
+        assert [s[0] for s in plan.split] == [nu if nu and nm else 0 for nu, nm in zip(n_u, n_m)]
+        assert any(s is not None for s in plan.schur)
         b = np.random.default_rng(1).standard_normal(mat.shape[0])
-        x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
-        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-        assert meta.residual_norm <= sla.DIRECT_TOL
-
-    @pytest.mark.parametrize("aligned, dense_b", [(True, False), (True, True), (False, False)])
-    def test_one_block_slice_between_split_slices(self, aligned, dense_b):
-        # slice 2's first density row also reads slice 3's value: slice 2
-        # splits all the same, with a coupling row in its m block, so the
-        # update it passes to slice 3 is never gathered
-        mat, dense, slices = two_field((5, 5, 5, 5, 5), (0, 5, 5, 5, 5), seed=9,
-                                       aligned=aligned, dense_b=dense_b)
-        dense[30, 15] = 0.5
-        i, j = np.nonzero(dense)
-        mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
-        plan = sla._plan(mat, slices)
-        assert [s[0] > 0 for s in plan.split] == [False, True, True, True, True]
-        assert [s is not None and s[-1] for s in plan.schur] == [False, False, aligned, False, aligned]
-        b = np.random.default_rng(10).standard_normal(mat.shape[0])
-        x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
+        x, meta = sla.factorize(mat, sla.Direct(), slices, added)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.residual_norm <= sla.DIRECT_TOL
 
     def test_stores_three_quarters_of_a_dense_slice(self):
-        mat, _, slices = two_field((8, 8, 8), (0, 8, 8), seed=2)
-        factor = sla._SliceLU(sla._plan(mat, slices), mat.data)
+        mat, _, slices, _ = two_field((8, 8, 8), (0, 8, 8), seed=2)
+        factor = sla._SliceLU(*sla._plan(mat, slices), mat.data)
         entries = sum(x.size for x in stored(factor) if isinstance(x, np.ndarray) and x.dtype == float)
         assert entries == 8 * 8 + 2 * (3 * 8 * 8 + 8)  # slice 0 whole; A, W, Sigma and B's diagonal
 
     def test_refactor_matches_fresh_plan_bitwise(self, plan_builds):
-        mat, _, slices = two_field((6, 6, 6, 6), (0, 6, 6, 6), seed=3, dense_b=True)
-        sla.factorize(mat, sla.Direct(), slices)
+        mat, _, slices, added = two_field((6, 6, 6, 6), (0, 6, 6, 6), seed=3, holes=0.3, addends=True)
+        sla.factorize(mat, sla.Direct(), slices, added)
         values = np.random.default_rng(4).uniform(0.5, 1.0, mat.nnz)
         a = sp.csr_matrix((mat.data * values, mat.indices, mat.indptr), shape=mat.shape)
-        cached = sla._SliceLU(sla._plan(a, slices), a.data)
+        cached = sla._SliceLU(*sla._plan(a, slices, added), a.data)
         assert len(plan_builds) == 1 and cached.plan is plan_builds[0]
-        fresh = sla._SliceLU(sla._SlicePlan(a, slices), a.data)  # built, not cached
+        plan = sla._SlicePlan(a, slices)  # built, not cached
+        fresh = sla._SliceLU(plan, plan.place(added), a.data)
         assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
         b = np.random.default_rng(5).standard_normal(mat.shape[0])
         assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
 
-    def test_overlapping_fields_split_and_match_dense_solve(self):
-        # the first density row of slices 1 and 2 also reads the next slice's
-        # value, and a value row of slice 2 reads slice 3's density: every
-        # two-field slice still splits, and slice 3's update reaches its D
-        mat, dense, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=6)
-        dense[20, 10] = dense[25, 15] = dense[10, 30] = 0.5
+    # two_field(n_u, (0, 5, 5, 5)) numbers u_0.. first, then m_1, m_2, m_3;
+    # each added entry breaks one condition of the plan, in slice k
+    @pytest.mark.parametrize("n_u, entry, k", [
+        ((5, 5, 5, 5), (slice(5, 10), slice(10, 15)), 2),
+        ((5, 5, 6, 5), (21, 15), 2),
+        ((5, 0, 5, 5), (15, 5), 2),
+        ((5, 5, 5, 5), (5, 21), 1),
+        ((5, 5, 5, 5), (25, 21), 2),
+        ((5, 5, 5, 5), (14, 30), 3),
+    ], ids=["u_1 reads all of u_2: a dense coupling",
+            "m_1 reads u_2's unread column: a coupling row in S_1's m",
+            "m_1 reads u_2, and slice 1 keeps one LU",
+            "a second entry in a row of slice 1's B",
+            "a row of m_2 reads two columns of m_1",
+            "u_2's last row also reads m_3: the update would reach D"])
+    def test_unsupported_pattern_rejected_before_plan_cached(self, plan_builds, n_u, entry, k):
+        _, dense, slices, _ = two_field(n_u, (0, 5, 5, 5), seed=30)
+        dense[entry] = 0.5
         i, j = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
-        plan = sla._plan(mat, slices)
-        assert [s[0] for s in plan.split] == [0, 5, 5, 5]
-        assert plan.schur[:2] == [None, None] and not any(s[-1] for s in plan.schur[2:])
-        assert plan.schur[3][1] > plan.split[3][0]  # the update's columns run into m
-        b = np.random.default_rng(7).standard_normal(mat.shape[0])
-        x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
-        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(OneBlockLU(mat, slices).solve(b), x, rtol=1e-10, atol=1e-12)
-        assert meta.residual_norm <= sla.DIRECT_TOL
+        with pytest.raises(ValueError, match=f"time slice {k}:"):
+            sla.factorize(mat, sla.Direct(), slices)
+        assert sla._PLANS == {}
 
 
 class TestDenseAddends:
@@ -435,9 +452,9 @@ class TestDenseAddends:
     # two_field((5, 5, 5, 5), (0, 5, 5, 5)): u_k at 5k.., m_k at 15 + 5k..
     ADDENDS = [(5, 20, (5, 5)), (11, 27, (3, 2)), (15, 30, (5, 5)), (15, 30, (2, 2))]
 
-    @pytest.mark.parametrize("dense_b", [False, True])
-    def test_match_dense_solve(self, dense_b):
-        mat, dense, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=20, dense_b=dense_b)
+    @pytest.mark.parametrize("no_entries", [False, True])  # B's diagonal under the addends, or none
+    def test_match_dense_solve(self, no_entries):
+        mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=20, holes=float(no_entries))
         rng = np.random.default_rng(21)
         addends = [(r, c, rng.standard_normal(shape)) for r, c, shape in self.ADDENDS]
         for r, c, block in addends:
@@ -459,7 +476,7 @@ class TestDenseAddends:
         (15, 33, (5, 5)),  # past the last column
     ])
     def test_misplaced_rejected_before_plan_cached(self, plan_builds, r, c, shape):
-        mat, _, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
+        mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
         with pytest.raises(ValueError, match="one slice's B block"):
             sla.factorize(mat, sla.Direct(), slices, [(r, c, np.ones(shape))])
         assert len(plan_builds) == 1 and sla._PLANS == {}
@@ -467,7 +484,7 @@ class TestDenseAddends:
     def test_run_through_another_field_rejected(self, plan_builds):
         # unknowns reordered so that rows 0..2 are u_1, m_1, u_1: both ends of
         # the run lie in slice 1's u, its middle does not
-        mat, dense, slices = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
+        mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
         order = np.r_[5, 20, 6:10, 0:5, 10:20, 21:35]
         i, j = np.nonzero(dense[order][:, order])
         mat = sla.SparseMatrix.from_triplets(35, 35, i, j, dense[order][:, order][i, j])
@@ -478,66 +495,74 @@ class TestDenseAddends:
 
 
 def random_two_field(seed):
-    """A random pattern in ``two_field``'s layout: 2 to 5 slices of 0 to 6
-    unknowns per field, some slices holding one field only, -I/dt or random
-    sparse couplings, diagonal or dense B, and for about half the seeds up
-    to four extra entries from any row to any column of a neighbour slice,
-    so that the fields overlap.  Returns what ``two_field`` does."""
+    """A random pattern in ``two_field``'s layout: 2 to 5 slices of 1 to 6
+    unknowns per field, u missing from about a third of the slices and m
+    from those before a random one (not the last), -I/dt or random
+    couplings, B with holes or without entries, and dense addends for about
+    half the seeds.  For about half the seeds each slice's fields are
+    reordered as whole groups of unknowns, so that slice ids run out of
+    order, and the ids skip values.  Returns what ``two_field`` does."""
     rng = np.random.default_rng([seed, 1])
     n = int(rng.integers(2, 6))
     n_u, n_m = rng.integers(1, 7, n), rng.integers(1, 7, n)
-    single, value = rng.random(n) < 0.3, rng.random(n) < 0.5
-    n_u[single & ~value], n_m[single & value] = 0, 0
-    mat, dense, slices = two_field(tuple(n_u), tuple(n_m), seed, aligned=rng.random() < 0.5,
-                                   dense_b=rng.random() < 0.5)
+    n_u[rng.random(n) < 0.3] = 0
+    first = int(rng.integers(n - 1))  # m on slices first..n-1
+    n_m[:first], n_m[first] = 0, min(n_m[first], n_m[first + 1])
+    mat, dense, slices, addends = two_field(tuple(n_u), tuple(n_m), seed, aligned=rng.random() < 0.5,
+                                            holes=rng.choice([0.0, 0.5, 1.0]),
+                                            addends=rng.random() < 0.5)
     if rng.random() < 0.5:
-        for _ in range(int(rng.integers(1, 5))):
-            k = int(rng.integers(n - 1))
-            rows, cols = np.flatnonzero(slices == k), np.flatnonzero(slices == k + 1)
-            if rng.random() < 0.5:
-                rows, cols = cols, rows
-            dense[rng.choice(rows), rng.choice(cols)] = rng.uniform(0.5, 1.0)
-        i, j = np.nonzero(dense)
-        mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
-    return mat, dense, slices
+        group = 2 * slices + (np.arange(slices.size) >= n_u.sum())  # (slice, field) of each unknown
+        perm = np.concatenate([np.flatnonzero(group == g) for g in rng.permutation(2 * n)])
+        mat, dense = permuted(mat, dense, perm)
+        new = np.argsort(perm)  # each unknown's index after the reordering
+        addends = [(new[r], new[c], block) for r, c, block in addends]
+        slices = np.cumsum(rng.integers(1, 3, n))[slices[perm]]
+    return mat, dense, slices, addends
 
 
 class TestSweep:
     def test_random_patterns_match_dense_solve(self):
-        # every pattern against a dense solve; the sweep must reach each
-        # kind of Schur update and split slices whose coupling rows lie in m
-        seen = {"gathered": 0, "from a split slice": 0, "from one block": 0, "into D": 0,
-                "coupling row in m": 0}
+        # every pattern against a dense solve and the single-LU factor; the
+        # sweep must reach each feature of the patterns the solver builds
+        seen = dict.fromkeys(["update", "update from some u rows", "B with holes",
+                              "B without entries", "addends", "ids out of order, with gaps"], 0)
         for seed in range(200):
-            mat, dense, slices = random_two_field(seed)
-            plan = sla._plan(mat, slices)
-            for k, update in enumerate(plan.schur):
-                if update is not None:
-                    nu = plan.split[k - 1][0]
-                    seen["gathered" if update[-1] else "from a split slice" if nu else "from one block"] += 1
-                    seen["into D"] += update[1] > plan.split[k][0] > 0
-                    seen["coupling row in m"] += bool(nu) and plan.upper[k - 1][0].max() >= nu
+            mat, dense, slices, addends = random_two_field(seed)
+            plan, _ = sla._plan(mat, slices, addends)
+            for update, (nu, _, br, _) in zip(plan.schur, plan.split):
+                seen["update"] += update is not None
+                seen["update from some u rows"] += update is not None and not isinstance(update[3], slice)
+                seen["B with holes"] += bool(nu) and isinstance(br, np.ndarray)
+                seen["B without entries"] += bool(nu) and isinstance(br, slice) and br.stop == 0
+            seen["addends"] += bool(addends)
+            seen["ids out of order, with gaps"] += bool(np.diff(np.unique(slices)).max(initial=1) > 1)
             b = np.random.default_rng(seed).standard_normal(mat.shape[0])
-            x, meta = sla.factorize(mat, sla.Direct(), slices)(b)
+            x, meta = sla.factorize(mat, sla.Direct(), slices, addends)(b)
             np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12,
                                        err_msg=f"seed {seed}")
+            np.testing.assert_allclose(OneBlockLU(mat, slices, addends).solve(b), x, rtol=1e-10,
+                                       atol=1e-12, err_msg=f"seed {seed}")
             assert meta.residual_norm <= sla.DIRECT_TOL, seed
         assert min(seen.values()) > 0, seen
 
 
 class OneBlockLU(sla._SliceLU):
     """The block LU in time as it was before slices were split in two levels:
-    a dense LU of every Schur complement, here in the plan's order of the
-    unknowns, updated through the whole L and only the trailing block of U
-    of the previous slice, from the first row that A_k,k-1 reads.  The
-    single-LU oracle, for any pattern."""
+    a dense LU of every Schur complement, addends included, here in the
+    plan's order of the unknowns, updated through the whole L and only the
+    trailing block of U of the previous slice, from the first row that
+    A_k,k-1 reads.  The single-LU oracle, for any pattern the plan
+    accepts."""
 
-    def __init__(self, a, slices):
+    def __init__(self, a, slices, dense=()):
         plan = sla._SlicePlan(a, slices)
-        self.plan, self.lu = plan, []
+        self.plan, self.lu, whole = plan, [], a.toarray()
+        for r, c, block in dense:
+            whole[r:r + block.shape[0], c:c + block.shape[1]] += block
         self.lower, self.upper = ([(r, c, a.data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
         for k, part in enumerate(plan.parts):
-            s = np.asfortranarray(a[plan.order[part]][:, plan.order[part]].toarray())
+            s = np.asfortranarray(whole[np.ix_(plan.order[part], plan.order[part])])
             (lr, lc, lv), (ur, uc, uv) = self.lower[k], self.upper[k - 1]
             if k and lr.size and uc.size:
                 lu, piv = self.lu[k - 1]
@@ -548,8 +573,7 @@ class OneBlockLU(sla._SliceLU):
                 y = blas.dtrsm(1.0, lu, lapack.dlaswp(coupling, piv, overwrite_a=True),
                                lower=1, diag=1, overwrite_b=True)
                 w = blas.dtrsm(1.0, lu[t:, t:], y[t:], lower=0, overwrite_b=True)
-                starts = np.flatnonzero(np.r_[True, lr[1:] != lr[:-1]])
-                s[lr[starts], c0:c1] -= np.add.reduceat(lv[:, None] * w[lc - t], starts)
+                s[lr, c0:c1] -= lv[:, None] * w[lc - t]  # one entry in each row of A_k,k-1
             lu, piv, _ = lapack.dgetrf(s, overwrite_a=True)
             self.lu.append((lu, piv))
 
