@@ -8,13 +8,12 @@ from .errors import (ConfigError, DomainError, InsufficientDataError,
                      MaxIterExceededError, NoConvergenceError,
                      SingularMatrixError, SolverError)
 from .hamiltonian import (HamiltonianBundle, HamiltonianSpec, congestion,
-                          eval_bundle, hessian_condition, separable_quadratic)
+                          hessian_condition, separable_quadratic)
 from .mfg_solver import (NewtonConfig, ProblemSpec, SolverState,
                          linearized_solver, make_state, newton_step,
                          newton_system, residual, solve_fixed_point,
                          solve_linearized, solve_newton)
-from .sparse_linalg import (Direct, Iterative, LinearSystem, SparseMatrix,
-                            factorize, solve)
+from .sparse_linalg import LinearSystem, SparseMatrix, factorize, solve
 from .torus_grid import (Field, GridSpec, VectorField, divergence, gradient,
                          laplacian, write_field_csv)
 

@@ -164,14 +164,13 @@ def load_config(path) -> RunConfig:
                            minimum=0.0, strict=True)
     error_floor = _number(nwt.get("error_floor", 1e-10), "newton.error_floor",
                           minimum=0.0)
-    linear_method = _choice(nwt.get("linear_method", "direct"),
-                            "newton.linear_method", ("direct", "iterative"))
     theta = _number(nwt.get("theta", 0.5), "newton.theta", minimum=0.0, strict=True)
     if theta > 1.0:
         raise ConfigError("newton.theta", f"must lie in (0, 1], got {theta}")
     newton = solver.NewtonConfig(
         max_iter=max_iter, residual_tol=residual_tol, error_floor=error_floor,
-        linear_method=sla.Direct() if linear_method == "direct" else sla.Iterative(),
+        linear_method=_choice(nwt.get("linear_method", "direct"), "newton.linear_method",
+                              sla.METHODS),
         damping=theta)
 
     epsilons = raw.get("epsilons", [1e-2])

@@ -6,10 +6,10 @@ Two families are supported:
   and momentum (moving is costlier where the density is large);
 * separable quadratic: H(x,p) = h(x)|p|^2, no density dependence.
 
-Evaluation is vectorized over arbitrary array shapes; the scalar entry point
-:func:`eval_bundle` wraps the same code path.  (1+m)^alpha is smooth down to
-m > -1, so evaluation is permitted above a configurable floor and fails hard
-below it: silently extending the Hamiltonian would mask solver divergence.
+Evaluation is vectorized over arbitrary array shapes, scalars included.
+(1+m)^alpha is smooth down to m > -1, so evaluation is permitted above a
+configurable floor and fails hard below it: silently extending the
+Hamiltonian would mask solver divergence.
 """
 
 from __future__ import annotations
@@ -104,26 +104,6 @@ def eval_bundle_arrays(spec: HamiltonianSpec, h: np.ndarray, m: np.ndarray, p: n
     )
 
 
-def _h_at(spec: HamiltonianSpec, x) -> float:
-    if np.isscalar(x) or isinstance(x, (int, np.integer)):
-        return float(spec.h.ravel()[int(x)])
-    return float(spec.h[tuple(x)])
-
-
-def eval_bundle(spec: HamiltonianSpec, x, m: float, p) -> HamiltonianBundle:
-    """Bundle at a single grid node ``x`` (flat index or multi-index)."""
-    d = spec.grid.dim
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if p.shape != (d,):
-        raise ValueError(f"p must have {d} components, got shape {p.shape}")
-    b = eval_bundle_arrays(spec, _h_at(spec, x), np.asarray(float(m)), p)
-    return HamiltonianBundle(
-        H=float(b.H), Hp=np.asarray(b.Hp, dtype=float), Hm=float(b.Hm),
-        Hpp=np.asarray(b.Hpp, dtype=float).reshape(d, d),
-        Hpm=np.asarray(b.Hpm, dtype=float),
-    )
-
-
 class HessianReport(NamedTuple):
     min_eigenvalue: float
     satisfied: bool
@@ -131,7 +111,8 @@ class HessianReport(NamedTuple):
 
 
 def hessian_condition(spec: HamiltonianSpec, x, m: float, p) -> HessianReport:
-    """Smallest eigenvalue of the (dim+1)x(dim+1) monotonicity matrix
+    """Smallest eigenvalue, at grid node ``x`` (flat index or multi-index),
+    of the (dim+1)x(dim+1) monotonicity matrix
 
         [[-Hm,        (m/2) Hpm^T],
          [(m/2) Hpm,  m Hpp     ]]
@@ -142,9 +123,11 @@ def hessian_condition(spec: HamiltonianSpec, x, m: float, p) -> HessianReport:
     """
     if not m > 0:
         raise DomainError(f"Hessian condition requires m > 0, got {m}")
-    d = spec.grid.dim
-    b = eval_bundle(spec, x, m, p)
-    if not np.any(np.asarray(p, dtype=float)):
+    d, p = spec.grid.dim, np.atleast_1d(np.asarray(p, dtype=float))
+    if p.shape != (d,):
+        raise ValueError(f"p must have {d} components, got shape {p.shape}")
+    b = eval_bundle_arrays(spec, spec.h.flat[x] if np.ndim(x) == 0 else spec.h[tuple(x)], m, p)
+    if not np.any(p):
         return HessianReport(0.0, False, True)
     mat = np.empty((d + 1, d + 1))
     mat[0, 0] = -b.Hm

@@ -44,7 +44,7 @@ from . import hamiltonian as ham
 from . import sparse_linalg as sla
 from . import torus_grid as tg
 from .coupling import LocalCoupling, NonlocalCoupling
-from .errors import MaxIterExceededError, SolverError
+from .errors import DomainError, MaxIterExceededError, SolverError
 
 MASS_TOL = 1e-8
 MAX_INNER = 50  # Newton steps of the fixed-point baseline's inner value-function solve
@@ -113,10 +113,12 @@ class NewtonConfig:
     max_iter: int = 30
     residual_tol: float = 1e-9
     error_floor: float = 1e-10
-    linear_method: sla.Direct | sla.Iterative = sla.Direct()
+    linear_method: str = "direct"  # or "iterative": GMRES, to the same bound
     damping: float = 0.5  # fixed-point iteration only
 
     def __post_init__(self):
+        if self.linear_method not in sla.METHODS:
+            raise ValueError(f"linear_method must be one of {list(sla.METHODS)}")
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
         if not 0.0 < self.damping <= 1.0:
@@ -167,7 +169,8 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
 
     r_u carries the backward equation on slices 0..nt-1 and the terminal
     condition on slice nt; r_m carries the initial condition on slice 0 and
-    the forward equation on slices 1..nt.
+    the forward equation on slices 1..nt.  Raises DomainError naming a field
+    that is not finite.
     """
     grid = p.grid
     u, m = s.u.values, s.m.values
@@ -182,6 +185,9 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
         - _source(p.s_m, m.shape)[1:]
     )
     r_m[0] = m[0] - p.m0
+    for name, r in (("r_u", r_u), ("r_m", r_m)):
+        if not np.all(np.isfinite(r)):
+            raise DomainError(f"residual {name} is not finite")
     return tg.Field(grid, r_u), tg.Field(grid, r_m)
 
 
@@ -404,7 +410,7 @@ def _iterate(p, initial, cfg, reference, step, solver: str, unit: str):
         raise _at_iterate(exc, "iterate 0, initial state", 0) from exc
     state = initial
     steps = 0
-    while _res_sup(history[-1]) > cfg.residual_tol:
+    while not _res_sup(history[-1]) <= cfg.residual_tol:  # a NaN never converges
         stalled = _stalled([_res_sup(rec) for rec in history])
         if steps >= cfg.max_iter or stalled:
             why = f", no new best residual in the last {STALL_STEPS}" if stalled else ""
@@ -506,7 +512,7 @@ def linearized_solver(p: ProblemSpec, base: SolverState):
     grid = p.grid
     matrix, dense, known = _jacobian(p, base)
     system = _eliminate(grid, matrix, np.zeros(known.size), known, dense)
-    factored = sla.factorize(system.matrix, slices=system.slices, dense=system.dense)
+    factored = sla.factorize(system.matrix, system.slices, system.dense)
 
     def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):
         if a.grid != grid or b.grid != grid:

@@ -3,15 +3,14 @@
 Matrices are ``scipy.sparse.csr_matrix`` with sorted column indices and no
 stored zeros.  Triplet assembly sorts triplets by (row, col, value), so any
 permutation of the same triplet stream gives a bit-identical matrix.  The
-direct path (the default, because the Newton-rate measurements must not be
-polluted by inner-solver error) is a block LU in time, one forward and one
-backward sweep over the slices.  The implicit scheme's density unknowns m
-read the previous slice, its value unknowns u (the rest) the next, so each
-Schur complement ``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` differs from
-``A_kk`` only in its m rows and u columns, by a column gather.  A slice
-holding both m and u is factored in two levels (Golub & Van Loan, Matrix
-Computations, 4.5), as ``[[A, B], [C, D]]`` with dense LUs of A and of ``D
-- C A^-1 B``; any other slice gets one dense LU.  W B is a column gather
+direct path is a block LU in time, one forward and one backward sweep over
+the slices.  The implicit scheme's density unknowns m read the previous
+slice, its value unknowns u (the rest) the next, so each Schur complement
+``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` differs from ``A_kk`` only in its
+m rows and u columns, by a column gather.  A slice holding both m and u is
+factored in two levels (Golub & Van Loan, Matrix Computations, 4.5), as
+``[[A, B], [C, D]]`` with dense LUs of A and of ``D - C A^-1 B``; any other
+slice gets one dense LU.  W B is a column gather
 over B's entries (the local coupling's diagonal) and one ``dgemm`` over
 dense addends, ``(row, column, block)`` triples that each lie in one
 slice's B (the kernel coupling's blocks) and stay out of the CSR and its
@@ -23,7 +22,9 @@ exceeds ``DIRECT_TOL`` gets one step of iterative refinement; only if it
 still exceeds it is the matrix reported as numerically singular.  The
 iterative path is restarted GMRES with an incomplete LU, ordered by minimum
 degree on the pattern of A^T + A (``PERMC_SPEC``), of the matrix and its
-addends in one CSR.
+addends in one CSR; it stops on the same bound and check.  Direct is the
+default: it meets the bound with no iteration budget to run out, and the
+Newton-rate measurements must not be polluted by inner-solver error.
 """
 
 from __future__ import annotations
@@ -40,18 +41,9 @@ from .errors import NoConvergenceError, SingularMatrixError
 
 DIRECT_TOL = 1e-12
 PERMC_SPEC = "MMD_AT_PLUS_A"
-
-
-@dataclass(frozen=True)
-class Direct:
-    pass
-
-
-@dataclass(frozen=True)
-class Iterative:
-    tol: float = 1e-10
-    max_iter: int = 5000
-    restart: int = 50
+METHODS = ("direct", "iterative")
+GMRES_RESTART = 50  # inner iterations between restarts
+GMRES_MAX_ITER = 5000  # restart cycles
 
 
 class SparseMatrix:
@@ -93,7 +85,7 @@ class SolveMeta:
 class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    slices: np.ndarray | None = None  # time slice of each unknown
+    slices: np.ndarray  # time slice of each unknown
     dense: list = field(default_factory=list)  # dense addends (row, column, block)
     meta: SolveMeta | None = field(default=None, compare=False)
 
@@ -210,11 +202,10 @@ def _run(index: np.ndarray):
     return slice(lo, lo + index.size) if run else index
 
 
-def _plan(a: sp.csr_matrix, slices: np.ndarray | None, dense=()) -> tuple[_SlicePlan, dict]:
+def _plan(a: sp.csr_matrix, slices: np.ndarray, dense=()) -> tuple[_SlicePlan, dict]:
     """The plan of ``a``'s pattern and ``slices``, from the cache or built,
     and the ``dense`` addends it places."""
-    n = a.shape[0]
-    slices = np.zeros(n, dtype=np.int64) if slices is None else np.asarray(slices)
+    n, slices = a.shape[0], np.asarray(slices)
     if slices.shape != (n,):
         raise ValueError(f"slice index length {slices.shape} != n_rows {n}")
     h = hashlib.blake2b(digest_size=16)
@@ -314,23 +305,25 @@ class _SliceLU:
         return y[self.plan.pos]
 
 
-def factorize(a: sp.csr_matrix, method: Direct | Iterative = Direct(),
-              slices: np.ndarray | None = None, dense=()):
-    """Factor the square canonical CSR matrix and its ``dense`` addends once
-    (block LU in time, or ILU of both as one CSR).
+def factorize(a: sp.csr_matrix, slices: np.ndarray, dense=(), method: str = "direct"):
+    """Factor the square canonical CSR matrix and its ``dense`` addends once:
+    a block LU in time over ``slices``, each unknown's time slice (one slice
+    is one dense LU), or for ``"iterative"`` an ILU of both as one CSR.
 
-    ``slices`` holds each unknown's time slice (direct path only; ``None``
-    makes the matrix one slice, a dense LU).  Returns ``solve(b) -> (x,
-    SolveMeta)``.  Raises ValueError on a pattern ``_SlicePlan`` rejects or
-    an addend outside one slice's B, SingularMatrixError on an exact zero
-    pivot or an ILU failure; the solve raises
-    SingularMatrixError when the direct residual misses ``DIRECT_TOL`` after
-    one refinement step, NoConvergenceError when GMRES exhausts its budget.
+    Returns ``solve(b) -> (x, SolveMeta)``, x with a relative residual of at
+    most ``DIRECT_TOL``.  Raises ValueError on an unknown method, a pattern
+    ``_SlicePlan`` rejects or an addend outside one slice's B,
+    SingularMatrixError on an exact zero pivot or an ILU failure; the solve
+    raises SingularMatrixError when the direct residual misses the bound
+    after one refinement step, NoConvergenceError when GMRES misses it
+    within its budget.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve requires a square matrix")
+    if method not in METHODS:
+        raise ValueError(f"linear method must be one of {list(METHODS)}, got {method!r}")
 
-    if isinstance(method, Direct):
+    if method == "direct":
         lu = _SliceLU(*_plan(a, slices, dense), a.data)
 
         def solve_direct(b):
@@ -362,31 +355,24 @@ def factorize(a: sp.csr_matrix, method: Direct | Iterative = Direct(),
     precond = spla.LinearOperator(a.shape, ilu.solve)
 
     def solve_iterative(b):
-        b = np.asarray(b, dtype=float)
-        count = {"n": 0}
-
-        def _cb(_):
-            count["n"] += 1
-
-        x, info = spla.gmres(a, b, rtol=method.tol, atol=0.0, restart=method.restart,
-                             maxiter=method.max_iter, M=precond,
-                             callback=_cb, callback_type="pr_norm")
-        if info > 0:
+        b, norms = np.asarray(b, dtype=float), []  # one norm per GMRES iteration
+        # stops at ||b - a x|| <= max(rtol ||b||, atol), the direct path's bound
+        x, info = spla.gmres(a, b, rtol=DIRECT_TOL, atol=DIRECT_TOL, restart=GMRES_RESTART,
+                             maxiter=GMRES_MAX_ITER, M=precond,
+                             callback=norms.append, callback_type="pr_norm")
+        res = _rel_residual(a, (), x, b)
+        if info or not res <= DIRECT_TOL:  # also a NaN iterate
             raise NoConvergenceError(
-                f"GMRES did not reach tol {method.tol:.1e} within {method.max_iter} iterations"
-            )
-        if info < 0 or not np.all(np.isfinite(x)):
-            raise SingularMatrixError("GMRES breakdown: invalid input or non-finite iterate")
-        return x, SolveMeta("iterative", count["n"], _rel_residual(a, (), x, b))
+                f"GMRES residual {res:.3e} exceeds {DIRECT_TOL:.1e} after {len(norms)} iterations")
+        return x, SolveMeta("iterative", len(norms), res)
 
     return solve_iterative
 
 
-def solve(system: LinearSystem, method: Direct | Iterative = Direct()) -> np.ndarray:
+def solve(system: LinearSystem, method: str = "direct") -> np.ndarray:
     """Factor the square system and solve it, populating ``system.meta``.
 
     Raises as :func:`factorize` and the solve it returns do.
     """
-    x, system.meta = factorize(system.matrix, method, system.slices, system.dense)(system.rhs)
+    x, system.meta = factorize(system.matrix, system.slices, system.dense, method)(system.rhs)
     return x
-

@@ -283,6 +283,39 @@ class TestExperiments:
         assert len(history) >= 3
         assert not any(line.startswith("# fit") for line in history)
 
+    # each overflows a residual: at iterate 0, the start of a solve, of a
+    # perturbation of 1e160 and of a horizon of 1e300, and in make_manufactured
+    # before any solve
+    @pytest.mark.parametrize("overrides, where", [
+        ({"experiment": "nonlocal-rate", "epsilons": [1e160],
+          "hamiltonian": {"variant": "separable_quadratic"},
+          "coupling": {"kernel": {"type": "gaussian", "sigma": 0.1}}},
+         "sub-run eps0 failed: residual r_u is not finite (iterate 0, initial state)"),
+        ({"grid": {"dim": 1, "nx": 16, "nt": 8, "T": 1e300}},
+         "sub-run eps0 failed: residual r_u is not finite (iterate 0, initial state)"),
+        ({"coupling": {"local": "power", "power_alpha": 1e300}},
+         "solver error: residual r_u is not finite"),
+    ], ids=["nonlocal-rate-eps1e160", "T=1e300", "power_alpha=1e300"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow, the case itself
+    def test_non_finite_residual_exits_3(self, tmp_path, capsys, overrides, where):
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["run", "--config", str(cfg)]) == 3
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        row = dict(zip(summary[0].split(","), summary[1].split(",")))
+        assert (row["status"], row["error"]) == ("error", "DomainError")
+        assert where in capsys.readouterr().err
+
+    def test_iterative_linear_method_takes_the_direct_steps(self, tmp_path):
+        iterations = []
+        for method in ("direct", "iterative"):
+            out = tmp_path / method
+            cfg = write_config(tmp_path, output_dir=str(out),
+                               newton={"residual_tol": 1e-10, "linear_method": method})
+            assert cli.main(["run", "--config", str(cfg)]) == 0
+            summary = (out / "summary.csv").read_text().splitlines()
+            iterations.append(dict(zip(summary[0].split(","), summary[1].split(",")))["iterations"])
+        assert iterations[0] == iterations[1] == "3"
+
     def test_start_on_the_root_is_no_fit(self, tmp_path):
         # eps = 1e-300 leaves the start on the root: err_sum is exactly 0.0
         cfg = write_config(tmp_path, epsilons=[1e-300])

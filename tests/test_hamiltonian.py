@@ -13,7 +13,7 @@ class TestEvalBundle:
     def test_hand_evaluated_congestion_point(self):
         # h=1, alpha=1, m=1, p=2: every entry from the closed forms
         spec = ham.congestion(GRID_1D, 1.0, alpha=1.0)
-        b = ham.eval_bundle(spec, 0, 1.0, [2.0])
+        b = ham.eval_bundle_arrays(spec, 1.0, 1.0, [2.0])
         assert b.H == pytest.approx(2.0)
         np.testing.assert_allclose(b.Hp, [2.0])
         assert b.Hm == pytest.approx(-1.0)
@@ -22,14 +22,14 @@ class TestEvalBundle:
 
     def test_zero_momentum_annihilates_m_derivatives(self):
         spec = ham.congestion(GRID_1D, 2.0, alpha=1.5)
-        b = ham.eval_bundle(spec, 3, 0.8, [0.0])
+        b = ham.eval_bundle_arrays(spec, 2.0, 0.8, [0.0])
         assert b.H == 0.0 and b.Hm == 0.0
         assert np.all(b.Hp == 0.0) and np.all(b.Hpm == 0.0)
         np.testing.assert_allclose(b.Hpp, [[2 * 2.0 / 1.8**1.5]])
 
     def test_separable_quadratic(self):
         spec = ham.separable_quadratic(GRID_1D, 0.5)
-        b = ham.eval_bundle(spec, 0, 123.0, [3.0])
+        b = ham.eval_bundle_arrays(spec, 0.5, 123.0, [3.0])
         assert b.H == pytest.approx(4.5)
         np.testing.assert_allclose(b.Hp, [3.0])
         assert b.Hm == 0.0
@@ -38,20 +38,22 @@ class TestEvalBundle:
     def test_below_floor_raises(self):
         spec = ham.congestion(GRID_1D, 1.0, alpha=1.0, m_floor=-0.5)
         with pytest.raises(DomainError):
-            ham.eval_bundle(spec, 0, -0.5, [1.0])
+            ham.eval_bundle_arrays(spec, 1.0, -0.5, [1.0])
         with pytest.raises(DomainError):
-            ham.eval_bundle(spec, 0, -0.75, [1.0])
+            ham.eval_bundle_arrays(spec, 1.0, -0.75, [1.0])
 
     def test_hpp_symmetric_2d(self):
         spec = ham.congestion(GRID_2D, 1.3, alpha=2.0)
-        b = ham.eval_bundle(spec, (2, 5), 0.7, [1.0, -2.0])
+        b = ham.eval_bundle_arrays(spec, 1.3, 0.7, [1.0, -2.0])
         np.testing.assert_array_equal(b.Hpp, b.Hpp.T)
 
     def test_spatial_coefficient_lookup(self):
+        # hessian_condition reads h at its node: node 4 is x = 1/2, h = 0.5
         x = GRID_1D.x_nodes()[0]
         spec = ham.congestion(GRID_1D, 1.0 + 0.5 * np.cos(2 * np.pi * x), alpha=1.0)
-        b = ham.eval_bundle(spec, 4, 0.0, [1.0])  # node 4 is x = 1/2, h = 0.5
-        assert b.H == pytest.approx(0.5)
+        half = ham.congestion(GRID_1D, 0.5, alpha=1.0)
+        assert ham.hessian_condition(spec, 4, 1.0, [1.0]) == \
+            pytest.approx(ham.hessian_condition(half, 0, 1.0, [1.0]))
 
     def test_h_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -70,15 +72,14 @@ class TestDerivativeConsistency:
         spec = ham.congestion(grid, 1.2, alpha=1.7)
         rng = np.random.default_rng(11)
         h = self.STEP
-        x = (0,) * dim if dim > 1 else 0
         for _ in range(100):
             m = rng.uniform(0.1, 3.0)
             direction = rng.standard_normal(dim)
             p = rng.uniform(0.0, 3.0) * direction / np.linalg.norm(direction)
-            b = ham.eval_bundle(spec, x, m, p)
+            b = ham.eval_bundle_arrays(spec, 1.2, m, p)
 
             def bundle(mm, pp):
-                return ham.eval_bundle(spec, x, mm, pp)
+                return ham.eval_bundle_arrays(spec, 1.2, mm, pp)
 
             hm_fd = (bundle(m + h, p).H - bundle(m - h, p).H) / (2 * h)
             assert hm_fd == pytest.approx(b.Hm, rel=1e-6, abs=1e-9)

@@ -28,8 +28,13 @@ def factorizations(monkeypatch):
     return calls
 
 
-# A GMRES budget no Newton or Picard linear solve can meet.
-EXHAUSTED_GMRES = sla.Iterative(tol=1e-14, max_iter=1, restart=2)
+@pytest.fixture
+def exhausted_gmres(monkeypatch):
+    """A GMRES budget no Newton or Picard linear solve can meet, one
+    iteration; returns the config that selects GMRES."""
+    monkeypatch.setattr(sla, "GMRES_MAX_ITER", 1)
+    monkeypatch.setattr(sla, "GMRES_RESTART", 1)
+    return solver.NewtonConfig(residual_tol=1e-9, linear_method="iterative")
 
 
 def manufactured(nx=32, nt=16, alpha=1.0, coupling="sigmoid", dim=1):
@@ -384,12 +389,11 @@ class TestSolveNewton:
             solver.solve_newton(p, start, solver.NewtonConfig(residual_tol=1e-9))
         assert info.value.iterate == 1
 
-    def test_linear_solve_failure_reports_iterate(self):
+    def test_linear_solve_failure_reports_iterate(self, exhausted_gmres):
         p, exact = manufactured(nx=16, nt=8)
         init = diag.perturbed_state(exact, 1e-2)
-        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method=EXHAUSTED_GMRES)
         with pytest.raises(NoConvergenceError, match=r"\(Newton iterate 1\)$") as info:
-            solver.solve_newton(p, init, cfg)
+            solver.solve_newton(p, init, exhausted_gmres)
         assert info.value.iterate == 1
 
     def test_far_start_never_diverges_silently(self):
@@ -462,23 +466,38 @@ class TestSolveNewton:
         r_u, r_m = solver.residual(p, final)
         assert max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values)) <= 1e-10
 
+    def test_unknown_linear_method_rejected(self):
+        with pytest.raises(ValueError, match="linear_method must be one of"):
+            solver.NewtonConfig(linear_method="gmres")
+
+    @staticmethod
+    def solve_iterative(p, exact):
+        """Newton with GMRES from ``exact`` perturbed by 1e-2: the history,
+        and the linear-solve metadata of the same steps taken by
+        :func:`solver.newton_step`."""
+        start = diag.perturbed_state(exact, 1e-2)
+        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method="iterative")
+        _, history = solver.solve_newton(p, start, cfg, reference=exact)
+        metas = []
+        for _ in history[1:]:
+            start, meta = solver.newton_step(p, start, cfg)
+            metas.append(meta)
+        return history, metas
+
     def test_iterative_linear_method(self):
-        p, exact = manufactured(nx=16, nt=8)
-        init = diag.perturbed_state(exact, 1e-2)
-        cfg = solver.NewtonConfig(residual_tol=1e-9,
-                                  linear_method=sla.Iterative(tol=1e-12))
-        final, history = solver.solve_newton(p, init, cfg, reference=exact)
+        # every GMRES step meets the direct path's bound with the default budget
+        history, metas = self.solve_iterative(*manufactured(nx=16, nt=8))
+        assert len(history) - 1 == 3
         assert history[-1].err_sum <= 1e-8
+        assert all(m.method == "iterative" and m.residual_norm <= sla.DIRECT_TOL for m in metas)
 
     def test_iterative_linear_method_kernel(self):
         # GMRES must see the kernel coupling's dense blocks: without them it
         # stalls at residual 1e-1 and the budget runs out
-        p, exact = manufactured_nonlocal(nx=16, nt=8)
-        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method=sla.Iterative(tol=1e-12))
-        _, history = solver.solve_newton(p, diag.perturbed_state(exact, 1e-2), cfg,
-                                         reference=exact)
+        history, metas = self.solve_iterative(*manufactured_nonlocal(nx=16, nt=8))
         assert len(history) - 1 == 3
         assert history[-1].err_sum <= 1e-8
+        assert all(m.method == "iterative" and m.residual_norm <= sla.DIRECT_TOL for m in metas)
 
 
 class TestNewtonSystem:
@@ -499,9 +518,8 @@ class TestDirectVsIterativeOnNewtonSystem:
         p, exact = manufactured(nx=32, nt=32)
         init = diag.perturbed_state(exact, 1e-2)
         system, _ = solver.newton_system(p, init)
-        xd = sla.solve(sla.LinearSystem(system.matrix, system.rhs), sla.Direct())
-        xi = sla.solve(sla.LinearSystem(system.matrix, system.rhs),
-                       sla.Iterative(tol=1e-12, max_iter=5000))
+        xd = sla.solve(system)
+        xi = sla.solve(system, "iterative")
         assert np.linalg.norm(xd - xi) / np.linalg.norm(xd) <= 1e-8
 
 
@@ -514,7 +532,7 @@ class TestBlockLUAgainstSuperLU:
         solved = []
         real = sla.solve
 
-        def record(system, method=sla.Direct()):
+        def record(system, method="direct"):
             x = real(system, method)
             solved.append((system, x))
             return x
@@ -660,12 +678,11 @@ class TestSolveFixedPoint:
         for rec in history:
             assert 1 - 1e-9 <= rec.mass_min <= rec.mass_max <= 1 + 1e-9
 
-    def test_linear_solve_failure_reports_iterate(self):
+    def test_linear_solve_failure_reports_iterate(self, exhausted_gmres):
         p, exact = manufactured(nx=16, nt=8)
         init = diag.perturbed_state(exact, 1e-2)
-        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method=EXHAUSTED_GMRES)
         with pytest.raises(NoConvergenceError, match=r"\(fixed-point iterate 1\)$") as info:
-            solver.solve_fixed_point(p, init, cfg)
+            solver.solve_fixed_point(p, init, exhausted_gmres)
         assert info.value.iterate == 1
         assert "Newton" not in str(info.value)
 
