@@ -5,10 +5,11 @@ system four times (``assembly_s``: the median ``newton_system`` time of the
 three repeats; the first call also builds the grid's stencils) and solve it
 four times through ``sparse_linalg.solve``; record the stored factor entries
 (the floating-point entries of the arrays the block LU in time keeps for its
-slices, counted from the factor itself), the ``factorize`` time of the first call
-(``factor_first_s``: the pattern's plan is built, then the numeric
-factorization runs) and the median of the three repeats (``factor_repeat_s``:
-the plan is reused), the relative residual and the peak RSS.  Each rung runs
+slices, counted from the factor itself, an array that slices share once),
+the ``factorize`` time of the first call (``factor_first_s``: the pattern's
+plan is built, then the numeric factorization runs) and the median of the
+three repeats (``factor_repeat_s``: the plan is reused), the relative
+residual and the peak RSS.  Each rung runs
 in its own process, so its plan cache starts empty and the peak RSS is its
 own.  Each labelled entry also records the tree's ``src/`` line count.  From
 the repository root, once per source tree (rows are stored in BENCH_4.json
@@ -41,10 +42,19 @@ RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
 
 
 def stored_entries(x) -> int:
-    """Floating-point entries in the arrays a factor keeps, nested or not."""
-    if isinstance(x, np.ndarray):
-        return x.size if x.dtype.kind == "f" else 0
-    return sum(map(stored_entries, x)) if isinstance(x, (tuple, list)) else 0
+    """Floating-point entries in the arrays a factor keeps, nested or not,
+    each array counted once: the kernel coupling's slices share one B."""
+    arrays = {}
+
+    def walk(y):
+        if isinstance(y, np.ndarray) and y.dtype.kind == "f":
+            arrays[id(y)] = y.size
+        elif isinstance(y, (tuple, list)):
+            for z in y:
+                walk(z)
+
+    walk(x)
+    return sum(arrays.values())
 
 
 def rung(name: str) -> dict:

@@ -3,15 +3,16 @@ couplings that also derive the terminal value u(T) = g[m(T)].
 
 Each coupling gives the solver ``values(m)``, the running cost on every time
 slice; ``blocks(m)``, the value rows' derivative in m as a diagonal (-f'(m))
-and dense blocks, one per slice (-conv_f, one array for all, then -conv_g);
-``derives_terminal``, with ``terminal(m_T)`` when it is true; and ``grids``,
-the grids its kernels are built on.
+and dense blocks, one per slice (-conv_f, one Fortran-ordered array for all,
+then -conv_g); ``derives_terminal``, with ``terminal(m_T)`` when it is true;
+and ``grids``, the grids its kernels are built on.
 
 The kernel coupling convolves the density with a periodized Gaussian whose
 discrete Fourier coefficients are nonnegative by construction, which makes the
-coupling monotone.  The kernel is built from image sums over the min-image
-distance so that evenness K(x) = K(-x) holds bitwise on the grid, and it is
-normalized to unit discrete mass.
+coupling monotone.  The kernel is a product of 1D profiles, built from image
+sums over the min-image distance so that evenness K(x) = K(-x) holds bitwise,
+and normalized to unit discrete mass; its matrix is the Kronecker product of
+their circulants (P. J. Davis, Circulant Matrices, 1979).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import circulant
 
 from .errors import DomainError
 from .torus_grid import GridSpec
@@ -87,11 +89,12 @@ def local_eval(c: LocalCoupling, m) -> CouplingValues:
 
 
 def periodized_gaussian(grid: GridSpec, sigma: float) -> np.ndarray:
-    """Gaussian of width sigma wrapped around the torus, sampled on the grid.
+    """Gaussian of width sigma wrapped around the torus, sampled along one
+    axis: the 1D profile k1 of the kernel (in 2D, the kernel is k1 (x) k1).
 
-    Built per axis from the min-image distance d = min(i, nx-i)/nx so values
-    at i and nx-i are identical bitwise; the remaining images enter through
-    sums over j +- d.  Normalized so dx^dim * sum(K) = 1 exactly.
+    Built from the min-image distance d = min(i, nx-i)/nx so values at i
+    and nx-i are identical bitwise; the remaining images enter through sums
+    over j +- d.  Normalized so dx * sum(k1) = 1 exactly.
     """
     if not MIN_SIGMA <= sigma <= 1:  # at most the unit torus: the image sum runs ~6 sigma terms
         raise ValueError(f"sigma must lie in [{MIN_SIGMA:g}, 1], got {sigma}")
@@ -104,22 +107,7 @@ def periodized_gaussian(grid: GridSpec, sigma: float) -> np.ndarray:
         k1 += np.exp(-((j + d) ** 2) * inv)
         if j >= 1:
             k1 += np.exp(-((j - d) ** 2) * inv)
-    k1 /= grid.dx * k1.sum()
-    if grid.dim == 1:
-        return k1
-    return np.multiply.outer(k1, k1)
-
-
-def _conv_matrix(grid: GridSpec, kernel: np.ndarray) -> np.ndarray:
-    """Dense circulant matrix C[x,y] = dx^dim * K(x-y) on flat spatial indices."""
-    n = grid.nx
-    i = np.arange(n)
-    delta = (i[:, None] - i[None, :]) % n
-    if grid.dim == 1:
-        return grid.cell_volume * kernel[delta]
-    block = kernel[delta[:, :, None, None], delta[None, None, :, :]]
-    mat = block.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return grid.cell_volume * mat
+    return k1 / (grid.dx * k1.sum())
 
 
 @dataclass(frozen=True)
@@ -153,8 +141,10 @@ class NonlocalCoupling:
         return (flat @ self.f.conv.T).reshape(m.shape)
 
     def blocks(self, m: np.ndarray):
-        """No diagonal; -conv_f on each slice of m but the last, -conv_g on the last."""
-        return 0.0, [-self.f.conv] * (m.shape[0] - 1) + [-self.g.conv]
+        """No diagonal; one Fortran-ordered -conv_f shared by each slice of m
+        but the last, and -conv_g on the last."""
+        neg_f, neg_g = (np.negative(k.conv, order="F") for k in (self.f, self.g))
+        return 0.0, [neg_f] * (m.shape[0] - 1) + [neg_g]
 
     def terminal(self, m_T: np.ndarray) -> np.ndarray:
         """u(T) = g[m(T)]."""
@@ -162,8 +152,13 @@ class NonlocalCoupling:
 
 
 def gaussian_kernel_coupling(grid: GridSpec, sigma: float) -> KernelCoupling:
-    kernel = periodized_gaussian(grid, sigma)
-    return KernelCoupling(grid, kernel, _conv_matrix(grid, kernel))
+    """The periodized Gaussian coupling: conv is dx^dim times C1 in 1D and
+    kron(C1, C1) in 2D, C1[x, y] = k1(x - y) the 1D profile's circulant."""
+    k1 = periodized_gaussian(grid, sigma)
+    c1 = circulant(k1)
+    if grid.dim == 1:
+        return KernelCoupling(grid, k1, grid.cell_volume * c1)
+    return KernelCoupling(grid, np.multiply.outer(k1, k1), grid.cell_volume * np.kron(c1, c1))
 
 
 def write_kernel_csv(k: KernelCoupling, path) -> None:

@@ -18,8 +18,8 @@ The Jacobian is assembled once per state on the full unknown vector
 [u_0..u_nt, m_0..m_nt], both boundary rows included, each block family for
 all time slices at once.  The local and kernel variants differ only in the
 coupling's values and blocks, which ``coupling.py`` supplies through one
-interface: a diagonal -f'(m), kept in the CSR, or dense blocks -conv_f and
--conv_g, kept out of it as addends to the slices' value-density blocks.
+interface: a diagonal -f'(m), kept in the CSR, or dense blocks -conv_f (one
+array for all) and -conv_g, kept out of it as slices' value-density blocks.
 Before a solve, one boolean mask marks the known boundary slices, m(0)
 always and u(T) unless the coupling derives it: their rows are identity rows,
 so their values are known, and their columns times those values move to the
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,10 +98,6 @@ class SolverState:
     def __post_init__(self):
         if self.u.grid != self.m.grid:
             raise ValueError("u and m must live on the same grid")
-
-    @property
-    def grid(self) -> tg.GridSpec:
-        return self.u.grid
 
 
 def make_state(grid: tg.GridSpec, u_vals, m_vals) -> SolverState:
@@ -194,30 +190,21 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
 # -- space-time Jacobian ---------------------------------------------------------
 
 class _Stencils:
-    """Stencils of one grid acting on all nt+1 stacked slices of a field."""
+    """Stencils of one grid acting on all nt+1 stacked slices of a field,
+    from the 1D periodic shift S, (S x)_i = x_i+1: the centred difference
+    (S - S^T)/(2dx) and the Laplacian (S + S^T - 2I)/dx^2, each placed on
+    its axis of every slice by Kronecker products with identities."""
 
     def __init__(self, grid: tg.GridSpec):
-        n, nt = grid.n_space, grid.nt
-        idx = np.arange(n).reshape(grid.spatial_shape)
-        node = np.arange(n)
-        slices = sp.identity(nt + 1, format="csr")
-        inv2dx = 1.0 / (2.0 * grid.dx)
-        self.diff = []  # kron(I_{nt+1}, D_a)
-        lap = sp.csr_matrix((n, n))
-        for a in range(grid.dim):
-            ip = np.roll(idx, -1, axis=a).ravel()
-            im = np.roll(idx, 1, axis=a).ravel()
-            d = sp.csr_matrix(
-                (np.concatenate([np.full(n, inv2dx), np.full(n, -inv2dx)]),
-                 (np.concatenate([node, node]), np.concatenate([ip, im]))),
-                shape=(n, n))
-            self.diff.append(sp.kron(slices, d, format="csr"))
-            lap = lap + sp.csr_matrix(
-                (np.concatenate([np.full(n, 1.0), np.full(n, 1.0), np.full(n, -2.0)])
-                 / grid.dx**2,
-                 (np.concatenate([node, node, node]), np.concatenate([ip, im, node]))),
-                shape=(n, n))
-        lap = sp.kron(slices, lap, format="csr")
+        n, nt, eye1 = grid.n_space, grid.nt, sp.identity(grid.nx)
+        shift = sp.eye(grid.nx, k=1) + sp.eye(grid.nx, k=1 - grid.nx)
+
+        def on_axis(op, a):  # kron(I_nt+1, I, .., op at axis a, .., I)
+            return reduce(lambda x, y: sp.kron(x, y, format="csr"),
+                          [op if b == a else eye1 for b in range(grid.dim)], sp.identity(nt + 1))
+
+        self.diff = [on_axis((shift - shift.T) / (2.0 * grid.dx), a) for a in range(grid.dim)]
+        lap = sum(on_axis((shift + shift.T - 2.0 * eye1) / grid.dx**2, a) for a in range(grid.dim))
         t = np.repeat(np.arange(nt + 1), n)
         self.last = t == nt    # the u(T) slice
         self.first = t == 0    # the m(0) slice

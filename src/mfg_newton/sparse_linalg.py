@@ -10,21 +10,22 @@ slice, its value unknowns u (the rest) the next, so each Schur complement
 m rows and u columns, by a column gather.  A slice holding both m and u is
 factored in two levels (Golub & Van Loan, Matrix Computations, 4.5), as
 ``[[A, B], [C, D]]`` with dense LUs of A and of ``D - C A^-1 B``; any other
-slice gets one dense LU.  W B is a column gather
-over B's entries (the local coupling's diagonal) and one ``dgemm`` over
-dense addends, ``(row, column, block)`` triples that each lie in one
-slice's B (the kernel coupling's blocks) and stay out of the CSR and its
-plan.  Any other pattern raises ValueError naming its slice.  Plans are
-cached per sparsity pattern and slice index (the two most recent: Picard
-alternates between two patterns), so a Newton step redoes only the numeric
-factorization.  A direct solve whose relative residual, addends included,
-exceeds ``DIRECT_TOL`` gets one step of iterative refinement; only if it
-still exceeds it is the matrix reported as numerically singular.  The
-iterative path is restarted GMRES with an incomplete LU, ordered by minimum
-degree on the pattern of A^T + A (``PERMC_SPEC``), of the matrix and its
-addends in one CSR; it stops on the same bound and check.  Direct is the
-default: it meets the bound with no iteration budget to run out, and the
-Newton-rate measurements must not be polluted by inner-solver error.
+slice gets one dense LU.  W B is a column gather over B's entries (the local
+coupling's diagonal) and one ``dgemm`` over a dense addend, a ``(row,
+column, block)`` triple whose block is one slice's whole B, kept by
+reference and out of the CSR and its plan (the kernel coupling's blocks: one
+Fortran-ordered array that the slices share).  Any other pattern raises
+ValueError naming its slice.  Plans are cached per sparsity pattern and
+slice index (the two most recent: Picard alternates between two patterns),
+so a Newton step redoes only the numeric factorization.  A direct solve
+whose relative residual, addends included, exceeds ``DIRECT_TOL`` gets one
+step of iterative refinement; only if it still exceeds it is the matrix
+reported as numerically singular.  The iterative path is restarted GMRES
+with an incomplete LU, ordered by minimum degree on the pattern of A^T + A
+(``PERMC_SPEC``), of the matrix and its addends in one CSR; it stops on the
+same bound and check.  Direct is the default: it meets the bound with no
+iteration budget to run out, and the Newton-rate measurements must not be
+polluted by inner-solver error.
 """
 
 from __future__ import annotations
@@ -177,21 +178,20 @@ class _SlicePlan:
             self.schur.append(None if cols is None else (cols, _run(lr - nu), _run(lc), _run(ur)))
 
     def place(self, dense) -> dict:
-        """The dense addends summed into one dense B per slice, by slice;
-        ValueError unless each lies in one slice's B.  A field keeps its
-        unknowns' order, so a run whose ends lie in one field, length - 1
-        apart, lies in it."""
+        """Each dense addend, kept by reference, as the dense B of its slice,
+        by slice; ValueError unless each is one slice's whole B, and no
+        slice gets two.  A field keeps its unknowns' order, so a run of
+        B's length whose ends are B's first and last lies in it."""
         placed = {}
         for r, c, block in dense:
             (nr, nc), n = block.shape, self.pos.size
-            r0, r1, c0, c1 = self.pos.take([r, r + nr - 1, c, c + nc - 1], mode="clip").tolist()
             k = int(self.rank.take(r, mode="clip"))
             lo, mid, hi = self.offsets[k], self.offsets[k] + self.split[k][0], self.offsets[k + 1]
-            if not (min(r, c) >= 0 and max(r + nr, c + nc) <= n and r1 - r0 == nr - 1
-                    and c1 - c0 == nc - 1 and r1 < mid <= c0 and c1 < hi):
-                raise ValueError(f"dense addend at ({r}, {c}) does not lie in one slice's B block")
-            b = placed.setdefault(k, np.zeros((mid - lo, hi - mid), order="F"))
-            b[r0 - lo:r1 - lo + 1, c0 - mid:c1 - mid + 1] += block
+            ends = self.pos.take([r, r + nr - 1, c, c + nc - 1], mode="clip").tolist()
+            if not (min(r, c) >= 0 and max(r + nr, c + nc) <= n and lo < mid and k not in placed
+                    and (nr, nc) == (mid - lo, hi - mid) and ends == [lo, mid - 1, mid, hi - 1]):
+                raise ValueError(f"dense addend at ({r}, {c}) is not one slice's B block, or a second one")
+            placed[k] = block
         return placed
 
 
@@ -312,11 +312,11 @@ def factorize(a: sp.csr_matrix, slices: np.ndarray, dense=(), method: str = "dir
 
     Returns ``solve(b) -> (x, SolveMeta)``, x with a relative residual of at
     most ``DIRECT_TOL``.  Raises ValueError on an unknown method, a pattern
-    ``_SlicePlan`` rejects or an addend outside one slice's B,
-    SingularMatrixError on an exact zero pivot or an ILU failure; the solve
-    raises SingularMatrixError when the direct residual misses the bound
-    after one refinement step, NoConvergenceError when GMRES misses it
-    within its budget.
+    ``_SlicePlan`` rejects or an addend that is not one slice's whole B (or a
+    second on one B), SingularMatrixError on an exact zero pivot or an ILU
+    failure; the solve raises SingularMatrixError when the direct residual
+    misses the bound after one refinement step, NoConvergenceError when
+    GMRES misses it within its budget.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve requires a square matrix")

@@ -82,6 +82,32 @@ OUT_OF_BOUNDS = [
         ("epsilons[0]", {"epsilons": [Literal(text)]}))
 ]
 
+KERNEL = {"type": "gaussian", "sigma": 0.1}
+# the config checks no other case reaches, each with the message it prints;
+# a string is the config file's whole text
+MESSAGES = [
+    pytest.param({"grid": {"dim": 1, "nx": 16, "nt": 8}},
+                 "config error: grid.T: missing required key", id="grid.T-missing"),
+    pytest.param({"grid": {"dim": 1, "nx": "16", "nt": 8, "T": 1.0}},
+                 "grid.nx: expected a number, got str", id="grid.nx-string"),
+    pytest.param({"grid": {"dim": 1, "nx": 16.5, "nt": 8, "T": 1.0}},
+                 "grid.nx: expected an integer, got 16.5", id="grid.nx-fraction"),
+    pytest.param('{"experiment": ', "invalid JSON", id="not-json"),
+    pytest.param("[]", "top-level config must be an object", id="top-level-array"),
+    pytest.param({"epsilons": []}, "epsilons:", id="epsilons-empty"),
+    pytest.param({"output_dir": ""}, "output_dir:", id="output_dir-empty"),
+    pytest.param({"coupling": {"power_alpha": 3}},
+                 "coupling: incomplete coupling specification", id="power_alpha-alone"),
+    pytest.param({"coupling": {"kernel_g": KERNEL}},
+                 "coupling: incomplete coupling specification", id="kernel_g-alone"),
+    pytest.param({"experiment": "lemma-stability", "coupling": {"kernel": KERNEL}},
+                 "coupling.local: lemma-stability requires a local coupling",
+                 id="lemma-stability-kernel"),
+    pytest.param({"experiment": "nonlocal-rate", "coupling": {"kernel": KERNEL}},
+                 "hamiltonian.variant: nonlocal-rate requires separable_quadratic",
+                 id="nonlocal-rate-congestion"),
+]
+
 
 class TestValidation:
     @pytest.mark.parametrize("key, overrides", OUT_OF_BOUNDS,
@@ -91,6 +117,16 @@ class TestValidation:
         cfg = write_config(tmp_path, **overrides)
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", MESSAGES)
+    def test_config_error_exits_2_with_its_message(self, tmp_path, capsys, config, message):
+        if isinstance(config, str):
+            path = tmp_path / "config.json"
+            path.write_text(config)
+        else:
+            path = write_config(tmp_path, **config)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid={"dim": 1, "nx": 16, "nt": 8, "T": 1.0,
@@ -193,6 +229,19 @@ class TestExperiments:
             coupling={"kernel": {"type": "gaussian", "sigma": 0.1}})
         assert cli.main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "kernel_f.csv").exists()
+
+    @pytest.mark.parametrize("dim, nx, nt", [(1, 16, 8), (2, 6, 4)])
+    def test_cosine_h(self, tmp_path, dim, nx, nt):
+        # h = 1 + 0.5 cos(2 pi x) along the first axis, constant along the second
+        cfg = write_config(tmp_path, grid={"dim": dim, "nx": nx, "nt": nt, "T": 1.0},
+                           hamiltonian={"variant": "congestion", "alpha": 1.0,
+                                        "h": "1+0.5cos(2pix)"})
+        h = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(nx) / nx)
+        np.testing.assert_allclose(cli.load_config(cfg).hamiltonian.h,
+                                   h if dim == 1 else np.repeat(h[:, None], nx, axis=1))
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert dict(zip(summary[0].split(","), summary[1].split(",")))["status"] == "ok"
 
     @pytest.mark.parametrize("kernel_g, shared", [(None, True), (0.2, False)])
     def test_one_kernel_unless_kernel_g_differs(self, tmp_path, kernel_g, shared):

@@ -35,6 +35,10 @@ class TestLocalEval:
         with pytest.raises(ValueError):
             cpl.LocalCoupling("power", alpha=1.5)
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown coupling variant 'cubic'"):
+            cpl.LocalCoupling("cubic")
+
     @pytest.mark.parametrize("variant,alpha", [
         ("sigmoid", 2.0), ("linear", 2.0), ("power", 2.5),
     ])
@@ -78,7 +82,7 @@ class TestKernel:
 
     def test_2d_kernel_is_product(self):
         grid2 = tg.GridSpec(dim=2, nx=8, nt=2, horizon=1.0)
-        k2 = cpl.periodized_gaussian(grid2, sigma=0.2)
+        k2 = cpl.gaussian_kernel_coupling(grid2, sigma=0.2).kernel
         k1 = cpl.periodized_gaussian(tg.GridSpec(dim=1, nx=8, nt=2, horizon=1.0), 0.2)
         np.testing.assert_allclose(k2, np.multiply.outer(k1, k1))
 

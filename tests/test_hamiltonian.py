@@ -59,6 +59,14 @@ class TestEvalBundle:
         with pytest.raises(ValueError):
             ham.congestion(GRID_1D, 0.0, alpha=1.0)
 
+    @pytest.mark.parametrize("variant, alpha, match", [
+        ("quartic", 1.0, "unknown Hamiltonian variant 'quartic'"),
+        (ham.CONGESTION, 0.0, "alpha must be positive, got 0.0"),
+    ])
+    def test_invalid_spec_rejected(self, variant, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            ham.HamiltonianSpec(variant, GRID_1D, 1.0, alpha)
+
 
 class TestDerivativeConsistency:
     # Chain of central-difference checks: H -> (Hp, Hm) -> (Hpp, Hpm).
@@ -125,6 +133,11 @@ class TestHessianCondition:
         spec = ham.congestion(GRID_1D, 1.0, alpha=1.0)
         with pytest.raises(DomainError):
             ham.hessian_condition(spec, 0, 0.0, [1.0])
+
+    def test_momentum_of_the_wrong_length_rejected(self):
+        spec = ham.congestion(GRID_1D, 1.0, alpha=1.0)
+        with pytest.raises(ValueError, match="p must have 1 components"):
+            ham.hessian_condition(spec, 0, 1.0, [1.0, 2.0])
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("m", [0.1, 1.0, 10.0, 100.0])

@@ -110,6 +110,33 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="derive"):
             solver.ProblemSpec(self.GRID, spec, nc, m0=np.ones(16), uT=np.zeros(16))
 
+    @pytest.mark.parametrize("part", ["hamiltonian", "coupling", "s_u", "s_m"])
+    def test_part_on_another_grid_rejected(self, part):
+        other = tg.GridSpec(dim=1, nx=8, nt=4, horizon=1.0)
+        kernel = cpl.gaussian_kernel_coupling(other, 0.1)
+        parts = {"hamiltonian": ham.congestion(self.GRID, 1.0), "coupling": cpl.LocalCoupling("zero")}
+        parts[part] = {"hamiltonian": ham.congestion(other, 1.0),
+                       "coupling": cpl.NonlocalCoupling(f=kernel, g=kernel),
+                       "s_u": tg.Field(other, np.zeros((5, 8))),
+                       "s_m": tg.Field(other, np.zeros((5, 8)))}[part]
+        with pytest.raises(ValueError, match=f"{part} grid does not match problem grid"):
+            solver.ProblemSpec(self.GRID, m0=np.ones(16), uT=np.zeros(16), **parts)
+
+    def test_state_fields_on_two_grids_rejected(self):
+        other = tg.GridSpec(dim=1, nx=8, nt=4, horizon=1.0)
+        with pytest.raises(ValueError, match="same grid"):
+            solver.SolverState(tg.Field(self.GRID, np.ones((5, 16))), tg.Field(other, np.ones((5, 8))))
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("residual_tol", 0.0, "residual_tol must be positive"),
+        ("damping", 0.0, "damping must lie in"),
+        ("damping", 1.5, "damping must lie in"),
+        ("max_iter", 0, "max_iter must be >= 1"),
+    ])
+    def test_newton_config_bounds(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            solver.NewtonConfig(**{field: value})
+
 
 class TestResidual:
     def test_uniform_state_zero_coupling_is_root(self):
@@ -642,6 +669,24 @@ class TestNewtonSlices:
             assert entries.size == 0 and addends.shape == (n, n)
         assert np.array_equal(factor.lu[-1][3][3], -p.coupling.g.conv)
 
+    def test_slices_share_the_handed_out_block(self, monkeypatch):
+        # the factor keeps -conv_f by reference: every running slice's B is
+        # the one Fortran-ordered array the coupling handed out, not a copy
+        handed, blocks = [], cpl.NonlocalCoupling.blocks
+
+        def recording(coupling, m):
+            handed.append(blocks(coupling, m))
+            return handed[-1]
+
+        monkeypatch.setattr(cpl.NonlocalCoupling, "blocks", recording)
+        p, exact = manufactured_nonlocal(nx=16, nt=8)
+        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        factor = sla._SliceLU(*sla._plan(system.matrix, system.slices, system.dense),
+                              system.matrix.data)
+        neg_f = handed[-1][1][0]
+        assert neg_f.flags.f_contiguous and np.array_equal(neg_f, -p.coupling.f.conv)
+        assert all(factor.lu[k][3][3] is neg_f for k in range(1, p.grid.nt))
+
 
 class TestSolveFixedPoint:
     def test_reference_start_single_record(self):
@@ -716,6 +761,14 @@ class TestSolveLinearized:
     def _setup(self, nx=32, nt=16):
         p, exact = manufactured(nx=nx, nt=nt)
         return p, exact
+
+    def test_data_on_another_grid_rejected(self):
+        p, exact = self._setup(nx=16, nt=8)
+        other = tg.GridSpec(dim=1, nx=8, nt=8, horizon=1.0)
+        solve = solver.linearized_solver(p, exact)
+        b = tg.VectorField(p.grid, np.zeros((1, 9, 16)))
+        with pytest.raises(ValueError, match="data fields must live on the problem grid"):
+            solve(tg.Field(other, np.zeros((9, 8))), b)
 
     def test_zero_data_gives_trivial_solution(self):
         p, exact = self._setup()

@@ -84,6 +84,10 @@ class TestAssembly:
         with pytest.raises(ValueError):
             sla.SparseMatrix.from_triplets(2, 2, [0, 2], [0, 0], [1.0, 1.0])
 
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            sla.SparseMatrix.from_triplets(2, 2, [0, 1], [0], [1.0, 1.0])
+
     def test_matvec(self):
         mat = sla.SparseMatrix.from_triplets(2, 2, [0, 1], [1, 0], [2.0, 3.0])
         np.testing.assert_allclose(mat @ [1.0, 4.0], [8.0, 3.0])
@@ -108,6 +112,12 @@ class TestSolve:
         np.testing.assert_allclose(x, expected, atol=1e-10)
         assert sys.meta.method == "direct"
         assert sys.meta.residual_norm <= 1e-12
+
+    def test_overflow_to_non_finite_is_singular(self):
+        # x = (1e600, 1) overflows: the factor has no zero pivot, yet no finite solution
+        mat = sla.SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1e-300, 1.0])
+        with pytest.raises(SingularMatrixError, match="^direct solve produced non-finite values$"):
+            sla.solve(sla.LinearSystem(mat, np.array([1e300, 1.0]), one_slice(mat)))
 
     def test_all_zero_matrix_is_singular(self):
         mat = sla.SparseMatrix.from_triplets(2, 2, [], [], [])
@@ -469,8 +479,9 @@ class TestDenseAddends:
     coupling's are: the factor, the residual check, ``apply`` and GMRES
     all see the whole operator."""
 
-    # two_field((5, 5, 5, 5), (0, 5, 5, 5)): u_k at 5k.., m_k at 15 + 5k..
-    ADDENDS = [(5, 20, (5, 5)), (11, 27, (3, 2)), (15, 30, (5, 5)), (15, 30, (2, 2))]
+    # two_field((5, 5, 5, 5), (0, 5, 5, 5)): u_k at 5k.., m_k at 15 + 5k..;
+    # each addend is the whole B of slices 1, 2 and 3
+    ADDENDS = [(5, 20, (5, 5)), (10, 25, (5, 5)), (15, 30, (5, 5))]
 
     @pytest.mark.parametrize("no_entries", [False, True])  # B's diagonal under the addends, or none
     def test_match_dense_solve(self, no_entries):
@@ -494,6 +505,7 @@ class TestDenseAddends:
         (20, 20, (5, 5)),  # slice 1's D
         (0, 15, (5, 1)),   # slice 0 holds u only: it has no B
         (15, 33, (5, 5)),  # past the last column
+        (11, 27, (3, 2)),  # part of slice 2's B
     ])
     def test_misplaced_rejected_before_plan_cached(self, plan_builds, r, c, shape):
         mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
@@ -501,16 +513,23 @@ class TestDenseAddends:
             sla.factorize(mat, slices, [(r, c, np.ones(shape))])
         assert len(plan_builds) == 1 and sla._PLANS == {}
 
+    def test_second_addend_on_one_b_rejected(self, plan_builds):
+        # the factor keeps an addend by reference, so two are never summed
+        mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
+        with pytest.raises(ValueError, match="one slice's B block, or a second one"):
+            sla.factorize(mat, slices, [(15, 30, np.ones((5, 5)))] * 2)
+        assert len(plan_builds) == 1 and sla._PLANS == {}
+
     def test_run_through_another_field_rejected(self, plan_builds):
-        # unknowns reordered so that rows 0..2 are u_1, m_1, u_1: both ends of
-        # the run lie in slice 1's u, its middle does not
+        # unknowns reordered so that rows 0..4 are u_1, m_1, u_1, u_1, u_1: both
+        # ends of the run lie in slice 1's u, its middle does not
         mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
         order = np.r_[5, 20, 6:10, 0:5, 10:20, 21:35]
         i, j = np.nonzero(dense[order][:, order])
         mat = sla.SparseMatrix.from_triplets(35, 35, i, j, dense[order][:, order][i, j])
         column = int(np.flatnonzero(order == 21)[0])  # in slice 1's m
         with pytest.raises(ValueError, match="one slice's B block"):
-            sla.factorize(mat, slices[order], [(0, column, np.ones((3, 1)))])
+            sla.factorize(mat, slices[order], [(0, column, np.ones((5, 5)))])
         assert sla._PLANS == {}
 
 
