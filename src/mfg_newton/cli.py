@@ -1,7 +1,7 @@
 """Batch front end: run a configured experiment and emit CSV artifacts.
 
 Configuration is a single JSON document (experiments carry too many nested
-parameters for positional flags); the only flags are --config and --verbose.
+parameters for positional flags); the only flag is --config.
 Every experiment writes its artifacts inside the configured output directory:
 history CSVs, field snapshots, and a summary.csv with one row per sub-run.
 Exit codes: 0 success, 2 config validation error, 3 a solver error or a rate
@@ -265,7 +265,7 @@ def _solve_row(cfg, solve, method, problem, exact, eps, tag, history_path):
     return row, final, history
 
 
-def _run_rate(cfg: RunConfig, out: Path, verbose: bool):
+def _run_rate(cfg: RunConfig, out: Path):
     """One Newton sub-run per epsilon.  A run that converged with too few
     iterates to fit keeps its row, with status no_fit."""
     problem, exact = diag.make_manufactured(cfg.grid, cfg.hamiltonian, cfg.coupling)
@@ -291,13 +291,10 @@ def _run_rate(cfg: RunConfig, out: Path, verbose: bool):
             print(f"[{cfg.experiment}] sub-run {tag} converged, no fit: {exc}",
                   file=sys.stderr)
         diag.write_history_csv(history, path, fit=fit)
-        if verbose:
-            print(f"[{cfg.experiment}] {tag}: {row['iterations']} iterations, "
-                  f"q={row['fitted_q']}", file=sys.stderr)
     return rows
 
 
-def _run_fixed_point_compare(cfg: RunConfig, out: Path, verbose: bool):
+def _run_fixed_point_compare(cfg: RunConfig, out: Path):
     """Newton, then Picard, from the same start for every epsilon; Picard is
     not run once Newton has failed."""
     problem, exact = diag.make_manufactured(cfg.grid, cfg.hamiltonian, cfg.coupling)
@@ -312,13 +309,10 @@ def _run_fixed_point_compare(cfg: RunConfig, out: Path, verbose: bool):
             if history is None:
                 break
             diag.write_history_csv(history, path)
-        if verbose and history is not None:
-            print(f"[fixed-point-compare] eps={eps}: newton {rows[-2]['iterations']} "
-                  f"vs fixed-point {rows[-1]['iterations']}", file=sys.stderr)
     return rows
 
 
-def _run_lemma_stability(cfg: RunConfig, out: Path, verbose: bool):
+def _run_lemma_stability(cfg: RunConfig, out: Path):
     grid = cfg.grid
     problem, exact = diag.make_manufactured(grid, cfg.hamiltonian, cfg.coupling)
     solve = solver.linearized_solver(problem, exact)
@@ -336,12 +330,10 @@ def _run_lemma_stability(cfg: RunConfig, out: Path, verbose: bool):
     row = _base_row(cfg, sub_run="stability")
     row["iterations"] = cfg.draws
     row["ratio_max"] = max(ratios)
-    if verbose:
-        print(f"[lemma-stability] max ratio {max(ratios):.4g}", file=sys.stderr)
     return [row]
 
 
-def _run_hessian_sweep(cfg: RunConfig, out: Path, verbose: bool):
+def _run_hessian_sweep(cfg: RunConfig, out: Path):
     spec = cfg.hamiltonian
     rows = []
     n_unsat = 0
@@ -354,13 +346,10 @@ def _run_hessian_sweep(cfg: RunConfig, out: Path, verbose: bool):
     row = _base_row(cfg, sub_run="sweep")
     row["iterations"] = len(rows)
     row["final_residual"] = float(n_unsat)
-    if verbose:
-        print(f"[hessian-sweep] alpha={spec.alpha}: {n_unsat} unsatisfied points",
-              file=sys.stderr)
     return [row]
 
 
-def _run_manufactured_verify(cfg: RunConfig, out: Path, verbose: bool):
+def _run_manufactured_verify(cfg: RunConfig, out: Path):
     problem, exact = diag.make_manufactured(cfg.grid, cfg.hamiltonian, cfg.coupling)
     r_u, r_m = solver.residual(problem, exact)
     sup = max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values))
@@ -373,8 +362,6 @@ def _run_manufactured_verify(cfg: RunConfig, out: Path, verbose: bool):
     if sup > 1e-13:
         row["status"] = "error"
         row["error"] = "ResidualNotZero"
-    if verbose:
-        print(f"[manufactured-verify] residual sup {sup:.3e}", file=sys.stderr)
     return [row]
 
 
@@ -388,7 +375,7 @@ _RUNNERS = {
 }
 
 
-def run(config_path, verbose: bool = False) -> int:
+def run(config_path) -> int:
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
@@ -401,7 +388,7 @@ def run(config_path, verbose: bool = False) -> int:
         print(f"config error: output_dir: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     try:
-        rows = _RUNNERS[cfg.experiment](cfg, out, verbose)
+        rows = _RUNNERS[cfg.experiment](cfg, out)
     except SolverError as exc:
         row = _base_row(cfg, sub_run="failed")
         row["status"] = "error"
@@ -422,10 +409,4 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute the experiment named in the config")
     run_p.add_argument("--config", required=True, help="path to the JSON run config")
-    run_p.add_argument("--verbose", action="store_true", help="progress on stderr")
-    args = parser.parse_args(argv)
-    return run(args.config, verbose=args.verbose)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return run(parser.parse_args(argv).config)

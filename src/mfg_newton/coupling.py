@@ -3,9 +3,9 @@ couplings that also derive the terminal value u(T) = g[m(T)].
 
 Each coupling gives the solver ``values(m)``, the running cost on every time
 slice; ``blocks(m)``, the value rows' derivative in m as a diagonal (-f'(m))
-and dense blocks, one per slice (-conv_f, one Fortran-ordered array for all,
-then -conv_g); ``derives_terminal``, with ``terminal(m_T)`` when it is true;
-and ``grids``, the grids its kernels are built on.
+and dense blocks, one per slice (-conv_f, then -conv_g, each built once, the
+same array when g is f); ``derives_terminal``, with ``terminal(m_T)`` when
+it is true; and ``grids``, the grids its kernels are built on.
 
 The kernel coupling convolves the density with a periodized Gaussian whose
 discrete Fourier coefficients are nonnegative by construction, which makes the
@@ -18,6 +18,7 @@ their circulants (P. J. Davis, Circulant Matrices, 1979).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -122,6 +123,13 @@ class KernelCoupling:
         flat = self.conv @ np.asarray(m_slice, dtype=float).ravel()
         return flat.reshape(self.grid.spatial_shape)
 
+    @cached_property
+    def neg_conv(self) -> np.ndarray:
+        """-conv, Fortran-ordered and read-only, built once for every use."""
+        neg = np.negative(self.conv, order="F")
+        neg.setflags(write=False)
+        return neg
+
 
 @dataclass(frozen=True)
 class NonlocalCoupling:
@@ -141,10 +149,9 @@ class NonlocalCoupling:
         return (flat @ self.f.conv.T).reshape(m.shape)
 
     def blocks(self, m: np.ndarray):
-        """No diagonal; one Fortran-ordered -conv_f shared by each slice of m
-        but the last, and -conv_g on the last."""
-        neg_f, neg_g = (np.negative(k.conv, order="F") for k in (self.f, self.g))
-        return 0.0, [neg_f] * (m.shape[0] - 1) + [neg_g]
+        """No diagonal; the kernels' cached -conv: -conv_f on each slice of
+        m but the last, -conv_g on the last (the same array when g is f)."""
+        return 0.0, [self.f.neg_conv] * (m.shape[0] - 1) + [self.g.neg_conv]
 
     def terminal(self, m_T: np.ndarray) -> np.ndarray:
         """u(T) = g[m(T)]."""

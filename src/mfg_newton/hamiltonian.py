@@ -6,6 +6,7 @@ Two families are supported:
   and momentum (moving is costlier where the density is large);
 * separable quadratic: H(x,p) = h(x)|p|^2, no density dependence.
 
+Both are isotropic in p, so the bundle's Hpp is a scalar: H_pp = Hpp I.
 Evaluation is vectorized over arbitrary array shapes, scalars included.
 (1+m)^alpha is smooth down to m > -1, so evaluation is permitted above a
 configurable floor and fails hard below it: silently extending the
@@ -67,24 +68,22 @@ class HamiltonianBundle(NamedTuple):
     H: float | np.ndarray
     Hp: np.ndarray            # (dim, ...)
     Hm: float | np.ndarray
-    Hpp: np.ndarray           # (dim, dim, ...)
+    Hpp: float | np.ndarray   # (...): H_pp = Hpp I
     Hpm: np.ndarray           # (dim, ...)
 
 
 def eval_bundle_arrays(spec: HamiltonianSpec, h: np.ndarray, m: np.ndarray, p: np.ndarray) -> HamiltonianBundle:
     """Vectorized bundle on arrays: m (...,), p (dim, ...), h broadcastable to m."""
-    d = spec.grid.dim
     p = np.asarray(p, dtype=float)
     m = np.asarray(m, dtype=float)
     p2 = (p * p).sum(axis=0)
-    eye = np.eye(d).reshape((d, d) + (1,) * m.ndim)
 
     if spec.variant == SEPARABLE_QUADRATIC:
         return HamiltonianBundle(
             H=h * p2,
             Hp=2.0 * h * p,
             Hm=np.zeros_like(m),
-            Hpp=2.0 * h * eye * np.ones_like(m),
+            Hpp=2.0 * h * np.ones_like(m),
             Hpm=np.zeros_like(p),
         )
 
@@ -99,7 +98,7 @@ def eval_bundle_arrays(spec: HamiltonianSpec, h: np.ndarray, m: np.ndarray, p: n
         H=h * p2 * w,
         Hp=2.0 * h * p * w,
         Hm=-alpha * h * p2 * w1,
-        Hpp=2.0 * h * eye * w,
+        Hpp=2.0 * h * w,
         Hpm=-2.0 * alpha * h * p * w1,
     )
 
@@ -115,7 +114,7 @@ def hessian_condition(spec: HamiltonianSpec, x, m: float, p) -> HessianReport:
     of the (dim+1)x(dim+1) monotonicity matrix
 
         [[-Hm,        (m/2) Hpm^T],
-         [(m/2) Hpm,  m Hpp     ]]
+         [(m/2) Hpm,  m Hpp I   ]]
 
     ``satisfied`` requires strict positivity.  At p = 0 the matrix is only
     positive semidefinite (top-left entry vanishes); that boundary case is
@@ -133,7 +132,7 @@ def hessian_condition(spec: HamiltonianSpec, x, m: float, p) -> HessianReport:
     mat[0, 0] = -b.Hm
     mat[0, 1:] = 0.5 * m * b.Hpm
     mat[1:, 0] = 0.5 * m * b.Hpm
-    mat[1:, 1:] = m * b.Hpp
+    mat[1:, 1:] = m * b.Hpp * np.eye(d)
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     return HessianReport(min_eig, min_eig > 0.0, False)
 

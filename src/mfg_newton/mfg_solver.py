@@ -18,8 +18,8 @@ The Jacobian is assembled once per state on the full unknown vector
 [u_0..u_nt, m_0..m_nt], both boundary rows included, each block family for
 all time slices at once.  The local and kernel variants differ only in the
 coupling's values and blocks, which ``coupling.py`` supplies through one
-interface: a diagonal -f'(m), kept in the CSR, or dense blocks -conv_f (one
-array for all) and -conv_g, kept out of it as slices' value-density blocks.
+interface: a diagonal -f'(m), kept in the CSR, or dense blocks -conv_f and
+-conv_g (one array in all when g is f), kept out of it as value-density blocks.
 Before a solve, one boolean mask marks the known boundary slices, m(0)
 always and u(T) unless the coupling derives it: their rows are identity rows,
 so their values are known, and their columns times those values move to the
@@ -219,7 +219,6 @@ class _Stencils:
         eye = sp.identity(n, format="csr")
         self.uu = sp.kron(back, eye, format="csr") - sp.diags(self.u_rows) @ lap
         self.mm = sp.kron(fwd, eye, format="csr") - sp.diags(self.m_rows) @ lap
-        self.zero = sp.csr_matrix(self.uu.shape)
 
 
 @lru_cache(maxsize=16)
@@ -253,16 +252,14 @@ def _jacobian(p: ProblemSpec, state: SolverState):
     slices: m(0), and u(T) unless the coupling derives it.
     """
     grid = p.grid
-    dim = grid.dim
     st = _stencils(grid)
     m_vals = state.m.values
     b = _bundle(p, state.u.values, m_vals)
     m = m_vals.ravel()
-    mm = _density_block(p, b.Hp.reshape(dim, -1) + m * b.Hpm.reshape(dim, -1))
-    flux = st.m_rows * m * b.Hpp.reshape(dim, dim, -1)
-    mu = -sum((st.diff[a] @ sp.diags(flux[a, c]) @ st.diff[c]
-               for a in range(dim) for c in range(dim) if np.any(flux[a, c])),
-              st.zero)
+    mm = _density_block(p, b.Hp.reshape(grid.dim, -1) + m * b.Hpm.reshape(grid.dim, -1))
+    # -div(m H_pp grad), H_pp = Hpp I: one weighted second difference per axis
+    flux = sp.diags(st.m_rows * m * b.Hpp.ravel())
+    mu = -sum(d @ flux @ d for d in st.diff)
     # -f'(m) enters the backward rows k < nt, a dense block also the terminal row
     diagonal, dense = p.coupling.blocks(m_vals)
     um = sp.diags(st.u_rows * (b.Hm.ravel() + diagonal))

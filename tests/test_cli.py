@@ -179,6 +179,14 @@ class TestValidation:
             "local": "sigmoid", "kernel": {"type": "gaussian", "sigma": 0.1}})
         assert cli.main(["run", "--config", str(cfg)]) == 2
 
+    def test_config_is_the_only_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--verbose"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExperiments:
     def test_newton_rate_artifacts(self, tmp_path):
@@ -196,6 +204,21 @@ class TestExperiments:
         assert "# fit: q=" in history
         assert (out / "fields_u_eps0.csv").exists()
         assert (out / "fields_m_eps0.csv").exists()
+
+    def test_default_coupling_is_sigmoid(self, tmp_path):
+        default = write_config(tmp_path, name="default.json",
+                               output_dir=str(tmp_path / "default"))
+        config = json.loads(default.read_text())
+        del config["coupling"]
+        default.write_text(json.dumps(config))
+        sigmoid = write_config(tmp_path, name="sigmoid.json",
+                               output_dir=str(tmp_path / "sigmoid"))
+        assert cli.main(["run", "--config", str(default)]) == 0
+        assert cli.main(["run", "--config", str(sigmoid)]) == 0
+        summary = (tmp_path / "default" / "summary.csv").read_text()
+        row = dict(zip(*(line.split(",") for line in summary.splitlines())))
+        assert row["coupling"] == "sigmoid"
+        assert summary == (tmp_path / "sigmoid" / "summary.csv").read_text()
 
     def test_hessian_sweep_alpha3_has_unsatisfied_rows(self, tmp_path):
         cfg = write_config(tmp_path, experiment="hessian-sweep",

@@ -43,9 +43,12 @@ class TestEvalBundle:
             ham.eval_bundle_arrays(spec, 1.0, -0.75, [1.0])
 
     def test_hpp_symmetric_2d(self):
+        # H_pp = Hpp I, symmetric by construction: Hpp is one scalar per point
         spec = ham.congestion(GRID_2D, 1.3, alpha=2.0)
-        b = ham.eval_bundle_arrays(spec, 1.3, 0.7, [1.0, -2.0])
-        np.testing.assert_array_equal(b.Hpp, b.Hpp.T)
+        b = ham.eval_bundle_arrays(spec, 1.3, np.array([0.7, 0.2]),
+                                   np.array([[1.0, 0.5], [-2.0, 0.0]]))
+        assert b.Hpp.shape == (2,)
+        np.testing.assert_allclose(b.Hpp, 2 * 1.3 / np.array([1.7, 1.2]) ** 2)
 
     def test_spatial_coefficient_lookup(self):
         # hessian_condition reads h at its node: node 4 is x = 1/2, h = 0.5
@@ -105,7 +108,7 @@ class TestDerivativeConsistency:
                     ec = np.zeros(dim)
                     ec[c] = h
                     hpp_fd = (bundle(m, p + ec).Hp[a] - bundle(m, p - ec).Hp[a]) / (2 * h)
-                    assert hpp_fd == pytest.approx(b.Hpp[a, c], rel=1e-6, abs=1e-9)
+                    assert hpp_fd == pytest.approx(b.Hpp * (a == c), rel=1e-6, abs=1e-9)
 
 
 class TestHessianCondition:

@@ -687,6 +687,22 @@ class TestNewtonSlices:
         assert neg_f.flags.f_contiguous and np.array_equal(neg_f, -p.coupling.f.conv)
         assert all(factor.lu[k][3][3] is neg_f for k in range(1, p.grid.nt))
 
+    def test_one_kernel_gives_one_block(self):
+        # with g = f, the terminal slice's B is the running slices' B, and
+        # every blocks call hands out that one cached, read-only array
+        grid = tg.GridSpec(dim=1, nx=16, nt=8, horizon=1.0)
+        kernel = cpl.gaussian_kernel_coupling(grid, 0.1)
+        p, exact = diag.make_manufactured(grid, ham.separable_quadratic(grid, 1.0),
+                                          cpl.NonlocalCoupling(f=kernel, g=kernel))
+        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        factor = sla._SliceLU(*sla._plan(system.matrix, system.slices, system.dense),
+                              system.matrix.data)
+        assert all(factor.lu[k][3][3] is factor.lu[1][3][3] for k in range(2, grid.nt + 1))
+        _, first = p.coupling.blocks(exact.m.values)
+        _, second = p.coupling.blocks(exact.m.values)
+        assert all(a is b is first[0] for a, b in zip(first, second))
+        assert not first[0].flags.writeable
+
 
 class TestSolveFixedPoint:
     def test_reference_start_single_record(self):
