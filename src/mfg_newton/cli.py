@@ -24,8 +24,7 @@ from . import hamiltonian as ham
 from . import mfg_solver as solver
 from . import sparse_linalg as sla
 from . import torus_grid as tg
-from .errors import (ConfigError, InsufficientDataError, MaxIterExceededError,
-                     SolverError)
+from .errors import ConfigError, InsufficientDataError, SolverError
 
 H_CHOICES = ("constant", "1+0.5cos(2pix)")
 
@@ -139,7 +138,7 @@ def load_config(path) -> RunConfig:
     coup = raw.get("coupling", {})
     _check_keys(coup, "coupling", required=(),
                 optional=("local", "power_alpha", "kernel", "kernel_g"))
-    local_variant = kernel_sigma = None
+    local_variant, sigmas = None, ()  # sigmas: the kernel widths, g's only if it differs
     power_alpha = 2.0
     if "local" in coup:
         if "kernel" in coup or "kernel_g" in coup:
@@ -149,9 +148,8 @@ def load_config(path) -> RunConfig:
         if "power_alpha" in coup:
             power_alpha = _number(coup["power_alpha"], "coupling.power_alpha", minimum=2.0)
     elif "kernel" in coup:
-        kernel_sigma = _parse_kernel(coup["kernel"], "coupling.kernel")
-        kernel_sigma_g = (_parse_kernel(coup["kernel_g"], "coupling.kernel_g")
-                          if "kernel_g" in coup else kernel_sigma)
+        sigmas = tuple(dict.fromkeys(_parse_kernel(coup[key], f"coupling.{key}")
+                                     for key in ("kernel", "kernel_g") if key in coup))
     elif "power_alpha" in coup or "kernel_g" in coup:
         raise ConfigError("coupling", "incomplete coupling specification")
 
@@ -187,12 +185,12 @@ def load_config(path) -> RunConfig:
 
     needs_local = experiment in ("newton-rate", "fixed-point-compare",
                                  "lemma-stability", "manufactured-verify")
-    if needs_local and local_variant is None and kernel_sigma is None:
+    if needs_local and local_variant is None and not sigmas:
         local_variant = cpl.SIGMOID
     if needs_local and local_variant is None:
         raise ConfigError("coupling.local", f"{experiment} requires a local coupling")
     if experiment == "nonlocal-rate":
-        if kernel_sigma is None:
+        if not sigmas:
             raise ConfigError("coupling.kernel", "nonlocal-rate requires a kernel coupling")
         if h_variant != ham.SEPARABLE_QUADRATIC:
             raise ConfigError("hamiltonian.variant",
@@ -202,13 +200,13 @@ def load_config(path) -> RunConfig:
         if h_variant != ham.CONGESTION:
             raise ConfigError("hamiltonian.variant", "hessian-sweep requires congestion")
         coupling = None  # the sweep reads none, and a 2D kernel's dense conv is large
-    elif kernel_sigma is None:
+    elif not sigmas:
         coupling = cpl.LocalCoupling(local_variant, alpha=power_alpha)
     else:  # one kernel, and one dense conv, serves f and g when their widths agree
-        f = cpl.gaussian_kernel_coupling(grid, kernel_sigma)
-        g = f if kernel_sigma_g == kernel_sigma else cpl.gaussian_kernel_coupling(grid, kernel_sigma_g)
+        f = cpl.gaussian_kernel_coupling(grid, sigmas[0])
+        g = f if len(sigmas) == 1 else cpl.gaussian_kernel_coupling(grid, sigmas[1])
         coupling = cpl.NonlocalCoupling(f=f, g=g)
-    label = local_variant or ("" if kernel_sigma is None else f"gaussian:{kernel_sigma}")
+    label = local_variant or "/".join(f"gaussian:{sigma}" for sigma in sigmas)
     return RunConfig(
         experiment=experiment, grid=grid, hamiltonian=hamiltonian, coupling=coupling,
         coupling_label=label, newton=newton, epsilons=epsilons, seed=seed, draws=draws,
@@ -246,8 +244,8 @@ def _solve_row(cfg, solve, method, problem, exact, eps, tag, history_path):
 
     Returns ``(row, final, history)``.  A solver failure becomes an error row
     naming the sub-run, its epsilon and the method, with ``final`` and
-    ``history`` None; a run that exhausted its step budget first writes the
-    partial history it carries to ``history_path``.
+    ``history`` None; a failure that carries records first writes the partial
+    history to ``history_path``.
     """
     row = _base_row(cfg, sub_run=tag, method=method)
     row["epsilon"] = eps
@@ -255,7 +253,7 @@ def _solve_row(cfg, solve, method, problem, exact, eps, tag, history_path):
         final, history = solve(problem, diag.perturbed_state(exact, eps), cfg.newton,
                                reference=exact)
     except SolverError as exc:
-        if isinstance(exc, MaxIterExceededError):
+        if exc.history:
             diag.write_history_csv(exc.history, history_path)
         row.update(status="error", error=type(exc).__name__)
         print(f"[{cfg.experiment}] sub-run {tag} failed: {exc}", file=sys.stderr)
@@ -271,6 +269,8 @@ def _run_rate(cfg: RunConfig, out: Path):
     problem, exact = diag.make_manufactured(cfg.grid, cfg.hamiltonian, cfg.coupling)
     if cfg.coupling.derives_terminal:
         cpl.write_kernel_csv(cfg.coupling.f, out / "kernel_f.csv")
+        if cfg.coupling.g is not cfg.coupling.f:
+            cpl.write_kernel_csv(cfg.coupling.g, out / "kernel_g.csv")
     rows = []
     for i, eps in enumerate(cfg.epsilons):
         tag = f"eps{i}"

@@ -19,6 +19,7 @@ from .torus_grid import Field, GridSpec, VectorField, grad_sup_norm, sup_norm
 
 MANUFACTURED_U_AMPLITUDE = 0.3
 MANUFACTURED_M_AMPLITUDE = 0.3
+KMAX = 3  # highest spatial mode of random_smooth_data
 
 
 @dataclass(frozen=True)
@@ -170,15 +171,15 @@ def perturbed_state(exact, eps: float):
     )
 
 
-def random_smooth_data(grid: GridSpec, seed: int, kmax: int = 3):
+def random_smooth_data(grid: GridSpec, seed: int):
     """Seeded random smooth (a, b) pair with ||a||_C0 + ||b||_C0 = 1.
 
-    Coefficients of a low-order trigonometric polynomial (with an affine time
-    profile) are drawn once from the seed, independent of the resolution, so
-    the same seed denotes the same continuum functions on every grid.
+    Coefficients of modes 1..KMAX of a trigonometric polynomial (with an affine
+    time profile) are drawn once from the seed, independent of the resolution,
+    so the same seed denotes the same continuum functions on every grid.
     """
     rng = np.random.default_rng(seed)
-    n_coeff = 2 * kmax * 2  # (cos,sin) x mode x time profile
+    n_coeff = 2 * KMAX * 2  # (cos,sin) x mode x time profile
     coeffs_a = rng.standard_normal(n_coeff)
     coeffs_b = rng.standard_normal((grid.dim, n_coeff))
 
@@ -186,7 +187,7 @@ def random_smooth_data(grid: GridSpec, seed: int, kmax: int = 3):
     t = grid.t_nodes().reshape((-1,) + (1,) * grid.dim)
     x1 = grid.x_nodes()[0]
     profiles = []
-    for k in range(1, kmax + 1):
+    for k in range(1, KMAX + 1):
         for trig in (np.cos, np.sin):
             base = trig(2.0 * np.pi * k * x1)
             profiles.append(base * np.ones_like(t))

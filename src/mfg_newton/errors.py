@@ -1,14 +1,18 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack.  Every solver failure
+is a SolverError carrying the run it stopped."""
 
 
 class SolverError(Exception):
-    """A solve failed.  ``iterate`` is the outer (Newton or fixed-point)
-    iterate it failed in, 0 for the initial state, once the outer iteration
-    re-raised it; None when raised outside one."""
+    """A solve failed.  Once the outer (Newton or fixed-point) iteration
+    re-raised it, ``iterate`` is the iterate it failed in (0: the initial
+    state), ``final`` the last state recorded (the start if none was) and
+    ``history`` the records; None, None and [] when raised outside one."""
 
-    def __init__(self, message, iterate=None):
+    def __init__(self, message, iterate=None, final=None, history=None):
         super().__init__(message)
         self.iterate = iterate
+        self.final = final
+        self.history = history if history is not None else []
 
 
 class DomainError(SolverError, ValueError):
@@ -29,16 +33,7 @@ class NoConvergenceError(SolverError, RuntimeError):
 
 class MaxIterExceededError(SolverError, RuntimeError):
     """An outer (Newton or fixed-point) iteration hit its step budget, or
-    the fixed-point baseline's inner value-function solve stalled.
-
-    Carries the last state and the full iteration history so callers can
-    inspect the divergence instead of losing it.
-    """
-
-    def __init__(self, message, final=None, history=None, iterate=None):
-        super().__init__(message, iterate)
-        self.final = final
-        self.history = history if history is not None else []
+    the fixed-point baseline's inner value-function solve stalled."""
 
 
 class InsufficientDataError(ValueError):

@@ -8,9 +8,9 @@ Two families are supported:
 
 Both are isotropic in p, so the bundle's Hpp is a scalar: H_pp = Hpp I.
 Evaluation is vectorized over arbitrary array shapes, scalars included.
-(1+m)^alpha is smooth down to m > -1, so evaluation is permitted above a
-configurable floor and fails hard below it: silently extending the
-Hamiltonian would mask solver divergence.
+(1+m)^alpha is smooth down to m > -1, so the congestion variant is evaluated
+only above the floor M_FLOOR and fails hard at or below it: silently
+extending the Hamiltonian would mask solver divergence.
 """
 
 from __future__ import annotations
@@ -25,22 +25,21 @@ from .torus_grid import GridSpec
 
 CONGESTION = "congestion"
 SEPARABLE_QUADRATIC = "separable_quadratic"
+M_FLOOR = -0.5  # the congestion variant's evaluation floor on the density
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Hamiltonian family bound to a grid, with h(x) sampled on the nodes.
 
-    ``m_floor`` is the evaluation guard for the congestion variant; the
-    monotone regime is alpha in (0, 2], but larger alpha is allowed so the
-    Hessian sweep can exercise the failing regime.
+    The monotone regime is alpha in (0, 2], but larger alpha is allowed so
+    the Hessian sweep can exercise the failing regime.
     """
 
     variant: str
     grid: GridSpec
     h: np.ndarray
     alpha: float = 1.0
-    m_floor: float = -0.5
 
     def __post_init__(self):
         if self.variant not in (CONGESTION, SEPARABLE_QUADRATIC):
@@ -54,8 +53,8 @@ class HamiltonianSpec:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-def congestion(grid: GridSpec, h=1.0, alpha: float = 1.0, m_floor: float = -0.5) -> HamiltonianSpec:
-    return HamiltonianSpec(CONGESTION, grid, np.asarray(h, dtype=float), alpha, m_floor)
+def congestion(grid: GridSpec, h=1.0, alpha: float = 1.0) -> HamiltonianSpec:
+    return HamiltonianSpec(CONGESTION, grid, np.asarray(h, dtype=float), alpha)
 
 
 def separable_quadratic(grid: GridSpec, h=1.0) -> HamiltonianSpec:
@@ -87,9 +86,9 @@ def eval_bundle_arrays(spec: HamiltonianSpec, h: np.ndarray, m: np.ndarray, p: n
             Hpm=np.zeros_like(p),
         )
 
-    if np.any(m <= spec.m_floor):
+    if np.any(m <= M_FLOOR):
         raise DomainError(
-            f"density {float(np.min(m)):.6g} at or below the evaluation floor {spec.m_floor}"
+            f"density {float(np.min(m)):.6g} at or below the evaluation floor {M_FLOOR}"
         )
     alpha = spec.alpha
     w = (1.0 + m) ** (-alpha)          # (1+m)^-alpha

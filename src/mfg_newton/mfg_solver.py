@@ -371,46 +371,36 @@ def _stalled(res: list) -> bool:
     return len(res) > STALL_STEPS and min(res[-STALL_STEPS:]) >= min(res[:-STALL_STEPS])
 
 
-def _at_iterate(exc: SolverError, where: str, iterate: int, state=None, history=None):
-    """The same error as ``exc``, its message naming ``where`` it failed and
-    its ``.iterate`` the outer iterate; a budget error also carries the outer
-    ``state`` and ``history``."""
-    outer = {"final": state, "history": history} if isinstance(exc, MaxIterExceededError) else {}
-    return type(exc)(f"{exc} ({where})", iterate=iterate, **outer)
-
-
 def _iterate(p, initial, cfg, reference, step, solver: str, unit: str):
-    """The outer iteration of :func:`solve_newton` and
-    :func:`solve_fixed_point`: ``state = step(state)`` until the sup-norm
-    residual is <= cfg.residual_tol (in cfg.max_iter steps, each STALL_STEPS
-    setting a new best), one history record per state.
-
-    ``solver`` names the iterate in failure messages ("Newton iterate 2");
-    the budget message reads it with spaces ("fixed point did not reach").
+    """The outer iteration of :func:`solve_newton` and :func:`solve_fixed_point`:
+    ``state = step(state)`` until the sup-norm residual is <= cfg.residual_tol
+    (in cfg.max_iter steps, each STALL_STEPS setting a new best), one history
+    record per state.  A SolverError in a record or a step is re-raised as its
+    type, its message naming the iterate ("iterate 0, initial state", "Newton
+    iterate 2"), carrying that iterate, the last recorded state and the records.
+    The budget message reads ``solver`` with spaces ("fixed point did not reach").
     """
+    state, history, steps = initial, [], 0
     try:
-        history = [_record(0, p, initial, reference, 0.0)]
+        history.append(_record(0, p, initial, reference, 0.0))
+        res = [_res_sup(history[0])]
+        while not (res[-1] <= cfg.residual_tol  # a NaN never converges
+                   or steps >= cfg.max_iter or _stalled(res)):
+            t0 = time.perf_counter()
+            steps += 1
+            new = step(state)
+            history.append(_record(steps, p, new, reference, (time.perf_counter() - t0) * 1e3))
+            state = new
+            res.append(_res_sup(history[-1]))
     except SolverError as exc:
-        raise _at_iterate(exc, "iterate 0, initial state", 0) from exc
-    state = initial
-    steps = 0
-    while not _res_sup(history[-1]) <= cfg.residual_tol:  # a NaN never converges
-        stalled = _stalled([_res_sup(rec) for rec in history])
-        if steps >= cfg.max_iter or stalled:
-            why = f", no new best residual in the last {STALL_STEPS}" if stalled else ""
-            raise MaxIterExceededError(
-                f"{solver.replace('-', ' ')} did not reach tol {cfg.residual_tol:.1e} "
-                f"in {steps} {unit}{why} (residual {_res_sup(history[-1]):.3e})",
-                final=state, history=history, iterate=steps)
-        t0 = time.perf_counter()
-        steps += 1
-        try:
-            state = step(state)
-            history.append(_record(
-                steps, p, state, reference, (time.perf_counter() - t0) * 1e3))
-        except SolverError as exc:
-            raise _at_iterate(exc, f"{solver} iterate {steps}", steps, state, history) from exc
-    return state, history
+        where = f"{solver} iterate {steps}" if steps else "iterate 0, initial state"
+        raise type(exc)(f"{exc} ({where})", steps, state, history) from exc
+    if res[-1] <= cfg.residual_tol:
+        return state, history
+    why = f", no new best residual in the last {STALL_STEPS}" if _stalled(res) else ""
+    raise MaxIterExceededError(
+        f"{solver.replace('-', ' ')} did not reach tol {cfg.residual_tol:.1e} "
+        f"in {steps} {unit}{why} (residual {res[-1]:.3e})", steps, state, history)
 
 
 def solve_newton(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
@@ -418,9 +408,10 @@ def solve_newton(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
     """Newton iteration to sup-norm residual <= cfg.residual_tol.
 
     history[0] records the initial state; one record follows per step.
-    Raises MaxIterExceededError (carrying the history) when the budget is
-    exhausted.  Every failure is a SolverError naming the iterate it failed
-    in, in its message and as ``.iterate``, so divergence is never silent.
+    Every failure is a SolverError naming the iterate it failed in, in its
+    message and as ``.iterate``, and carrying the last state recorded and the
+    records so far as ``.final`` and ``.history``, so divergence is never silent;
+    an exhausted or stalled budget is a MaxIterExceededError.
     """
     return _iterate(p, initial, cfg, reference,
                     lambda state: newton_step(p, state, cfg)[0], "Newton", "steps")

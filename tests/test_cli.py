@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mfg_newton import cli
+from mfg_newton import coupling as cpl
 
 
 class Literal:
@@ -277,6 +278,26 @@ class TestExperiments:
         assert (cfg.coupling.g is cfg.coupling.f) == shared
         assert np.array_equal(cfg.coupling.g.conv, cfg.coupling.f.conv) == shared
 
+    @pytest.mark.parametrize("kernel_g, label", [
+        (None, "gaussian:0.1"), (0.1, "gaussian:0.1"), (0.2, "gaussian:0.1/gaussian:0.2")])
+    def test_kernel_g_is_recorded(self, tmp_path, kernel_g, label):
+        # g's width is named in the summary, and its kernel written, only
+        # when it differs from f's
+        coupling = {"kernel": {"type": "gaussian", "sigma": 0.1}}
+        if kernel_g is not None:
+            coupling["kernel_g"] = {"type": "gaussian", "sigma": kernel_g}
+        cfg = write_config(tmp_path, experiment="nonlocal-rate",
+                           hamiltonian={"variant": "separable_quadratic"}, coupling=coupling)
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert dict(zip(summary[0].split(","), summary[1].split(",")))["coupling"] == label
+        assert (out / "kernel_g.csv").exists() == (kernel_g == 0.2)
+        if kernel_g == 0.2:
+            grid = cli.load_config(cfg).grid
+            values = np.loadtxt(out / "kernel_g.csv", delimiter=",", skiprows=1)[:, 1]
+            assert np.array_equal(values, cpl.gaussian_kernel_coupling(grid, 0.2).kernel.ravel())
+
     def test_fixed_point_compare(self, tmp_path):
         cfg = write_config(tmp_path, experiment="fixed-point-compare",
                            newton={"max_iter": 200, "residual_tol": 1e-9,
@@ -293,26 +314,29 @@ class TestExperiments:
 
     def test_solver_error_exits_3_and_is_recorded(self, tmp_path):
         # every epsilon sweep names the failed sub-run by its tag and epsilon,
-        # and keeps the partial history (initial state and the one step)
-        for experiment, history_name, extra in (
-            ("newton-rate", "history.csv", {}),
-            ("fixed-point-compare", "history_newton_eps0.csv", {}),
-            ("nonlocal-rate", "history.csv",
-             {"hamiltonian": {"variant": "separable_quadratic"},
-              "coupling": {"kernel": {"type": "gaussian", "sigma": 0.1}}}),
-        ):
-            out = tmp_path / experiment
-            cfg = write_config(tmp_path, experiment=experiment, epsilons=[0.02],
-                               output_dir=str(out),
-                               newton={"max_iter": 1, "residual_tol": 1e-14}, **extra)
+        # and keeps the partial history (initial state and the one step): a
+        # budget of one step, or a start outside the basin whose second step
+        # drops the density below the Hamiltonian's floor
+        budget = {"epsilons": [0.02], "newton": {"max_iter": 1, "residual_tol": 1e-14}}
+        for i, (experiment, history_name, error, overrides) in enumerate((
+            ("newton-rate", "history.csv", "MaxIterExceededError", budget),
+            ("fixed-point-compare", "history_newton_eps0.csv", "MaxIterExceededError", budget),
+            ("nonlocal-rate", "history.csv", "MaxIterExceededError",
+             dict(budget, hamiltonian={"variant": "separable_quadratic"},
+                  coupling={"kernel": {"type": "gaussian", "sigma": 0.1}})),
+            ("newton-rate", "history.csv", "DomainError",
+             {"epsilons": [1.49], "hamiltonian": {"variant": "congestion", "alpha": 4.0}}),
+        )):
+            out = tmp_path / f"{i}-{experiment}"
+            cfg = write_config(tmp_path, experiment=experiment, output_dir=str(out), **overrides)
             assert cli.main(["run", "--config", str(cfg)]) == 3
             summary = (out / "summary.csv").read_text().splitlines()
             row = dict(zip(summary[0].split(","), summary[1].split(",")))
-            assert row["error"] == "MaxIterExceededError"
+            assert row["error"] == error
             assert row["status"] == "error"
             assert row["sub_run"] == "eps0"
             assert row["method"] == "newton"
-            assert float(row["epsilon"]) == 0.02
+            assert float(row["epsilon"]) == float(overrides["epsilons"][0])
             history = (out / history_name).read_text().splitlines()
             assert history[0].startswith("iter,")
             assert [line.split(",")[0] for line in history[1:]] == ["0", "1"]

@@ -36,7 +36,7 @@ class TestEvalBundle:
         assert np.all(b.Hpm == 0.0)
 
     def test_below_floor_raises(self):
-        spec = ham.congestion(GRID_1D, 1.0, alpha=1.0, m_floor=-0.5)
+        spec = ham.congestion(GRID_1D, 1.0, alpha=1.0)
         with pytest.raises(DomainError):
             ham.eval_bundle_arrays(spec, 1.0, -0.5, [1.0])
         with pytest.raises(DomainError):

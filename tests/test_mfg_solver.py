@@ -390,23 +390,26 @@ class TestSolveNewton:
         (NoConvergenceError, RuntimeError), (MaxIterExceededError, RuntimeError)])
     def test_every_solver_error_is_a_solver_error(self, cls, base):
         assert issubclass(cls, mn.SolverError) and issubclass(cls, base)
-        assert cls("failed").iterate is None
+        exc = cls("failed")
+        assert exc.iterate is None and exc.final is None and exc.history == []
 
-    def test_domain_error_reports_iterate(self):
+    def test_domain_error_reports_iterate(self, monkeypatch):
         # raise the floor so the exact state is evaluable but the perturbed
         # start is not: failure must name the iterate, never pass silently
+        monkeypatch.setattr(ham, "M_FLOOR", 0.65)
         grid = tg.GridSpec(dim=1, nx=16, nt=8, horizon=1.0)
-        spec = ham.congestion(grid, 1.0, alpha=1.0, m_floor=0.65)
+        spec = ham.congestion(grid, 1.0, alpha=1.0)
         p, exact = diag.make_manufactured(grid, spec, cpl.LocalCoupling("sigmoid"))
         init = diag.perturbed_state(exact, 0.5)  # density dips to 0.5 at t = T
         with pytest.raises(DomainError, match=r"\(iterate 0, initial state\)$") as info:
             solver.solve_newton(p, init, solver.NewtonConfig(residual_tol=1e-9))
         assert info.value.iterate == 0
 
-    def test_domain_error_names_the_iterate_that_left_the_domain(self):
+    def test_domain_error_names_the_iterate_that_left_the_domain(self, monkeypatch):
         # the first step from a steep start drops the density below the floor
+        monkeypatch.setattr(ham, "M_FLOOR", 0.5)
         grid = tg.GridSpec(dim=1, nx=16, nt=8, horizon=1.0)
-        spec = ham.congestion(grid, 1.0, alpha=1.0, m_floor=0.5)
+        spec = ham.congestion(grid, 1.0, alpha=1.0)
         p, exact = diag.make_manufactured(grid, spec, cpl.LocalCoupling("sigmoid"))
         u = exact.u.values + 10.0 * np.sin(2 * np.pi * grid.x_nodes()[0])
         start = solver.make_state(grid, u, np.ones_like(u))
@@ -415,6 +418,9 @@ class TestSolveNewton:
         with pytest.raises(DomainError, match=r"\(Newton iterate 1\)$") as info:
             solver.solve_newton(p, start, solver.NewtonConfig(residual_tol=1e-9))
         assert info.value.iterate == 1
+        # it carries the run it stopped: the start, the last state recorded
+        assert info.value.final is start
+        assert [rec.iter for rec in info.value.history] == [0]
 
     def test_linear_solve_failure_reports_iterate(self, exhausted_gmres):
         p, exact = manufactured(nx=16, nt=8)
