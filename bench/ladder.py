@@ -1,24 +1,35 @@
-"""Grid ladder for the factorization of the Newton system.
+"""Grid ladder for the linear solves of the Newton system.
 
 For the seed-0 benchmark start on each rung, assemble the masked Newton
 system four times (``assembly_s``: the median ``newton_system`` time of the
-three repeats; the first call also builds the grid's stencils) and solve it
-four times through ``sparse_linalg.solve``; record the stored factor entries
-(the floating-point entries of the arrays the block LU in time keeps for its
-slices, counted from the factor itself, an array that slices share once),
-the ``factorize`` time of the first call (``factor_first_s``: the pattern's
-plan is built, then the numeric factorization runs) and the median of the
-three repeats (``factor_repeat_s``: the plan is reused), the relative
-residual and the peak RSS.  Each rung runs
-in its own process, so its plan cache starts empty and the peak RSS is its
-own.  Each labelled entry also records the tree's ``src/`` line count.  From
-the repository root, once per source tree (rows are stored in BENCH_4.json
-under the label):
+three repeats; the first call also builds the grid's stencils), then factor
+and solve it four times through ``sparse_linalg.factorize``: the
+``factorize`` time of the first call (``factor_first_s``: the pattern's plan
+is built, then the numeric factorization runs), the median of the three
+repeats (``factor_repeat_s``: the plan is reused) and the median time of the
+four solves (``solve_s``).  ``path`` is the path that ran (``"block-lu"``
+or ``"schur"``), ``relres`` and ``lin_iters`` the relative residual and the
+GMRES iterations of the last solve.  One more, untimed factorization counts
+the entries the factor stores: ``factor_entries`` for the block LU (the
+floating-point entries of the arrays it keeps for its slices, an array that
+slices share counted once), ``sweep_entries`` for the sweeps (``L.nnz +
+U.nnz`` summed over the slices' SuperLU factors).  Then ``newton_s`` times
+one ``solve_newton`` from the same start to perfbench's residual tolerance,
+taking ``newton_steps`` steps, and ``peak_rss_mb`` is the process's peak.
+
+Each rung runs in its own process, so its plan cache starts empty and the
+peak RSS is its own.  Each rung runs once on each side of ``SWEEP_MIN_N``,
+which is set to 1 to force the Schur path and above every slice to force the
+block LU, except that 2D 48 and 64 leave out the block LU, which does not fit
+in memory there.  Each labelled entry also records the tree's ``src/`` line count.  From the
+repository root, once per source tree (rows are stored in BENCH_4.json under
+the label):
 
     PYTHONPATH=src python bench/ladder.py --label change
 
-``--rung NAME`` runs one rung in this process and prints its row as JSON,
-writing nothing.
+``--rung NAME`` runs one rung in this process on the path ``sparse_linalg``
+chooses, or on the one ``--path`` names, and prints its row as JSON, writing
+nothing.
 """
 
 import argparse
@@ -36,9 +47,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
          "1d-256-local": (1, 256, "local"), "1d-64-kernel": (1, 64, "kernel"),
-         "2d-16-local": (2, 16, "local"), "2d-24-local": (2, 24, "local"),
-         "2d-32-local": (2, 32, "local"), "2d-16-kernel": (2, 16, "kernel"),
-         "2d-24-kernel": (2, 24, "kernel"), "2d-32-kernel": (2, 32, "kernel")}
+         "1d-128-kernel": (1, 128, "kernel"), "2d-8-local": (2, 8, "local"),
+         "2d-12-local": (2, 12, "local"), "2d-16-local": (2, 16, "local"),
+         "2d-24-local": (2, 24, "local"), "2d-32-local": (2, 32, "local"),
+         "2d-48-local": (2, 48, "local"), "2d-64-local": (2, 64, "local"),
+         "2d-16-kernel": (2, 16, "kernel"), "2d-24-kernel": (2, 24, "kernel"),
+         "2d-32-kernel": (2, 32, "kernel"), "2d-48-kernel": (2, 48, "kernel"),
+         "2d-64-kernel": (2, 64, "kernel")}
+PATHS = ("schur", "block-lu")
+SWEEP_ONLY = {"2d-48-local", "2d-64-local", "2d-48-kernel", "2d-64-kernel"}  # no room for the block LU
 
 
 def stored_entries(x) -> int:
@@ -57,12 +74,14 @@ def stored_entries(x) -> int:
     return sum(arrays.values())
 
 
-def rung(name: str) -> dict:
+def rung(name: str, path: str | None = None) -> dict:
     sys.path.insert(0, str(ROOT))
     import mfg_newton as mn
     from mfg_newton import sparse_linalg as sla
-    from perfbench.workloads import KERNEL_SIGMA, newton_start
+    from perfbench.workloads import KERNEL_SIGMA, RESIDUAL_TOL, newton_start
 
+    if path:  # one rung, then exit
+        sla.SWEEP_MIN_N = sys.maxsize if path == "block-lu" else 1
     dim, n, kind = RUNGS[name]
     grid = mn.GridSpec(dim=dim, nx=n, nt=n, horizon=1.0)
     if kind == "kernel":
@@ -77,49 +96,74 @@ def rung(name: str) -> dict:
         t0 = time.perf_counter()
         system, _ = mn.newton_system(problem, start)
         assembly.append(time.perf_counter() - t0)
-    row = {"rung": name, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
-           "assembly_s": statistics.median(assembly[1:])}
-    times, factorize, entries = [], sla.factorize, []
+    row = {"rung": name, "path": None, "unknowns": system.matrix.shape[0],
+           "jac_nnz": system.matrix.nnz, "assembly_s": statistics.median(assembly[1:])}
+    args = (system.matrix, system.slices, system.dense)
+    factor_s, solve_s = [], []
+    try:
+        for _ in range(4):
+            solve = None  # the previous factor is freed before the next is built
+            t0 = time.perf_counter()
+            solve = sla.factorize(*args, split=system.split)
+            factor_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            _, meta = solve(system.rhs)
+            solve_s.append(time.perf_counter() - t0)
+        row.update(path=meta.method, relres=meta.residual_norm, lin_iters=meta.iterations)
+    except mn.SolverError as exc:
+        row["error"] = str(exc)
+    solve, entries, splu, slice_lu = None, [], sla.spla.splu, sla._SliceLU
 
-    class CountedLU(sla._SliceLU):  # counts what each factor stores, keeps none alive
+    class CountedLU(slice_lu):  # counts what each factor stores, keeps none alive
         def __init__(self, *args):
             super().__init__(*args)
             entries.append(stored_entries(self.lu))
 
-    def timed_factorize(*args, **kwargs):
-        t0 = time.perf_counter()
-        solve = factorize(*args, **kwargs)
-        times.append(time.perf_counter() - t0)
-        return solve
+    def counted_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        entries.append(lu.L.nnz + lu.U.nnz)
+        return lu
 
-    sla.factorize, sla._SliceLU = timed_factorize, CountedLU  # one rung, then exit
+    sla._SliceLU, sla.spla.splu = CountedLU, counted_splu
     try:
-        for _ in range(4):
-            sla.solve(system)
-        row["relres"] = system.meta.residual_norm
-    except mn.SingularMatrixError as exc:
-        row["error"] = str(exc)
-    row["factor_entries"] = entries[-1] if entries else None
-    row["factor_first_s"] = times[0]
-    row["factor_repeat_s"] = statistics.median(times[1:]) if times[1:] else None
+        sla.factorize(*args, split=system.split)
+    except mn.SolverError:
+        pass
+    sla._SliceLU, sla.spla.splu = slice_lu, splu
+    key = "factor_entries" if row["path"] == "block-lu" else "sweep_entries"
+    row.update(factor_entries=None, sweep_entries=None)
+    row[key] = sum(entries) if entries else None
+    row["factor_first_s"] = factor_s[0] if factor_s else None
+    row["factor_repeat_s"] = statistics.median(factor_s[1:]) if factor_s[1:] else None
+    row["solve_s"] = statistics.median(solve_s) if solve_s else None
+    system = args = None
+    t0 = time.perf_counter()
+    try:
+        _, history = mn.solve_newton(problem, start, mn.NewtonConfig(residual_tol=RESIDUAL_TOL))
+        row["newton_steps"] = len(history) - 1
+    except mn.SolverError as exc:
+        row["newton_error"] = str(exc)
+    row["newton_s"] = time.perf_counter() - t0
     row["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return row
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description="Factor the Newton matrix on a grid ladder.")
+    ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
     ap.add_argument("--out", default=str(ROOT / "BENCH_4.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
+    ap.add_argument("--path", choices=PATHS, help="force this path on --rung")
     args = ap.parse_args()
     if args.rung:
-        return print(json.dumps(rung(args.rung)))
+        return print(json.dumps(rung(args.rung, args.path)))
     rows = []
     for name in RUNGS:
-        cmd = [sys.executable, __file__, "--label", args.label, "--rung", name]
-        rows.append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
-                                              text=True).stdout))
-        print(rows[-1], file=sys.stderr)
+        for path in PATHS[:1 if name in SWEEP_ONLY else 2]:
+            cmd = [sys.executable, __file__, "--label", args.label, "--rung", name, "--path", path]
+            rows.append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
+                                                  text=True).stdout))
+            print(rows[-1], file=sys.stderr)
     path = Path(args.out)
     bench = json.loads(path.read_text()) if path.exists() else {}
     src_lines = sum(len(f.read_text().splitlines()) for f in (ROOT / "src").rglob("*.py"))

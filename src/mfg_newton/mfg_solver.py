@@ -12,7 +12,7 @@ periodic space-time grid:
 The discretization is fully implicit with every coefficient evaluated at the
 same time node as the unknown it multiplies, so the assembled Jacobian of the
 discrete residual is exactly the discrete linearized system; one solve of it
-per iteration, by the block LU in time of ``sparse_linalg``, is a Newton step.
+per iteration by ``sparse_linalg``, exact to round-off, is a Newton step.
 
 The Jacobian is assembled once per state on the full unknown vector
 [u_0..u_nt, m_0..m_nt], both boundary rows included, each block family for
@@ -25,9 +25,10 @@ always and u(T) unless the coupling derives it: their rows are identity rows,
 so their values are known, and their columns times those values move to the
 right-hand side.  Newton, the two inner solves of the fixed-point baseline
 and the linearized stability probe all solve masked blocks of this matrix,
-and ``_eliminate`` is their one way into the block LU: it drops the masked
-rows and columns and tags each free unknown with its time slice.  The
-probe's boundary data are zero, so its draws reuse one factor as they are.
+and ``_eliminate`` is their one way into ``sparse_linalg``: it drops the
+masked rows and columns, tags each free unknown with its time slice and
+records where the density field starts.  The probe's boundary data are
+zero, so its draws reuse one factor (a block LU, or sweeps) as they are.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class NewtonConfig:
     max_iter: int = 30
     residual_tol: float = 1e-9
     error_floor: float = 1e-10
-    linear_method: str = "direct"  # or "iterative": GMRES, to the same bound
+    linear_method: str = "direct"  # or "iterative": always the sweeps, to the same bound
     damping: float = 0.5  # fixed-point iteration only
 
     def __post_init__(self):
@@ -275,7 +276,9 @@ def _eliminate(grid: tg.GridSpec, matrix, rhs: np.ndarray,
     columns (dense blocks on them too) times those values move to the
     right-hand side.  The matrix is in the canonical form ``sparse_linalg``
     factors, each free unknown tagged with its time slice (unknowns and dense
-    blocks are slice-stacked), and the free dense blocks are its addends."""
+    blocks are slice-stacked), the free dense blocks are its addends, and
+    ``split`` counts the free unknowns before the density field's (all of
+    them in a one-field block)."""
     free = ~known
     reduced = matrix[free][:, free]
     reduced.eliminate_zeros()
@@ -284,7 +287,8 @@ def _eliminate(grid: tg.GridSpec, matrix, rhs: np.ndarray,
     index = np.cumsum(free) - 1  # each free unknown's index in the system
     addends = [(index[r], index[c], block) for r, c, block in dense if free[r] and free[c]]
     rhs = rhs - sla.apply(matrix, [d for d in dense if known[d[1]]], np.where(known, rhs, 0.0))
-    return sla.LinearSystem(reduced, rhs[free], slices, addends)
+    split = int(np.count_nonzero(free[:(grid.nt + 1) * grid.n_space]))
+    return sla.LinearSystem(reduced, rhs[free], slices, addends, split)
 
 
 def _solve_eliminated(grid, matrix, rhs, known, method) -> np.ndarray:
@@ -478,16 +482,17 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
 # -- perturbed linearized system (stability probe) ------------------------------
 
 def linearized_solver(p: ProblemSpec, base: SolverState):
-    """Factor the linearized system around ``base`` once, directly.
+    """Factor the linearized system around ``base`` once, ``"direct"``: by
+    the block LU in time, or the sweeps from ``SWEEP_MIN_N`` unknowns a slice.
 
     Returns ``solve(a, b, c=None) -> (v, rho)``, which solves it for data
     (a, div b) and terminal data c as :func:`solve_linearized` does, reusing
-    the factors for every call.
+    the factors (the block LU's, or the sweeps' under each GMRES) every call.
     """
     grid = p.grid
     matrix, dense, known = _jacobian(p, base)
     system = _eliminate(grid, matrix, np.zeros(known.size), known, dense)
-    factored = sla.factorize(system.matrix, system.slices, system.dense)
+    factored = sla.factorize(system.matrix, system.slices, system.dense, split=system.split)
 
     def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):
         if a.grid != grid or b.grid != grid:

@@ -1,31 +1,23 @@
 """Space-time solves of canonical scipy CSR matrices, and triplet assembly.
 
 Matrices are ``scipy.sparse.csr_matrix`` with sorted column indices and no
-stored zeros.  Triplet assembly sorts triplets by (row, col, value), so any
-permutation of the same triplet stream gives a bit-identical matrix.  The
-direct path is a block LU in time, one forward and one backward sweep over
-the slices.  The implicit scheme's density unknowns m read the previous
-slice, its value unknowns u (the rest) the next, so each Schur complement
-``S_k = A_kk - A_k,k-1 S_k-1^-1 A_k-1,k`` differs from ``A_kk`` only in its
-m rows and u columns, by a column gather.  A slice holding both m and u is
-factored in two levels (Golub & Van Loan, Matrix Computations, 4.5), as
-``[[A, B], [C, D]]`` with dense LUs of A and of ``D - C A^-1 B``; any other
-slice gets one dense LU.  W B is a column gather over B's entries (the local
-coupling's diagonal) and one ``dgemm`` over a dense addend, a ``(row,
-column, block)`` triple whose block is one slice's whole B, kept by
-reference and out of the CSR and its plan (the kernel coupling's blocks: one
-Fortran-ordered array that the slices share).  Any other pattern raises
-ValueError naming its slice.  Plans are cached per sparsity pattern and
-slice index (the two most recent: Picard alternates between two patterns),
-so a Newton step redoes only the numeric factorization.  A direct solve
-whose relative residual, addends included, exceeds ``DIRECT_TOL`` gets one
-step of iterative refinement; only if it still exceeds it is the matrix
-reported as numerically singular.  The iterative path is restarted GMRES
-with an incomplete LU, ordered by minimum degree on the pattern of A^T + A
-(``PERMC_SPEC``), of the matrix and its addends in one CSR; it stops on the
-same bound and check.  Direct is the default: it meets the bound with no
-iteration budget to run out, and the Newton-rate measurements must not be
-polluted by inner-solver error.
+stored zeros; triplet assembly sorts by (row, col, value), so any permutation
+of one triplet stream gives a bit-identical matrix.  Every solve meets
+``DIRECT_TOL`` on the relative residual, dense addends included, on one of
+two paths, each planned once per sparsity pattern (``PLAN_CACHE``).
+
+The block LU in time factors each slice's Schur complement densely, in two
+levels where a slice holds both fields (``_SliceLU``), storing 3n^2 floats
+per slice of n unknowns per field.  A residual that misses the bound gets
+one refinement step, then the matrix is reported numerically singular.
+
+The sweeps solve one field's block slice by slice in time, each diagonal
+block factored by SuperLU: the value unknowns ``[0, split)`` backward, the
+density unknowns forward.  One field is one sweep, checked as the block LU
+is; two are solved by GMRES on the density Schur complement ``S = A_mm -
+A_mu A_uu^-1 A_um``, preconditioned by the density sweep (Benzi, Golub &
+Liesen, Acta Numerica 2005; Achdou & Perez, NHM 2012).  ``"iterative"``
+always sweeps; ``"direct"`` from ``SWEEP_MIN_N`` unknowns per field's slice.
 """
 
 from __future__ import annotations
@@ -45,6 +37,7 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 METHODS = ("direct", "iterative")
 GMRES_RESTART = 50  # inner iterations between restarts
 GMRES_MAX_ITER = 5000  # restart cycles
+SWEEP_MIN_N = 128  # one field's unknowns in one slice from which "direct" sweeps
 
 
 class SparseMatrix:
@@ -77,8 +70,8 @@ class SparseMatrix:
 
 @dataclass(frozen=True)
 class SolveMeta:
-    method: str
-    iterations: int
+    method: str  # the path that ran: "block-lu", "sweep" or "schur"
+    iterations: int  # GMRES iterations
     residual_norm: float
 
 
@@ -88,6 +81,7 @@ class LinearSystem:
     rhs: np.ndarray
     slices: np.ndarray  # time slice of each unknown
     dense: list = field(default_factory=list)  # dense addends (row, column, block)
+    split: int = 0  # the value unknowns, which come first; 0 or all: one field
     meta: SolveMeta | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -202,23 +196,26 @@ def _run(index: np.ndarray):
     return slice(lo, lo + index.size) if run else index
 
 
-def _plan(a: sp.csr_matrix, slices: np.ndarray, dense=()) -> tuple[_SlicePlan, dict]:
-    """The plan of ``a``'s pattern and ``slices``, from the cache or built,
-    and the ``dense`` addends it places."""
-    n, slices = a.shape[0], np.asarray(slices)
-    if slices.shape != (n,):
-        raise ValueError(f"slice index length {slices.shape} != n_rows {n}")
+def _cached(build, a: sp.csr_matrix, slices: np.ndarray, *args, check=lambda plan: None):
+    """``build(a, slices, *args)`` from the cache or built, and ``check(plan)``,
+    which runs before the plan is cached (a plan it rejects is not)."""
     h = hashlib.blake2b(digest_size=16)
     for arr in (a.indptr, a.indices, slices):
         h.update(arr.dtype.str.encode())
         h.update(np.ascontiguousarray(arr).data)
-    key = (n, a.nnz, h.digest())
-    plan = _PLANS.pop(key) if key in _PLANS else _SlicePlan(a, slices)
-    placed = plan.place(dense)  # a misplaced addend raises before the plan is cached
+    key = (build, a.shape[0], a.nnz, h.digest(), args)
+    plan = _PLANS.pop(key) if key in _PLANS else build(a, slices, *args)
+    checked = check(plan)
     _PLANS[key] = plan
     if len(_PLANS) > PLAN_CACHE:
         del _PLANS[next(iter(_PLANS))]
-    return plan, placed
+    return plan, checked
+
+
+def _plan(a: sp.csr_matrix, slices: np.ndarray, dense=()) -> tuple[_SlicePlan, dict]:
+    """The block LU's plan of ``a``'s pattern and ``slices``, from the cache
+    or built, and the ``dense`` addends it places."""
+    return _cached(_SlicePlan, a, np.asarray(slices), check=lambda plan: plan.place(dense))
 
 
 class _SliceLU:
@@ -305,74 +302,161 @@ class _SliceLU:
         return y[self.plan.pos]
 
 
-def factorize(a: sp.csr_matrix, slices: np.ndarray, dense=(), method: str = "direct"):
-    """Factor the square canonical CSR matrix and its ``dense`` addends once:
-    a block LU in time over ``slices``, each unknown's time slice (one slice
-    is one dense LU), or for ``"iterative"`` an ILU of both as one CSR.
+class _SweepPlan:
+    """Where the sweeps put each stored entry of a CSR pattern, for the fields
+    ``[0, split)`` and ``[split, n)`` (one if split is 0 or n), each in time
+    order with every coupling reading a later slice (a backward sweep) or
+    every one an earlier (forward); ValueError otherwise.  Per field: its
+    diagonal blocks' entries (CSC order), its couplings' entries, and per
+    slice in sweep order its id, range, runs of both and their indices."""
+
+    def __init__(self, a: sp.csr_matrix, slices: np.ndarray, split: int):
+        n = a.shape[0]
+        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(a.indptr))
+        self.fields = []
+        for lo, hi in ((0, split), (split, n)) if 0 < split < n else ((0, n),):
+            s = slices[lo:hi]
+            if np.any(s[1:] < s[:-1]):
+                raise ValueError(f"unknowns {lo}..{hi - 1} do not run in time order")
+            bounds = np.r_[np.flatnonzero(np.r_[True, s[1:] != s[:-1]]), hi - lo].tolist()
+            block = np.full(n, -1, dtype=np.int32)  # each unknown's slice in the field, or -1
+            block[lo:hi] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
+            br, bc = block[row], block[a.indices]
+            inside = (br >= 0) & (bc >= 0)
+            later, earlier = inside & (bc > br), inside & (bc < br)
+            if later.any() and earlier.any():
+                raise ValueError(f"unknowns {lo}..{hi - 1} read both earlier and later slices")
+            diag = np.flatnonzero(inside & (br == bc))
+            diag = diag[np.lexsort((row[diag], a.indices[diag]))]  # column-major, slice by slice
+            colptr = np.searchsorted(a.indices[diag], np.arange(lo, hi + 1)).tolist()
+            coupled = np.flatnonzero(later | earlier)  # row-major, slice by slice
+            rowptr = np.searchsorted(row[coupled], np.add(bounds, lo)).tolist()
+            parts = []
+            for k, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
+                d, c = diag[colptr[b0]:colptr[b1]], coupled[rowptr[k]:rowptr[k + 1]]
+                parts.append((s[b0], slice(b0, b1), slice(colptr[b0], colptr[b1]), row[d] - (lo + b0),
+                              np.subtract(colptr[b0:b1 + 1], colptr[b0], dtype=np.int32),
+                              slice(rowptr[k], rowptr[k + 1]), row[c] - (lo + b0), a.indices[c] - lo))
+            self.fields.append((diag, coupled, parts[::-1] if later.any() else parts))
+
+
+class _Sweeps:
+    """A plan's sweeps on ``data``: each slice block's SuperLU factor and its
+    couplings' values; SingularMatrixError names an exactly singular block."""
+
+    def __init__(self, plan: _SweepPlan, data: np.ndarray):
+        self.fields = []
+        for entries, coupled, parts in plan.fields:
+            values, couplings, steps = data[entries], data[coupled], []
+            for sid, part, run, indices, indptr, crun, r, c in parts:
+                block = sp.csc_matrix((values[run], indices, indptr), shape=(indptr.size - 1,) * 2)
+                try:
+                    lu = spla.splu(block, permc_spec=PERMC_SPEC)
+                except RuntimeError as exc:
+                    raise SingularMatrixError(f"exactly singular block in time slice {sid}") from exc
+                steps.append((part, lu, r, c, couplings[crun]))
+            self.fields.append(steps)
+
+    def solve(self, f: int, b: np.ndarray) -> np.ndarray:
+        """Field f's block solved for ``b``, that field's part of a right-hand side."""
+        x = np.empty_like(b)
+        for part, lu, r, c, v in self.fields[f]:
+            x[part] = lu.solve(b[part] - np.bincount(r, v * x[c], minlength=part.stop - part.start))
+        return x
+
+
+def _checked(a, dense, solve, method: str):
+    """``solve(b) -> (x, GMRES iterations)`` with the bound checked on ``a``
+    and its addends: one refinement step when the residual misses it, then
+    NoConvergenceError on the Schur path, SingularMatrixError otherwise."""
+
+    def solve_checked(b):
+        b = np.asarray(b, dtype=float)
+        x, its = solve(b)
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrixError("direct solve produced non-finite values")
+        res = _rel_residual(a, dense, x, b)
+        if res > DIRECT_TOL:  # one step of iterative refinement
+            dx, more = solve(b - apply(a, dense, x))
+            x, its = x + dx, its + more
+            res = _rel_residual(a, dense, x, b)
+        if not res <= DIRECT_TOL and method == "schur":  # also when refinement left a NaN
+            raise NoConvergenceError(f"GMRES residual {res:.3e} exceeds {DIRECT_TOL:.1e} after {its} iterations")
+        if not res <= DIRECT_TOL:
+            raise SingularMatrixError(f"direct solve residual {res:.3e} exceeds {DIRECT_TOL:.1e} "
+                                      "after refinement; matrix is numerically singular")
+        return x, SolveMeta(method, its, res)
+
+    return solve_checked
+
+
+def _schur(a, dense, sweeps: _Sweeps, split: int):
+    """The two-field solve by GMRES on the density Schur complement, to half
+    the bound on S, the ``dense`` addends all in A_um."""
+    n = a.shape[0]
+
+    def schur(dm):  # S dm = A_mm dm - A_mu A_uu^-1 A_um dm, the m rows of A [-A_uu^-1 A_um dm; dm]
+        x = np.zeros(n)
+        x[split:] = dm
+        x[:split] = -sweeps.solve(0, apply(a, dense, x)[:split])
+        return (a @ x)[split:]
+
+    s_op, precond = (spla.LinearOperator((n - split,) * 2, matvec=f, dtype=float)
+                     for f in (schur, lambda r: sweeps.solve(1, r)))
+
+    def solve_schur(b):
+        norms, x = [], np.zeros(n)  # one norm per GMRES iteration
+        x[:split] = -sweeps.solve(0, b[:split])
+        rhs = b[split:] + (a @ x)[split:]  # b_m - A_mu A_uu^-1 b_u
+        x[split:], info = spla.gmres(s_op, rhs, rtol=0.0, atol=0.5 * DIRECT_TOL * max(np.linalg.norm(b), 1.0),
+                                     restart=GMRES_RESTART, maxiter=GMRES_MAX_ITER, M=precond,
+                                     callback=norms.append, callback_type="pr_norm")
+        if info or not np.all(np.isfinite(x)):  # also a NaN iterate
+            raise NoConvergenceError(f"GMRES missed its bound on S after {len(norms)} iterations")
+        x[:split] = 0.0
+        x[:split] = sweeps.solve(0, b[:split] - apply(a, dense, x)[:split])
+        return x, len(norms)
+
+    return solve_schur
+
+
+def factorize(a: sp.csr_matrix, slices: np.ndarray, dense=(), method: str = "direct", split: int = 0):
+    """Factor the square canonical CSR matrix and its ``dense`` addends once,
+    given each unknown's time slice and ``split``, where the density unknowns
+    start (0 or n: one field): the block LU in time while ``"direct"`` and
+    every field's slices hold fewer than ``SWEEP_MIN_N`` unknowns, else the
+    sweeps, one for one field and GMRES on the Schur complement for two.
 
     Returns ``solve(b) -> (x, SolveMeta)``, x with a relative residual of at
     most ``DIRECT_TOL``.  Raises ValueError on an unknown method, a pattern
-    ``_SlicePlan`` rejects or an addend that is not one slice's whole B (or a
-    second on one B), SingularMatrixError on an exact zero pivot or an ILU
-    failure; the solve raises SingularMatrixError when the direct residual
-    misses the bound after one refinement step, NoConvergenceError when
-    GMRES misses it within its budget.
-    """
+    the path's plan rejects, an addend that is not one slice's whole B (or a
+    second on one) for the block LU or not in ``A_um`` for the sweeps, and
+    SingularMatrixError on an exact zero pivot or singular slice block.  The
+    solve refines once a residual that misses the bound, then raises as
+    :func:`_checked` does, or NoConvergenceError when GMRES's budget runs out."""
+    n, slices = a.shape[0], np.asarray(slices)
     if a.shape[0] != a.shape[1]:
         raise ValueError("solve requires a square matrix")
     if method not in METHODS:
         raise ValueError(f"linear method must be one of {list(METHODS)}, got {method!r}")
-
-    if method == "direct":
+    if slices.shape != (n,):
+        raise ValueError(f"slice index length {slices.shape} != n_rows {n}")
+    per_slice = max((np.unique(s, return_counts=True)[1].max() for s in (slices[:split], slices[split:])
+                     if s.size), default=0)
+    if method == "direct" and per_slice < SWEEP_MIN_N:
         lu = _SliceLU(*_plan(a, slices, dense), a.data)
-
-        def solve_direct(b):
-            b = np.asarray(b, dtype=float)
-            x = lu.solve(b)
-            if not np.all(np.isfinite(x)):
-                raise SingularMatrixError("direct solve produced non-finite values")
-            res = _rel_residual(a, dense, x, b)
-            if res > DIRECT_TOL:  # one step of iterative refinement
-                x += lu.solve(b - apply(a, dense, x))
-                res = _rel_residual(a, dense, x, b)
-            if not res <= DIRECT_TOL:  # also when refinement left a NaN
-                raise SingularMatrixError(
-                    f"direct solve residual {res:.3e} exceeds {DIRECT_TOL:.1e} "
-                    "after refinement; matrix is numerically singular"
-                )
-            return x, SolveMeta("direct", 1, res)
-
-        return solve_direct
-
-    for r, c, block in dense:  # GMRES and its ILU take the addends into one CSR
-        i, j = np.indices(block.shape).reshape(2, -1)
-        a = a + sp.csr_matrix((block.ravel(), (i + r, j + c)), shape=a.shape)
-    try:
-        ilu = spla.spilu(a.tocsc(), drop_tol=1e-6, fill_factor=20.0,
-                         permc_spec=PERMC_SPEC)
-    except RuntimeError as exc:
-        raise SingularMatrixError(f"ILU preconditioner failed: {exc}") from exc
-    precond = spla.LinearOperator(a.shape, ilu.solve)
-
-    def solve_iterative(b):
-        b, norms = np.asarray(b, dtype=float), []  # one norm per GMRES iteration
-        # stops at ||b - a x|| <= max(rtol ||b||, atol), the direct path's bound
-        x, info = spla.gmres(a, b, rtol=DIRECT_TOL, atol=DIRECT_TOL, restart=GMRES_RESTART,
-                             maxiter=GMRES_MAX_ITER, M=precond,
-                             callback=norms.append, callback_type="pr_norm")
-        res = _rel_residual(a, (), x, b)
-        if info or not res <= DIRECT_TOL:  # also a NaN iterate
-            raise NoConvergenceError(
-                f"GMRES residual {res:.3e} exceeds {DIRECT_TOL:.1e} after {len(norms)} iterations")
-        return x, SolveMeta("iterative", len(norms), res)
-
-    return solve_iterative
+        return _checked(a, dense, lambda b: (lu.solve(b), 0), "block-lu")
+    for r, c, block in dense:  # none with one field
+        if not (r >= 0 and r + block.shape[0] <= split <= c and c + block.shape[1] <= n):
+            raise ValueError(f"dense addend at ({r}, {c}) does not lie in A_um")
+    sweeps = _Sweeps(_cached(_SweepPlan, a, slices, split)[0], a.data)
+    if 0 < split < n:
+        return _checked(a, dense, _schur(a, dense, sweeps, split), "schur")
+    return _checked(a, (), lambda b: (sweeps.solve(0, b), 0), "sweep")
 
 
 def solve(system: LinearSystem, method: str = "direct") -> np.ndarray:
-    """Factor the square system and solve it, populating ``system.meta``.
-
-    Raises as :func:`factorize` and the solve it returns do.
-    """
-    x, system.meta = factorize(system.matrix, system.slices, system.dense, method)(system.rhs)
+    """Factor the square system and solve it, populating ``system.meta``;
+    raises as :func:`factorize` and the solve it returns do."""
+    x, system.meta = factorize(system.matrix, system.slices, system.dense, method, system.split)(system.rhs)
     return x

@@ -1,4 +1,5 @@
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ class TestNewtonStep:
         err_u, err_m = diag.error_norms(
             nxt.u.values, nxt.m.values, exact.u.values, exact.m.values, p.grid)
         assert err_u + err_m <= 1e-10
-        assert meta.method == "direct"
+        assert meta.method == "block-lu"
 
     def test_one_step_quadratic_contraction(self):
         p, exact = manufactured(nx=64, nt=32)
@@ -522,7 +523,7 @@ class TestSolveNewton:
         history, metas = self.solve_iterative(*manufactured(nx=16, nt=8))
         assert len(history) - 1 == 3
         assert history[-1].err_sum <= 1e-8
-        assert all(m.method == "iterative" and m.residual_norm <= sla.DIRECT_TOL for m in metas)
+        assert all(m.method == "schur" and m.residual_norm <= sla.DIRECT_TOL for m in metas)
 
     def test_iterative_linear_method_kernel(self):
         # GMRES must see the kernel coupling's dense blocks: without them it
@@ -530,7 +531,7 @@ class TestSolveNewton:
         history, metas = self.solve_iterative(*manufactured_nonlocal(nx=16, nt=8))
         assert len(history) - 1 == 3
         assert history[-1].err_sum <= 1e-8
-        assert all(m.method == "iterative" and m.residual_norm <= sla.DIRECT_TOL for m in metas)
+        assert all(m.method == "schur" and m.residual_norm <= sla.DIRECT_TOL for m in metas)
 
 
 class TestNewtonSystem:
@@ -710,6 +711,71 @@ class TestNewtonSlices:
         assert not first[0].flags.writeable
 
 
+class TestSweepPath:
+    """From ``SWEEP_MIN_N`` unknowns of one field in one slice (n = 128 in 1D
+    128), the default ``"direct"`` method solves by the sweeps in time:
+    Newton's two-field systems by GMRES on the density Schur complement,
+    Picard's one-field blocks by one sweep."""
+
+    @pytest.fixture
+    def metas(self, monkeypatch):
+        """The metadata of every solve through ``sparse_linalg.solve``."""
+        recorded, real = [], sla.solve
+
+        def record(system, method="direct"):
+            x = real(system, method)
+            recorded.append(system.meta)
+            return x
+
+        monkeypatch.setattr(sla, "solve", record)
+        return recorded
+
+    def test_newton_takes_the_schur_path_in_the_block_lus_steps(self, metas, monkeypatch):
+        p, exact = manufactured(nx=128, nt=8)
+        start, cfg = diag.perturbed_state(exact, 1e-2), solver.NewtonConfig(residual_tol=1e-10)
+        final, history = solver.solve_newton(p, start, cfg)
+        assert len(metas) == len(history) - 1 >= 3
+        assert all(m.method == "schur" and m.iterations > 0 and m.residual_norm <= sla.DIRECT_TOL
+                   for m in metas)
+        monkeypatch.setattr(sla, "SWEEP_MIN_N", sys.maxsize)
+        forced, forced_history = solver.solve_newton(p, start, cfg)
+        assert metas[-1].method == "block-lu"
+        assert len(forced_history) == len(history)
+        for ours, theirs in ((final.u, forced.u), (final.m, forced.m)):
+            assert np.abs(ours.values - theirs.values).max() <= 1e-10
+
+    def test_picard_inner_solves_are_single_sweeps(self, metas):
+        p, exact = manufactured(nx=128, nt=4)
+        with pytest.raises(MaxIterExceededError):
+            solver.solve_fixed_point(p, diag.perturbed_state(exact, 1e-2),
+                                     solver.NewtonConfig(max_iter=1))
+        assert len(metas) >= 2  # at least one value solve and the density solve
+        assert all(m.method == "sweep" and m.iterations == 0 and m.residual_norm <= sla.DIRECT_TOL
+                   for m in metas)
+
+    def test_linearized_solver_factors_its_sweeps_once(self, monkeypatch):
+        p, exact = manufactured(nx=128, nt=8)
+        factored, splu = [], sla.spla.splu
+
+        def counting(*args, **kwargs):
+            factored.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(sla.spla, "splu", counting)
+        solve = solver.linearized_solver(p, exact)
+        # u on slices 0..nt-1 and m on 1..nt, one factor of 128 unknowns each
+        assert factored == [(128, 128)] * 2 * p.grid.nt
+        draws = [diag.random_smooth_data(p.grid, seed=seed) for seed in range(3)]
+        solved = [solve(a, b) for a, b in draws]
+        assert len(factored) == 2 * p.grid.nt
+        monkeypatch.setattr(sla, "SWEEP_MIN_N", sys.maxsize)
+        block_lu = solver.linearized_solver(p, exact)
+        for (a, b), (v, rho) in zip(draws, solved):
+            v_lu, rho_lu = block_lu(a, b)
+            assert np.abs(v.values - v_lu.values).max() <= 1e-10
+            assert np.abs(rho.values - rho_lu.values).max() <= 1e-10
+
+
 class TestSolveFixedPoint:
     def test_reference_start_single_record(self):
         p, exact = manufactured()
@@ -745,11 +811,19 @@ class TestSolveFixedPoint:
         for rec in history:
             assert 1 - 1e-9 <= rec.mass_min <= rec.mass_max <= 1 + 1e-9
 
-    def test_linear_solve_failure_reports_iterate(self, exhausted_gmres):
+    def test_linear_solve_failure_reports_iterate(self, monkeypatch):
+        # Picard's inner solves are one-field sweeps, with no GMRES to run
+        # out: a slice block SuperLU finds exactly singular fails the first step
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(sla.spla, "splu", singular)
         p, exact = manufactured(nx=16, nt=8)
         init = diag.perturbed_state(exact, 1e-2)
-        with pytest.raises(NoConvergenceError, match=r"\(fixed-point iterate 1\)$") as info:
-            solver.solve_fixed_point(p, init, exhausted_gmres)
+        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method="iterative")
+        with pytest.raises(SingularMatrixError,
+                           match=r"in time slice \d+ \(fixed-point iterate 1\)$") as info:
+            solver.solve_fixed_point(p, init, cfg)
         assert info.value.iterate == 1
         assert "Newton" not in str(info.value)
 

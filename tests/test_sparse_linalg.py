@@ -110,7 +110,7 @@ class TestSolve:
         x = sla.solve(sys)
         expected = dense_gauss_solve(mat.toarray(), b)
         np.testing.assert_allclose(x, expected, atol=1e-10)
-        assert sys.meta.method == "direct"
+        assert sys.meta.method == "block-lu"
         assert sys.meta.residual_norm <= 1e-12
 
     def test_overflow_to_non_finite_is_singular(self):
@@ -166,7 +166,7 @@ class TestSolve:
             b = np.sin(2 * np.pi * k * np.arange(16) / 16)
             x, meta = solve(b)
             np.testing.assert_array_equal(x, sla.solve(sla.LinearSystem(mat, b, one_slice(mat))))
-            assert meta.method == "direct" and meta.residual_norm <= sla.DIRECT_TOL
+            assert meta.method == "block-lu" and meta.residual_norm <= sla.DIRECT_TOL
 
     def test_non_square_rejected(self):
         mat = sla.SparseMatrix.from_triplets(2, 3, [0, 1], [0, 1], [1.0, 1.0])
@@ -185,23 +185,21 @@ class TestSolve:
         xd = sla.solve(sla.LinearSystem(mat, b, one_slice(mat)))
         sys = sla.LinearSystem(mat, b, one_slice(mat))
         xi = sla.solve(sys, "iterative")
-        assert sys.meta.method == "iterative"
-        assert sys.meta.iterations >= 1
+        assert sys.meta.method == "sweep"  # one field: one exact sweep, no GMRES
+        assert sys.meta.iterations == 0
         assert sys.meta.residual_norm <= sla.DIRECT_TOL
         # normwise: the solution of cos(2 pi x) has exact zeros, where the
         # two solvers' round-off differs entrywise
         assert np.linalg.norm(xi - xd) / np.linalg.norm(xd) <= 1e-8
 
     def test_iterative_budget_exhaustion(self, monkeypatch):
-        # a weak coupling half the torus away, which the ILU drops: GMRES
-        # needs 3 iterations to reach the bound, and the budget allows 1
-        nx = 64
-        lap, i = periodic_minus_lap_plus_identity(nx), np.arange(nx)
-        mat = lap + sp.csr_matrix((np.full(nx, 1e-7 * lap[0, 0]), (i, (i + nx // 2) % nx)),
-                                  shape=lap.shape)
-        mat.sort_indices()
-        b = np.cos(2 * np.pi * np.arange(nx) / nx)
-        sla.solve(system := sla.LinearSystem(mat, b, one_slice(mat)), "iterative")
+        # a two-field system: GMRES on its density Schur complement needs
+        # more than one iteration to reach the bound, and the budget allows 1
+        mat, _, slices, added = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=23, aligned=False,
+                                          holes=0.3, addends=True)
+        b = np.random.default_rng(24).standard_normal(mat.shape[0])
+        sla.solve(system := sla.LinearSystem(mat, b, slices, added, 20), "iterative")
+        assert system.meta.method == "schur"
         assert system.meta.iterations > 1 and system.meta.residual_norm <= sla.DIRECT_TOL
         monkeypatch.setattr(sla, "GMRES_MAX_ITER", 1)
         monkeypatch.setattr(sla, "GMRES_RESTART", 1)
@@ -495,7 +493,7 @@ class TestDenseAddends:
         x, meta = sla.factorize(mat, slices, addends)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.residual_norm <= sla.DIRECT_TOL
-        xi = sla.solve(sla.LinearSystem(mat, b, slices, addends), "iterative")
+        xi = sla.solve(sla.LinearSystem(mat, b, slices, addends, 20), "iterative")
         np.testing.assert_allclose(xi, x, rtol=1e-9, atol=1e-11)
 
     @pytest.mark.parametrize("r, c, shape", [
@@ -540,7 +538,8 @@ def random_two_field(seed):
     couplings, B with holes or without entries, and dense addends for about
     half the seeds.  For about half the seeds each slice's fields are
     reordered as whole groups of unknowns, so that slice ids run out of
-    order, and the ids skip values.  Returns what ``two_field`` does."""
+    order, and the ids skip values.  Returns what ``two_field`` does and
+    the field of each unknown (0: u, 1: m)."""
     rng = np.random.default_rng([seed, 1])
     n = int(rng.integers(2, 6))
     n_u, n_m = rng.integers(1, 7, n), rng.integers(1, 7, n)
@@ -550,14 +549,15 @@ def random_two_field(seed):
     mat, dense, slices, addends = two_field(tuple(n_u), tuple(n_m), seed, aligned=rng.random() < 0.5,
                                             holes=rng.choice([0.0, 0.5, 1.0]),
                                             addends=rng.random() < 0.5)
+    fields = (np.arange(slices.size) >= n_u.sum()).astype(int)
     if rng.random() < 0.5:
-        group = 2 * slices + (np.arange(slices.size) >= n_u.sum())  # (slice, field) of each unknown
+        group = 2 * slices + fields  # (slice, field) of each unknown
         perm = np.concatenate([np.flatnonzero(group == g) for g in rng.permutation(2 * n)])
         mat, dense = permuted(mat, dense, perm)
         new = np.argsort(perm)  # each unknown's index after the reordering
         addends = [(new[r], new[c], block) for r, c, block in addends]
-        slices = np.cumsum(rng.integers(1, 3, n))[slices[perm]]
-    return mat, dense, slices, addends
+        slices, fields = np.cumsum(rng.integers(1, 3, n))[slices[perm]], fields[perm]
+    return mat, dense, slices, addends, fields
 
 
 class TestSweep:
@@ -567,7 +567,7 @@ class TestSweep:
         seen = dict.fromkeys(["update", "update from some u rows", "B with holes",
                               "B without entries", "addends", "ids out of order, with gaps"], 0)
         for seed in range(200):
-            mat, dense, slices, addends = random_two_field(seed)
+            mat, dense, slices, addends, _ = random_two_field(seed)
             plan, _ = sla._plan(mat, slices, addends)
             for update, (nu, _, br, _) in zip(plan.schur, plan.split):
                 seen["update"] += update is not None
@@ -621,3 +621,99 @@ class OneBlockLU(sla._SliceLU):
 
     def _solve(self, k, b):
         return lapack.dgetrs(*self.lu[k], b)[0]
+
+
+def in_field_order(seed):
+    """``random_two_field(seed)`` with its unknowns put back field by field,
+    value first, each field in time order, as ``_eliminate`` lays them out:
+    the matrix, its dense copy, the slices, the addends and the split."""
+    mat, dense, slices, addends, fields = random_two_field(seed)
+    order = np.lexsort((slices, fields))
+    mat, dense = permuted(mat, dense, order)
+    new = np.argsort(order)
+    return (mat, dense, slices[order], [(new[r], new[c], block) for r, c, block in addends],
+            int(np.count_nonzero(fields == 0)))
+
+
+class TestSchur:
+    """The sweeps in time and GMRES on the density Schur complement, which
+    ``"iterative"`` always takes, against a dense solve."""
+
+    def test_random_patterns_match_dense_solve(self):
+        seen = dict.fromkeys(["two fields", "one field", "addends", "ids with gaps"], 0)
+        for seed in range(200):
+            mat, dense, slices, addends, split = in_field_order(seed)
+            two = 0 < split < mat.shape[0]
+            seen["two fields" if two else "one field"] += 1
+            seen["addends"] += bool(addends)
+            seen["ids with gaps"] += bool(np.diff(np.unique(slices)).max(initial=1) > 1)
+            b = np.random.default_rng(seed).standard_normal(mat.shape[0])
+            x, meta = sla.factorize(mat, slices, addends, "iterative", split)(b)
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11,
+                                       err_msg=f"seed {seed}")
+            assert meta.residual_norm <= sla.DIRECT_TOL, seed
+            assert meta.method == ("schur" if two else "sweep"), seed
+            assert (meta.iterations > 0) == two, seed
+            for field in (slice(0, split), slice(split, None)):  # each field alone: one sweep
+                block = mat[field][:, field]
+                if block.shape[0]:
+                    y, meta = sla.factorize(block, slices[field], method="iterative")(b[field])
+                    np.testing.assert_allclose(y, np.linalg.solve(dense[field, field], b[field]),
+                                               rtol=1e-10, atol=1e-12, err_msg=f"seed {seed}")
+                    assert meta.method == "sweep" and meta.iterations == 0, seed
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("slice_major, match", [
+        (False, "do not run in time order"), (True, "read both earlier and later slices")])
+    def test_two_fields_as_one_rejected(self, slice_major, match):
+        # without the split, the fields are one that runs back in time at m_1,
+        # and in slice-major order the value field's backward couplings and the
+        # density field's forward ones make one block that no sweep solves
+        mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=25)
+        if slice_major:
+            order = np.argsort(slices, kind="stable")
+            mat, slices = permuted(mat, dense, order)[0], slices[order]
+        with pytest.raises(ValueError, match=match):
+            sla.factorize(mat, slices, method="iterative")
+
+    @pytest.mark.parametrize("r, c, shape", [(5, 5, (5, 5)), (20, 20, (5, 5)), (20, 5, (5, 5)),
+                                             (15, 33, (5, 5)), (-1, 20, (5, 5))])
+    def test_addend_outside_a_um_rejected(self, r, c, shape):
+        # A_uu's and A_mm's slice 1, A_mu, past the last column, before the first row
+        mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=25)
+        with pytest.raises(ValueError, match="does not lie in A_um"):
+            sla.factorize(mat, slices, [(r, c, np.ones(shape))], "iterative", 20)
+
+    @pytest.mark.parametrize("spoil_every", [False, True])
+    def test_a_residual_above_the_bound_is_refined_once(self, monkeypatch, spoil_every):
+        # GMRES's solution on S, shifted by 1e-6, misses the bound on the whole
+        # system: one refinement step recovers it, unless it is shifted too
+        mat, dense, slices, added = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=23, aligned=False,
+                                              holes=0.3, addends=True)
+        b = np.random.default_rng(27).standard_normal(mat.shape[0])
+        calls, gmres = [], sla.spla.gmres
+
+        def spoiled(*args, **kwargs):
+            x, info = gmres(*args, **kwargs)
+            calls.append(x.size)
+            return (x + 1e-6 if spoil_every or len(calls) == 1 else x), info
+
+        monkeypatch.setattr(sla.spla, "gmres", spoiled)
+        solve = sla.factorize(mat, slices, added, "iterative", 20)
+        if spoil_every:
+            with pytest.raises(NoConvergenceError, match=r"exceeds 1.0e-12 after \d+ iterations$"):
+                solve(b)
+        else:
+            x, meta = solve(b)
+            assert meta.residual_norm <= sla.DIRECT_TOL
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11)
+        assert calls == [15, 15]  # the solve and its refinement, each on S's 15 unknowns
+
+    def test_direct_sweeps_from_sweep_min_n(self, monkeypatch):
+        mat, dense, slices, addends, split = in_field_order(3)
+        b = np.random.default_rng(26).standard_normal(mat.shape[0])
+        assert sla.factorize(mat, slices, addends, split=split)(b)[1].method == "block-lu"
+        monkeypatch.setattr(sla, "SWEEP_MIN_N", 1)
+        x, meta = sla.factorize(mat, slices, addends, split=split)(b)
+        assert meta.method == "schur"
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11)
