@@ -7,29 +7,30 @@ and solve it four times through ``sparse_linalg.factorize``: the
 ``factorize`` time of the first call (``factor_first_s``: the pattern's plan
 is built, then the numeric factorization runs), the median of the three
 repeats (``factor_repeat_s``: the plan is reused) and the median time of the
-four solves (``solve_s``).  ``path`` is the path that ran (``"block-lu"``
-or ``"schur"``), ``relres`` and ``lin_iters`` the relative residual and the
-GMRES iterations of the last solve.  One more, untimed factorization counts
-the entries the factor stores: ``factor_entries`` for the block LU (the
-floating-point entries of the arrays it keeps for its slices, an array that
-slices share counted once), ``sweep_entries`` for the sweeps (``L.nnz +
-U.nnz`` summed over the slices' SuperLU factors).  Then ``newton_s`` times
-one ``solve_newton`` from the same start to perfbench's residual tolerance,
-taking ``newton_steps`` steps, and ``peak_rss_mb`` is the process's peak.
+four solves (``solve_s``).  ``path`` is the path that ran (``"schur"`` for
+the two-field Newton system), ``relres`` and ``lin_iters`` the relative
+residual and the GMRES iterations of the last solve.  One more, untimed
+factorization counts the entries the sweeps' slice factors store
+(``sweep_entries``: n^2 for a slice block of n unknowns that LAPACK factors
+densely, ``L.nnz + U.nnz`` for one that SuperLU factors), and
+``slice_factor`` names the factor that ran (``"dense"`` or ``"splu"``).
+Then ``newton_s`` times one ``solve_newton`` from the same start to
+perfbench's residual tolerance, taking ``newton_steps`` steps, and
+``peak_rss_mb`` is the process's peak.
 
 Each rung runs in its own process, so its plan cache starts empty and the
-peak RSS is its own.  Each rung runs once on each side of ``SWEEP_MIN_N``,
-which is set to 1 to force the Schur path and above every slice to force the
-block LU, except that 2D 48 and 64 leave out the block LU, which does not fit
-in memory there.  Each labelled entry also records the tree's ``src/`` line count.  From the
-repository root, once per source tree (rows are stored in BENCH_4.json under
-the label):
+peak RSS is its own.  Each rung runs once with each slice factor, forced by
+setting ``sparse_linalg.SPLU_MIN_N`` above every slice block (``dense``) or
+to 1 (``splu``), except that 2D 32, 48 and 64 leave out the dense factor,
+which does not fit in memory there.  Each labelled entry also records the
+tree's ``src/`` line count.  From the repository root, once per source tree
+(rows are stored in BENCH_5.json under the label):
 
     PYTHONPATH=src python bench/ladder.py --label change
 
-``--rung NAME`` runs one rung in this process on the path ``sparse_linalg``
-chooses, or on the one ``--path`` names, and prints its row as JSON, writing
-nothing.
+``--rung NAME`` runs one rung in this process with the slice factor
+``sparse_linalg`` chooses, or with the one ``--path`` names, and prints its
+row as JSON, writing nothing.
 """
 
 import argparse
@@ -42,7 +43,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
@@ -54,24 +54,9 @@ RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
          "2d-16-kernel": (2, 16, "kernel"), "2d-24-kernel": (2, 24, "kernel"),
          "2d-32-kernel": (2, 32, "kernel"), "2d-48-kernel": (2, 48, "kernel"),
          "2d-64-kernel": (2, 64, "kernel")}
-PATHS = ("schur", "block-lu")
-SWEEP_ONLY = {"2d-48-local", "2d-64-local", "2d-48-kernel", "2d-64-kernel"}  # no room for the block LU
-
-
-def stored_entries(x) -> int:
-    """Floating-point entries in the arrays a factor keeps, nested or not,
-    each array counted once: the kernel coupling's slices share one B."""
-    arrays = {}
-
-    def walk(y):
-        if isinstance(y, np.ndarray) and y.dtype.kind == "f":
-            arrays[id(y)] = y.size
-        elif isinstance(y, (tuple, list)):
-            for z in y:
-                walk(z)
-
-    walk(x)
-    return sum(arrays.values())
+PATHS = ("dense", "splu")  # the slice factors
+SPLU_ONLY = {"2d-32-local", "2d-48-local", "2d-64-local",  # no room for dense slice blocks
+             "2d-32-kernel", "2d-48-kernel", "2d-64-kernel"}
 
 
 def rung(name: str, path: str | None = None) -> dict:
@@ -81,7 +66,7 @@ def rung(name: str, path: str | None = None) -> dict:
     from perfbench.workloads import KERNEL_SIGMA, RESIDUAL_TOL, newton_start
 
     if path:  # one rung, then exit
-        sla.SWEEP_MIN_N = sys.maxsize if path == "block-lu" else 1
+        sla.SPLU_MIN_N = sys.maxsize if path == "dense" else 1
     dim, n, kind = RUNGS[name]
     grid = mn.GridSpec(dim=dim, nx=n, nt=n, horizon=1.0)
     if kind == "kernel":
@@ -112,27 +97,25 @@ def rung(name: str, path: str | None = None) -> dict:
         row.update(path=meta.method, relres=meta.residual_norm, lin_iters=meta.iterations)
     except mn.SolverError as exc:
         row["error"] = str(exc)
-    solve, entries, splu, slice_lu = None, [], sla.spla.splu, sla._SliceLU
+    solve, counted, sweeps = None, [], sla._Sweeps
 
-    class CountedLU(slice_lu):  # counts what each factor stores, keeps none alive
+    class CountedSweeps(sweeps):  # counts what the slice factors store, keeps none alive
         def __init__(self, *args):
             super().__init__(*args)
-            entries.append(stored_entries(self.lu))
+            for steps in self.fields:
+                for _, lu, *_ in steps:
+                    dense = isinstance(lu, sla._DenseLU)
+                    counted.append((lu.lu.size if dense else lu.L.nnz + lu.U.nnz,
+                                    "dense" if dense else "splu"))
 
-    def counted_splu(*args, **kwargs):
-        lu = splu(*args, **kwargs)
-        entries.append(lu.L.nnz + lu.U.nnz)
-        return lu
-
-    sla._SliceLU, sla.spla.splu = CountedLU, counted_splu
+    sla._Sweeps = CountedSweeps
     try:
         sla.factorize(*args, split=system.split)
     except mn.SolverError:
         pass
-    sla._SliceLU, sla.spla.splu = slice_lu, splu
-    key = "factor_entries" if row["path"] == "block-lu" else "sweep_entries"
-    row.update(factor_entries=None, sweep_entries=None)
-    row[key] = sum(entries) if entries else None
+    sla._Sweeps = sweeps
+    row["sweep_entries"] = sum(entries for entries, _ in counted) if counted else None
+    row["slice_factor"] = "+".join(sorted({factor for _, factor in counted})) or None
     row["factor_first_s"] = factor_s[0] if factor_s else None
     row["factor_repeat_s"] = statistics.median(factor_s[1:]) if factor_s[1:] else None
     row["solve_s"] = statistics.median(solve_s) if solve_s else None
@@ -151,15 +134,15 @@ def rung(name: str, path: str | None = None) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_4.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
-    ap.add_argument("--path", choices=PATHS, help="force this path on --rung")
+    ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
     args = ap.parse_args()
     if args.rung:
         return print(json.dumps(rung(args.rung, args.path)))
     rows = []
     for name in RUNGS:
-        for path in PATHS[:1 if name in SWEEP_ONLY else 2]:
+        for path in PATHS[1:] if name in SPLU_ONLY else PATHS:
             cmd = [sys.executable, __file__, "--label", args.label, "--rung", name, "--path", path]
             rows.append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
                                                   text=True).stdout))

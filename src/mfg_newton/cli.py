@@ -22,7 +22,6 @@ from . import coupling as cpl
 from . import diagnostics as diag
 from . import hamiltonian as ham
 from . import mfg_solver as solver
-from . import sparse_linalg as sla
 from . import torus_grid as tg
 from .errors import ConfigError, InsufficientDataError, SolverError
 
@@ -165,11 +164,10 @@ def load_config(path) -> RunConfig:
     theta = _number(nwt.get("theta", 0.5), "newton.theta", minimum=0.0, strict=True)
     if theta > 1.0:
         raise ConfigError("newton.theta", f"must lie in (0, 1], got {theta}")
-    newton = solver.NewtonConfig(
-        max_iter=max_iter, residual_tol=residual_tol, error_floor=error_floor,
-        linear_method=_choice(nwt.get("linear_method", "direct"), "newton.linear_method",
-                              sla.METHODS),
-        damping=theta)
+    # both linear methods solve by the one path, so the key is checked and dropped
+    _choice(nwt.get("linear_method", "direct"), "newton.linear_method", ("direct", "iterative"))
+    newton = solver.NewtonConfig(max_iter=max_iter, residual_tol=residual_tol,
+                                 error_floor=error_floor, damping=theta)
 
     epsilons = raw.get("epsilons", [1e-2])
     if not isinstance(epsilons, list) or not epsilons:

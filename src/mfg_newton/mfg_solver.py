@@ -28,7 +28,7 @@ and the linearized stability probe all solve masked blocks of this matrix,
 and ``_eliminate`` is their one way into ``sparse_linalg``: it drops the
 masked rows and columns, tags each free unknown with its time slice and
 records where the density field starts.  The probe's boundary data are
-zero, so its draws reuse one factor (a block LU, or sweeps) as they are.
+zero, so its draws reuse one set of sweep factors as they are.
 """
 
 from __future__ import annotations
@@ -110,12 +110,9 @@ class NewtonConfig:
     max_iter: int = 30
     residual_tol: float = 1e-9
     error_floor: float = 1e-10
-    linear_method: str = "direct"  # or "iterative": always the sweeps, to the same bound
     damping: float = 0.5  # fixed-point iteration only
 
     def __post_init__(self):
-        if self.linear_method not in sla.METHODS:
-            raise ValueError(f"linear_method must be one of {list(sla.METHODS)}")
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
         if not 0.0 < self.damping <= 1.0:
@@ -291,10 +288,10 @@ def _eliminate(grid: tg.GridSpec, matrix, rhs: np.ndarray,
     return sla.LinearSystem(reduced, rhs[free], slices, addends, split)
 
 
-def _solve_eliminated(grid, matrix, rhs, known, method) -> np.ndarray:
+def _solve_eliminated(grid, matrix, rhs, known) -> np.ndarray:
     """Solve the system of :func:`_eliminate`; returns every unknown."""
     x = np.where(known, rhs, 0.0)
-    x[~known] = sla.solve(_eliminate(grid, matrix, rhs, known), method)
+    x[~known] = sla.solve(_eliminate(grid, matrix, rhs, known))
     return x
 
 
@@ -322,7 +319,7 @@ def newton_step(p: ProblemSpec, prev: SolverState, cfg: NewtonConfig):
     """One Newton iteration; returns (next state, linear-solve metadata)."""
     system, known = newton_system(p, prev)
     x = _stack(prev.u.values, prev.m.values)
-    x[~known] += sla.solve(system, cfg.linear_method)
+    x[~known] += sla.solve(system)
     u_next, m_next = _unstack(p.grid, x)
     # given boundary values are pinned bitwise, not reached by the update
     if p.uT is not None:
@@ -442,14 +439,12 @@ def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
             return u
         if inner == MAX_INNER or _stalled(res):
             break
-        u += _solve_eliminated(grid, _value_block(p, b), -r_u.ravel(), pinned,
-                               cfg.linear_method).reshape(u.shape)
+        u += _solve_eliminated(grid, _value_block(p, b), -r_u.ravel(), pinned).reshape(u.shape)
     raise MaxIterExceededError(
         f"inner value-function Newton stalled above tol {cfg.residual_tol:.1e}")
 
 
-def _solve_fp_frozen_drift(p: ProblemSpec, hp: np.ndarray,
-                           cfg: NewtonConfig) -> np.ndarray:
+def _solve_fp_frozen_drift(p: ProblemSpec, hp: np.ndarray) -> np.ndarray:
     """Linear forward solve with the drift ``hp`` = H_p frozen.
 
     Its matrix is the mm block with drift H_p; the initial slice is pinned
@@ -459,7 +454,7 @@ def _solve_fp_frozen_drift(p: ProblemSpec, hp: np.ndarray,
     rhs = np.array(_source(p.s_m, hp.shape[1:]))
     rhs[0] = p.m0
     m = _solve_eliminated(grid, _density_block(p, hp.reshape(grid.dim, -1)),
-                          rhs.ravel(), _stencils(grid).first, cfg.linear_method)
+                          rhs.ravel(), _stencils(grid).first)
     return m.reshape(rhs.shape)
 
 
@@ -473,7 +468,7 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
     def step(state):
         m_prev = state.m.values
         u_new = _solve_hjb_frozen_density(p, m_prev, state.u.values, cfg)
-        m_new = _solve_fp_frozen_drift(p, _bundle(p, u_new, m_prev).Hp, cfg)
+        m_new = _solve_fp_frozen_drift(p, _bundle(p, u_new, m_prev).Hp)
         return make_state(p.grid, u_new, (1.0 - cfg.damping) * m_prev + cfg.damping * m_new)
 
     return _iterate(p, initial, cfg, reference, step, "fixed-point", "iterations")
@@ -482,12 +477,12 @@ def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
 # -- perturbed linearized system (stability probe) ------------------------------
 
 def linearized_solver(p: ProblemSpec, base: SolverState):
-    """Factor the linearized system around ``base`` once, ``"direct"``: by
-    the block LU in time, or the sweeps from ``SWEEP_MIN_N`` unknowns a slice.
+    """Factor the linearized system around ``base`` once: the slice blocks
+    of its sweeps in time.
 
     Returns ``solve(a, b, c=None) -> (v, rho)``, which solves it for data
     (a, div b) and terminal data c as :func:`solve_linearized` does, reusing
-    the factors (the block LU's, or the sweeps' under each GMRES) every call.
+    the sweeps' factors under each GMRES every call.
     """
     grid = p.grid
     matrix, dense, known = _jacobian(p, base)

@@ -401,16 +401,26 @@ class TestExperiments:
         assert (row["status"], row["error"]) == ("error", "DomainError")
         assert where in capsys.readouterr().err
 
-    def test_iterative_linear_method_takes_the_direct_steps(self, tmp_path):
-        iterations = []
-        for method in ("direct", "iterative"):
-            out = tmp_path / method
+    def test_iterative_linear_method_takes_the_direct_steps(self, tmp_path, capsys):
+        # both values run the one solve path: the same files with the same
+        # bytes, wall-clock times aside; any other value is still an error
+        outs = [tmp_path / method for method in ("direct", "iterative")]
+        for out in outs:
             cfg = write_config(tmp_path, output_dir=str(out),
-                               newton={"residual_tol": 1e-10, "linear_method": method})
+                               newton={"residual_tol": 1e-10, "linear_method": out.name})
             assert cli.main(["run", "--config", str(cfg)]) == 0
-            summary = (out / "summary.csv").read_text().splitlines()
-            iterations.append(dict(zip(summary[0].split(","), summary[1].split(",")))["iterations"])
-        assert iterations[0] == iterations[1] == "3"
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir()) and "summary.csv" in names
+        for name in names:
+            ours, theirs = ((out / name).read_text() for out in outs)
+            if name.startswith("history"):
+                ours, theirs = strip_wall_ms(ours), strip_wall_ms(theirs)
+            assert ours == theirs, name
+        summary = (outs[0] / "summary.csv").read_text().splitlines()
+        assert dict(zip(summary[0].split(","), summary[1].split(",")))["iterations"] == "3"
+        cfg = write_config(tmp_path, newton={"linear_method": "gmres"})
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "newton.linear_method" in capsys.readouterr().err
 
     def test_start_on_the_root_is_no_fit(self, tmp_path):
         # eps = 1e-300 leaves the start on the root: err_sum is exactly 0.0

@@ -31,11 +31,11 @@ def factorizations(monkeypatch):
 
 @pytest.fixture
 def exhausted_gmres(monkeypatch):
-    """A GMRES budget no Newton or Picard linear solve can meet, one
-    iteration; returns the config that selects GMRES."""
+    """A GMRES budget no Newton linear solve can meet, one iteration;
+    returns a Newton config, whose two-field solves all run GMRES."""
     monkeypatch.setattr(sla, "GMRES_MAX_ITER", 1)
     monkeypatch.setattr(sla, "GMRES_RESTART", 1)
-    return solver.NewtonConfig(residual_tol=1e-9, linear_method="iterative")
+    return solver.NewtonConfig(residual_tol=1e-9)
 
 
 def manufactured(nx=32, nt=16, alpha=1.0, coupling="sigmoid", dim=1):
@@ -177,7 +177,7 @@ class TestNewtonStep:
         err_u, err_m = diag.error_norms(
             nxt.u.values, nxt.m.values, exact.u.values, exact.m.values, p.grid)
         assert err_u + err_m <= 1e-10
-        assert meta.method == "block-lu"
+        assert meta.method == "schur"
 
     def test_one_step_quadratic_contraction(self):
         p, exact = manufactured(nx=64, nt=32)
@@ -501,16 +501,17 @@ class TestSolveNewton:
         assert max(tg.sup_norm(r_u.values), tg.sup_norm(r_m.values)) <= 1e-10
 
     def test_unknown_linear_method_rejected(self):
-        with pytest.raises(ValueError, match="linear_method must be one of"):
-            solver.NewtonConfig(linear_method="gmres")
+        # one path solves every system: the config selects no linear method
+        with pytest.raises(TypeError, match="linear_method"):
+            solver.NewtonConfig(linear_method="direct")
 
     @staticmethod
     def solve_iterative(p, exact):
-        """Newton with GMRES from ``exact`` perturbed by 1e-2: the history,
-        and the linear-solve metadata of the same steps taken by
+        """Newton, GMRES in every step, from ``exact`` perturbed by 1e-2: the
+        history, and the linear-solve metadata of the same steps taken by
         :func:`solver.newton_step`."""
         start = diag.perturbed_state(exact, 1e-2)
-        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method="iterative")
+        cfg = solver.NewtonConfig(residual_tol=1e-9)
         _, history = solver.solve_newton(p, start, cfg, reference=exact)
         metas = []
         for _ in history[1:]:
@@ -548,26 +549,30 @@ class TestNewtonSystem:
 
 
 class TestDirectVsIterativeOnNewtonSystem:
-    def test_agreement(self):
+    def test_agreement(self, monkeypatch):
+        # the slice blocks as LAPACK's dense LUs, then with the size
+        # constant at 1 as SuperLU's
         p, exact = manufactured(nx=32, nt=32)
         init = diag.perturbed_state(exact, 1e-2)
         system, _ = solver.newton_system(p, init)
         xd = sla.solve(system)
-        xi = sla.solve(system, "iterative")
+        monkeypatch.setattr(sla, "SPLU_MIN_N", 1)
+        xi = sla.solve(system)
         assert np.linalg.norm(xd - xi) / np.linalg.norm(xd) <= 1e-8
 
 
 class TestBlockLUAgainstSuperLU:
-    """Every system the solver hands to the block LU in time, solved again by
-    SuperLU, which serves here as an oracle only."""
+    """Every system the solver hands to the sweeps in time, solved again by
+    one SuperLU factor of the whole matrix, which serves here as an oracle
+    only."""
 
     @pytest.fixture
     def handed(self, monkeypatch):
         solved = []
         real = sla.solve
 
-        def record(system, method="direct"):
-            x = real(system, method)
+        def record(system):
+            x = real(system)
             solved.append((system, x))
             return x
 
@@ -601,9 +606,9 @@ class TestBlockLUAgainstSuperLU:
 
 
 class TestPlanReuse:
-    """The block LU's pattern is planned once per sparsity pattern: every
-    Newton step reuses the first step's plan, and Picard needs one plan for
-    its value block and one for its density block."""
+    """The sweeps are planned once per sparsity pattern: every Newton step
+    reuses the first step's plan, and Picard needs one plan for its value
+    block and one for its density block."""
 
     def test_newton_builds_one_plan(self, plan_builds):
         p, exact = manufactured(nx=16, nt=16)
@@ -622,10 +627,11 @@ class TestPlanReuse:
 
 
 class TestNewtonSlices:
-    """Every matrix the solver factors has the pattern the block LU in time
-    plans: every slice that holds both fields splits, its value unknowns
-    as u and its density unknowns as m, and every Schur update is a column
-    gather (the plan rejects any other)."""
+    """Every matrix the solver factors has the layout the sweeps plan: the
+    value field first, swept backward from its last slice, then the density
+    field from ``split`` on, swept forward from slice 1, each field in time
+    order and each slice reading only the slice swept just before it (the
+    plan rejects a field out of time order or read both ways)."""
 
     @pytest.mark.parametrize("case", ["1d-local", "1d-kernel", "2d-local", "kernel-congestion",
                                       "picard", "probe"])
@@ -645,40 +651,41 @@ class TestNewtonSlices:
         else:
             solver.newton_step(p, start, solver.NewtonConfig())
         assert factorizations
+        nt, last = p.grid.nt, p.grid.nt if p.coupling.derives_terminal else p.grid.nt - 1
+        value, density = list(range(last, -1, -1)), list(range(1, nt + 1))
         for call in factorizations:
-            slices = call["slices"]
-            plan, _ = sla._plan(call["a"], slices, call.get("dense", ()))
-            # the unknowns are slice-stacked, value before density: the slice
-            # ids drop where the density unknowns start
-            density = np.r_[0, np.cumsum(np.diff(slices) < 0)][plan.order]
-            n_u = [np.count_nonzero(density[part] == 0) for part in plan.parts]
-            assert [s[0] for s in plan.split] == [nu if 0 < nu < size else 0
-                                                  for nu, size in zip(n_u, plan.sizes)]
-            assert all(np.all(np.diff(density[part]) >= 0) for part in plan.parts)
-            # a split slice passes an update to a split successor, and only there
-            assert [u is not None for u in plan.schur[1:]] == \
-                [s[0] > 0 and t[0] > 0 for s, t in zip(plan.split, plan.split[1:])]
+            a, slices, split = call["a"], call["slices"], call.get("split", 0)
+            plan = sla._SweepPlan(a, slices, split)
+            ids = [[part[0] for part in parts] for _, _, parts in plan.fields]
+            if case == "picard":  # the value block, or the density block: one field
+                assert split in (0, a.shape[0]) and ids in ([value], [density])
+            else:
+                assert ids == [value, density] and np.all(slices[split:] > 0)
+            for lo, (_, _, parts) in zip((0, split) if len(ids) == 2 else (0,), plan.fields):
+                for before, part in zip(parts, parts[1:]):
+                    assert np.all(slices[lo + part[-1]] == before[0])
+                assert parts[0][-1].size == 0  # the first slice swept reads none
 
     def test_kernel_blocks_stay_out_of_the_csr(self):
         # the CSR keeps the stencils only (7 entries in a row here, 20 when
-        # it held conv_f and conv_g), and every two-field slice, 1..nt,
-        # splits with a dense block of addends in B and no entry there (H_m = 0)
+        # it held conv_f and conv_g); every two-field slice k = 1..nt adds a
+        # dense block to A_um, at u_k's rows and m_k's columns, where the CSR
+        # holds no entry (H_m = 0)
         p, exact = manufactured_nonlocal(nx=16, nt=8)
         n = p.grid.n_space
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
         assert np.diff(system.matrix.indptr).max() < n
         assert len(system.dense) == p.grid.nt
-        factor = sla._SliceLU(*sla._plan(system.matrix, system.slices, system.dense),
-                              system.matrix.data)
-        assert [s[0] for s in factor.plan.split] == [0] + [n] * p.grid.nt
-        for k in range(1, p.grid.nt + 1):
-            _, _, entries, addends = factor.lu[k][3]
-            assert entries.size == 0 and addends.shape == (n, n)
-        assert np.array_equal(factor.lu[-1][3][3], -p.coupling.g.conv)
+        for k, (r, c, block) in enumerate(system.dense, start=1):
+            assert r + n <= system.split <= c and block.shape == (n, n)
+            assert set(system.slices[r:r + n]) == set(system.slices[c:c + n]) == {k}
+            assert system.matrix[r:r + n, c:c + n].nnz == 0
+        assert np.array_equal(system.dense[-1][2], -p.coupling.g.conv)
 
     def test_slices_share_the_handed_out_block(self, monkeypatch):
-        # the factor keeps -conv_f by reference: every running slice's B is
-        # the one Fortran-ordered array the coupling handed out, not a copy
+        # the system keeps -conv_f by reference: every running slice's addend
+        # is the one Fortran-ordered array the coupling handed out, not a
+        # copy, so apply takes one product for them and one for -conv_g
         handed, blocks = [], cpl.NonlocalCoupling.blocks
 
         def recording(coupling, m):
@@ -688,11 +695,10 @@ class TestNewtonSlices:
         monkeypatch.setattr(cpl.NonlocalCoupling, "blocks", recording)
         p, exact = manufactured_nonlocal(nx=16, nt=8)
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        factor = sla._SliceLU(*sla._plan(system.matrix, system.slices, system.dense),
-                              system.matrix.data)
         neg_f = handed[-1][1][0]
         assert neg_f.flags.f_contiguous and np.array_equal(neg_f, -p.coupling.f.conv)
-        assert all(factor.lu[k][3][3] is neg_f for k in range(1, p.grid.nt))
+        assert all(block is neg_f for _, _, block in system.dense[:-1])
+        assert len({id(block) for _, _, block in system.dense}) == 2
 
     def test_one_kernel_gives_one_block(self):
         # with g = f, the terminal slice's B is the running slices' B, and
@@ -702,9 +708,7 @@ class TestNewtonSlices:
         p, exact = diag.make_manufactured(grid, ham.separable_quadratic(grid, 1.0),
                                           cpl.NonlocalCoupling(f=kernel, g=kernel))
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        factor = sla._SliceLU(*sla._plan(system.matrix, system.slices, system.dense),
-                              system.matrix.data)
-        assert all(factor.lu[k][3][3] is factor.lu[1][3][3] for k in range(2, grid.nt + 1))
+        assert all(block is system.dense[0][2] for _, _, block in system.dense)
         _, first = p.coupling.blocks(exact.m.values)
         _, second = p.coupling.blocks(exact.m.values)
         assert all(a is b is first[0] for a, b in zip(first, second))
@@ -712,18 +716,18 @@ class TestNewtonSlices:
 
 
 class TestSweepPath:
-    """From ``SWEEP_MIN_N`` unknowns of one field in one slice (n = 128 in 1D
-    128), the default ``"direct"`` method solves by the sweeps in time:
-    Newton's two-field systems by GMRES on the density Schur complement,
-    Picard's one-field blocks by one sweep."""
+    """From ``SPLU_MIN_N`` unknowns of one field in one slice (n = 128 in 1D
+    128) SuperLU factors the slice blocks, below it LAPACK's dense LU, to the
+    same solutions: Newton's two-field systems by GMRES on the density Schur
+    complement, Picard's one-field blocks by one sweep."""
 
     @pytest.fixture
     def metas(self, monkeypatch):
         """The metadata of every solve through ``sparse_linalg.solve``."""
         recorded, real = [], sla.solve
 
-        def record(system, method="direct"):
-            x = real(system, method)
+        def record(system):
+            x = real(system)
             recorded.append(system.meta)
             return x
 
@@ -731,15 +735,16 @@ class TestSweepPath:
         return recorded
 
     def test_newton_takes_the_schur_path_in_the_block_lus_steps(self, metas, monkeypatch):
+        # the same steps, and the same solution, with every slice factored densely
         p, exact = manufactured(nx=128, nt=8)
         start, cfg = diag.perturbed_state(exact, 1e-2), solver.NewtonConfig(residual_tol=1e-10)
         final, history = solver.solve_newton(p, start, cfg)
         assert len(metas) == len(history) - 1 >= 3
         assert all(m.method == "schur" and m.iterations > 0 and m.residual_norm <= sla.DIRECT_TOL
                    for m in metas)
-        monkeypatch.setattr(sla, "SWEEP_MIN_N", sys.maxsize)
+        monkeypatch.setattr(sla, "SPLU_MIN_N", sys.maxsize)
         forced, forced_history = solver.solve_newton(p, start, cfg)
-        assert metas[-1].method == "block-lu"
+        assert metas[-1].method == "schur"
         assert len(forced_history) == len(history)
         for ours, theirs in ((final.u, forced.u), (final.m, forced.m)):
             assert np.abs(ours.values - theirs.values).max() <= 1e-10
@@ -768,10 +773,11 @@ class TestSweepPath:
         draws = [diag.random_smooth_data(p.grid, seed=seed) for seed in range(3)]
         solved = [solve(a, b) for a, b in draws]
         assert len(factored) == 2 * p.grid.nt
-        monkeypatch.setattr(sla, "SWEEP_MIN_N", sys.maxsize)
-        block_lu = solver.linearized_solver(p, exact)
+        monkeypatch.setattr(sla, "SPLU_MIN_N", sys.maxsize)  # every slice factored densely
+        dense = solver.linearized_solver(p, exact)
+        assert len(factored) == 2 * p.grid.nt
         for (a, b), (v, rho) in zip(draws, solved):
-            v_lu, rho_lu = block_lu(a, b)
+            v_lu, rho_lu = dense(a, b)
             assert np.abs(v.values - v_lu.values).max() <= 1e-10
             assert np.abs(rho.values - rho_lu.values).max() <= 1e-10
 
@@ -813,16 +819,15 @@ class TestSolveFixedPoint:
 
     def test_linear_solve_failure_reports_iterate(self, monkeypatch):
         # Picard's inner solves are one-field sweeps, with no GMRES to run
-        # out: a slice block SuperLU finds exactly singular fails the first step
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(sla.spla, "splu", singular)
+        # out: a slice block whose dense LU meets an exact zero pivot (its
+        # entries all zeroed here) fails the first step
+        dgetrf = sla.lapack.dgetrf
+        monkeypatch.setattr(sla.lapack, "dgetrf", lambda a, **kwargs: dgetrf(np.zeros_like(a), **kwargs))
         p, exact = manufactured(nx=16, nt=8)
         init = diag.perturbed_state(exact, 1e-2)
-        cfg = solver.NewtonConfig(residual_tol=1e-9, linear_method="iterative")
+        cfg = solver.NewtonConfig(residual_tol=1e-9)
         with pytest.raises(SingularMatrixError,
-                           match=r"in time slice \d+ \(fixed-point iterate 1\)$") as info:
+                           match=r"^exact zero pivot in time slice \d+ \(fixed-point iterate 1\)$") as info:
             solver.solve_fixed_point(p, init, cfg)
         assert info.value.iterate == 1
         assert "Newton" not in str(info.value)

@@ -1,7 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import blas, lapack
 
 from mfg_newton import sparse_linalg as sla
 from mfg_newton.errors import NoConvergenceError, SingularMatrixError
@@ -41,8 +42,11 @@ def periodic_minus_lap_plus_identity(nx):
 
 
 def one_slice(mat):
-    """Every unknown in time slice 0: the block LU is one dense LU."""
+    """Every unknown in time slice 0: the sweep is one LU."""
     return np.zeros(mat.shape[0], dtype=int)
+
+
+SLICE_FACTORS = {"dense": sys.maxsize, "splu": 1}  # SPLU_MIN_N that forces each slice factor
 
 
 def assert_csr_invariants(mat):
@@ -110,7 +114,7 @@ class TestSolve:
         x = sla.solve(sys)
         expected = dense_gauss_solve(mat.toarray(), b)
         np.testing.assert_allclose(x, expected, atol=1e-10)
-        assert sys.meta.method == "block-lu"
+        assert sys.meta.method == "sweep"
         assert sys.meta.residual_norm <= 1e-12
 
     def test_overflow_to_non_finite_is_singular(self):
@@ -141,10 +145,14 @@ class TestSolve:
         with pytest.raises(SingularMatrixError, match="after refinement"):
             sla.solve(sla.LinearSystem(mat, np.ones(n), one_slice(mat)))
 
-    @pytest.mark.parametrize("method", sla.METHODS)
-    def test_zero_diagonal_forces_pivoting(self, method):
+    # the ids keep the names of the two linear methods, which once chose
+    # between a dense factor and SuperLU; each now forces that slice factor
+    @pytest.mark.parametrize("splu_min_n", [pytest.param(SLICE_FACTORS["dense"], id="direct"),
+                                            pytest.param(SLICE_FACTORS["splu"], id="iterative")])
+    def test_zero_diagonal_forces_pivoting(self, monkeypatch, splu_min_n):
         # nonsymmetric, with every diagonal entry zero: no factorization
         # without row exchanges exists
+        monkeypatch.setattr(sla, "SPLU_MIN_N", splu_min_n)
         n = 40
         rng = np.random.default_rng(1)
         i = np.arange(n)
@@ -156,7 +164,7 @@ class TestSolve:
         dense = mat.toarray()
         assert np.all(np.diag(dense) == 0.0)
         b = rng.standard_normal(n)
-        x = sla.solve(sla.LinearSystem(mat, b, one_slice(mat)), method)
+        x = sla.solve(sla.LinearSystem(mat, b, one_slice(mat)))
         np.testing.assert_allclose(x, dense_gauss_solve(dense, b), atol=1e-10)
 
     def test_factor_once_solve_many(self):
@@ -166,7 +174,7 @@ class TestSolve:
             b = np.sin(2 * np.pi * k * np.arange(16) / 16)
             x, meta = solve(b)
             np.testing.assert_array_equal(x, sla.solve(sla.LinearSystem(mat, b, one_slice(mat))))
-            assert meta.method == "block-lu" and meta.residual_norm <= sla.DIRECT_TOL
+            assert meta.method == "sweep" and meta.residual_norm <= sla.DIRECT_TOL
 
     def test_non_square_rejected(self):
         mat = sla.SparseMatrix.from_triplets(2, 3, [0, 1], [0, 1], [1.0, 1.0])
@@ -178,18 +186,21 @@ class TestSolve:
         with pytest.raises(ValueError):
             sla.LinearSystem(mat, np.ones(9), one_slice(mat))
 
-    def test_iterative_matches_direct(self):
+    def test_iterative_matches_direct(self, monkeypatch):
+        # one slice of 64 unknowns: one sweep of LAPACK's dense LU, and with
+        # the size constant at 1 one sweep of SuperLU's, neither with GMRES
         nx = 64
         mat = periodic_minus_lap_plus_identity(nx)
         b = np.cos(2 * np.pi * np.arange(nx) / nx)
         xd = sla.solve(sla.LinearSystem(mat, b, one_slice(mat)))
+        monkeypatch.setattr(sla, "SPLU_MIN_N", SLICE_FACTORS["splu"])
         sys = sla.LinearSystem(mat, b, one_slice(mat))
-        xi = sla.solve(sys, "iterative")
-        assert sys.meta.method == "sweep"  # one field: one exact sweep, no GMRES
+        xi = sla.solve(sys)
+        assert sys.meta.method == "sweep"
         assert sys.meta.iterations == 0
         assert sys.meta.residual_norm <= sla.DIRECT_TOL
         # normwise: the solution of cos(2 pi x) has exact zeros, where the
-        # two solvers' round-off differs entrywise
+        # two factors' round-off differs entrywise
         assert np.linalg.norm(xi - xd) / np.linalg.norm(xd) <= 1e-8
 
     def test_iterative_budget_exhaustion(self, monkeypatch):
@@ -198,18 +209,19 @@ class TestSolve:
         mat, _, slices, added = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=23, aligned=False,
                                           holes=0.3, addends=True)
         b = np.random.default_rng(24).standard_normal(mat.shape[0])
-        sla.solve(system := sla.LinearSystem(mat, b, slices, added, 20), "iterative")
+        sla.solve(system := sla.LinearSystem(mat, b, slices, added, 20))
         assert system.meta.method == "schur"
         assert system.meta.iterations > 1 and system.meta.residual_norm <= sla.DIRECT_TOL
         monkeypatch.setattr(sla, "GMRES_MAX_ITER", 1)
         monkeypatch.setattr(sla, "GMRES_RESTART", 1)
         with pytest.raises(NoConvergenceError, match="after 1 iterations"):
-            sla.solve(system, "iterative")
+            sla.solve(system)
 
     def test_unknown_method_rejected(self):
+        # one path solves every system, so factorize takes no method at all
         mat = periodic_minus_lap_plus_identity(8)
-        with pytest.raises(ValueError, match="linear method"):
-            sla.factorize(mat, one_slice(mat), method="gmres")
+        with pytest.raises(TypeError, match="method"):
+            sla.factorize(mat, one_slice(mat), method="direct")
 
 
 def random_block_tridiagonal(sizes, seed, density=0.3):
@@ -217,8 +229,8 @@ def random_block_tridiagonal(sizes, seed, density=0.3):
     fixed-point baseline's value block does, as a CSR matrix in slice-major
     order, its dense copy, and the slice index of each unknown.  Diagonal
     blocks are dense and diagonally heavy; the couplings keep each entry
-    with probability ``density``.  No row reads the previous slice, so every
-    slice keeps one dense LU."""
+    with probability ``density``.  No row reads the previous slice, so the
+    one field is swept backward."""
     rng = np.random.default_rng(seed)
     off = np.concatenate([[0], np.cumsum(sizes)])
     n = off[-1]
@@ -243,30 +255,35 @@ def permuted(mat, dense, perm):
 
 
 class TestSliceLU:
+    """One field whose slices each read the next one only: one backward sweep."""
+
     @pytest.mark.parametrize("sizes", [(5, 5, 5, 5), (1, 7, 3, 12, 2), (9,)])
     def test_matches_dense_solve(self, sizes):
         mat, dense, slices = random_block_tridiagonal(sizes, seed=len(sizes))
         b = np.random.default_rng(7).standard_normal(mat.shape[0])
         x, meta = sla.factorize(mat, slices)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-        assert meta.residual_norm <= sla.DIRECT_TOL
+        assert meta.method == "sweep" and meta.residual_norm <= sla.DIRECT_TOL
 
     def test_slice_ids_out_of_order_and_with_gaps(self):
-        # unknowns interleaved across slices, and ids 0, 2, 5, 6 with the
-        # empty slices 1, 3, 4 skipped: adjacent ids present are neighbours
+        # ids 0, 2, 5, 6 with the empty slices 1, 3, 4 skipped: the slices
+        # present are swept in turn; unknowns interleaved across slices are
+        # no field in time order, which the plan rejects
         mat, dense, slices = random_block_tridiagonal((4, 6, 3, 5), seed=3)
-        perm = np.random.default_rng(4).permutation(mat.shape[0])
-        mat, dense = permuted(mat, dense, perm)
-        ids = np.array([0, 2, 5, 6])[slices[perm]]
+        ids = np.array([0, 2, 5, 6])[slices]
         b = np.random.default_rng(5).standard_normal(mat.shape[0])
         x, _ = sla.factorize(mat, ids)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        perm = np.random.default_rng(4).permutation(mat.shape[0])
+        with pytest.raises(ValueError, match="do not run in time order"):
+            sla.factorize(permuted(mat, dense, perm)[0], ids[perm])
 
     def test_single_slice_is_dense_lu(self):
         mat, dense, _ = random_block_tridiagonal((4, 4, 4), seed=6, density=1.0)
         b = np.arange(mat.shape[0], dtype=float)
-        lu = sla._SliceLU(*sla._plan(mat, one_slice(mat)), mat.data)
-        assert len(lu.lu) == 1 and lu.lu[0][0] is None  # one LU, not split
+        sweeps = sla._Sweeps(sla._SweepPlan(mat, one_slice(mat), 0), mat.data)
+        [[(part, lu, _, _, _)]] = sweeps.fields  # one field of one slice
+        assert part == slice(0, 12) and isinstance(lu, sla._DenseLU) and lu.lu.shape == (12, 12)
         x, _ = sla.factorize(mat, one_slice(mat))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10)
 
@@ -277,27 +294,32 @@ class TestSliceLU:
         np.testing.assert_array_equal(x, sla.factorize(mat, slices)(b)[0])
 
     def test_coupling_two_slices_apart_rejected(self, plan_builds):
+        # a sweep reads any slice it solved before, so a coupling past the
+        # neighbour slice is solved, on one cached plan
         mat, dense, slices = random_block_tridiagonal((3, 3, 3), seed=9)
         dense[0, 7] = 1.0  # slice 0 row, slice 2 column
         i, j = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(9, 9, i, j, dense[i, j])
-        for _ in range(2):  # a rejected pattern is not cached
-            with pytest.raises(ValueError, match="non-neighbour"):
-                sla.factorize(mat, slices)
-        assert sla._PLANS == {}
+        b = np.random.default_rng(9).standard_normal(9)
+        for _ in range(2):
+            x, _ = sla.factorize(mat, slices)(b)
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        assert len(plan_builds) == 1
 
     def test_slice_index_length_checked(self):
         mat, _, slices = random_block_tridiagonal((3, 3), seed=10)
         with pytest.raises(ValueError):
             sla.factorize(mat, slices[:-1])
 
-    def test_exact_zero_pivot_is_singular(self):
-        # unknowns u_0, m_0, u_1, m_1; m_1 reads m_0 and u_0 reads u_1.  The
-        # Schur update turns slice 1's C from 0 into 1, so D - C A^-1 B is
-        # 1 - 1 = 0 exactly, although slice 1's block is not singular
+    def test_exact_zero_pivot_is_singular(self, monkeypatch):
+        # slice 1 reads slice 0, and its block [[1, 1], [1, 1]] is singular:
+        # the second pivot of its LU is 1 - 1 = 0 exactly
         mat = sla.SparseMatrix.from_triplets(
-            4, 4, [0, 0, 1, 1, 2, 2, 3, 3], [0, 2, 0, 1, 2, 3, 1, 3], np.ones(8))
-        with pytest.raises(SingularMatrixError, match="zero pivot in time slice 1"):
+            4, 4, [0, 1, 2, 2, 2, 3, 3], [0, 1, 0, 2, 3, 2, 3], np.ones(7))
+        with pytest.raises(SingularMatrixError, match="^exact zero pivot in time slice 1$"):
+            sla.factorize(mat, np.array([0, 0, 1, 1]))
+        monkeypatch.setattr(sla, "SPLU_MIN_N", SLICE_FACTORS["splu"])
+        with pytest.raises(SingularMatrixError, match="^exactly singular block in time slice 1$"):
             sla.factorize(mat, np.array([0, 0, 1, 1]))
 
 
@@ -307,12 +329,12 @@ class TestPlanCache:
         sla.factorize(mat, slices)
         values = np.random.default_rng(12).standard_normal(mat.nnz)
         a = sp.csr_matrix((mat.data + values, mat.indices, mat.indptr), shape=mat.shape)
-        cached = sla._SliceLU(*sla._plan(a, slices), a.data)
-        assert len(plan_builds) == 1 and cached.plan is plan_builds[0]
-        fresh = sla._SliceLU(sla._SlicePlan(a, slices), {}, a.data)  # built, not cached
+        cached = sla._Sweeps(sla._cached(a, slices, 0), a.data)
+        assert len(plan_builds) == 1 and sla._cached(a, slices, 0) is plan_builds[0]
+        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 0), a.data)  # built, not cached
         assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
         b = np.random.default_rng(13).standard_normal(mat.shape[0])
-        assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
+        assert cached.solve(0, b).tobytes() == fresh.solve(0, b).tobytes()
 
     def test_moved_column_builds_new_plan(self, plan_builds):
         mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=14, density=0.5)
@@ -349,8 +371,7 @@ def two_field(n_u, n_m, seed, aligned=True, holes=0.0, addends=False, density=0.
     random values, shifted columns of m_k-1, and sorted random rows of u_k
     reading a run at a random offset.  Density unknowns lie on consecutive
     slices, the first holding no more than the second, so that each reads
-    the previous slice or is read by the next: these are the fields the
-    plan finds.  B, the (u, m) block, is a diagonal lacking each entry with
+    the previous slice or is read by the next.  B, the (u, m) block, is a diagonal lacking each entry with
     probability ``holes``, as the solver prunes B where H_m = 0; with
     ``addends`` a dense block is added to every B outside the CSR, as the
     kernel coupling's are.  A and D are diagonally heavy and C random.
@@ -394,11 +415,13 @@ def two_field(n_u, n_m, seed, aligned=True, holes=0.0, addends=False, density=0.
     return mat, dense, slices, blocks
 
 
-def stored(factor):
-    """Every array and index that a factor keeps for its slices, in order."""
+def stored(sweeps):
+    """Every array and index that sweeps keep for their slices, in order."""
     def flat(x):
-        return [y for part in x for y in flat(part)] if isinstance(x, tuple) else [x]
-    return flat(tuple(factor.lu))
+        if isinstance(x, sla._DenseLU):
+            return [x.lu, x.piv]
+        return [y for part in x for y in flat(part)] if isinstance(x, (tuple, list)) else [x]
+    return flat(sweeps.fields)
 
 
 def same(a, b):
@@ -406,8 +429,9 @@ def same(a, b):
 
 
 class TestTwoLevel:
-    """Slices that hold both rows that read the previous slice (or columns
-    the next slice reads) and other unknowns are factored in two levels."""
+    """Two fields laid out as in the Newton matrix: the value field swept
+    backward, the density field forward, and GMRES on the density Schur
+    complement between them."""
 
     @pytest.mark.parametrize("n_u, n_m, aligned, addends", [
         ((6, 6, 6, 6, 0), (0, 6, 6, 6, 6), True, False),  # local coupling: m(T) alone
@@ -420,35 +444,37 @@ class TestTwoLevel:
         holes = float(addends) if aligned else 0.3
         mat, dense, slices, added = two_field(n_u, n_m, seed=sum(n_u), aligned=aligned,
                                               holes=holes, addends=addends)
-        plan, _ = sla._plan(mat, slices, added)
-        assert [s[0] for s in plan.split] == [nu if nu and nm else 0 for nu, nm in zip(n_u, n_m)]
-        assert any(s is not None for s in plan.schur)
+        plan = sla._SweepPlan(mat, slices, sum(n_u))
+        assert [[part[0] for part in parts] for _, _, parts in plan.fields] == \
+            [[k for k in reversed(range(len(n_u))) if n_u[k]], [k for k in range(len(n_m)) if n_m[k]]]
         b = np.random.default_rng(1).standard_normal(mat.shape[0])
-        x, meta = sla.factorize(mat, slices, added)(b)
+        x, meta = sla.factorize(mat, slices, added, sum(n_u))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-        assert meta.residual_norm <= sla.DIRECT_TOL
+        assert meta.method == "schur" and meta.residual_norm <= sla.DIRECT_TOL
 
     def test_stores_three_quarters_of_a_dense_slice(self):
+        # each field's slice block is one dense n x n LU: a slice holding
+        # both fields stores 2 n^2 entries, half its dense 4 n^2
         mat, _, slices, _ = two_field((8, 8, 8), (0, 8, 8), seed=2)
-        factor = sla._SliceLU(*sla._plan(mat, slices), mat.data)
-        entries = sum(x.size for x in stored(factor) if isinstance(x, np.ndarray) and x.dtype == float)
-        assert entries == 8 * 8 + 2 * (3 * 8 * 8 + 8)  # slice 0 whole; A, W, Sigma and B's diagonal
+        sweeps = sla._Sweeps(sla._SweepPlan(mat, slices, 24), mat.data)
+        assert [lu.lu.shape for steps in sweeps.fields for _, lu, *_ in steps] == [(8, 8)] * 5
 
     def test_refactor_matches_fresh_plan_bitwise(self, plan_builds):
         mat, _, slices, added = two_field((6, 6, 6, 6), (0, 6, 6, 6), seed=3, holes=0.3, addends=True)
-        sla.factorize(mat, slices, added)
+        sla.factorize(mat, slices, added, 24)
         values = np.random.default_rng(4).uniform(0.5, 1.0, mat.nnz)
         a = sp.csr_matrix((mat.data * values, mat.indices, mat.indptr), shape=mat.shape)
-        cached = sla._SliceLU(*sla._plan(a, slices, added), a.data)
-        assert len(plan_builds) == 1 and cached.plan is plan_builds[0]
-        plan = sla._SlicePlan(a, slices)  # built, not cached
-        fresh = sla._SliceLU(plan, plan.place(added), a.data)
+        cached = sla._Sweeps(sla._cached(a, slices, 24), a.data)
+        assert len(plan_builds) == 1 and sla._cached(a, slices, 24) is plan_builds[0]
+        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 24), a.data)  # built, not cached
         assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
         b = np.random.default_rng(5).standard_normal(mat.shape[0])
-        assert cached.solve(b).tobytes() == fresh.solve(b).tobytes()
+        x, _ = sla._schur(a, added, cached, 24)(b)
+        assert x.tobytes() == sla._schur(a, added, fresh, 24)(b)[0].tobytes()
 
     # two_field(n_u, (0, 5, 5, 5)) numbers u_0.. first, then m_1, m_2, m_3;
-    # each added entry breaks one condition of the plan, in slice k
+    # each added entry breaks a condition that a block LU in time would put
+    # on slice k, and none that the sweeps need: each system is solved
     @pytest.mark.parametrize("n_u, entry, k", [
         ((5, 5, 5, 5), (slice(5, 10), slice(10, 15)), 2),
         ((5, 5, 6, 5), (21, 15), 2),
@@ -467,22 +493,23 @@ class TestTwoLevel:
         dense[entry] = 0.5
         i, j = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
-        with pytest.raises(ValueError, match=f"time slice {k}:"):
-            sla.factorize(mat, slices)
-        assert sla._PLANS == {}
+        b = np.random.default_rng(k).standard_normal(mat.shape[0])
+        x, meta = sla.factorize(mat, slices, split=sum(n_u))(b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        assert meta.method == "schur" and len(plan_builds) == 1
 
 
 class TestDenseAddends:
     """Dense blocks added to a slice's B outside the CSR, as the kernel
-    coupling's are: the factor, the residual check, ``apply`` and GMRES
-    all see the whole operator."""
+    coupling's are: the residual check, ``apply`` and GMRES all see the
+    whole operator, and no sweep factors them."""
 
     # two_field((5, 5, 5, 5), (0, 5, 5, 5)): u_k at 5k.., m_k at 15 + 5k..;
     # each addend is the whole B of slices 1, 2 and 3
     ADDENDS = [(5, 20, (5, 5)), (10, 25, (5, 5)), (15, 30, (5, 5))]
 
     @pytest.mark.parametrize("no_entries", [False, True])  # B's diagonal under the addends, or none
-    def test_match_dense_solve(self, no_entries):
+    def test_match_dense_solve(self, monkeypatch, no_entries):
         mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=20, holes=float(no_entries))
         rng = np.random.default_rng(21)
         addends = [(r, c, rng.standard_normal(shape)) for r, c, shape in self.ADDENDS]
@@ -490,11 +517,17 @@ class TestDenseAddends:
             dense[r:r + block.shape[0], c:c + block.shape[1]] += block
         b = rng.standard_normal(mat.shape[0])
         np.testing.assert_allclose(sla.apply(mat, addends, b), dense @ b, rtol=1e-12)
-        x, meta = sla.factorize(mat, slices, addends)(b)
+        x, meta = sla.factorize(mat, slices, addends, 20)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.residual_norm <= sla.DIRECT_TOL
-        xi = sla.solve(sla.LinearSystem(mat, b, slices, addends, 20), "iterative")
+        monkeypatch.setattr(sla, "SPLU_MIN_N", SLICE_FACTORS["splu"])
+        xi = sla.solve(sla.LinearSystem(mat, b, slices, addends, 20))
         np.testing.assert_allclose(xi, x, rtol=1e-9, atol=1e-11)
+
+    # addends that are not one slice's whole B: the sweeps solve those that
+    # lie in A_um (rows below 20, columns from 20 on), and reject the others
+    # before any plan is built
+    IN_A_UM = {(8, 20), (5, 22), (11, 27)}
 
     @pytest.mark.parametrize("r, c, shape", [
         (8, 20, (5, 5)),   # rows straddle the u of slices 1 and 2
@@ -506,40 +539,50 @@ class TestDenseAddends:
         (11, 27, (3, 2)),  # part of slice 2's B
     ])
     def test_misplaced_rejected_before_plan_cached(self, plan_builds, r, c, shape):
-        mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
-        with pytest.raises(ValueError, match="one slice's B block"):
-            sla.factorize(mat, slices, [(r, c, np.ones(shape))])
-        assert len(plan_builds) == 1 and sla._PLANS == {}
+        mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
+        if (r, c) not in self.IN_A_UM:
+            with pytest.raises(ValueError, match="does not lie in A_um"):
+                sla.factorize(mat, slices, [(r, c, np.ones(shape))], 20)
+            assert plan_builds == [] and sla._PLANS == {}
+            return
+        dense[r:r + shape[0], c:c + shape[1]] += 1.0
+        b = np.random.default_rng(r).standard_normal(mat.shape[0])
+        x, _ = sla.factorize(mat, slices, [(r, c, np.ones(shape))], 20)(b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
 
     def test_second_addend_on_one_b_rejected(self, plan_builds):
-        # the factor keeps an addend by reference, so two are never summed
-        mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
-        with pytest.raises(ValueError, match="one slice's B block, or a second one"):
-            sla.factorize(mat, slices, [(15, 30, np.ones((5, 5)))] * 2)
-        assert len(plan_builds) == 1 and sla._PLANS == {}
+        # two addends on one B, sharing one block, both count: apply takes
+        # one product of the block with both addends' columns
+        mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
+        block = np.random.default_rng(22).standard_normal((5, 5))
+        dense[15:20, 30:35] += 2.0 * block
+        b = np.random.default_rng(23).standard_normal(mat.shape[0])
+        np.testing.assert_allclose(sla.apply(mat, [(15, 30, block)] * 2, b), dense @ b, rtol=1e-12)
+        x, _ = sla.factorize(mat, slices, [(15, 30, block)] * 2, 20)(b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        assert len(plan_builds) == 1
 
     def test_run_through_another_field_rejected(self, plan_builds):
-        # unknowns reordered so that rows 0..4 are u_1, m_1, u_1, u_1, u_1: both
-        # ends of the run lie in slice 1's u, its middle does not
+        # unknowns reordered so that rows 0..4 are u_1, m_1, u_1, u_1, u_1: the
+        # value field [0, 20) holds m_1 and so does not run in time order
         mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
         order = np.r_[5, 20, 6:10, 0:5, 10:20, 21:35]
         i, j = np.nonzero(dense[order][:, order])
         mat = sla.SparseMatrix.from_triplets(35, 35, i, j, dense[order][:, order][i, j])
         column = int(np.flatnonzero(order == 21)[0])  # in slice 1's m
-        with pytest.raises(ValueError, match="one slice's B block"):
-            sla.factorize(mat, slices[order], [(0, column, np.ones((5, 5)))])
+        with pytest.raises(ValueError, match="do not run in time order"):
+            sla.factorize(mat, slices[order], [(0, column, np.ones((5, 5)))], 20)
         assert sla._PLANS == {}
 
 
 def random_two_field(seed):
-    """A random pattern in ``two_field``'s layout: 2 to 5 slices of 1 to 6
-    unknowns per field, u missing from about a third of the slices and m
-    from those before a random one (not the last), -I/dt or random
-    couplings, B with holes or without entries, and dense addends for about
-    half the seeds.  For about half the seeds each slice's fields are
-    reordered as whole groups of unknowns, so that slice ids run out of
-    order, and the ids skip values.  Returns what ``two_field`` does and
-    the field of each unknown (0: u, 1: m)."""
+    """A random pattern in ``two_field``'s layout, field by field and each
+    field in time order, as ``_eliminate`` lays the Newton matrix out: 2 to
+    5 slices of 1 to 6 unknowns per field, u missing from about a third of
+    the slices and m from those before a random one (not the last), -I/dt or
+    random couplings, B with holes or without entries, dense addends for
+    about half the seeds, and for about half the seeds slice ids that skip
+    values.  Returns what ``two_field`` does and the split."""
     rng = np.random.default_rng([seed, 1])
     n = int(rng.integers(2, 6))
     n_u, n_m = rng.integers(1, 7, n), rng.integers(1, 7, n)
@@ -549,118 +592,69 @@ def random_two_field(seed):
     mat, dense, slices, addends = two_field(tuple(n_u), tuple(n_m), seed, aligned=rng.random() < 0.5,
                                             holes=rng.choice([0.0, 0.5, 1.0]),
                                             addends=rng.random() < 0.5)
-    fields = (np.arange(slices.size) >= n_u.sum()).astype(int)
     if rng.random() < 0.5:
-        group = 2 * slices + fields  # (slice, field) of each unknown
-        perm = np.concatenate([np.flatnonzero(group == g) for g in rng.permutation(2 * n)])
-        mat, dense = permuted(mat, dense, perm)
-        new = np.argsort(perm)  # each unknown's index after the reordering
-        addends = [(new[r], new[c], block) for r, c, block in addends]
-        slices, fields = np.cumsum(rng.integers(1, 3, n))[slices[perm]], fields[perm]
-    return mat, dense, slices, addends, fields
+        slices = np.cumsum(rng.integers(1, 3, n))[slices]
+    return mat, dense, slices, addends, int(n_u.sum())
 
 
 class TestSweep:
-    def test_random_patterns_match_dense_solve(self):
-        # every pattern against a dense solve and the single-LU factor; the
-        # sweep must reach each feature of the patterns the solver builds
-        seen = dict.fromkeys(["update", "update from some u rows", "B with holes",
-                              "B without entries", "addends", "ids out of order, with gaps"], 0)
+    def test_random_patterns_match_dense_solve(self, monkeypatch):
+        # each field of every pattern swept alone, by both slice factors,
+        # against a dense solve of its block; the sweeps must reach each
+        # feature of the patterns the solver builds
+        seen = dict.fromkeys(["backward", "forward", "couplings", "dense", "splu", "ids with gaps"], 0)
         for seed in range(200):
-            mat, dense, slices, addends, _ = random_two_field(seed)
-            plan, _ = sla._plan(mat, slices, addends)
-            for update, (nu, _, br, _) in zip(plan.schur, plan.split):
-                seen["update"] += update is not None
-                seen["update from some u rows"] += update is not None and not isinstance(update[3], slice)
-                seen["B with holes"] += bool(nu) and isinstance(br, np.ndarray)
-                seen["B without entries"] += bool(nu) and isinstance(br, slice) and br.stop == 0
-            seen["addends"] += bool(addends)
-            seen["ids out of order, with gaps"] += bool(np.diff(np.unique(slices)).max(initial=1) > 1)
+            mat, dense, slices, _, split = random_two_field(seed)
+            fields = [f for f in (slice(0, split), slice(split, mat.shape[0])) if f.start < f.stop]
+            for _, coupled, parts in sla._SweepPlan(mat, slices, split).fields:
+                seen["backward"] += parts[0][0] > parts[-1][0]
+                seen["forward"] += parts[0][0] < parts[-1][0]
+                seen["couplings"] += coupled.size > 0
+            seen["ids with gaps"] += bool(np.diff(np.unique(slices)).max(initial=1) > 1)
             b = np.random.default_rng(seed).standard_normal(mat.shape[0])
-            x, meta = sla.factorize(mat, slices, addends)(b)
-            np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12,
-                                       err_msg=f"seed {seed}")
-            np.testing.assert_allclose(OneBlockLU(mat, slices, addends).solve(b), x, rtol=1e-10,
-                                       atol=1e-12, err_msg=f"seed {seed}")
-            assert meta.residual_norm <= sla.DIRECT_TOL, seed
+            solved = []
+            for name, splu_min_n in SLICE_FACTORS.items():
+                monkeypatch.setattr(sla, "SPLU_MIN_N", splu_min_n)  # the plan picks each slice's layout
+                sweeps = sla._Sweeps(sla._SweepPlan(mat, slices, split), mat.data)
+                assert all(isinstance(step[1], sla._DenseLU) == (name == "dense")
+                           for steps in sweeps.fields for step in steps), seed
+                seen[name] += 1
+                solved.append(np.concatenate([sweeps.solve(f, b[part]) for f, part in enumerate(fields)]))
+                for part in fields:
+                    np.testing.assert_allclose(solved[-1][part], np.linalg.solve(dense[part, part], b[part]),
+                                               rtol=1e-10, atol=1e-12, err_msg=f"seed {seed}, {name}")
+            np.testing.assert_allclose(*solved, rtol=1e-10, atol=1e-12, err_msg=f"seed {seed}")
         assert min(seen.values()) > 0, seen
-
-
-class OneBlockLU(sla._SliceLU):
-    """The block LU in time as it was before slices were split in two levels:
-    a dense LU of every Schur complement, addends included, here in the
-    plan's order of the unknowns, updated through the whole L and only the
-    trailing block of U of the previous slice, from the first row that
-    A_k,k-1 reads.  The single-LU oracle, for any pattern the plan
-    accepts."""
-
-    def __init__(self, a, slices, dense=()):
-        plan = sla._SlicePlan(a, slices)
-        self.plan, self.lu, whole = plan, [], a.toarray()
-        for r, c, block in dense:
-            whole[r:r + block.shape[0], c:c + block.shape[1]] += block
-        self.lower, self.upper = ([(r, c, a.data[e]) for r, c, e in x] for x in (plan.lower, plan.upper))
-        for k, part in enumerate(plan.parts):
-            s = np.asfortranarray(whole[np.ix_(plan.order[part], plan.order[part])])
-            (lr, lc, lv), (ur, uc, uv) = self.lower[k], self.upper[k - 1]
-            if k and lr.size and uc.size:
-                lu, piv = self.lu[k - 1]
-                lc = lc + plan.split[k - 1][0]  # A_k,k-1's columns in all of slice k-1
-                t, c0, c1 = lc.min(), uc.min(), uc.max() + 1
-                coupling = np.zeros((lu.shape[0], c1 - c0), order="F")
-                coupling[ur, uc - c0] = uv
-                y = blas.dtrsm(1.0, lu, lapack.dlaswp(coupling, piv, overwrite_a=True),
-                               lower=1, diag=1, overwrite_b=True)
-                w = blas.dtrsm(1.0, lu[t:, t:], y[t:], lower=0, overwrite_b=True)
-                s[lr, c0:c1] -= lv[:, None] * w[lc - t]  # one entry in each row of A_k,k-1
-            lu, piv, _ = lapack.dgetrf(s, overwrite_a=True)
-            self.lu.append((lu, piv))
-
-    def _solve_m(self, k, r):
-        return lapack.dgetrs(*self.lu[k], r)[0][self.plan.split[k][0]:]
-
-    def _solve(self, k, b):
-        return lapack.dgetrs(*self.lu[k], b)[0]
-
-
-def in_field_order(seed):
-    """``random_two_field(seed)`` with its unknowns put back field by field,
-    value first, each field in time order, as ``_eliminate`` lays them out:
-    the matrix, its dense copy, the slices, the addends and the split."""
-    mat, dense, slices, addends, fields = random_two_field(seed)
-    order = np.lexsort((slices, fields))
-    mat, dense = permuted(mat, dense, order)
-    new = np.argsort(order)
-    return (mat, dense, slices[order], [(new[r], new[c], block) for r, c, block in addends],
-            int(np.count_nonzero(fields == 0)))
 
 
 class TestSchur:
     """The sweeps in time and GMRES on the density Schur complement, which
-    ``"iterative"`` always takes, against a dense solve."""
+    every two-field solve takes, against a dense solve."""
 
-    def test_random_patterns_match_dense_solve(self):
+    def test_random_patterns_match_dense_solve(self, monkeypatch):
         seen = dict.fromkeys(["two fields", "one field", "addends", "ids with gaps"], 0)
         for seed in range(200):
-            mat, dense, slices, addends, split = in_field_order(seed)
+            mat, dense, slices, addends, split = random_two_field(seed)
             two = 0 < split < mat.shape[0]
             seen["two fields" if two else "one field"] += 1
             seen["addends"] += bool(addends)
             seen["ids with gaps"] += bool(np.diff(np.unique(slices)).max(initial=1) > 1)
             b = np.random.default_rng(seed).standard_normal(mat.shape[0])
-            x, meta = sla.factorize(mat, slices, addends, "iterative", split)(b)
-            np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11,
-                                       err_msg=f"seed {seed}")
-            assert meta.residual_norm <= sla.DIRECT_TOL, seed
-            assert meta.method == ("schur" if two else "sweep"), seed
-            assert (meta.iterations > 0) == two, seed
-            for field in (slice(0, split), slice(split, None)):  # each field alone: one sweep
-                block = mat[field][:, field]
-                if block.shape[0]:
-                    y, meta = sla.factorize(block, slices[field], method="iterative")(b[field])
-                    np.testing.assert_allclose(y, np.linalg.solve(dense[field, field], b[field]),
-                                               rtol=1e-10, atol=1e-12, err_msg=f"seed {seed}")
-                    assert meta.method == "sweep" and meta.iterations == 0, seed
+            for name, splu_min_n in SLICE_FACTORS.items():
+                monkeypatch.setattr(sla, "SPLU_MIN_N", splu_min_n)
+                x, meta = sla.factorize(mat, slices, addends, split)(b)
+                np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11,
+                                           err_msg=f"seed {seed}, {name}")
+                assert meta.residual_norm <= sla.DIRECT_TOL, seed
+                assert meta.method == ("schur" if two else "sweep"), seed
+                assert (meta.iterations > 0) == two, seed
+                for field in (slice(0, split), slice(split, None)):  # each field alone: one sweep
+                    block = mat[field][:, field]
+                    if block.shape[0]:
+                        y, meta = sla.factorize(block, slices[field])(b[field])
+                        np.testing.assert_allclose(y, np.linalg.solve(dense[field, field], b[field]),
+                                                   rtol=1e-10, atol=1e-12, err_msg=f"seed {seed}, {name}")
+                        assert meta.method == "sweep" and meta.iterations == 0, seed
         assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("slice_major, match", [
@@ -674,7 +668,7 @@ class TestSchur:
             order = np.argsort(slices, kind="stable")
             mat, slices = permuted(mat, dense, order)[0], slices[order]
         with pytest.raises(ValueError, match=match):
-            sla.factorize(mat, slices, method="iterative")
+            sla.factorize(mat, slices)
 
     @pytest.mark.parametrize("r, c, shape", [(5, 5, (5, 5)), (20, 20, (5, 5)), (20, 5, (5, 5)),
                                              (15, 33, (5, 5)), (-1, 20, (5, 5))])
@@ -682,7 +676,7 @@ class TestSchur:
         # A_uu's and A_mm's slice 1, A_mu, past the last column, before the first row
         mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=25)
         with pytest.raises(ValueError, match="does not lie in A_um"):
-            sla.factorize(mat, slices, [(r, c, np.ones(shape))], "iterative", 20)
+            sla.factorize(mat, slices, [(r, c, np.ones(shape))], 20)
 
     @pytest.mark.parametrize("spoil_every", [False, True])
     def test_a_residual_above_the_bound_is_refined_once(self, monkeypatch, spoil_every):
@@ -699,7 +693,7 @@ class TestSchur:
             return (x + 1e-6 if spoil_every or len(calls) == 1 else x), info
 
         monkeypatch.setattr(sla.spla, "gmres", spoiled)
-        solve = sla.factorize(mat, slices, added, "iterative", 20)
+        solve = sla.factorize(mat, slices, added, 20)
         if spoil_every:
             with pytest.raises(NoConvergenceError, match=r"exceeds 1.0e-12 after \d+ iterations$"):
                 solve(b)
@@ -710,10 +704,22 @@ class TestSchur:
         assert calls == [15, 15]  # the solve and its refinement, each on S's 15 unknowns
 
     def test_direct_sweeps_from_sweep_min_n(self, monkeypatch):
-        mat, dense, slices, addends, split = in_field_order(3)
+        # slice blocks below SPLU_MIN_N unknowns are LAPACK's dense LUs; from
+        # it on SuperLU factors them, here every one, to the same solution
+        mat, dense, slices, addends, split = random_two_field(3)
         b = np.random.default_rng(26).standard_normal(mat.shape[0])
-        assert sla.factorize(mat, slices, addends, split=split)(b)[1].method == "block-lu"
-        monkeypatch.setattr(sla, "SWEEP_MIN_N", 1)
-        x, meta = sla.factorize(mat, slices, addends, split=split)(b)
+        factored, splu = [], sla.spla.splu
+
+        def counting(*args, **kwargs):
+            factored.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(sla.spla, "splu", counting)
+        x, meta = sla.factorize(mat, slices, addends, split)(b)
+        assert meta.method == "schur" and factored == []
+        monkeypatch.setattr(sla, "SPLU_MIN_N", SLICE_FACTORS["splu"])
+        y, meta = sla.factorize(mat, slices, addends, split)(b)
         assert meta.method == "schur"
+        assert len(factored) == np.unique(slices[:split]).size + np.unique(slices[split:]).size
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(y, x, rtol=1e-9, atol=1e-11)
