@@ -11,20 +11,22 @@ four solves (``solve_s``).  ``path`` is the path that ran (``"schur"`` for
 the two-field Newton system), ``relres`` and ``lin_iters`` the relative
 residual and the GMRES iterations of the last solve.  One more, untimed
 factorization counts the entries the sweeps' slice factors store
-(``sweep_entries``: n^2 for a slice block of n unknowns that LAPACK factors
-densely, ``L.nnz + U.nnz`` for one that SuperLU factors), and
-``slice_factor`` names the factor that ran (``"dense"`` or ``"splu"``).
+(``sweep_entries``: the band storage ``(2 kl + ku + 1) n`` for a slice block
+of n unknowns that LAPACK's band LU factors, ``L.nnz + U.nnz`` for one that
+SuperLU factors), and ``slice_factor`` names the factor that ran
+(``"band"`` or ``"splu"``).
 Then ``newton_s`` times one ``solve_newton`` from the same start to
 perfbench's residual tolerance, taking ``newton_steps`` steps, and
 ``peak_rss_mb`` is the process's peak.
 
 Each rung runs in its own process, so its plan cache starts empty and the
 peak RSS is its own.  Each rung runs once with each slice factor, forced by
-setting ``sparse_linalg.SPLU_MIN_N`` above every slice block (``dense``) or
-to 1 (``splu``), except that 2D 32, 48 and 64 leave out the dense factor,
-which does not fit in memory there.  Each labelled entry also records the
-tree's ``src/`` line count.  From the repository root, once per source tree
-(rows are stored in BENCH_5.json under the label):
+setting ``sparse_linalg.BAND_MAX`` above every slice block's half-bandwidth
+(``band``) or to -1 (``splu``), except that 2D 48 and 64 leave out the band
+factor, which at half-bandwidth 95 and 127 stores several times SuperLU's
+fill there.  Each labelled entry also records the tree's ``src/`` line
+count.  From the repository root, once per source tree (rows are stored in
+BENCH_6.json under the label):
 
     PYTHONPATH=src python bench/ladder.py --label change
 
@@ -49,14 +51,14 @@ RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
          "1d-256-local": (1, 256, "local"), "1d-64-kernel": (1, 64, "kernel"),
          "1d-128-kernel": (1, 128, "kernel"), "2d-8-local": (2, 8, "local"),
          "2d-12-local": (2, 12, "local"), "2d-16-local": (2, 16, "local"),
-         "2d-24-local": (2, 24, "local"), "2d-32-local": (2, 32, "local"),
+         "2d-20-local": (2, 20, "local"), "2d-24-local": (2, 24, "local"), "2d-32-local": (2, 32, "local"),
          "2d-48-local": (2, 48, "local"), "2d-64-local": (2, 64, "local"),
-         "2d-16-kernel": (2, 16, "kernel"), "2d-24-kernel": (2, 24, "kernel"),
+         "2d-16-kernel": (2, 16, "kernel"), "2d-20-kernel": (2, 20, "kernel"),
+         "2d-24-kernel": (2, 24, "kernel"),
          "2d-32-kernel": (2, 32, "kernel"), "2d-48-kernel": (2, 48, "kernel"),
          "2d-64-kernel": (2, 64, "kernel")}
-PATHS = ("dense", "splu")  # the slice factors
-SPLU_ONLY = {"2d-32-local", "2d-48-local", "2d-64-local",  # no room for dense slice blocks
-             "2d-32-kernel", "2d-48-kernel", "2d-64-kernel"}
+PATHS = ("band", "splu")  # the slice factors
+SPLU_ONLY = {"2d-48-local", "2d-64-local", "2d-48-kernel", "2d-64-kernel"}  # bands too wide to store
 
 
 def rung(name: str, path: str | None = None) -> dict:
@@ -66,7 +68,7 @@ def rung(name: str, path: str | None = None) -> dict:
     from perfbench.workloads import KERNEL_SIGMA, RESIDUAL_TOL, newton_start
 
     if path:  # one rung, then exit
-        sla.SPLU_MIN_N = sys.maxsize if path == "dense" else 1
+        sla.BAND_MAX = sys.maxsize if path == "band" else -1
     dim, n, kind = RUNGS[name]
     grid = mn.GridSpec(dim=dim, nx=n, nt=n, horizon=1.0)
     if kind == "kernel":
@@ -102,11 +104,11 @@ def rung(name: str, path: str | None = None) -> dict:
     class CountedSweeps(sweeps):  # counts what the slice factors store, keeps none alive
         def __init__(self, *args):
             super().__init__(*args)
-            for steps in self.fields:
+            for _, steps in self.fields:
                 for _, lu, *_ in steps:
-                    dense = isinstance(lu, sla._DenseLU)
-                    counted.append((lu.lu.size if dense else lu.L.nnz + lu.U.nnz,
-                                    "dense" if dense else "splu"))
+                    band = isinstance(lu, sla._BandLU)
+                    counted.append((lu.lu.size if band else lu.L.nnz + lu.U.nnz,
+                                    "band" if band else "splu"))
 
     sla._Sweeps = CountedSweeps
     try:
@@ -134,7 +136,7 @@ def rung(name: str, path: str | None = None) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
     args = ap.parse_args()

@@ -9,9 +9,11 @@ that misses it gets one refinement step, then the solve raises.
 The unknowns ``[0, split)`` are the value field and ``[split, n)`` the
 density field, each in time order (one field if split is 0 or n).  A sweep
 solves one field's block slice by slice in time, the value field backward
-and the density field forward, each slice's diagonal block factored densely
-by LAPACK below ``SPLU_MIN_N`` unknowns and by SuperLU from there on.  One
-field is one sweep; two are solved by GMRES on the density Schur complement
+and the density field forward, in one reverse Cuthill-McKee order per field
+that keeps each slice's unknowns together.  In that order each slice's
+diagonal block is a band matrix, factored by LAPACK's band LU up to
+``BAND_MAX`` half-bandwidth and by SuperLU beyond it.  One field is one
+sweep; two are solved by GMRES on the density Schur complement
 ``S = A_mm - A_mu A_uu^-1 A_um``, preconditioned by the density sweep
 (Benzi, Golub & Liesen, Acta Numerica 2005; Achdou & Perez, NHM 2012).  The
 sweeps are planned once per sparsity pattern (``PLAN_CACHE``).
@@ -26,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import NoConvergenceError, SingularMatrixError
 
@@ -33,7 +36,7 @@ DIRECT_TOL = 1e-12
 PERMC_SPEC = "MMD_AT_PLUS_A"
 GMRES_RESTART = 50  # inner iterations between restarts
 GMRES_MAX_ITER = 5000  # restart cycles
-SPLU_MIN_N = 128  # a slice block's unknowns from which SuperLU factors it, not LAPACK's dense LU
+BAND_MAX = 39  # the RCM half-bandwidth up to which LAPACK's band LU factors a slice block, not SuperLU
 
 
 class SparseMatrix:
@@ -117,7 +120,7 @@ def _cached(a: sp.csr_matrix, slices: np.ndarray, split: int) -> _SweepPlan:
     for arr in (a.indptr, a.indices, slices):
         h.update(arr.dtype.str.encode())
         h.update(np.ascontiguousarray(arr).data)
-    key = (a.shape[0], a.nnz, h.digest(), split, SPLU_MIN_N)
+    key = (a.shape[0], a.nnz, h.digest(), split, BAND_MAX)
     plan = _PLANS.pop(key) if key in _PLANS else _SweepPlan(a, slices, split)
     _PLANS[key] = plan
     if len(_PLANS) > PLAN_CACHE:
@@ -129,22 +132,27 @@ class _SweepPlan:
     """Where the sweeps put each stored entry of a CSR pattern, for the fields
     ``[0, split)`` and ``[split, n)`` (one if split is 0 or n), each in time
     order with every coupling reading a later slice (a backward sweep) or
-    every one an earlier (forward); ValueError otherwise.  Per field: its
-    diagonal blocks' entries (CSC order), its couplings' entries, and per
-    slice in sweep order its id, range, its block's run and layout (the
-    column-major flat positions below ``SPLU_MIN_N`` unknowns, the CSC row
-    indices and column pointers from there on), its couplings' run, rows and
+    every one an earlier (forward); ValueError otherwise.  Each field is
+    renumbered by one reverse Cuthill-McKee ordering of its slice blocks'
+    graph (Cuthill & McKee 1969), stably sorted by slice: each component of
+    the graph lies in one slice, so every slice keeps its own RCM order.  Per
+    field, all in the new numbering: that order, its diagonal blocks' entries
+    (CSC order), its couplings' entries, and per slice in sweep order its id,
+    range, its block's run and layout (``(kl, ku, flat positions)`` in LAPACK
+    band storage, Fortran order, up to ``BAND_MAX`` half-bandwidth, the CSC
+    row indices and column pointers beyond), its couplings' run, rows and
     columns."""
 
     def __init__(self, a: sp.csr_matrix, slices: np.ndarray, split: int):
         n = a.shape[0]
         row = np.repeat(np.arange(n, dtype=np.int32), np.diff(a.indptr))
+        pos = np.empty(n, dtype=np.int32)  # each unknown's place in its field's new numbering
         self.fields = []
         for lo, hi in ((0, split), (split, n)) if 0 < split < n else ((0, n),):
             s = slices[lo:hi]
             if np.any(s[1:] < s[:-1]):
                 raise ValueError(f"unknowns {lo}..{hi - 1} do not run in time order")
-            bounds = np.r_[np.flatnonzero(np.r_[True, s[1:] != s[:-1]]), hi - lo].tolist()
+            bounds = np.r_[np.flatnonzero(np.r_[True, s[1:] != s[:-1]]), hi - lo]
             block = np.full(n, -1, dtype=np.int32)  # each unknown's slice in the field, or -1
             block[lo:hi] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
             br, bc = block[row], block[a.indices]
@@ -152,42 +160,55 @@ class _SweepPlan:
             later, earlier = inside & (bc > br), inside & (bc < br)
             if later.any() and earlier.any():
                 raise ValueError(f"unknowns {lo}..{hi - 1} read both earlier and later slices")
-            diag = np.flatnonzero(inside & (br == bc))
-            diag = diag[np.lexsort((row[diag], a.indices[diag]))]  # column-major, slice by slice
-            colptr = np.searchsorted(a.indices[diag], np.arange(lo, hi + 1)).tolist()
+            diag = np.flatnonzero(inside & (br == bc))  # row-major
+            graph = sp.csr_matrix((np.ones(diag.size), a.indices[diag] - lo,
+                                   np.searchsorted(row[diag], np.arange(lo, hi + 1))), shape=(hi - lo,) * 2)
+            order = reverse_cuthill_mckee(graph, symmetric_mode=False)
+            order = order[np.argsort(block[lo + order], kind="stable")]
+            pos[lo + order] = np.arange(hi - lo, dtype=np.int32)
+            first = bounds[:-1].astype(np.int32)  # each slice's first place; int32 like pos, for maximum.at
+            pr, pc = pos[row[diag]], pos[a.indices[diag]]
+            sort = np.lexsort((pr, pc))  # column-major, slice by slice
+            diag, pr, pc, sk = diag[sort], pr[sort], pc[sort], bc[diag[sort]]  # sk: each entry's slice
+            kl, ku = np.zeros_like(first), np.zeros_like(first)  # each slice's band
+            np.maximum.at(kl, sk, pr - pc)
+            np.maximum.at(ku, sk, pc - pr)
+            band = pr - pc + (kl + ku)[sk] + (2 * kl + ku + 1)[sk] * (pc - first[sk])
+            colptr = np.searchsorted(pc, np.arange(hi - lo + 1)).tolist()
             coupled = np.flatnonzero(later | earlier)  # row-major, slice by slice
-            rowptr = np.searchsorted(row[coupled], np.add(bounds, lo)).tolist()
+            rowptr = np.searchsorted(row[coupled], bounds + lo).tolist()
+            cr, cc = pos[row[coupled]] - first[br[coupled]], pos[a.indices[coupled]]
             parts = []
-            for k, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
-                d, c = diag[colptr[b0]:colptr[b1]], coupled[rowptr[k]:rowptr[k + 1]]
-                rows = row[d] - (lo + b0)
-                layout = (rows + (b1 - b0) * (a.indices[d] - (lo + b0)) if b1 - b0 < SPLU_MIN_N else
-                          (rows, np.subtract(colptr[b0:b1 + 1], colptr[b0], dtype=np.int32)))
-                parts.append((s[b0], slice(b0, b1), slice(colptr[b0], colptr[b1]), layout,
-                              slice(rowptr[k], rowptr[k + 1]), row[c] - (lo + b0), a.indices[c] - lo))
-            self.fields.append((diag, coupled, parts[::-1] if later.any() else parts))
+            for k, (b0, b1) in enumerate(zip(first.tolist(), bounds[1:].tolist())):
+                run, crun = slice(colptr[b0], colptr[b1]), slice(rowptr[k], rowptr[k + 1])
+                layout = ((int(kl[k]), int(ku[k]), band[run]) if max(kl[k], ku[k]) <= BAND_MAX
+                          else (pr[run] - b0, np.subtract(colptr[b0:b1 + 1], colptr[b0], dtype=np.int32)))
+                parts.append((s[b0], slice(b0, b1), run, layout, crun, cr[crun], cc[crun]))
+            self.fields.append((order, diag, coupled, parts[::-1] if later.any() else parts))
 
 
-class _DenseLU:
-    """LAPACK's LU of a dense slice block, with SuperLU's ``solve``."""
+class _BandLU:
+    """LAPACK's band LU of a slice block, with SuperLU's ``solve``."""
 
-    def __init__(self, block: np.ndarray, sid):
-        self.lu, self.piv, info = lapack.dgetrf(block, overwrite_a=True)
+    def __init__(self, values: np.ndarray, layout, n: int, sid):
+        self.kl, self.ku, at = layout
+        band = np.zeros((2 * self.kl + self.ku + 1) * n)
+        band[at] = values
+        self.lu, self.piv, info = lapack.dgbtrf(band.reshape(-1, n, order="F"), self.kl, self.ku, overwrite_ab=1)
         if info > 0:
             raise SingularMatrixError(f"exact zero pivot in time slice {sid}")
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        return lapack.dgetrs(self.lu, self.piv, y)[0]
+        return lapack.dgbtrs(self.lu, self.kl, self.ku, y, self.piv)[0]
 
 
 def _factor(values: np.ndarray, layout, n: int, sid):
     """Slice ``sid``'s n x n block factored from its values in the plan's
-    layout: a :class:`_DenseLU` from flat positions, SuperLU from CSC ones;
-    SingularMatrixError names the slice of an exactly singular block."""
-    if not isinstance(layout, tuple):
-        block = np.zeros(n * n)
-        block[layout] = values
-        return _DenseLU(block.reshape(n, n, order="F"), sid)
+    layout, a :class:`_BandLU` from ``(kl, ku, band positions)``, SuperLU from
+    ``(CSC rows, column pointers)``; a singular one raises SingularMatrixError
+    naming the slice."""
+    if len(layout) == 3:
+        return _BandLU(values, layout, n, sid)
     try:
         return spla.splu(sp.csc_matrix((values, *layout), shape=(n, n)), permc_spec=PERMC_SPEC)
     except RuntimeError as exc:
@@ -195,21 +216,25 @@ def _factor(values: np.ndarray, layout, n: int, sid):
 
 
 class _Sweeps:
-    """A plan's sweeps on ``data``: each slice block's factor, its couplings' values."""
+    """A plan's sweeps on ``data``: per field its order, and each slice
+    block's factor and its couplings' values."""
 
     def __init__(self, plan: _SweepPlan, data: np.ndarray):
         self.fields = []
-        for entries, coupled, parts in plan.fields:
+        for order, entries, coupled, parts in plan.fields:
             values, couplings = data[entries], data[coupled]
-            self.fields.append([(part, _factor(values[run], layout, part.stop - part.start, sid), r, c,
-                                 couplings[crun]) for sid, part, run, layout, crun, r, c in parts])
+            self.fields.append((order, [(part, _factor(values[run], layout, part.stop - part.start, sid), r, c,
+                                         couplings[crun]) for sid, part, run, layout, crun, r, c in parts]))
 
     def solve(self, f: int, b: np.ndarray) -> np.ndarray:
-        """Field f's block solved for ``b``, that field's part of a right-hand side."""
-        x = np.empty_like(b)
-        for part, lu, r, c, v in self.fields[f]:
+        """Field f's block solved for ``b``, that field's part of a right-hand
+        side, permuted into the plan's order once and back once."""
+        order, steps = self.fields[f]
+        b, x = b[order], np.empty_like(b)
+        for part, lu, r, c, v in steps:
             x[part] = lu.solve(b[part] - np.bincount(r, v * x[c], minlength=part.stop - part.start))
-        return x
+        b[order] = x
+        return b
 
 
 def _checked(a, dense, solve, method: str):

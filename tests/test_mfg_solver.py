@@ -1,5 +1,4 @@
 import inspect
-import sys
 
 import numpy as np
 import pytest
@@ -550,13 +549,13 @@ class TestNewtonSystem:
 
 class TestDirectVsIterativeOnNewtonSystem:
     def test_agreement(self, monkeypatch):
-        # the slice blocks as LAPACK's dense LUs, then with the size
-        # constant at 1 as SuperLU's
+        # the slice blocks as LAPACK's band LUs, then with the half-bandwidth
+        # constant at -1 as SuperLU's
         p, exact = manufactured(nx=32, nt=32)
         init = diag.perturbed_state(exact, 1e-2)
         system, _ = solver.newton_system(p, init)
         xd = sla.solve(system)
-        monkeypatch.setattr(sla, "SPLU_MIN_N", 1)
+        monkeypatch.setattr(sla, "BAND_MAX", -1)
         xi = sla.solve(system)
         assert np.linalg.norm(xd - xi) / np.linalg.norm(xd) <= 1e-8
 
@@ -656,15 +655,25 @@ class TestNewtonSlices:
         for call in factorizations:
             a, slices, split = call["a"], call["slices"], call.get("split", 0)
             plan = sla._SweepPlan(a, slices, split)
-            ids = [[part[0] for part in parts] for _, _, parts in plan.fields]
+            ids = [[part[0] for part in parts] for *_, parts in plan.fields]
             if case == "picard":  # the value block, or the density block: one field
                 assert split in (0, a.shape[0]) and ids in ([value], [density])
             else:
                 assert ids == [value, density] and np.all(slices[split:] > 0)
-            for lo, (_, _, parts) in zip((0, split) if len(ids) == 2 else (0,), plan.fields):
+            for lo, (*_, parts) in zip((0, split) if len(ids) == 2 else (0,), plan.fields):
                 for before, part in zip(parts, parts[1:]):
                     assert np.all(slices[lo + part[-1]] == before[0])
                 assert parts[0][-1].size == 0  # the first slice swept reads none
+
+    def test_order_keeps_slices_and_narrows_the_1d_band(self):
+        # each field's order permutes unknowns within their slices only, and
+        # every 1D 64 slice block (periodic tridiagonal) has half-bandwidth 2
+        p, exact = manufactured(nx=64, nt=8)
+        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        plan, split = sla._SweepPlan(system.matrix, system.slices, system.split), system.split
+        for part, (order, _, _, parts) in zip((slice(0, split), slice(split, None)), plan.fields):
+            assert np.array_equal(system.slices[part][order], system.slices[part])
+            assert {layout[:2] for _, _, _, layout, *_ in parts} == {(2, 2)}
 
     def test_kernel_blocks_stay_out_of_the_csr(self):
         # the CSR keeps the stencils only (7 entries in a row here, 20 when
@@ -716,8 +725,8 @@ class TestNewtonSlices:
 
 
 class TestSweepPath:
-    """From ``SPLU_MIN_N`` unknowns of one field in one slice (n = 128 in 1D
-    128) SuperLU factors the slice blocks, below it LAPACK's dense LU, to the
+    """Up to ``BAND_MAX`` half-bandwidth in the plan's order (2 in 1D, at any
+    n) LAPACK's band LU factors the slice blocks, beyond it SuperLU, to the
     same solutions: Newton's two-field systems by GMRES on the density Schur
     complement, Picard's one-field blocks by one sweep."""
 
@@ -735,14 +744,14 @@ class TestSweepPath:
         return recorded
 
     def test_newton_takes_the_schur_path_in_the_block_lus_steps(self, metas, monkeypatch):
-        # the same steps, and the same solution, with every slice factored densely
+        # the same steps, and the same solution, with every slice factored by SuperLU
         p, exact = manufactured(nx=128, nt=8)
         start, cfg = diag.perturbed_state(exact, 1e-2), solver.NewtonConfig(residual_tol=1e-10)
         final, history = solver.solve_newton(p, start, cfg)
         assert len(metas) == len(history) - 1 >= 3
         assert all(m.method == "schur" and m.iterations > 0 and m.residual_norm <= sla.DIRECT_TOL
                    for m in metas)
-        monkeypatch.setattr(sla, "SPLU_MIN_N", sys.maxsize)
+        monkeypatch.setattr(sla, "BAND_MAX", -1)
         forced, forced_history = solver.solve_newton(p, start, cfg)
         assert metas[-1].method == "schur"
         assert len(forced_history) == len(history)
@@ -760,24 +769,25 @@ class TestSweepPath:
 
     def test_linearized_solver_factors_its_sweeps_once(self, monkeypatch):
         p, exact = manufactured(nx=128, nt=8)
-        factored, splu = [], sla.spla.splu
+        factored, dgbtrf = [], sla.lapack.dgbtrf
 
-        def counting(*args, **kwargs):
-            factored.append(args[0].shape)
-            return splu(*args, **kwargs)
+        def counting(ab, kl, ku, **kwargs):
+            factored.append((ab.shape[1], kl, ku))
+            return dgbtrf(ab, kl, ku, **kwargs)
 
-        monkeypatch.setattr(sla.spla, "splu", counting)
+        monkeypatch.setattr(sla.lapack, "dgbtrf", counting)
         solve = solver.linearized_solver(p, exact)
-        # u on slices 0..nt-1 and m on 1..nt, one factor of 128 unknowns each
-        assert factored == [(128, 128)] * 2 * p.grid.nt
+        # u on slices 0..nt-1 and m on 1..nt, one band factor of 128
+        # unknowns each, of half-bandwidth 2
+        assert factored == [(128, 2, 2)] * 2 * p.grid.nt
         draws = [diag.random_smooth_data(p.grid, seed=seed) for seed in range(3)]
         solved = [solve(a, b) for a, b in draws]
         assert len(factored) == 2 * p.grid.nt
-        monkeypatch.setattr(sla, "SPLU_MIN_N", sys.maxsize)  # every slice factored densely
-        dense = solver.linearized_solver(p, exact)
+        monkeypatch.setattr(sla, "BAND_MAX", -1)  # every slice factored by SuperLU
+        splu = solver.linearized_solver(p, exact)
         assert len(factored) == 2 * p.grid.nt
         for (a, b), (v, rho) in zip(draws, solved):
-            v_lu, rho_lu = dense(a, b)
+            v_lu, rho_lu = splu(a, b)
             assert np.abs(v.values - v_lu.values).max() <= 1e-10
             assert np.abs(rho.values - rho_lu.values).max() <= 1e-10
 
@@ -819,10 +829,11 @@ class TestSolveFixedPoint:
 
     def test_linear_solve_failure_reports_iterate(self, monkeypatch):
         # Picard's inner solves are one-field sweeps, with no GMRES to run
-        # out: a slice block whose dense LU meets an exact zero pivot (its
+        # out: a slice block whose band LU meets an exact zero pivot (its
         # entries all zeroed here) fails the first step
-        dgetrf = sla.lapack.dgetrf
-        monkeypatch.setattr(sla.lapack, "dgetrf", lambda a, **kwargs: dgetrf(np.zeros_like(a), **kwargs))
+        dgbtrf = sla.lapack.dgbtrf
+        monkeypatch.setattr(sla.lapack, "dgbtrf",
+                            lambda ab, kl, ku, **kwargs: dgbtrf(np.zeros_like(ab), kl, ku, **kwargs))
         p, exact = manufactured(nx=16, nt=8)
         init = diag.perturbed_state(exact, 1e-2)
         cfg = solver.NewtonConfig(residual_tol=1e-9)

@@ -46,7 +46,7 @@ def one_slice(mat):
     return np.zeros(mat.shape[0], dtype=int)
 
 
-SLICE_FACTORS = {"dense": sys.maxsize, "splu": 1}  # SPLU_MIN_N that forces each slice factor
+SLICE_FACTORS = {"band": sys.maxsize, "splu": -1}  # BAND_MAX that forces each slice factor
 
 
 def assert_csr_invariants(mat):
@@ -146,13 +146,14 @@ class TestSolve:
             sla.solve(sla.LinearSystem(mat, np.ones(n), one_slice(mat)))
 
     # the ids keep the names of the two linear methods, which once chose
-    # between a dense factor and SuperLU; each now forces that slice factor
-    @pytest.mark.parametrize("splu_min_n", [pytest.param(SLICE_FACTORS["dense"], id="direct"),
-                                            pytest.param(SLICE_FACTORS["splu"], id="iterative")])
-    def test_zero_diagonal_forces_pivoting(self, monkeypatch, splu_min_n):
+    # between a dense factor and SuperLU; each now forces a slice factor,
+    # LAPACK's band LU or SuperLU
+    @pytest.mark.parametrize("band_max", [pytest.param(SLICE_FACTORS["band"], id="direct"),
+                                          pytest.param(SLICE_FACTORS["splu"], id="iterative")])
+    def test_zero_diagonal_forces_pivoting(self, monkeypatch, band_max):
         # nonsymmetric, with every diagonal entry zero: no factorization
         # without row exchanges exists
-        monkeypatch.setattr(sla, "SPLU_MIN_N", splu_min_n)
+        monkeypatch.setattr(sla, "BAND_MAX", band_max)
         n = 40
         rng = np.random.default_rng(1)
         i = np.arange(n)
@@ -187,13 +188,14 @@ class TestSolve:
             sla.LinearSystem(mat, np.ones(9), one_slice(mat))
 
     def test_iterative_matches_direct(self, monkeypatch):
-        # one slice of 64 unknowns: one sweep of LAPACK's dense LU, and with
-        # the size constant at 1 one sweep of SuperLU's, neither with GMRES
+        # one slice of 64 unknowns: one sweep of LAPACK's band LU, and with
+        # the half-bandwidth constant at -1 one sweep of SuperLU's, neither
+        # with GMRES
         nx = 64
         mat = periodic_minus_lap_plus_identity(nx)
         b = np.cos(2 * np.pi * np.arange(nx) / nx)
         xd = sla.solve(sla.LinearSystem(mat, b, one_slice(mat)))
-        monkeypatch.setattr(sla, "SPLU_MIN_N", SLICE_FACTORS["splu"])
+        monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
         sys = sla.LinearSystem(mat, b, one_slice(mat))
         xi = sla.solve(sys)
         assert sys.meta.method == "sweep"
@@ -278,12 +280,13 @@ class TestSliceLU:
         with pytest.raises(ValueError, match="do not run in time order"):
             sla.factorize(permuted(mat, dense, perm)[0], ids[perm])
 
-    def test_single_slice_is_dense_lu(self):
+    def test_single_slice_is_band_lu(self):
         mat, dense, _ = random_block_tridiagonal((4, 4, 4), seed=6, density=1.0)
         b = np.arange(mat.shape[0], dtype=float)
         sweeps = sla._Sweeps(sla._SweepPlan(mat, one_slice(mat), 0), mat.data)
-        [[(part, lu, _, _, _)]] = sweeps.fields  # one field of one slice
-        assert part == slice(0, 12) and isinstance(lu, sla._DenseLU) and lu.lu.shape == (12, 12)
+        [(_, [(part, lu, _, _, _)])] = sweeps.fields  # one field of one slice
+        assert part == slice(0, 12) and isinstance(lu, sla._BandLU)
+        assert lu.lu.shape == (2 * lu.kl + lu.ku + 1, 12) and max(lu.kl, lu.ku) < 12
         x, _ = sla.factorize(mat, one_slice(mat))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10)
 
@@ -318,9 +321,30 @@ class TestSliceLU:
             4, 4, [0, 1, 2, 2, 2, 3, 3], [0, 1, 0, 2, 3, 2, 3], np.ones(7))
         with pytest.raises(SingularMatrixError, match="^exact zero pivot in time slice 1$"):
             sla.factorize(mat, np.array([0, 0, 1, 1]))
-        monkeypatch.setattr(sla, "SPLU_MIN_N", SLICE_FACTORS["splu"])
+        monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
         with pytest.raises(SingularMatrixError, match="^exactly singular block in time slice 1$"):
             sla.factorize(mat, np.array([0, 0, 1, 1]))
+
+    def test_singular_band_block_names_its_slice(self, monkeypatch):
+        # three periodic tridiagonal slice blocks of 16, each slice reading
+        # the next; slice 2's block lacks column 5, so its band LU finds no
+        # nonzero pivot in that column, whatever the ordering
+        nx, i = 16, np.arange(16)
+        dense = np.kron(np.eye(3, k=1), -np.eye(nx))
+        for k in range(3):
+            dense[k * nx + i, k * nx + i] = 4.0
+            dense[k * nx + i, k * nx + (i + 1) % nx] = dense[k * nx + i, k * nx + (i - 1) % nx] = -1.0
+        dense[2 * nx:, 2 * nx + 5] = 0.0
+        r, c = np.nonzero(dense)
+        mat = sla.SparseMatrix.from_triplets(3 * nx, 3 * nx, r, c, dense[r, c])
+        slices = np.repeat(np.arange(3), nx)
+        [(_, _, _, parts)] = sla._SweepPlan(mat, slices, 0).fields
+        assert [len(layout) for _, _, _, layout, *_ in parts] == [3, 3, 3]  # band layouts
+        with pytest.raises(SingularMatrixError, match="^exact zero pivot in time slice 2$"):
+            sla.factorize(mat, slices)
+        monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
+        with pytest.raises(SingularMatrixError, match="^exactly singular block in time slice 2$"):
+            sla.factorize(mat, slices)
 
 
 class TestPlanCache:
@@ -418,8 +442,8 @@ def two_field(n_u, n_m, seed, aligned=True, holes=0.0, addends=False, density=0.
 def stored(sweeps):
     """Every array and index that sweeps keep for their slices, in order."""
     def flat(x):
-        if isinstance(x, sla._DenseLU):
-            return [x.lu, x.piv]
+        if isinstance(x, sla._BandLU):
+            return [x.lu, x.piv, x.kl, x.ku]
         return [y for part in x for y in flat(part)] if isinstance(x, (tuple, list)) else [x]
     return flat(sweeps.fields)
 
@@ -445,19 +469,21 @@ class TestTwoLevel:
         mat, dense, slices, added = two_field(n_u, n_m, seed=sum(n_u), aligned=aligned,
                                               holes=holes, addends=addends)
         plan = sla._SweepPlan(mat, slices, sum(n_u))
-        assert [[part[0] for part in parts] for _, _, parts in plan.fields] == \
+        assert [[part[0] for part in parts] for *_, parts in plan.fields] == \
             [[k for k in reversed(range(len(n_u))) if n_u[k]], [k for k in range(len(n_m)) if n_m[k]]]
         b = np.random.default_rng(1).standard_normal(mat.shape[0])
         x, meta = sla.factorize(mat, slices, added, sum(n_u))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.method == "schur" and meta.residual_norm <= sla.DIRECT_TOL
 
-    def test_stores_three_quarters_of_a_dense_slice(self):
-        # each field's slice block is one dense n x n LU: a slice holding
-        # both fields stores 2 n^2 entries, half its dense 4 n^2
+    def test_each_field_slice_is_one_band_lu(self):
+        # each field's slice block is one band LU of its n unknowns, in
+        # LAPACK's band storage of 2 kl + ku + 1 rows
         mat, _, slices, _ = two_field((8, 8, 8), (0, 8, 8), seed=2)
         sweeps = sla._Sweeps(sla._SweepPlan(mat, slices, 24), mat.data)
-        assert [lu.lu.shape for steps in sweeps.fields for _, lu, *_ in steps] == [(8, 8)] * 5
+        lus = [lu for _, steps in sweeps.fields for _, lu, *_ in steps]
+        assert len(lus) == 5 and all(isinstance(lu, sla._BandLU) for lu in lus)
+        assert [lu.lu.shape for lu in lus] == [(2 * lu.kl + lu.ku + 1, 8) for lu in lus]
 
     def test_refactor_matches_fresh_plan_bitwise(self, plan_builds):
         mat, _, slices, added = two_field((6, 6, 6, 6), (0, 6, 6, 6), seed=3, holes=0.3, addends=True)
@@ -520,7 +546,7 @@ class TestDenseAddends:
         x, meta = sla.factorize(mat, slices, addends, 20)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.residual_norm <= sla.DIRECT_TOL
-        monkeypatch.setattr(sla, "SPLU_MIN_N", SLICE_FACTORS["splu"])
+        monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
         xi = sla.solve(sla.LinearSystem(mat, b, slices, addends, 20))
         np.testing.assert_allclose(xi, x, rtol=1e-9, atol=1e-11)
 
@@ -600,24 +626,26 @@ def random_two_field(seed):
 class TestSweep:
     def test_random_patterns_match_dense_solve(self, monkeypatch):
         # each field of every pattern swept alone, by both slice factors,
-        # against a dense solve of its block; the sweeps must reach each
-        # feature of the patterns the solver builds
-        seen = dict.fromkeys(["backward", "forward", "couplings", "dense", "splu", "ids with gaps"], 0)
+        # against a dense solve of its block and against each other; the
+        # sweeps must reach each feature of the patterns the solver builds,
+        # and each field's order must keep every unknown in its slice
+        seen = dict.fromkeys(["backward", "forward", "couplings", "band", "splu", "ids with gaps"], 0)
         for seed in range(200):
             mat, dense, slices, _, split = random_two_field(seed)
             fields = [f for f in (slice(0, split), slice(split, mat.shape[0])) if f.start < f.stop]
-            for _, coupled, parts in sla._SweepPlan(mat, slices, split).fields:
+            for part, (order, _, coupled, parts) in zip(fields, sla._SweepPlan(mat, slices, split).fields):
+                assert np.array_equal(slices[part][order], slices[part]), seed
                 seen["backward"] += parts[0][0] > parts[-1][0]
                 seen["forward"] += parts[0][0] < parts[-1][0]
                 seen["couplings"] += coupled.size > 0
             seen["ids with gaps"] += bool(np.diff(np.unique(slices)).max(initial=1) > 1)
             b = np.random.default_rng(seed).standard_normal(mat.shape[0])
             solved = []
-            for name, splu_min_n in SLICE_FACTORS.items():
-                monkeypatch.setattr(sla, "SPLU_MIN_N", splu_min_n)  # the plan picks each slice's layout
+            for name, band_max in SLICE_FACTORS.items():
+                monkeypatch.setattr(sla, "BAND_MAX", band_max)  # the plan picks each slice's layout
                 sweeps = sla._Sweeps(sla._SweepPlan(mat, slices, split), mat.data)
-                assert all(isinstance(step[1], sla._DenseLU) == (name == "dense")
-                           for steps in sweeps.fields for step in steps), seed
+                assert all(isinstance(step[1], sla._BandLU) == (name == "band")
+                           for _, steps in sweeps.fields for step in steps), seed
                 seen[name] += 1
                 solved.append(np.concatenate([sweeps.solve(f, b[part]) for f, part in enumerate(fields)]))
                 for part in fields:
@@ -640,9 +668,11 @@ class TestSchur:
             seen["addends"] += bool(addends)
             seen["ids with gaps"] += bool(np.diff(np.unique(slices)).max(initial=1) > 1)
             b = np.random.default_rng(seed).standard_normal(mat.shape[0])
-            for name, splu_min_n in SLICE_FACTORS.items():
-                monkeypatch.setattr(sla, "SPLU_MIN_N", splu_min_n)
+            solved = []
+            for name, band_max in SLICE_FACTORS.items():
+                monkeypatch.setattr(sla, "BAND_MAX", band_max)
                 x, meta = sla.factorize(mat, slices, addends, split)(b)
+                solved.append(x)
                 np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11,
                                            err_msg=f"seed {seed}, {name}")
                 assert meta.residual_norm <= sla.DIRECT_TOL, seed
@@ -655,6 +685,7 @@ class TestSchur:
                         np.testing.assert_allclose(y, np.linalg.solve(dense[field, field], b[field]),
                                                    rtol=1e-10, atol=1e-12, err_msg=f"seed {seed}, {name}")
                         assert meta.method == "sweep" and meta.iterations == 0, seed
+            np.testing.assert_allclose(*solved, rtol=1e-9, atol=1e-11, err_msg=f"seed {seed}")
         assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("slice_major, match", [
@@ -704,8 +735,9 @@ class TestSchur:
         assert calls == [15, 15]  # the solve and its refinement, each on S's 15 unknowns
 
     def test_direct_sweeps_from_sweep_min_n(self, monkeypatch):
-        # slice blocks below SPLU_MIN_N unknowns are LAPACK's dense LUs; from
-        # it on SuperLU factors them, here every one, to the same solution
+        # slice blocks up to BAND_MAX half-bandwidth are LAPACK's band LUs,
+        # and SuperLU factors none; beyond it SuperLU factors them, here
+        # every one, to the same solution
         mat, dense, slices, addends, split = random_two_field(3)
         b = np.random.default_rng(26).standard_normal(mat.shape[0])
         factored, splu = [], sla.spla.splu
@@ -717,7 +749,7 @@ class TestSchur:
         monkeypatch.setattr(sla.spla, "splu", counting)
         x, meta = sla.factorize(mat, slices, addends, split)(b)
         assert meta.method == "schur" and factored == []
-        monkeypatch.setattr(sla, "SPLU_MIN_N", SLICE_FACTORS["splu"])
+        monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
         y, meta = sla.factorize(mat, slices, addends, split)(b)
         assert meta.method == "schur"
         assert len(factored) == np.unique(slices[:split]).size + np.unique(slices[split:]).size
