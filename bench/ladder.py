@@ -1,8 +1,9 @@
 """Grid ladder for the linear solves of the Newton system.
 
 For the seed-0 benchmark start on each rung, assemble the masked Newton
-system four times (``assembly_s``: the median ``newton_system`` time of the
-three repeats; the first call also builds the grid's stencils), then factor
+system four times (``assembly_first_s``: the first ``newton_system`` call,
+which also plans the grid's pattern and map and the mask's index;
+``assembly_s``: the median of the three repeats), then factor
 and solve it four times through ``sparse_linalg.factorize``: the
 ``factorize`` time of the first call (``factor_first_s``: the pattern's plan
 is built, then the numeric factorization runs), the median of the three
@@ -26,9 +27,18 @@ setting ``sparse_linalg.BAND_MAX`` above every slice block's half-bandwidth
 factor, which at half-bandwidth 95 and 127 stores several times SuperLU's
 fill there.  Each labelled entry also records the tree's ``src/`` line
 count.  From the repository root, once per source tree (rows are stored in
-BENCH_6.json under the label):
+BENCH_7.json under the label):
 
-    PYTHONPATH=src python bench/ladder.py --label change
+    python bench/ladder.py --label change
+
+``--against TREE`` runs each rung ``--repeats`` times (5 by default) with
+the slice factor ``sparse_linalg`` chooses, alternately measuring the
+package of this tree and the one under ``TREE/src`` with this script, and
+which tree goes first alternates too; the entry stores every run and, per
+tree and rung, the median of each numeric column, under ``this`` and
+``against``:
+
+    python bench/ladder.py --label repeats --against ../parent
 
 ``--rung NAME`` runs one rung in this process with the slice factor
 ``sparse_linalg`` chooses, or with the one ``--path`` names, and prints its
@@ -83,8 +93,8 @@ def rung(name: str, path: str | None = None) -> dict:
         t0 = time.perf_counter()
         system, _ = mn.newton_system(problem, start)
         assembly.append(time.perf_counter() - t0)
-    row = {"rung": name, "path": None, "unknowns": system.matrix.shape[0],
-           "jac_nnz": system.matrix.nnz, "assembly_s": statistics.median(assembly[1:])}
+    row = {"rung": name, "path": None, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
+           "assembly_first_s": assembly[0], "assembly_s": statistics.median(assembly[1:])}
     args = (system.matrix, system.slices, system.dense)
     factor_s, solve_s = [], []
     try:
@@ -133,26 +143,57 @@ def rung(name: str, path: str | None = None) -> dict:
     return row
 
 
+def run(name: str, path: str | None = None, tree: Path = ROOT) -> dict:
+    """One rung's row from its own process, measuring the package under ``tree/src``."""
+    cmd = [sys.executable, __file__, "--label", "-", "--rung", name, *(["--path", path] if path else [])]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    row = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True, env=env).stdout)
+    print(row, file=sys.stderr)
+    return row
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(f.read_text().splitlines()) for f in (tree / "src").rglob("*.py"))
+
+
+def median_row(rows: list) -> dict:
+    """Per column, the median of the rows' numbers, else the first row's value."""
+    return {k: statistics.median(r[k] for r in rows)
+            if all(isinstance(r.get(k), (int, float)) for r in rows) else v
+            for k, v in rows[0].items()}
+
+
+def interleaved(against: Path, repeats: int) -> dict:
+    """Every rung ``repeats`` times in each tree, the trees alternating."""
+    trees = {"this": ROOT, "against": against}
+    runs = {tree: {name: [] for name in RUNGS} for tree in trees}
+    for name in RUNGS:
+        for k in range(repeats):
+            for tree in ("this", "against")[::1 if k % 2 == 0 else -1]:
+                runs[tree][name].append(run(name, tree=trees[tree]))
+    return {"cpus": os.cpu_count(), "repeats": repeats, "src_lines": {t: src_lines(p) for t, p in trees.items()},
+            "medians": {t: [median_row(rows) for rows in runs[t].values()] for t in trees}, "runs": runs}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
+    ap.add_argument("--against", type=Path, help="a second source tree, run interleaved with this one")
+    ap.add_argument("--repeats", type=int, default=5, help="runs of each rung per tree with --against")
     args = ap.parse_args()
     if args.rung:
         return print(json.dumps(rung(args.rung, args.path)))
-    rows = []
-    for name in RUNGS:
-        for path in PATHS[1:] if name in SPLU_ONLY else PATHS:
-            cmd = [sys.executable, __file__, "--label", args.label, "--rung", name, "--path", path]
-            rows.append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
-                                                  text=True).stdout))
-            print(rows[-1], file=sys.stderr)
+    if args.against:
+        entry = interleaved(args.against.resolve(), args.repeats)
+    else:
+        rows = [run(name, path) for name in RUNGS for path in (PATHS[1:] if name in SPLU_ONLY else PATHS)]
+        entry = {"cpus": os.cpu_count(), "src_lines": src_lines(ROOT), "rows": rows}
     path = Path(args.out)
     bench = json.loads(path.read_text()) if path.exists() else {}
-    src_lines = sum(len(f.read_text().splitlines()) for f in (ROOT / "src").rglob("*.py"))
-    bench[args.label] = {"cpus": os.cpu_count(), "src_lines": src_lines, "rows": rows}
+    bench[args.label] = entry
     path.write_text(json.dumps(bench, indent=1) + "\n")
 
 

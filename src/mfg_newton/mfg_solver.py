@@ -14,21 +14,29 @@ same time node as the unknown it multiplies, so the assembled Jacobian of the
 discrete residual is exactly the discrete linearized system; one solve of it
 per iteration by ``sparse_linalg``, exact to round-off, is a Newton step.
 
-The Jacobian is assembled once per state on the full unknown vector
-[u_0..u_nt, m_0..m_nt], both boundary rows included, each block family for
-all time slices at once.  The local and kernel variants differ only in the
-coupling's values and blocks, which ``coupling.py`` supplies through one
-interface: a diagonal -f'(m), kept in the CSR, or dense blocks -conv_f and
--conv_g (one array in all when g is f), kept out of it as value-density blocks.
-Before a solve, one boolean mask marks the known boundary slices, m(0)
-always and u(T) unless the coupling derives it: their rows are identity rows,
-so their values are known, and their columns times those values move to the
-right-hand side.  Newton, the two inner solves of the fixed-point baseline
-and the linearized stability probe all solve masked blocks of this matrix,
-and ``_eliminate`` is their one way into ``sparse_linalg``: it drops the
-masked rows and columns, tags each free unknown with its time slice and
-records where the density field starts.  The probe's boundary data are
-zero, so its draws reuse one set of sweep factors as they are.
+The Jacobian lives on the full unknown vector [u_0..u_nt, m_0..m_nt], both
+boundary rows included, and its sparsity pattern depends on the grid only.
+The first time a grid is assembled, ``_stencils`` plans that pattern once,
+with one sparse map from a state's coefficient fields (H_p per axis,
+H_m - f'(m), m H_pp and the drift per axis, on every node) to the stored
+values; a state's Jacobian is then one sparse product, as PETSc reuses a
+fixed nonzero structure (``SAME_NONZERO_PATTERN``, Balay et al., PETSc Users
+Manual).  The local and kernel variants differ only in the coupling's
+values and blocks, which ``coupling.py`` supplies through one interface: a
+diagonal -f'(m), kept in the CSR, or dense blocks -conv_f and -conv_g (one
+array in all when g is f), kept out of it as value-density blocks.
+Before a solve, one boolean mask marks the known unknowns: m(0) always and
+u(T) unless the coupling derives it, and for the fixed-point baseline's two
+inner solves the frozen field too.  Their rows are identity rows, so their
+values are known, and their columns times those values move to the
+right-hand side.  Newton, those inner solves and the linearized stability
+probe all go through ``_eliminate`` into ``sparse_linalg``: per mask it
+indexes once which stored entries the system keeps, in its own numbering,
+which move to the right-hand side, each free unknown's time slice and
+where the density field starts.  An entry that comes out exactly 0 is not
+stored, nor is the um diagonal when its field is 0 everywhere.  The probe's
+boundary data are zero, so its draws reuse one set of sweep factors as
+they are.
 """
 
 from __future__ import annotations
@@ -166,9 +174,14 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
     the forward equation on slices 1..nt.  Raises DomainError naming a field
     that is not finite.
     """
-    grid = p.grid
     u, m = s.u.values, s.m.values
-    b = _bundle(p, u, m)
+    r_u, r_m = _residual(p, u, m, _bundle(p, u, m))
+    return tg.Field(p.grid, r_u), tg.Field(p.grid, r_m)
+
+
+def _residual(p: ProblemSpec, u: np.ndarray, m: np.ndarray, b: ham.HamiltonianBundle):
+    """The arrays of :func:`residual` at (u, m), given its bundle ``b``."""
+    grid = p.grid
     r_u = _value_residual(p, u, b, *_coupling_values(p, m))
 
     r_m = np.empty_like(m)
@@ -182,41 +195,128 @@ def residual(p: ProblemSpec, s: SolverState) -> tuple[tg.Field, tg.Field]:
     for name, r in (("r_u", r_u), ("r_m", r_m)):
         if not np.all(np.isfinite(r)):
             raise DomainError(f"residual {name} is not finite")
-    return tg.Field(grid, r_u), tg.Field(grid, r_m)
+    return r_u, r_m
 
 
 # -- space-time Jacobian ---------------------------------------------------------
 
 class _Stencils:
-    """Stencils of one grid acting on all nt+1 stacked slices of a field,
-    from the 1D periodic shift S, (S x)_i = x_i+1: the centred difference
-    (S - S^T)/(2dx) and the Laplacian (S + S^T - 2I)/dx^2, each placed on
-    its axis of every slice by Kronecker products with identities."""
+    """The Jacobian's sparsity pattern on one grid, planned once, and the map
+    from a state's coefficient fields to its stored values.
+
+    The pattern covers the full unknown vector [u_0..u_nt, m_0..m_nt], both
+    boundary rows included, in canonical CSR (``indptr``, ``indices``).
+    Every stored value is linear in the coefficient fields, each given on
+    every node of the space-time grid: H_p per axis (the uu block's drift),
+    H_m - f'(m) (the um diagonal), m H_pp (the mu block's flux) and the
+    drift per axis (the mm block's transport), then a 1 that carries the
+    constant time, Laplacian and identity entries.  ``map`` holds that
+    linear map, one row per stored entry, so a state's values are
+    ``map @ coefficients(...)``.  The terms come from the 1D periodic shift
+    S, (S x)_i = x_i+1: the centred difference (S - S^T)/(2dx) and the
+    Laplacian (S + S^T - 2I)/dx^2, placed on their axis of every slice by
+    Kronecker products with identities.  The backward rows k < nt carry the
+    drift and the um diagonal, the forward rows k >= 1 the flux and the
+    transport.
+    """
 
     def __init__(self, grid: tg.GridSpec):
-        n, nt, eye1 = grid.n_space, grid.nt, sp.identity(grid.nx)
+        n, nt, dim = grid.n_space, grid.nt, grid.dim
+        self.grid, nodes = grid, (nt + 1) * n
+        self.nodes = nodes
+        eye1 = sp.identity(grid.nx)
         shift = sp.eye(grid.nx, k=1) + sp.eye(grid.nx, k=1 - grid.nx)
 
         def on_axis(op, a):  # kron(I_nt+1, I, .., op at axis a, .., I)
             return reduce(lambda x, y: sp.kron(x, y, format="csr"),
-                          [op if b == a else eye1 for b in range(grid.dim)], sp.identity(nt + 1))
+                          [op if b == a else eye1 for b in range(dim)], sp.identity(nt + 1))
 
-        self.diff = [on_axis((shift - shift.T) / (2.0 * grid.dx), a) for a in range(grid.dim)]
-        lap = sum(on_axis((shift + shift.T - 2.0 * eye1) / grid.dx**2, a) for a in range(grid.dim))
+        diff = [on_axis((shift - shift.T) / (2.0 * grid.dx), a) for a in range(dim)]
+        lap = sum(on_axis((shift + shift.T - 2.0 * eye1) / grid.dx**2, a) for a in range(dim))
         t = np.repeat(np.arange(nt + 1), n)
         self.last = t == nt    # the u(T) slice
         self.first = t == 0    # the m(0) slice
-        self.u_rows = (t < nt).astype(float)  # backward-equation rows
-        self.m_rows = (t > 0).astype(float)   # forward-equation rows
-        inv_dt = 1.0 / grid.dt
-        ones = np.ones(nt)
+        inv_dt, ones, eye = 1.0 / grid.dt, np.ones(nt), sp.identity(n, format="csr")
         # (u_k - u_{k+1})/dt on rows k < nt, and the terminal row u_nt
         back = sp.diags([np.append(inv_dt * ones, 1.0), -inv_dt * ones], [0, 1])
         # the initial row m_0, and (m_k - m_{k-1})/dt on rows k >= 1
         fwd = sp.diags([np.append(1.0, inv_dt * ones), -inv_dt * ones], [0, -1])
-        eye = sp.identity(n, format="csr")
-        self.uu = sp.kron(back, eye, format="csr") - sp.diags(self.u_rows) @ lap
-        self.mm = sp.kron(fwd, eye, format="csr") - sp.diags(self.m_rows) @ lap
+        one, um, mu, drift = (2 * dim + 2) * nodes, dim * nodes, (dim + 1) * nodes, (dim + 2) * nodes
+        const_u = (sp.kron(back, eye) - sp.diags((t < nt).astype(float)) @ lap).tocoo()
+        const_m = (sp.kron(fwd, eye) - sp.diags((t > 0).astype(float)) @ lap).tocoo()
+        lap = None
+
+        def value_terms():  # (rows, columns, coefficients, weights) of the u rows
+            yield const_u.row, const_u.col, one, const_u.data
+            for a, d in enumerate(diff):
+                c = d.tocoo()
+                keep = t[c.row] < nt
+                yield c.row[keep], c.col[keep], a * nodes + c.row[keep], c.data[keep]
+            i = np.flatnonzero(t < nt).astype(np.int32)
+            yield i, nodes + i, um + i, 1.0
+
+        def density_terms():  # the same for the m rows, numbered from 0
+            yield const_m.row, nodes + const_m.col, one, const_m.data
+            for a, d in enumerate(diff):
+                c = d.tocoo()
+                keep = t[c.col] > 0
+                i, k, w = c.row[keep], c.col[keep], c.data[keep]
+                yield i, nodes + k, drift + a * nodes + k, -w
+                # -d diag(m H_pp) d: one term per path i -> k -> j, j read from row k of d
+                reps = np.diff(d.indptr)[k]
+                at = np.repeat(d.indptr[k] - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+                yield np.repeat(i, reps), d.indices[at], mu + np.repeat(k, reps), -np.repeat(w, reps) * d.data[at]
+
+        # one family of terms at a time, in two passes: the positions of a row
+        # group's terms are its CSR rows, and each term's place among them is
+        # its row of the map
+        def key(i, j):
+            return i.astype(np.int64) * (2 * nodes) + j
+
+        def union(k, new):  # a stable sort merges the sorted runs
+            k = np.sort(np.concatenate([k, new]), kind="stable")
+            return k[np.concatenate([[True], k[1:] != k[:-1]])]
+
+        groups, keys, size = (value_terms, density_terms), [], 0
+        for group in groups:
+            keys.append(np.zeros(0, dtype=np.int64))
+            for i, j, _, _ in group():
+                keys[-1], size = union(keys[-1], key(i, j)), size + i.size
+        entry, coef, weight = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32), np.empty(size)
+        size, start = 0, 0
+        for group, k in zip(groups, keys):
+            for i, j, c, w in group():
+                at = slice(size, size + i.size)
+                entry[at], coef[at], weight[at], size = start + np.searchsorted(k, key(i, j)), c, w, at.stop
+            start += k.size
+        diff = const_u = const_m = None  # freed before the map's conversion, the build's peak
+        counts = [np.bincount(k // (2 * nodes), minlength=nodes) for k in keys]
+        self.indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts), dtype=np.int32)])
+        self.indices = np.concatenate([(k % (2 * nodes)).astype(np.int32) for k in keys])
+        keys = None
+        self.map = sp.csr_matrix((weight, (entry, coef)), shape=(self.indices.size, one + 1))
+        for arr in (self.indptr, self.indices, self.map.data, self.map.indices, self.map.indptr):
+            arr.setflags(write=False)  # every system shares them
+        self.um = slice(um, mu)  # the um diagonal's field in the map's input
+        self._masks = {}
+
+    def coefficients(self, hp=0.0, um=0.0, mu=0.0, drift=0.0) -> np.ndarray:
+        """The map's input: H_p and the drift as (dim, nodes) arrays, H_m -
+        f'(m) and m H_pp as node arrays (a system that reads none of a
+        field's entries leaves it 0), then the constant 1."""
+        coef, d = np.empty(self.map.shape[1]), self.grid.dim
+        fields = coef[:-1].reshape(-1, self.nodes)
+        fields[:d], fields[d], fields[d + 1], fields[d + 2:] = hp, um, mu, drift
+        coef[-1] = 1.0
+        return coef
+
+    def masked(self, known: np.ndarray, um: bool) -> _Masked:
+        """The :class:`_Masked` index of ``known``, with the um diagonal's
+        entries or without them, built once per mask."""
+        key = (np.packbits(known).tobytes(), um)
+        if key not in self._masks:
+            self._masks[key] = _Masked(self, known, um)
+        return self._masks[key]
 
 
 @lru_cache(maxsize=16)
@@ -224,74 +324,96 @@ def _stencils(grid: tg.GridSpec) -> _Stencils:
     return _Stencils(grid)
 
 
-def _value_block(p: ProblemSpec, b: ham.HamiltonianBundle):
-    """The uu block: r_u differentiated in u, terminal row included."""
-    st = _stencils(p.grid)
-    hp = b.Hp.reshape(p.grid.dim, -1)
-    return st.uu + sum(sp.diags(st.u_rows * hp[a]) @ st.diff[a]
-                       for a in range(p.grid.dim))
+class _Masked:
+    """Where the system of one mask of known unknowns takes its values
+    among its grid's stored entries.  ``take`` holds the entries the system
+    stores (free row and column, and none of the um diagonal's unless
+    ``um``) with their CSR column indices and row pointers in the system,
+    ``moved`` the ones whose known columns move to the right-hand side,
+    with their full column indices and row pointers over the free rows.
+    ``index`` numbers the free unknowns, ``slices`` gives each one's time
+    slice, and ``split`` counts those before the density field's (all of
+    them in a one-field system)."""
+
+    def __init__(self, st: _Stencils, known: np.ndarray, um: bool):
+        free = ~known
+        self.free, self.index = free, np.cumsum(free, dtype=np.int32) - 1
+        size, col = int(self.index[-1]) + 1, st.indices
+        row = np.repeat(np.arange(known.size, dtype=np.int32), np.diff(st.indptr))
+
+        def entries(keep, columns):  # read-only: every system shares them
+            indptr = np.zeros(size + 1, dtype=np.int32)
+            np.cumsum(np.bincount(self.index[row[keep]], minlength=size), out=indptr[1:])
+            out = (np.flatnonzero(keep).astype(np.int32), columns[keep], indptr)
+            for arr in out:
+                arr.setflags(write=False)
+            return out
+
+        self.take = entries(free[row] & free[col] & (um | (row >= st.nodes) | (col < st.nodes)), self.index[col])
+        self.moved = entries(free[row] & known[col], col)
+        self.slices = (np.arange(known.size) // st.grid.n_space % (st.grid.nt + 1))[free]
+        self.split = int(np.count_nonzero(free[:st.nodes])) or size
 
 
-def _density_block(p: ProblemSpec, drift: np.ndarray):
-    """The mm block of a forward equation with linearized drift ``drift``
-    (one row per direction), initial row included.  With drift H_p + m H_pm
-    it is r_m differentiated in m."""
-    st = _stencils(p.grid)
-    return st.mm - sum(st.diff[a] @ sp.diags(st.m_rows * drift[a])
-                       for a in range(p.grid.dim))
+def _linearization(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBundle):
+    """The Jacobian at a state with density ``m_vals`` and Hamiltonian bundle
+    ``b``: its coefficient fields (see :class:`_Stencils`), the coupling's
+    dense blocks as (row, column, block) addends, and the mask of the known
+    boundary slices: m(0), and u(T) unless the coupling derives it."""
+    grid, st = p.grid, _stencils(p.grid)
+    m, hp = m_vals.ravel(), b.Hp.reshape(grid.dim, -1)
+    # -f'(m) enters the backward rows k < nt, a dense block also the terminal row
+    diagonal, dense = p.coupling.blocks(m_vals)
+    coef = st.coefficients(hp=hp, um=b.Hm.ravel() + diagonal, mu=m * b.Hpp.ravel(),
+                           drift=hp + m * b.Hpm.reshape(grid.dim, -1))
+    dense = [(k * grid.n_space, (grid.nt + 1 + k) * grid.n_space, block) for k, block in enumerate(dense)]
+    known = np.concatenate([st.last & (not p.coupling.derives_terminal), st.first])
+    return coef, dense, known
 
 
 def _jacobian(p: ProblemSpec, state: SolverState):
     """Jacobian of the full residual (r_u, r_m) with respect to (u, m) at
-    ``state``, both boundary rows included.
-
-    Returns the CSR matrix of its sparse part, the coupling's dense blocks
-    as (row, column, block) addends, and the mask of the known boundary
-    slices: m(0), and u(T) unless the coupling derives it.
-    """
-    grid = p.grid
-    st = _stencils(grid)
-    m_vals = state.m.values
-    b = _bundle(p, state.u.values, m_vals)
-    m = m_vals.ravel()
-    mm = _density_block(p, b.Hp.reshape(grid.dim, -1) + m * b.Hpm.reshape(grid.dim, -1))
-    # -div(m H_pp grad), H_pp = Hpp I: one weighted second difference per axis
-    flux = sp.diags(st.m_rows * m * b.Hpp.ravel())
-    mu = -sum(d @ flux @ d for d in st.diff)
-    # -f'(m) enters the backward rows k < nt, a dense block also the terminal row
-    diagonal, dense = p.coupling.blocks(m_vals)
-    um = sp.diags(st.u_rows * (b.Hm.ravel() + diagonal))
-    dense = [(k * grid.n_space, (grid.nt + 1 + k) * grid.n_space, block) for k, block in enumerate(dense)]
-    known = np.concatenate([st.last & (not p.coupling.derives_terminal), st.first])
-    return sp.bmat([[_value_block(p, b), um], [mu, mm]], format="csr"), dense, known
+    ``state``, both boundary rows included: the CSR matrix of its sparse
+    part and the coupling's dense blocks as (row, column, block) addends."""
+    u, m = state.u.values, state.m.values
+    coef, dense, _ = _linearization(p, m, _bundle(p, u, m))
+    st = _stencils(p.grid)
+    return sp.csr_matrix((st.map @ coef, st.indices, st.indptr), shape=(2 * st.nodes,) * 2), dense
 
 
-def _eliminate(grid: tg.GridSpec, matrix, rhs: np.ndarray,
+def _eliminate(grid: tg.GridSpec, coef: np.ndarray, rhs: np.ndarray,
                known: np.ndarray, dense=()) -> sla.LinearSystem:
-    """The system ``(matrix + dense) @ x = rhs`` without the ``known``
+    """The system ``(J + dense) @ x = rhs`` on the full unknown vector, J the
+    sparse Jacobian at coefficient fields ``coef``, without the ``known``
     unknowns: their rows are identity rows, so x = rhs there, and their
     columns (dense blocks on them too) times those values move to the
     right-hand side.  The matrix is in the canonical form ``sparse_linalg``
-    factors, each free unknown tagged with its time slice (unknowns and dense
-    blocks are slice-stacked), the free dense blocks are its addends, and
-    ``split`` counts the free unknowns before the density field's (all of
-    them in a one-field block)."""
-    free = ~known
-    reduced = matrix[free][:, free]
-    reduced.eliminate_zeros()
-    reduced.sort_indices()
-    slices = (np.arange(known.size) // grid.n_space % (grid.nt + 1))[free]
-    index = np.cumsum(free) - 1  # each free unknown's index in the system
+    factors, with no entry that comes out exactly 0; each free unknown is
+    tagged with its time slice (unknowns and dense blocks are
+    slice-stacked), the free dense blocks are its addends, and ``split``
+    counts the free unknowns before the density field's."""
+    st = _stencils(grid)
+    mask = st.masked(known, bool(coef[st.um].any()))  # an all-zero um field stores nothing
+    data, free, index = st.map @ coef, mask.free, mask.index
+    (stored, indices, indptr), (moved, columns, rows) = mask.take, mask.moved
+    values = data[stored]
+    zeros = np.flatnonzero(values == 0.0)
+    if zeros.size:
+        values, indices = np.delete(values, zeros), np.delete(indices, zeros)
+        indptr = np.subtract(indptr, np.searchsorted(zeros, indptr), dtype=np.int32)
+    size = indptr.size - 1
     addends = [(index[r], index[c], block) for r, c, block in dense if free[r] and free[c]]
-    rhs = rhs - sla.apply(matrix, [d for d in dense if known[d[1]]], np.where(known, rhs, 0.0))
-    split = int(np.count_nonzero(free[:(grid.nt + 1) * grid.n_space]))
-    return sla.LinearSystem(reduced, rhs[free], slices, addends, split)
+    shift = sla.apply(sp.csr_matrix((data[moved], columns, rows), shape=(size, known.size)),
+                      [(index[r], c, block) for r, c, block in dense if free[r] and known[c]],
+                      np.where(known, rhs, 0.0))
+    return sla.LinearSystem(sp.csr_matrix((values, indices, indptr), shape=(size, size)),
+                            rhs[free] - shift, mask.slices, addends, mask.split)
 
 
-def _solve_eliminated(grid, matrix, rhs, known) -> np.ndarray:
+def _solve_eliminated(grid, coef, rhs, known) -> np.ndarray:
     """Solve the system of :func:`_eliminate`; returns every unknown."""
     x = np.where(known, rhs, 0.0)
-    x[~known] = sla.solve(_eliminate(grid, matrix, rhs, known))
+    x[~known] = sla.solve(_eliminate(grid, coef, rhs, known))
     return x
 
 
@@ -308,11 +430,14 @@ def newton_system(p: ProblemSpec, prev: SolverState):
     """Assembled Newton linear system at ``prev`` and the known-slice mask.
 
     The solution vector is the update (u^n - u^{n-1}, m^n - m^{n-1}) on the
-    unknowns the mask leaves free.
+    unknowns the mask leaves free.  One Hamiltonian bundle at ``prev`` gives
+    both the residual and the Jacobian.
     """
-    matrix, dense, known = _jacobian(p, prev)
-    r_u, r_m = residual(p, prev)
-    return _eliminate(p.grid, matrix, -_stack(r_u.values, r_m.values), known, dense), known
+    u, m = prev.u.values, prev.m.values
+    b = _bundle(p, u, m)
+    coef, dense, known = _linearization(p, m, b)
+    r_u, r_m = _residual(p, u, m, b)
+    return _eliminate(p.grid, coef, -_stack(r_u, r_m), known, dense), known
 
 
 def newton_step(p: ProblemSpec, prev: SolverState, cfg: NewtonConfig):
@@ -340,8 +465,7 @@ def linearized_apply(p: ProblemSpec, state: SolverState,
     on the known boundary slices (du(T) in the local variant, dm(0) always)
     the other rows are those of the masked system a Newton step solves.
     """
-    matrix, dense, _ = _jacobian(p, state)
-    return _unstack(p.grid, sla.apply(matrix, dense, _stack(du_vals, dm_vals)))
+    return _unstack(p.grid, sla.apply(*_jacobian(p, state), _stack(du_vals, dm_vals)))
 
 
 def _record(it, p, state, reference, wall_ms) -> diag.IterationRecord:
@@ -424,13 +548,14 @@ def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
                               u_init: np.ndarray, cfg: NewtonConfig) -> np.ndarray:
     """Inner Newton solve of the backward equation with the density frozen.
 
-    Its matrix is the uu block of the Jacobian; the terminal slice is pinned.
+    Its matrix is the uu block of the Jacobian: the terminal slice and the
+    density are known.
     """
-    grid = p.grid
+    grid, st = p.grid, _stencils(p.grid)
     fvals, u_T = _coupling_values(p, m_vals)
     u = u_init.copy()
     u[-1] = u_T
-    pinned, res = _stencils(grid).last, []
+    known, res = np.concatenate([st.last, np.ones_like(st.last)]), []
     for inner in range(MAX_INNER + 1):
         b = _bundle(p, u, m_vals)
         r_u = _value_residual(p, u, b, fvals, u_T)
@@ -439,7 +564,8 @@ def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
             return u
         if inner == MAX_INNER or _stalled(res):
             break
-        u += _solve_eliminated(grid, _value_block(p, b), -r_u.ravel(), pinned).reshape(u.shape)
+        coef = st.coefficients(hp=b.Hp.reshape(grid.dim, -1))
+        u += _unstack(grid, _solve_eliminated(grid, coef, _stack(-r_u, np.zeros_like(u)), known))[0]
     raise MaxIterExceededError(
         f"inner value-function Newton stalled above tol {cfg.residual_tol:.1e}")
 
@@ -447,15 +573,15 @@ def _solve_hjb_frozen_density(p: ProblemSpec, m_vals: np.ndarray,
 def _solve_fp_frozen_drift(p: ProblemSpec, hp: np.ndarray) -> np.ndarray:
     """Linear forward solve with the drift ``hp`` = H_p frozen.
 
-    Its matrix is the mm block with drift H_p; the initial slice is pinned
-    to m0.
+    Its matrix is the mm block with drift H_p: the value function and the
+    initial slice, pinned to m0, are known.
     """
-    grid = p.grid
+    grid, st = p.grid, _stencils(p.grid)
     rhs = np.array(_source(p.s_m, hp.shape[1:]))
     rhs[0] = p.m0
-    m = _solve_eliminated(grid, _density_block(p, hp.reshape(grid.dim, -1)),
-                          rhs.ravel(), _stencils(grid).first)
-    return m.reshape(rhs.shape)
+    known = np.concatenate([np.ones_like(st.first), st.first])
+    coef = st.coefficients(drift=hp.reshape(grid.dim, -1))
+    return _unstack(grid, _solve_eliminated(grid, coef, _stack(np.zeros_like(rhs), rhs), known))[1]
 
 
 def solve_fixed_point(p: ProblemSpec, initial: SolverState, cfg: NewtonConfig,
@@ -484,9 +610,9 @@ def linearized_solver(p: ProblemSpec, base: SolverState):
     (a, div b) and terminal data c as :func:`solve_linearized` does, reusing
     the sweeps' factors under each GMRES every call.
     """
-    grid = p.grid
-    matrix, dense, known = _jacobian(p, base)
-    system = _eliminate(grid, matrix, np.zeros(known.size), known, dense)
+    grid, u, m = p.grid, base.u.values, base.m.values
+    coef, dense, known = _linearization(p, m, _bundle(p, u, m))
+    system = _eliminate(grid, coef, np.zeros(known.size), known, dense)
     factored = sla.factorize(system.matrix, system.slices, system.dense, split=system.split)
 
     def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):

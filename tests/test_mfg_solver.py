@@ -67,6 +67,84 @@ def assert_csr_invariants(mat):
     assert np.all(mat.data != 0.0)
 
 
+class OperatorAlgebra:
+    """The Jacobian of one grid assembled block by block by scipy operator
+    algebra (diagonal scalings and products of the stencils, ``sp.bmat``,
+    CSR slicing): the reference that the solver's planned pattern and map
+    must reproduce."""
+
+    def __init__(self, grid):
+        n, nt, eye1 = grid.n_space, grid.nt, sp.identity(grid.nx)
+        shift = sp.eye(grid.nx, k=1) + sp.eye(grid.nx, k=1 - grid.nx)
+
+        def on_axis(op, a):
+            out = sp.identity(nt + 1)
+            for b in range(grid.dim):
+                out = sp.kron(out, op if b == a else eye1, format="csr")
+            return out
+
+        self.grid = grid
+        self.diff = [on_axis((shift - shift.T) / (2.0 * grid.dx), a) for a in range(grid.dim)]
+        lap = sum(on_axis((shift + shift.T - 2.0 * eye1) / grid.dx**2, a) for a in range(grid.dim))
+        t = np.repeat(np.arange(nt + 1), n)
+        self.last, self.first = t == nt, t == 0
+        self.u_rows, self.m_rows = (t < nt).astype(float), (t > 0).astype(float)
+        inv_dt, ones, eye = 1.0 / grid.dt, np.ones(nt), sp.identity(n, format="csr")
+        back = sp.diags([np.append(inv_dt * ones, 1.0), -inv_dt * ones], [0, 1])
+        fwd = sp.diags([np.append(1.0, inv_dt * ones), -inv_dt * ones], [0, -1])
+        self.uu = sp.kron(back, eye, format="csr") - sp.diags(self.u_rows) @ lap
+        self.mm = sp.kron(fwd, eye, format="csr") - sp.diags(self.m_rows) @ lap
+
+    def value_block(self, b):
+        hp = b.Hp.reshape(self.grid.dim, -1)
+        return self.uu + sum(sp.diags(self.u_rows * hp[a]) @ d for a, d in enumerate(self.diff))
+
+    def density_block(self, drift):
+        return self.mm - sum(d @ sp.diags(self.m_rows * drift[a]) for a, d in enumerate(self.diff))
+
+    def jacobian(self, p, state):
+        grid, m_vals = self.grid, state.m.values
+        b = solver._bundle(p, state.u.values, m_vals)
+        m = m_vals.ravel()
+        mm = self.density_block(b.Hp.reshape(grid.dim, -1) + m * b.Hpm.reshape(grid.dim, -1))
+        flux = sp.diags(self.m_rows * m * b.Hpp.ravel())
+        mu = -sum(d @ flux @ d for d in self.diff)
+        diagonal, dense = p.coupling.blocks(m_vals)
+        um = sp.diags(self.u_rows * (b.Hm.ravel() + diagonal))
+        dense = [(k * grid.n_space, (grid.nt + 1 + k) * grid.n_space, block) for k, block in enumerate(dense)]
+        known = np.concatenate([self.last & (not p.coupling.derives_terminal), self.first])
+        return sp.bmat([[self.value_block(b), um], [mu, mm]], format="csr"), dense, known
+
+    def eliminate(self, matrix, rhs, known, dense=()):
+        free = ~known
+        reduced = matrix[free][:, free]
+        reduced.eliminate_zeros()
+        reduced.sort_indices()
+        slices = (np.arange(known.size) // self.grid.n_space % (self.grid.nt + 1))[free]
+        index = np.cumsum(free) - 1
+        addends = [(index[r], index[c], block) for r, c, block in dense if free[r] and free[c]]
+        rhs = rhs - sla.apply(matrix, [d for d in dense if known[d[1]]], np.where(known, rhs, 0.0))
+        split = int(np.count_nonzero(free[:(self.grid.nt + 1) * self.grid.n_space]))
+        return sla.LinearSystem(reduced, rhs[free], slices, addends, split)
+
+    def newton_system(self, p, state):
+        matrix, dense, known = self.jacobian(p, state)
+        r_u, r_m = solver.residual(p, state)
+        return self.eliminate(matrix, -np.concatenate([r_u.values.ravel(), r_m.values.ravel()]), known, dense)
+
+
+def assert_same_system(system, ref):
+    """The same CSR pattern, slices, split and addends, and the same values
+    and right-hand side to 1e-14 relative."""
+    assert np.array_equal(system.matrix.indptr, ref.matrix.indptr)
+    assert np.array_equal(system.matrix.indices, ref.matrix.indices)
+    np.testing.assert_allclose(system.matrix.data, ref.matrix.data, rtol=1e-14, atol=0)
+    assert np.linalg.norm(system.rhs - ref.rhs) <= 1e-14 * np.linalg.norm(ref.rhs)
+    assert np.array_equal(system.slices, ref.slices) and system.split == ref.split
+    assert [(r, c) for r, c, _ in system.dense] == [(r, c) for r, c, _ in ref.dense]
+    assert all(a is b for (*_, a), (*_, b) in zip(system.dense, ref.dense))
+
+
 def uniform_problem(coupling, nx=16, nt=8, const_u=0.3):
     """u constant, m identically one; a stationary state when coupling is zero."""
     grid = tg.GridSpec(dim=1, nx=nx, nt=nt, horizon=1.0)
@@ -544,6 +622,128 @@ class TestNewtonSystem:
     def test_assembled_matrix_satisfies_csr_invariants(self):
         p, exact = manufactured(nx=16, nt=8)
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        assert_csr_invariants(system.matrix)
+
+
+def assembly_case(case):
+    """A problem and a perturbed state: 1D or 2D, local sigmoid coupling or
+    a Gaussian kernel (with the separable Hamiltonian, or congestion)."""
+    dim, kind = case.split("-", 1)
+    grid = tg.GridSpec(dim=int(dim[0]), nx=16 if dim == "1d" else 6, nt=8 if dim == "1d" else 4, horizon=1.0)
+    if kind == "local":
+        p, exact = diag.make_manufactured(grid, ham.congestion(grid, 1.0, alpha=1.0), cpl.LocalCoupling("sigmoid"))
+    else:
+        kernel = cpl.gaussian_kernel_coupling(grid, 0.15)
+        spec = ham.congestion(grid, 1.0, alpha=1.0) if kind == "kernel-congestion" else ham.separable_quadratic(grid, 1.0)
+        p, exact = diag.make_manufactured_nonlocal(grid, spec, cpl.NonlocalCoupling(f=kernel, g=kernel))
+    return p, diag.perturbed_state(exact, 1e-2)
+
+
+class TestAssemblyMap:
+    """Every Jacobian is assembled into the pattern its grid plans once:
+    one map per grid and one index per mask of known unknowns, the same
+    systems as the operator algebra assembles, no stored zero."""
+
+    CASES = ["1d-local", "1d-kernel", "1d-kernel-congestion", "2d-local", "2d-kernel"]
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Every system handed to ``sparse_linalg.solve``."""
+        systems, real = [], sla.solve
+
+        def record(system):
+            systems.append(system)
+            return real(system)
+
+        monkeypatch.setattr(sla, "solve", record)
+        return systems
+
+    def test_newton_builds_one_map_and_one_mask(self, map_builds):
+        p, exact = manufactured(nx=16, nt=16)
+        _, history = solver.solve_newton(p, diag.perturbed_state(exact, 1e-2),
+                                         solver.NewtonConfig(residual_tol=1e-10))
+        assert len(history) - 1 >= 3
+        assert [st.grid for st in map_builds["maps"]] == [p.grid]
+        assert len(map_builds["masks"]) == 1
+
+    def test_fixed_point_builds_one_map_and_two_masks(self, map_builds):
+        p, exact = manufactured(nx=16, nt=16)
+        _, history = solver.solve_fixed_point(
+            p, diag.perturbed_state(exact, 1e-2),
+            solver.NewtonConfig(residual_tol=1e-9, max_iter=200, damping=0.5))
+        assert len(history) - 1 > 2
+        assert [st.grid for st in map_builds["maps"]] == [p.grid]
+        value, density = map_builds["masks"]
+        assert value.split == value.slices.size and set(value.slices) == set(range(p.grid.nt))
+        assert density.split == density.slices.size and set(density.slices) == set(range(1, p.grid.nt + 1))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_newton_matches_operator_algebra(self, case):
+        p, state = assembly_case(case)
+        system, _ = solver.newton_system(p, state)
+        assert_same_system(system, OperatorAlgebra(p.grid).newton_system(p, state))
+        assert_csr_invariants(system.matrix)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_probe_matches_operator_algebra(self, case, factorizations):
+        p, state = assembly_case(case)
+        solver.linearized_solver(p, state)
+        ref = OperatorAlgebra(p.grid)
+        matrix, dense, known = ref.jacobian(p, state)
+        expected = ref.eliminate(matrix, np.zeros(known.size), known, dense)
+        (call,) = factorizations
+        assert_same_system(sla.LinearSystem(call["a"], np.zeros(call["a"].shape[0]), call["slices"],
+                                            list(call["dense"]), call["split"]), expected)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_picard_blocks_match_operator_algebra(self, case, solved):
+        # the first inner value-function system, at u_init with u(T) set,
+        # and the forward system with a frozen drift
+        p, state = assembly_case(case)
+        grid, ref = p.grid, OperatorAlgebra(p.grid)
+        m, cfg = state.m.values, solver.NewtonConfig(residual_tol=1e-9)
+        fvals, u_T = solver._coupling_values(p, m)
+        solver._solve_hjb_frozen_density(p, m, state.u.values, cfg)
+        u = state.u.values.copy()
+        u[-1] = u_T
+        b = solver._bundle(p, u, m)
+        r_u = solver._value_residual(p, u, b, fvals, u_T)
+        assert_same_system(solved[0], ref.eliminate(ref.value_block(b), -r_u.ravel(), ref.last))
+        hp = solver._bundle(p, state.u.values, m).Hp
+        solved.clear()
+        solver._solve_fp_frozen_drift(p, hp)
+        rhs = np.array(solver._source(p.s_m, m.shape))
+        rhs[0] = p.m0
+        (system,) = solved
+        assert_same_system(system, ref.eliminate(ref.density_block(hp.reshape(grid.dim, -1)), rhs.ravel(), ref.first))
+
+    def test_zero_um_entry_is_not_stored(self):
+        # congestion with a kernel: H_m = 0 where Du = 0, so that node's um
+        # entry comes out exactly 0 and is dropped, the rest of the row kept
+        p, state = assembly_case("1d-kernel-congestion")
+        grid, (k, i) = p.grid, (3, 5)
+        u = state.u.values.copy()
+        u[k, i + 1] = u[k, i - 1]
+        state = solver.make_state(grid, u, state.m.values)
+        system, known = solver.newton_system(p, state)
+        assert_csr_invariants(system.matrix)
+        assert_same_system(system, OperatorAlgebra(grid).newton_system(p, state))
+        index = np.cumsum(~known) - 1
+        row, col = index[k * grid.nx + i], index[(grid.nt + 1 + k) * grid.nx + i]
+        a = system.matrix
+        assert col not in a.indices[a.indptr[row]:a.indptr[row + 1]]
+        assert col + 1 in a.indices[a.indptr[row + 1]:a.indptr[row + 2]]  # the next node's
+        x = sla.solve(system)
+        assert np.all(np.isfinite(x)) and system.meta.residual_norm <= sla.DIRECT_TOL
+
+    def test_separable_kernel_stores_no_um_diagonal(self, map_builds):
+        # H_m = 0 and no -f'(m): the um field is 0 everywhere, so the mask's
+        # index takes none of its entries and nothing is dropped per state
+        p, state = assembly_case("1d-kernel")
+        system, _ = solver.newton_system(p, state)
+        (mask,) = map_builds["masks"]
+        assert system.matrix[:system.split, system.split:].nnz == 0
+        assert mask.take[0].size == system.matrix.nnz
         assert_csr_invariants(system.matrix)
 
 
