@@ -10,7 +10,10 @@ is built, then the numeric factorization runs), the median of the three
 repeats (``factor_repeat_s``: the plan is reused) and the median time of the
 four solves (``solve_s``).  ``path`` is the path that ran (``"schur"`` for
 the two-field Newton system), ``relres`` and ``lin_iters`` the relative
-residual and the GMRES iterations of the last solve.  One more, untimed
+residual and the GMRES iterations of the last solve, ``gmres_solves`` the
+Schur solves it ran (2 with a refinement step), and ``sweeps`` the
+``_Sweeps.solve`` calls it made (2 ``lin_iters`` + 2 ``gmres_solves`` on
+the Schur path when no solve restarts).  One more, untimed
 factorization counts the entries the sweeps' slice factors store
 (``sweep_entries``: the band storage ``(2 kl + ku + 1) n`` for a slice block
 of n unknowns that LAPACK's band LU factors, ``L.nnz + U.nnz`` for one that
@@ -27,7 +30,7 @@ setting ``sparse_linalg.BAND_MAX`` above every slice block's half-bandwidth
 factor, which at half-bandwidth 95 and 127 stores several times SuperLU's
 fill there.  Each labelled entry also records the tree's ``src/`` line
 count.  From the repository root, once per source tree (rows are stored in
-BENCH_7.json under the label):
+BENCH_8.json under the label):
 
     python bench/ladder.py --label change
 
@@ -96,19 +99,39 @@ def rung(name: str, path: str | None = None) -> dict:
     row = {"rung": name, "path": None, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
            "assembly_first_s": assembly[0], "assembly_s": statistics.median(assembly[1:])}
     args = (system.matrix, system.slices, system.dense)
-    factor_s, solve_s = [], []
+    factor_s, solve_s, swept, solved, sweep, schur = [], [], [], [], sla._Sweeps.solve, sla._schur
+
+    def counting(self, f, b):  # the sweeps of a solve
+        swept.append(f)
+        return sweep(self, f, b)
+
+    def counted_schur(*args):  # the Schur solves of a solve: 2 with a refinement step
+        inner = schur(*args)
+
+        def solve_schur(b):
+            solved.append(b.size)
+            return inner(b)
+
+        return solve_schur
+
+    sla._Sweeps.solve, sla._schur = counting, counted_schur
     try:
         for _ in range(4):
             solve = None  # the previous factor is freed before the next is built
             t0 = time.perf_counter()
             solve = sla.factorize(*args, split=system.split)
             factor_s.append(time.perf_counter() - t0)
+            swept.clear()
+            solved.clear()
             t0 = time.perf_counter()
             _, meta = solve(system.rhs)
             solve_s.append(time.perf_counter() - t0)
-        row.update(path=meta.method, relres=meta.residual_norm, lin_iters=meta.iterations)
+        row.update(path=meta.method, relres=meta.residual_norm, lin_iters=meta.iterations,
+                   gmres_solves=len(solved), sweeps=len(swept))
     except mn.SolverError as exc:
         row["error"] = str(exc)
+    finally:
+        sla._Sweeps.solve, sla._schur = sweep, schur
     solve, counted, sweeps = None, [], sla._Sweeps
 
     class CountedSweeps(sweeps):  # counts what the slice factors store, keeps none alive
@@ -178,7 +201,7 @@ def interleaved(against: Path, repeats: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
     ap.add_argument("--against", type=Path, help="a second source tree, run interleaved with this one")

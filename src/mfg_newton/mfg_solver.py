@@ -352,6 +352,7 @@ class _Masked:
         self.take = entries(free[row] & free[col] & (um | (row >= st.nodes) | (col < st.nodes)), self.index[col])
         self.moved = entries(free[row] & known[col], col)
         self.slices = (np.arange(known.size) // st.grid.n_space % (st.grid.nt + 1))[free]
+        self.slices.setflags(write=False)  # every system shares it, and its plan keeps it
         self.split = int(np.count_nonzero(free[:st.nodes])) or size
 
 

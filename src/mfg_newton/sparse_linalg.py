@@ -13,15 +13,20 @@ and the density field forward, in one reverse Cuthill-McKee order per field
 that keeps each slice's unknowns together.  In that order each slice's
 diagonal block is a band matrix, factored by LAPACK's band LU up to
 ``BAND_MAX`` half-bandwidth and by SuperLU beyond it.  One field is one
-sweep; two are solved by GMRES on the density Schur complement
-``S = A_mm - A_mu A_uu^-1 A_um``, preconditioned by the density sweep
-(Benzi, Golub & Liesen, Acta Numerica 2005; Achdou & Perez, NHM 2012).  The
-sweeps are planned once per sparsity pattern (``PLAN_CACHE``).
+sweep; two are solved by GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+1986) on the density Schur complement ``S = A_mm - A_mu A_uu^-1 A_um``,
+right-preconditioned by the density sweep (Benzi, Golub & Liesen, Acta
+Numerica 2005; Achdou & Perez, NHM 2012).  Each Krylov vector keeps its
+density sweep, as Saad's FGMRES keeps its preconditioned vectors (SIAM J.
+Sci. Comput. 1993), so a product with S is one more sweep, of the value
+field.  Each restart cycle starts with the value sweep from the density so
+far, and checks S's true residual; the last one is the back-substitution:
+k iterations in one cycle take 2k + 2 sweeps.  The sweeps are planned once
+per sparsity pattern (``PLAN_CACHE``).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,22 +115,28 @@ def _rel_residual(a_csr, dense, x, b) -> float:
     return float(np.linalg.norm(apply(a_csr, dense, x) - b) / max(np.linalg.norm(b), 1.0))
 
 
-_PLANS: dict = {}  # pattern key -> _SweepPlan, least recently used first
+_PLANS: dict = {}  # the cached plans as keys, least recently used first
 PLAN_CACHE = 2  # Picard alternates between its value block and its density block
 
 
 def _cached(a: sp.csr_matrix, slices: np.ndarray, split: int) -> _SweepPlan:
     """``_SweepPlan(a, slices, split)``, from the cache or built and cached."""
-    h = hashlib.blake2b(digest_size=16)
-    for arr in (a.indptr, a.indices, slices):
-        h.update(arr.dtype.str.encode())
-        h.update(np.ascontiguousarray(arr).data)
-    key = (a.shape[0], a.nnz, h.digest(), split, BAND_MAX)
-    plan = _PLANS.pop(key) if key in _PLANS else _SweepPlan(a, slices, split)
-    _PLANS[key] = plan
+    plan = next((p for p in _PLANS if p.planned(a, slices, split)), None)
+    if plan is None:
+        plan = _SweepPlan(a, slices, split)
+    else:
+        del _PLANS[plan]
+    _PLANS[plan] = None
     if len(_PLANS) > PLAN_CACHE:
         del _PLANS[next(iter(_PLANS))]
     return plan
+
+
+def _frozen(x: np.ndarray) -> bool:
+    """Whether nothing writes to x's memory: x is read-only and owns it, or
+    views an array that is read-only too."""
+    return not x.flags.writeable and (x.base is None or isinstance(x.base, np.ndarray)
+                                      and not x.base.flags.writeable)
 
 
 class _SweepPlan:
@@ -141,9 +152,12 @@ class _SweepPlan:
     range, its block's run and layout (``(kl, ku, flat positions)`` in LAPACK
     band storage, Fortran order, up to ``BAND_MAX`` half-bandwidth, the CSC
     row indices and column pointers beyond), its couplings' run, rows and
-    columns."""
+    columns.  ``pattern`` holds what the plan was built from, by reference
+    an array that nothing can write to and a copy of any other."""
 
     def __init__(self, a: sp.csr_matrix, slices: np.ndarray, split: int):
+        self.key = (a.shape, a.nnz, split, BAND_MAX)
+        self.pattern = [x if _frozen(x) else x.copy() for x in (a.indptr, a.indices, slices)]
         n = a.shape[0]
         row = np.repeat(np.arange(n, dtype=np.int32), np.diff(a.indptr))
         pos = np.empty(n, dtype=np.int32)  # each unknown's place in its field's new numbering
@@ -185,6 +199,11 @@ class _SweepPlan:
                           else (pr[run] - b0, np.subtract(colptr[b0:b1 + 1], colptr[b0], dtype=np.int32)))
                 parts.append((s[b0], slice(b0, b1), run, layout, crun, cr[crun], cc[crun]))
             self.fields.append((order, diag, coupled, parts[::-1] if later.any() else parts))
+
+    def planned(self, a: sp.csr_matrix, slices: np.ndarray, split: int) -> bool:
+        """Whether this plan is the one ``_SweepPlan(a, slices, split)`` builds."""
+        return (self.key == (a.shape, a.nnz, split, BAND_MAX)
+                and all(map(np.array_equal, self.pattern, (a.indptr, a.indices, slices))))
 
 
 class _BandLU:
@@ -263,31 +282,60 @@ def _checked(a, dense, solve, method: str):
 
 
 def _schur(a, dense, sweeps: _Sweeps, split: int):
-    """The two-field solve by GMRES on the density Schur complement, to half
-    the bound on S, the ``dense`` addends all in A_um."""
-    n = a.shape[0]
-
-    def schur(dm):  # S dm = A_mm dm - A_mu A_uu^-1 A_um dm, the m rows of A [-A_uu^-1 A_um dm; dm]
-        x = np.zeros(n)
-        x[split:] = dm
-        x[:split] = -sweeps.solve(0, apply(a, dense, x)[:split])
-        return (a @ x)[split:]
-
-    s_op, precond = (spla.LinearOperator((n - split,) * 2, matvec=f, dtype=float)
-                     for f in (schur, lambda r: sweeps.solve(1, r)))
+    """The two-field solve by restarted GMRES on the density Schur complement
+    ``S = A_mm - A_mu A_uu^-1 A_um``, right-preconditioned by the density
+    sweep, to half the bound on S, the ``dense`` addends all in A_um.  Each
+    cycle sweeps u = A_uu^-1 (b_u - A_um m) once and checks the m rows'
+    residual, which is S's; the last cycle's sweep is the back-substitution.
+    Step j keeps z_j = A_mm^-1 v_j, and S z_j = A_mm z_j - A_mu A_uu^-1 A_um z_j
+    is one value sweep and one product with the m rows; the cycle ends with
+    ``m += sum c_j z_j``.  A happy breakdown (S z_j in the basis so far) ends
+    the cycle exactly."""
+    # the m rows are a view of a's arrays: a copy, freed after every solve, raised
+    # malloc's mmap threshold and with it the peak RSS of a 2D 64 solve by 18%
+    n, start = a.shape[0], a.indptr[split]
+    a_um, a_m = a[:split, split:], sp.csr_matrix((a.data[start:], a.indices[start:], a.indptr[split:] - start),
+                                                 shape=(n - split, n))
+    dense_um = [(r, c - split, block) for r, c, block in dense]
 
     def solve_schur(b):
-        norms, x = [], np.zeros(n)  # one norm per GMRES iteration
-        x[:split] = -sweeps.solve(0, b[:split])
-        rhs = b[split:] + (a @ x)[split:]  # b_m - A_mu A_uu^-1 b_u
-        x[split:], info = spla.gmres(s_op, rhs, rtol=0.0, atol=0.5 * DIRECT_TOL * max(np.linalg.norm(b), 1.0),
-                                     restart=GMRES_RESTART, maxiter=GMRES_MAX_ITER, M=precond,
-                                     callback=norms.append, callback_type="pr_norm")
-        if info or not np.all(np.isfinite(x)):  # also a NaN iterate
-            raise NoConvergenceError(f"GMRES missed its bound on S after {len(norms)} iterations")
-        x[:split] = 0.0
-        x[:split] = sweeps.solve(0, b[:split] - apply(a, dense, x)[:split])
-        return x, len(norms)
+        tol, its, x = 0.5 * DIRECT_TOL * max(np.linalg.norm(b), 1.0), 0, np.zeros(n)
+        for cycle in range(GMRES_MAX_ITER + 1):
+            x[:split] = sweeps.solve(0, b[:split] - apply(a_um, dense_um, x[split:]))
+            r = b[split:] - a_m @ x
+            g = [np.linalg.norm(r)]  # the least-squares right-hand side, rotated
+            if not g[0] > tol or cycle == GMRES_MAX_ITER:  # a NaN too: the check below raises
+                break
+            basis, zs, cols, rotations = [r / g[0]], [], [], []
+            while abs(g[-1]) > tol and len(zs) < GMRES_RESTART:
+                zs.append(sweeps.solve(1, basis[-1]))
+                w = a_m @ np.concatenate((-sweeps.solve(0, apply(a_um, dense_um, zs[-1])), zs[-1]))  # S z_j
+                w0, h = np.linalg.norm(w), []
+                for v in basis:  # modified Gram-Schmidt
+                    h.append(v @ w)
+                    w -= h[-1] * v
+                h.append(np.linalg.norm(w))
+                if h[-1] > np.finfo(float).eps * w0:
+                    basis.append(w / h[-1])
+                else:  # a happy breakdown: S z_j lies in the basis, and g[-1] becomes 0
+                    h[-1] = 0.0
+                for k, (c, s) in enumerate(rotations):
+                    h[k:k + 2] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
+                c, s, h[-2] = lapack.dlartg(h[-2], h[-1])
+                rotations.append((c, s))
+                g[-1:] = c * g[-1], -s * g[-1]
+                cols.append(h[:-1])  # R's column j
+                its += 1
+            y = g[:-1]
+            for j in reversed(range(len(y))):  # R y = g, column by column
+                y[j] /= cols[j][j]
+                for k in range(j):
+                    y[k] -= y[j] * cols[j][k]
+            for yj, z in zip(y, zs):
+                x[split:] += yj * z
+        if not g[0] <= tol or not np.all(np.isfinite(x)):  # the budget spent, or a NaN iterate
+            raise NoConvergenceError(f"GMRES missed its bound on S after {its} iterations")
+        return x, its
 
     return solve_schur
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mfg_newton as mn
 from mfg_newton import sparse_linalg as sla
 from mfg_newton.errors import NoConvergenceError, SingularMatrixError
 
@@ -384,6 +385,55 @@ class TestPlanCache:
         assert len(plan_builds) == 2
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
 
+    def test_equal_shape_and_nnz_with_other_indices_get_two_plans(self, plan_builds):
+        # two patterns that share shape, nnz, row pointers and slices but not
+        # column indices: each gets its own plan and finds it again; a
+        # writable pattern changed in place after its plan was built is a new
+        # pattern, so the plan keeps a copy of it
+        mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=14, density=0.5)
+        row = next(r for r in range(3) if 0 < np.count_nonzero(dense[r, 3:7]) < 4)
+        moved_dense = dense.copy()
+        stored, free = np.flatnonzero(dense[row, 3:7]) + 3, np.flatnonzero(dense[row, 3:7] == 0.0) + 3
+        moved_dense[row, free[0]], moved_dense[row, stored[0]] = dense[row, stored[0]], 0.0
+        i, j = np.nonzero(moved_dense)
+        moved = sla.SparseMatrix.from_triplets(*mat.shape, i, j, moved_dense[i, j])
+        assert np.array_equal(moved.indptr, mat.indptr) and not np.array_equal(moved.indices, mat.indices)
+        b = np.random.default_rng(15).standard_normal(mat.shape[0])
+        for a, d in ((mat, dense), (moved, moved_dense), (mat, dense), (moved, moved_dense)):
+            x, _ = sla.factorize(a, slices)(b)
+            np.testing.assert_allclose(x, np.linalg.solve(d, b), rtol=1e-10, atol=1e-12)
+        assert len(plan_builds) == 2 and list(sla._PLANS) == plan_builds
+        assert sla._cached(mat, slices, 0) is plan_builds[0] and sla._cached(moved, slices, 0) is plan_builds[1]
+        sla._PLANS.clear()
+        sla.factorize(mat, slices)
+        mat.indices[:], mat.data[:] = moved.indices, moved.data  # now the moved pattern, in place
+        x, _ = sla.factorize(mat, slices)(b)
+        assert len(plan_builds) == 4
+        np.testing.assert_allclose(x, np.linalg.solve(moved_dense, b), rtol=1e-10, atol=1e-12)
+
+    def test_read_only_view_of_writable_slices_is_copied(self, plan_builds):
+        # a read-only array that owns its memory is kept by reference; a
+        # read-only view of a writable array is copied, so slices changed
+        # through that array are a new pattern
+        mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=16)
+        b = np.random.default_rng(17).standard_normal(mat.shape[0])
+        owned = slices.copy()
+        owned.setflags(write=False)
+        sla.factorize(mat, owned)
+        assert plan_builds[0].pattern[2] is owned
+        writable = slices.copy()
+        view = writable[:]
+        view.setflags(write=False)
+        sla.factorize(mat, view)
+        assert len(plan_builds) == 1 and plan_builds[0].pattern[2] is owned
+        sla._PLANS.clear()
+        sla.factorize(mat, view)
+        assert plan_builds[1].pattern[2] is not view
+        writable[:] = np.minimum(slices, 1)  # slices 1 and 2 become one slice
+        x, _ = sla.factorize(mat, view)(b)
+        assert len(plan_builds) == 3
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+
 
 def two_field(n_u, n_m, seed, aligned=True, holes=0.0, addends=False, density=0.4):
     """Random two-field block-tridiagonal matrix laid out like the Newton
@@ -711,19 +761,26 @@ class TestSchur:
 
     @pytest.mark.parametrize("spoil_every", [False, True])
     def test_a_residual_above_the_bound_is_refined_once(self, monkeypatch, spoil_every):
-        # GMRES's solution on S, shifted by 1e-6, misses the bound on the whole
-        # system: one refinement step recovers it, unless it is shifted too
+        # GMRES's density update dm, shifted by 1e-6, misses the bound on the
+        # whole system: one refinement step recovers it, unless it is shifted too
         mat, dense, slices, added = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=23, aligned=False,
                                               holes=0.3, addends=True)
         b = np.random.default_rng(27).standard_normal(mat.shape[0])
-        calls, gmres = [], sla.spla.gmres
+        calls, schur = [], sla._schur
 
-        def spoiled(*args, **kwargs):
-            x, info = gmres(*args, **kwargs)
-            calls.append(x.size)
-            return (x + 1e-6 if spoil_every or len(calls) == 1 else x), info
+        def spoiling(a, dense, sweeps, split):
+            solve = schur(a, dense, sweeps, split)
 
-        monkeypatch.setattr(sla.spla, "gmres", spoiled)
+            def spoiled(rhs):
+                x, its = solve(rhs)
+                calls.append(x.size - split)
+                if spoil_every or len(calls) == 1:
+                    x[split:] += 1e-6
+                return x, its
+
+            return spoiled
+
+        monkeypatch.setattr(sla, "_schur", spoiling)
         solve = sla.factorize(mat, slices, added, 20)
         if spoil_every:
             with pytest.raises(NoConvergenceError, match=r"exceeds 1.0e-12 after \d+ iterations$"):
@@ -733,6 +790,29 @@ class TestSchur:
             assert meta.residual_norm <= sla.DIRECT_TOL
             np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11)
         assert calls == [15, 15]  # the solve and its refinement, each on S's 15 unknowns
+
+    def test_random_patterns_match_dense_solve_with_restarts(self, monkeypatch):
+        # a restart every 3 iterations: each cycle sweeps u from the m so far
+        # and starts from the residual of the m rows.  Not 2: restarted
+        # GMRES(2) stagnates on seeds 51 and 123 and crawls on 150, whose
+        # preconditioned S has an indefinite symmetric part, in exact
+        # arithmetic too
+        monkeypatch.setattr(sla, "GMRES_RESTART", 3)
+        restarted, solve = [], sla.factorize
+
+        def recording(*args, **kwargs):
+            inner = solve(*args, **kwargs)
+
+            def recorded(b):
+                x, meta = inner(b)
+                restarted.append(meta.iterations > sla.GMRES_RESTART)
+                return x, meta
+
+            return recorded
+
+        monkeypatch.setattr(sla, "factorize", recording)
+        self.test_random_patterns_match_dense_solve(monkeypatch)
+        assert any(restarted)
 
     def test_direct_sweeps_from_sweep_min_n(self, monkeypatch):
         # slice blocks up to BAND_MAX half-bandwidth are LAPACK's band LUs,
@@ -755,3 +835,72 @@ class TestSchur:
         assert len(factored) == np.unique(slices[:split]).size + np.unique(slices[split:]).size
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(y, x, rtol=1e-9, atol=1e-11)
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """The field of every ``_Sweeps.solve`` call, in order."""
+    calls, sweep = [], sla._Sweeps.solve
+
+    def counting(self, f, b):
+        calls.append(f)
+        return sweep(self, f, b)
+
+    monkeypatch.setattr(sla._Sweeps, "solve", counting)
+    return calls
+
+
+class TestGMRES:
+    """GMRES on S right-preconditioned by the density sweep, each iteration
+    keeping its density sweep z_j: one value sweep to start, then one density
+    and one value sweep an iteration, and one value sweep that checks the
+    residual and is the back-substitution."""
+
+    def test_k_iterations_sweep_2k_plus_2_times(self, sweep_calls):
+        two = 0
+        for seed in range(200):
+            mat, dense, slices, addends, split = random_two_field(seed)
+            if not 0 < split < mat.shape[0]:
+                continue
+            b = np.random.default_rng(seed).standard_normal(mat.shape[0])
+            solve = sla.factorize(mat, slices, addends, split)
+            sweep_calls.clear()
+            x, meta = solve(b)
+            assert sweep_calls == [0] + [1, 0] * meta.iterations + [0], seed
+            two += 1
+        assert two > 50
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_k_iterations_sweep_2k_plus_2_times_on_a_newton_system(self, sweep_calls, kernel):
+        grid = mn.GridSpec(dim=1, nx=8, nt=8, horizon=1.0)
+        if kernel:
+            k = mn.gaussian_kernel_coupling(grid, 0.2)
+            problem, exact = mn.make_manufactured_nonlocal(grid, mn.separable_quadratic(grid, 1.0),
+                                                           mn.NonlocalCoupling(f=k, g=k))
+        else:
+            problem, exact = mn.make_manufactured(grid, mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid"))
+        system, _ = mn.newton_system(problem, mn.perturbed_state(exact, 1e-1))
+        solve = sla.factorize(system.matrix, system.slices, system.dense, system.split)
+        sweep_calls.clear()
+        x, meta = solve(system.rhs)
+        assert meta.method == "schur" and meta.iterations > 1 and meta.residual_norm <= sla.DIRECT_TOL
+        assert sweep_calls == [0] + [1, 0] * meta.iterations + [0]
+
+    @pytest.mark.parametrize("n_m", [(0, 0, 0, 1), (0, 5, 5, 5)])
+    def test_a_happy_breakdown_returns_the_exact_solution(self, sweep_calls, n_m):
+        # one density unknown: S z_1 lies in the basis exactly; A_um = 0: the
+        # preconditioned S is the identity.  Either way one iteration solves
+        # the system, with no division by the breakdown's zero
+        mat, dense, slices, _ = two_field((5, 5, 5, 5), n_m, seed=23, aligned=False, holes=0.3)
+        split = 20
+        if n_m[1]:
+            dense[:split, split:] = 0.0
+            i, j = np.nonzero(dense)
+            mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
+        b = np.random.default_rng(28).standard_normal(mat.shape[0])
+        solve = sla.factorize(mat, slices, (), split)
+        sweep_calls.clear()
+        with np.errstate(all="raise"):
+            x, meta = solve(b)
+        assert meta.iterations == 1 and sweep_calls == [0, 1, 0, 0]
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-12, atol=1e-14)
