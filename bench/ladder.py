@@ -13,7 +13,8 @@ the two-field Newton system), ``relres`` and ``lin_iters`` the relative
 residual and the GMRES iterations of the last solve, ``gmres_solves`` the
 Schur solves it ran (2 with a refinement step), and ``sweeps`` the
 ``_Sweeps.solve`` calls it made (2 ``lin_iters`` + 2 ``gmres_solves`` on
-the Schur path when no solve restarts).  One more, untimed
+the Schur path when no solve restarts), and ``sweep_s`` the median time of
+one of those calls over the four solves.  One more, untimed
 factorization counts the entries the sweeps' slice factors store
 (``sweep_entries``: the band storage ``(2 kl + ku + 1) n`` for a slice block
 of n unknowns that LAPACK's band LU factors, ``L.nnz + U.nnz`` for one that
@@ -30,7 +31,7 @@ setting ``sparse_linalg.BAND_MAX`` above every slice block's half-bandwidth
 factor, which at half-bandwidth 95 and 127 stores several times SuperLU's
 fill there.  Each labelled entry also records the tree's ``src/`` line
 count.  From the repository root, once per source tree (rows are stored in
-BENCH_8.json under the label):
+BENCH_9.json under the label):
 
     python bench/ladder.py --label change
 
@@ -100,10 +101,14 @@ def rung(name: str, path: str | None = None) -> dict:
            "assembly_first_s": assembly[0], "assembly_s": statistics.median(assembly[1:])}
     args = (system.matrix, system.slices, system.dense)
     factor_s, solve_s, swept, solved, sweep, schur = [], [], [], [], sla._Sweeps.solve, sla._schur
+    sweep_s = []  # every sweep of the four solves
 
-    def counting(self, f, b):  # the sweeps of a solve
+    def counting(self, f, b):  # the sweeps of a solve, each timed
+        t0 = time.perf_counter()
+        x = sweep(self, f, b)
+        sweep_s.append(time.perf_counter() - t0)
         swept.append(f)
-        return sweep(self, f, b)
+        return x
 
     def counted_schur(*args):  # the Schur solves of a solve: 2 with a refinement step
         inner = schur(*args)
@@ -127,7 +132,7 @@ def rung(name: str, path: str | None = None) -> dict:
             _, meta = solve(system.rhs)
             solve_s.append(time.perf_counter() - t0)
         row.update(path=meta.method, relres=meta.residual_norm, lin_iters=meta.iterations,
-                   gmres_solves=len(solved), sweeps=len(swept))
+                   gmres_solves=len(solved), sweeps=len(swept), sweep_s=statistics.median(sweep_s))
     except mn.SolverError as exc:
         row["error"] = str(exc)
     finally:
@@ -138,7 +143,7 @@ def rung(name: str, path: str | None = None) -> dict:
         def __init__(self, *args):
             super().__init__(*args)
             for _, steps in self.fields:
-                for _, lu, *_ in steps:
+                for _, lu, *_ in steps:  # (part, lu, layers); an older tree's steps have more
                     band = isinstance(lu, sla._BandLU)
                     counted.append((lu.lu.size if band else lu.L.nnz + lu.U.nnz,
                                     "band" if band else "splu"))
@@ -201,7 +206,7 @@ def interleaved(against: Path, repeats: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_9.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
     ap.add_argument("--against", type=Path, help="a second source tree, run interleaved with this one")

@@ -12,7 +12,8 @@ solves one field's block slice by slice in time, the value field backward
 and the density field forward, in one reverse Cuthill-McKee order per field
 that keeps each slice's unknowns together.  In that order each slice's
 diagonal block is a band matrix, factored by LAPACK's band LU up to
-``BAND_MAX`` half-bandwidth and by SuperLU beyond it.  One field is one
+``BAND_MAX`` half-bandwidth and by SuperLU beyond it; its couplings are
+layers gathered from x (a Newton system's slice has one).  One field is one
 sweep; two are solved by GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
 1986) on the density Schur complement ``S = A_mm - A_mu A_uu^-1 A_um``,
 right-preconditioned by the density sweep (Benzi, Golub & Liesen, Acta
@@ -68,7 +69,7 @@ class SparseMatrix:
         urows, ucols = rows[starts], cols[starts]
         keep = summed != 0.0
         urows, ucols, summed = urows[keep], ucols[keep], summed[keep]
-        indptr = np.cumsum(np.bincount(urows + 1, minlength=n_rows + 1))
+        indptr = np.searchsorted(urows, np.arange(n_rows + 1))
         return sp.csr_matrix((summed, ucols, indptr), shape=(n_rows, n_cols))
 
 
@@ -94,25 +95,31 @@ class LinearSystem:
 
 
 def apply(a: sp.csr_matrix, dense, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` plus each dense addend's block times its columns of x: one
-    matrix product per run of addends that share a block, each addend's
-    rows and columns following the previous one's."""
-    y, runs = a @ x, []  # [row, column, addends, block]
+    """``a @ x`` plus each dense addend's block times its columns of x."""
+    return _applied(a, _runs(dense), x)
+
+
+def _runs(dense) -> list:
+    """The dense addends (row, column, block) as runs [row, column, addends,
+    block] that share a block, each addend placed right after the previous."""
+    runs = []
     for r, c, block in dense:
         (nr, nc), last = block.shape, runs[-1] if runs else [0, 0, 0, None]
         if last[3] is block and (r, c) == (last[0] + last[2] * nr, last[1] + last[2] * nc):
             last[2] += 1
         else:
             runs.append([r, c, 1, block])
+    return runs
+
+
+def _applied(a: sp.csr_matrix, runs, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` plus each run's block times its addends' columns of x."""
+    y = a @ x
     for r, c, k, block in runs:
         nr, nc = block.shape
         rows = y[r:r + k * nr].reshape(k, nr)  # a view: the sum lands in y
         rows += x[c:c + k * nc].reshape(k, nc) @ block.T
     return y
-
-
-def _rel_residual(a_csr, dense, x, b) -> float:
-    return float(np.linalg.norm(apply(a_csr, dense, x) - b) / max(np.linalg.norm(b), 1.0))
 
 
 _PLANS: dict = {}  # the cached plans as keys, least recently used first
@@ -151,9 +158,11 @@ class _SweepPlan:
     (CSC order), its couplings' entries, and per slice in sweep order its id,
     range, its block's run and layout (``(kl, ku, flat positions)`` in LAPACK
     band storage, Fortran order, up to ``BAND_MAX`` half-bandwidth, the CSC
-    row indices and column pointers beyond), its couplings' run, rows and
-    columns.  ``pattern`` holds what the plan was built from, by reference
-    an array that nothing can write to and a copy of any other."""
+    row indices and column pointers beyond), and its layers: layer j holds
+    each row's j-th coupling entry and column, a row with fewer pointing at a
+    zero padding slot past the couplings and at x's zero trailing entry.
+    ``pattern`` holds what the plan was built from, by reference an array
+    that nothing can write to and a copy of any other."""
 
     def __init__(self, a: sp.csr_matrix, slices: np.ndarray, split: int):
         self.key = (a.shape, a.nnz, split, BAND_MAX)
@@ -190,14 +199,19 @@ class _SweepPlan:
             band = pr - pc + (kl + ku)[sk] + (2 * kl + ku + 1)[sk] * (pc - first[sk])
             colptr = np.searchsorted(pc, np.arange(hi - lo + 1)).tolist()
             coupled = np.flatnonzero(later | earlier)  # row-major, slice by slice
-            rowptr = np.searchsorted(row[coupled], bounds + lo).tolist()
-            cr, cc = pos[row[coupled]] - first[br[coupled]], pos[a.indices[coupled]]
+            cr = row[coupled]
+            rowptr = np.searchsorted(cr, np.arange(lo, hi + 1))  # each row's first coupling entry
+            rank = np.arange(coupled.size) - rowptr[cr - lo]  # each entry's place in its row
+            width = np.maximum.reduceat(np.diff(rowptr), bounds[:-1])  # each slice's fullest row
+            ents = np.full((width.max(initial=0), hi - lo), coupled.size)  # the padding slot: a zero
+            cols = np.full_like(ents, hi - lo)  # x's trailing zero
+            ents[rank, pos[cr]], cols[rank, pos[cr]] = np.arange(coupled.size), pos[a.indices[coupled]]
             parts = []
             for k, (b0, b1) in enumerate(zip(first.tolist(), bounds[1:].tolist())):
-                run, crun = slice(colptr[b0], colptr[b1]), slice(rowptr[k], rowptr[k + 1])
+                run, w = slice(colptr[b0], colptr[b1]), width[k]
                 layout = ((int(kl[k]), int(ku[k]), band[run]) if max(kl[k], ku[k]) <= BAND_MAX
                           else (pr[run] - b0, np.subtract(colptr[b0:b1 + 1], colptr[b0], dtype=np.int32)))
-                parts.append((s[b0], slice(b0, b1), run, layout, crun, cr[crun], cc[crun]))
+                parts.append((s[b0], slice(b0, b1), run, layout, list(zip(ents[:w, b0:b1], cols[:w, b0:b1]))))
             self.fields.append((order, diag, coupled, parts[::-1] if later.any() else parts))
 
     def planned(self, a: sp.csr_matrix, slices: np.ndarray, split: int) -> bool:
@@ -236,41 +250,47 @@ def _factor(values: np.ndarray, layout, n: int, sid):
 
 class _Sweeps:
     """A plan's sweeps on ``data``: per field its order, and each slice
-    block's factor and its couplings' values."""
+    block's factor and its layers' values v and columns c; a slice solves
+    for ``b[part] - sum v * x[c]``, subtracting layer by layer."""
 
     def __init__(self, plan: _SweepPlan, data: np.ndarray):
         self.fields = []
         for order, entries, coupled, parts in plan.fields:
-            values, couplings = data[entries], data[coupled]
-            self.fields.append((order, [(part, _factor(values[run], layout, part.stop - part.start, sid), r, c,
-                                         couplings[crun]) for sid, part, run, layout, crun, r, c in parts]))
+            values, couplings = data[entries], np.append(data[coupled], 0.0)  # the padding slot last
+            self.fields.append((order, [(part, _factor(values[run], layout, part.stop - part.start, sid),
+                                         [(couplings[e], c) for e, c in layers])
+                                        for sid, part, run, layout, layers in parts]))
 
     def solve(self, f: int, b: np.ndarray) -> np.ndarray:
         """Field f's block solved for ``b``, that field's part of a right-hand
         side, permuted into the plan's order once and back once."""
         order, steps = self.fields[f]
-        b, x = b[order], np.empty_like(b)
-        for part, lu, r, c, v in steps:
-            x[part] = lu.solve(b[part] - np.bincount(r, v * x[c], minlength=part.stop - part.start))
-        b[order] = x
+        b, x = b[order], np.zeros(b.size + 1)  # x's trailing zero is the padding's column
+        for part, lu, layers in steps:
+            y = b[part]  # a view: b is the permuted copy
+            for v, c in layers:
+                y -= v * x[c]
+            x[part] = lu.solve(y)
+        b[order] = x[:-1]
         return b
 
 
-def _checked(a, dense, solve, method: str):
+def _checked(a, runs, solve, method: str):
     """``solve(b) -> (x, GMRES iterations)`` with the bound checked on ``a``
-    and its addends: one refinement step when the residual misses it, then
-    NoConvergenceError on the Schur path, SingularMatrixError otherwise."""
+    and its addends' runs: one refinement step when the residual misses it,
+    then NoConvergenceError on the Schur path, SingularMatrixError otherwise."""
 
     def solve_checked(b):
         b = np.asarray(b, dtype=float)
         x, its = solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("direct solve produced non-finite values")
-        res = _rel_residual(a, dense, x, b)
+        r, scale = b - _applied(a, runs, x), max(np.linalg.norm(b), 1.0)
+        res = float(np.linalg.norm(r) / scale)
         if res > DIRECT_TOL:  # one step of iterative refinement
-            dx, more = solve(b - apply(a, dense, x))
+            dx, more = solve(r)
             x, its = x + dx, its + more
-            res = _rel_residual(a, dense, x, b)
+            res = float(np.linalg.norm(b - _applied(a, runs, x)) / scale)
         if not res <= DIRECT_TOL and method == "schur":  # also when refinement left a NaN
             raise NoConvergenceError(f"GMRES residual {res:.3e} exceeds {DIRECT_TOL:.1e} after {its} iterations")
         if not res <= DIRECT_TOL:
@@ -281,10 +301,10 @@ def _checked(a, dense, solve, method: str):
     return solve_checked
 
 
-def _schur(a, dense, sweeps: _Sweeps, split: int):
+def _schur(a, runs, sweeps: _Sweeps, split: int):
     """The two-field solve by restarted GMRES on the density Schur complement
     ``S = A_mm - A_mu A_uu^-1 A_um``, right-preconditioned by the density
-    sweep, to half the bound on S, the ``dense`` addends all in A_um.  Each
+    sweep, to half the bound on S, the addends' ``runs`` all in A_um.  Each
     cycle sweeps u = A_uu^-1 (b_u - A_um m) once and checks the m rows'
     residual, which is S's; the last cycle's sweep is the back-substitution.
     Step j keeps z_j = A_mm^-1 v_j, and S z_j = A_mm z_j - A_mu A_uu^-1 A_um z_j
@@ -296,12 +316,12 @@ def _schur(a, dense, sweeps: _Sweeps, split: int):
     n, start = a.shape[0], a.indptr[split]
     a_um, a_m = a[:split, split:], sp.csr_matrix((a.data[start:], a.indices[start:], a.indptr[split:] - start),
                                                  shape=(n - split, n))
-    dense_um = [(r, c - split, block) for r, c, block in dense]
+    runs_um = [(r, c - split, k, block) for r, c, k, block in runs]
 
     def solve_schur(b):
         tol, its, x = 0.5 * DIRECT_TOL * max(np.linalg.norm(b), 1.0), 0, np.zeros(n)
         for cycle in range(GMRES_MAX_ITER + 1):
-            x[:split] = sweeps.solve(0, b[:split] - apply(a_um, dense_um, x[split:]))
+            x[:split] = sweeps.solve(0, b[:split] - _applied(a_um, runs_um, x[split:]))
             r = b[split:] - a_m @ x
             g = [np.linalg.norm(r)]  # the least-squares right-hand side, rotated
             if not g[0] > tol or cycle == GMRES_MAX_ITER:  # a NaN too: the check below raises
@@ -309,7 +329,7 @@ def _schur(a, dense, sweeps: _Sweeps, split: int):
             basis, zs, cols, rotations = [r / g[0]], [], [], []
             while abs(g[-1]) > tol and len(zs) < GMRES_RESTART:
                 zs.append(sweeps.solve(1, basis[-1]))
-                w = a_m @ np.concatenate((-sweeps.solve(0, apply(a_um, dense_um, zs[-1])), zs[-1]))  # S z_j
+                w = a_m @ np.concatenate((-sweeps.solve(0, _applied(a_um, runs_um, zs[-1])), zs[-1]))  # S z_j
                 w0, h = np.linalg.norm(w), []
                 for v in basis:  # modified Gram-Schmidt
                     h.append(v @ w)
@@ -360,9 +380,9 @@ def factorize(a: sp.csr_matrix, slices: np.ndarray, dense=(), split: int = 0):
     for r, c, block in dense:  # none with one field
         if not (r >= 0 and r + block.shape[0] <= split <= c and c + block.shape[1] <= n):
             raise ValueError(f"dense addend at ({r}, {c}) does not lie in A_um")
-    sweeps = _Sweeps(_cached(a, slices, split), a.data)
+    sweeps, runs = _Sweeps(_cached(a, slices, split), a.data), _runs(dense)
     if 0 < split < n:
-        return _checked(a, dense, _schur(a, dense, sweeps, split), "schur")
+        return _checked(a, runs, _schur(a, runs, sweeps, split), "schur")
     return _checked(a, (), lambda b: (sweeps.solve(0, b), 0), "sweep")
 
 

@@ -860,10 +860,26 @@ class TestNewtonSlices:
                 assert split in (0, a.shape[0]) and ids in ([value], [density])
             else:
                 assert ids == [value, density] and np.all(slices[split:] > 0)
-            for lo, (*_, parts) in zip((0, split) if len(ids) == 2 else (0,), plan.fields):
-                for before, part in zip(parts, parts[1:]):
-                    assert np.all(slices[lo + part[-1]] == before[0])
-                assert parts[0][-1].size == 0  # the first slice swept reads none
+            for lo, (_, _, coupled, parts) in zip((0, split) if len(ids) == 2 else (0,), plan.fields):
+                for before, (*_, layers) in zip(parts, parts[1:]):
+                    for ents, cols in layers:
+                        assert np.all(slices[lo + cols[ents < coupled.size]] == before[0])
+                # the first slice swept reads none, and every other one layer
+                assert [len(part[-1]) for part in parts] == [0] + [1] * (len(parts) - 1)
+
+    @pytest.mark.parametrize("case", ["1d-64-local", "1d-64-kernel", "2d-16-local"])
+    def test_one_layer_on_every_coupled_slice(self, case):
+        # the benchmark's Newton systems: every row of a slice reads the one
+        # unknown it follows in time, so each field's first slice swept
+        # gathers no layer and every later one exactly one, with no padding
+        if case == "1d-64-kernel":
+            p, exact = manufactured_nonlocal(nx=64, nt=64)
+        else:
+            p, exact = manufactured(nx=int(case[3:5]), nt=int(case[3:5]), dim=int(case[0]))
+        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        for _, _, coupled, parts in sla._SweepPlan(system.matrix, system.slices, system.split).fields:
+            assert [len(layers) for *_, layers in parts] == [0] + [1] * (len(parts) - 1)
+            assert all(np.all(ents < coupled.size) for *_, layers in parts for ents, _ in layers)
 
     def test_order_keeps_slices_and_narrows_the_1d_band(self):
         # each field's order permutes unknowns within their slices only, and

@@ -285,8 +285,8 @@ class TestSliceLU:
         mat, dense, _ = random_block_tridiagonal((4, 4, 4), seed=6, density=1.0)
         b = np.arange(mat.shape[0], dtype=float)
         sweeps = sla._Sweeps(sla._SweepPlan(mat, one_slice(mat), 0), mat.data)
-        [(_, [(part, lu, _, _, _)])] = sweeps.fields  # one field of one slice
-        assert part == slice(0, 12) and isinstance(lu, sla._BandLU)
+        [(_, [(part, lu, layers)])] = sweeps.fields  # one field of one slice, reading none
+        assert part == slice(0, 12) and isinstance(lu, sla._BandLU) and layers == []
         assert lu.lu.shape == (2 * lu.kl + lu.ku + 1, 12) and max(lu.kl, lu.ku) < 12
         x, _ = sla.factorize(mat, one_slice(mat))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10)
@@ -545,8 +545,8 @@ class TestTwoLevel:
         fresh = sla._Sweeps(sla._SweepPlan(a, slices, 24), a.data)  # built, not cached
         assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
         b = np.random.default_rng(5).standard_normal(mat.shape[0])
-        x, _ = sla._schur(a, added, cached, 24)(b)
-        assert x.tobytes() == sla._schur(a, added, fresh, 24)(b)[0].tobytes()
+        x, _ = sla._schur(a, sla._runs(added), cached, 24)(b)
+        assert x.tobytes() == sla._schur(a, sla._runs(added), fresh, 24)(b)[0].tobytes()
 
     # two_field(n_u, (0, 5, 5, 5)) numbers u_0.. first, then m_1, m_2, m_3;
     # each added entry breaks a condition that a block LU in time would put
@@ -705,6 +705,72 @@ class TestSweep:
         assert min(seen.values()) > 0, seen
 
 
+def layered_field(sizes, modes, rng, backward):
+    """One field's dense block in time order: slice k of ``sizes[k]``
+    unknowns, a diagonally heavy random block, whose rows each read 0, 1 or
+    3 random columns of the slices swept before it (the later ones when
+    ``backward``): ``modes[k]`` rows of 0, 1 or 3 entries, or a mix of all
+    three.  The first slice swept reads none."""
+    off = np.r_[0, np.cumsum(sizes)]
+    dense = np.zeros((off[-1], off[-1]))
+    for k, size in enumerate(sizes):
+        dense[off[k]:off[k + 1], off[k]:off[k + 1]] = rng.standard_normal((size, size)) + 4.0 * np.eye(size)
+        before = np.arange(off[k + 1], off[-1]) if backward else np.arange(off[k])
+        counts = rng.choice([0, 1, 3], size) if modes[k] == "mixed" else np.full(size, modes[k])
+        for i, count in zip(range(off[k], off[k + 1]), counts * (before.size > 0)):
+            dense[i, rng.choice(before, count, replace=False)] = rng.uniform(-1.0, 1.0, count)
+    return dense
+
+
+class TestLayers:
+    """Slices whose rows carry 0, 1 or 3 coupling entries: the plan gives each
+    slice as many layers as its fullest row has entries, padding the others,
+    and the one sweep loop solves every pattern to round-off with either
+    slice factor."""
+
+    @pytest.mark.parametrize("name", SLICE_FACTORS)
+    def test_random_rows_match_dense_solve(self, monkeypatch, name):
+        monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS[name])
+        seen = dict.fromkeys(["backward", "forward", "two fields", "0", "1", "3", "padded"], 0)
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 3])
+            k = int(rng.integers(2, 5))
+            sizes = [rng.integers(3, 7, k) for _ in range(2)]
+            modes = [[(0, 1, 3, "mixed")[i] for i in rng.integers(4, size=k)] for _ in range(2)]
+            two = seed % 3 == 0  # the value field swept backward, the density forward
+            backward = two or seed % 3 == 1
+            u = layered_field(sizes[0], modes[0], rng, backward)
+            if two:  # with B diagonal and C sparse in each slice, as the Newton matrix
+                m = layered_field(sizes[1], modes[1], rng, False)
+                dense, split, slices = sp.block_diag((u, m)).toarray(), u.shape[0], np.r_[
+                    np.repeat(np.arange(k), sizes[0]), np.repeat(np.arange(k), sizes[1])]
+                for s in range(k):
+                    rows, cols = np.flatnonzero(slices[:split] == s), split + np.flatnonzero(slices[split:] == s)
+                    i = np.arange(min(rows.size, cols.size))
+                    dense[rows[i], cols[i]] = rng.uniform(0.5, 1.5, i.size)
+                    dense[np.ix_(cols, rows)] = np.where(rng.random((cols.size, rows.size)) < 0.4,
+                                                        rng.standard_normal((cols.size, rows.size)), 0.0)
+            else:
+                dense, split, slices = u, 0, np.repeat(np.arange(k), sizes[0])
+            i, j = np.nonzero(dense)
+            mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
+            fields = [(0, split), (split, mat.shape[0])] if two else [(0, mat.shape[0])]
+            for (lo, hi), (_, _, coupled, parts) in zip(fields, sla._SweepPlan(mat, slices, split).fields):
+                block, s = dense[lo:hi, lo:hi], slices[lo:hi]
+                reads = np.count_nonzero(block * (s[:, None] != s[None, :]), axis=1)  # each row's entries
+                for sid, _, _, _, layers in parts:
+                    assert len(layers) == reads[s == sid].max(), seed
+                    seen["padded"] += any(np.any(ents == coupled.size) for ents, _ in layers)
+                    seen.update({str(w): seen[str(w)] + 1 for w in set(reads[s == sid]) if str(w) in seen})
+            seen["two fields" if two else "backward" if backward else "forward"] += 1
+            b = rng.standard_normal(mat.shape[0])
+            x, meta = sla.factorize(mat, slices, (), split)(b)
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12,
+                                       err_msg=f"seed {seed}")
+            assert meta.residual_norm <= sla.DIRECT_TOL and meta.method == ("schur" if two else "sweep"), seed
+        assert min(seen.values()) > 0, seen
+
+
 class TestSchur:
     """The sweeps in time and GMRES on the density Schur complement, which
     every two-field solve takes, against a dense solve."""
@@ -768,8 +834,8 @@ class TestSchur:
         b = np.random.default_rng(27).standard_normal(mat.shape[0])
         calls, schur = [], sla._schur
 
-        def spoiling(a, dense, sweeps, split):
-            solve = schur(a, dense, sweeps, split)
+        def spoiling(a, runs, sweeps, split):
+            solve = schur(a, runs, sweeps, split)
 
             def spoiled(rhs):
                 x, its = solve(rhs)
