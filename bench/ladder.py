@@ -17,8 +17,8 @@ the Schur path when no solve restarts), and ``sweep_s`` the median time of
 one of those calls over the four solves.  One more, untimed
 factorization counts the entries the sweeps' slice factors store
 (``sweep_entries``: the band storage ``(2 kl + ku + 1) n`` for a slice block
-of n unknowns that LAPACK's band LU factors, ``L.nnz + U.nnz`` for one that
-SuperLU factors), and ``slice_factor`` names the factor that ran
+of n unknowns that LAPACK's band LU factors, kl and ku its field's band,
+``L.nnz + U.nnz`` for one that SuperLU factors), and ``slice_factor`` names the factor that ran
 (``"band"`` or ``"splu"``).
 Then ``newton_s`` times one ``solve_newton`` from the same start to
 perfbench's residual tolerance, taking ``newton_steps`` steps, and
@@ -31,7 +31,7 @@ setting ``sparse_linalg.BAND_MAX`` above every slice block's half-bandwidth
 factor, which at half-bandwidth 95 and 127 stores several times SuperLU's
 fill there.  Each labelled entry also records the tree's ``src/`` line
 count.  From the repository root, once per source tree (rows are stored in
-BENCH_9.json under the label):
+BENCH_10.json under the label):
 
     python bench/ladder.py --label change
 
@@ -206,7 +206,7 @@ def interleaved(against: Path, repeats: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_9.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_10.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
     ap.add_argument("--against", type=Path, help="a second source tree, run interleaved with this one")

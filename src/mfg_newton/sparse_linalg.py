@@ -12,18 +12,19 @@ solves one field's block slice by slice in time, the value field backward
 and the density field forward, in one reverse Cuthill-McKee order per field
 that keeps each slice's unknowns together.  In that order each slice's
 diagonal block is a band matrix, factored by LAPACK's band LU up to
-``BAND_MAX`` half-bandwidth and by SuperLU beyond it; its couplings are
-layers gathered from x (a Newton system's slice has one).  One field is one
-sweep; two are solved by GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
-1986) on the density Schur complement ``S = A_mm - A_mu A_uu^-1 A_um``,
-right-preconditioned by the density sweep (Benzi, Golub & Liesen, Acta
-Numerica 2005; Achdou & Perez, NHM 2012).  Each Krylov vector keeps its
-density sweep, as Saad's FGMRES keeps its preconditioned vectors (SIAM J.
-Sci. Comput. 1993), so a product with S is one more sweep, of the value
-field.  Each restart cycle starts with the value sweep from the density so
-far, and checks S's true residual; the last one is the back-substitution:
-k iterations in one cycle take 2k + 2 sweeps.  The sweeps are planned once
-per sparsity pattern (``PLAN_CACHE``).
+``BAND_MAX`` half-bandwidth, in one band storage per field (kl raised to
+dgbtrf's block size ``LAPACK_NB`` where cheap), and by SuperLU beyond it;
+its couplings are layers gathered from x (a Newton system's slice has one).
+One field is one sweep; two are solved by GMRES (Saad & Schultz, SIAM J.
+Sci. Stat. Comput. 1986) on the density Schur complement
+``S = A_mm - A_mu A_uu^-1 A_um``, right-preconditioned by the density sweep
+(Benzi, Golub & Liesen, Acta Numerica 2005; Achdou & Perez, NHM 2012).
+Each Krylov vector keeps its density sweep, as Saad's FGMRES keeps its
+preconditioned vectors (SIAM J. Sci. Comput. 1993), so a product with S is
+one more sweep, of the value field.  Each restart cycle starts with the
+value sweep from the density so far, and checks S's true residual; the last
+one is the back-substitution: k iterations in one cycle take 2k + 2 sweeps.
+The sweeps are planned once per sparsity pattern (``PLAN_CACHE``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 GMRES_RESTART = 50  # inner iterations between restarts
 GMRES_MAX_ITER = 5000  # restart cycles
 BAND_MAX = 39  # the RCM half-bandwidth up to which LAPACK's band LU factors a slice block, not SuperLU
+LAPACK_NB = 32  # dgbtrf's block size: from kl = LAPACK_NB on, it factors by blocks, faster
 
 
 class SparseMatrix:
@@ -155,12 +157,14 @@ class _SweepPlan:
     graph (Cuthill & McKee 1969), stably sorted by slice: each component of
     the graph lies in one slice, so every slice keeps its own RCM order.  Per
     field, all in the new numbering: that order, its diagonal blocks' entries
-    (CSC order), its couplings' entries, and per slice in sweep order its id,
-    range, its block's run and layout (``(kl, ku, flat positions)`` in LAPACK
-    band storage, Fortran order, up to ``BAND_MAX`` half-bandwidth, the CSC
-    row indices and column pointers beyond), and its layers: layer j holds
-    each row's j-th coupling entry and column, a row with fewer pointing at a
-    zero padding slot past the couplings and at x's zero trailing entry.
+    (CSC order), its couplings' entries, its band ``(kl, ku, flat positions)``
+    in one LAPACK band storage of the field, Fortran order (None if no slice
+    is within ``BAND_MAX`` half-bandwidth; kl and ku the maxima over those
+    that are, kl raised to ``LAPACK_NB`` if that adds at most an eighth of the
+    rows), and per slice in sweep order its id, range, CSC beyond ``BAND_MAX``
+    (its block's run, rows and column pointers; else None) and layers: layer j
+    holds each row's j-th coupling entry and column, a row with fewer pointing
+    at a zero padding slot past the couplings and at x's zero trailing entry.
     ``pattern`` holds what the plan was built from, by reference an array
     that nothing can write to and a copy of any other."""
 
@@ -189,14 +193,17 @@ class _SweepPlan:
             order = reverse_cuthill_mckee(graph, symmetric_mode=False)
             order = order[np.argsort(block[lo + order], kind="stable")]
             pos[lo + order] = np.arange(hi - lo, dtype=np.int32)
-            first = bounds[:-1].astype(np.int32)  # each slice's first place; int32 like pos, for maximum.at
             pr, pc = pos[row[diag]], pos[a.indices[diag]]
             sort = np.lexsort((pr, pc))  # column-major, slice by slice
             diag, pr, pc, sk = diag[sort], pr[sort], pc[sort], bc[diag[sort]]  # sk: each entry's slice
-            kl, ku = np.zeros_like(first), np.zeros_like(first)  # each slice's band
+            kl, ku = np.zeros((2, len(bounds) - 1), dtype=np.int32)  # each slice's band
             np.maximum.at(kl, sk, pr - pc)
             np.maximum.at(ku, sk, pc - pr)
-            band = pr - pc + (kl + ku)[sk] + (2 * kl + ku + 1)[sk] * (pc - first[sk])
+            narrow = np.maximum(kl, ku) <= BAND_MAX  # the slices the band LU factors
+            bl, bu = int(kl.max(where=narrow, initial=0)), int(ku.max(where=narrow, initial=0))
+            bl = max(bl, LAPACK_NB) if 16 * (LAPACK_NB - bl) <= 2 * bl + bu + 1 else bl  # <= 1/8 more rows
+            # flat positions, none without a band slice; a wider slice's entries land unread in its own columns
+            band = (bl, bu, pr - pc + bl + bu + (2 * bl + bu + 1) * pc.astype(np.int64)) if narrow.any() else None
             colptr = np.searchsorted(pc, np.arange(hi - lo + 1)).tolist()
             coupled = np.flatnonzero(later | earlier)  # row-major, slice by slice
             cr = row[coupled]
@@ -207,12 +214,12 @@ class _SweepPlan:
             cols = np.full_like(ents, hi - lo)  # x's trailing zero
             ents[rank, pos[cr]], cols[rank, pos[cr]] = np.arange(coupled.size), pos[a.indices[coupled]]
             parts = []
-            for k, (b0, b1) in enumerate(zip(first.tolist(), bounds[1:].tolist())):
+            for k, (b0, b1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
                 run, w = slice(colptr[b0], colptr[b1]), width[k]
-                layout = ((int(kl[k]), int(ku[k]), band[run]) if max(kl[k], ku[k]) <= BAND_MAX
-                          else (pr[run] - b0, np.subtract(colptr[b0:b1 + 1], colptr[b0], dtype=np.int32)))
-                parts.append((s[b0], slice(b0, b1), run, layout, list(zip(ents[:w, b0:b1], cols[:w, b0:b1]))))
-            self.fields.append((order, diag, coupled, parts[::-1] if later.any() else parts))
+                csc = None if narrow[k] else (run, pr[run] - b0,
+                                              np.subtract(colptr[b0:b1 + 1], colptr[b0], dtype=np.int32))
+                parts.append((s[b0], slice(b0, b1), csc, list(zip(ents[:w, b0:b1], cols[:w, b0:b1]))))
+            self.fields.append((order, diag, coupled, band, parts[::-1] if later.any() else parts))
 
     def planned(self, a: sp.csr_matrix, slices: np.ndarray, split: int) -> bool:
         """Whether this plan is the one ``_SweepPlan(a, slices, split)`` builds."""
@@ -221,13 +228,11 @@ class _SweepPlan:
 
 
 class _BandLU:
-    """LAPACK's band LU of a slice block, with SuperLU's ``solve``."""
+    """LAPACK's band LU of a slice block, in place in its columns of its field's band, with SuperLU's ``solve``."""
 
-    def __init__(self, values: np.ndarray, layout, n: int, sid):
-        self.kl, self.ku, at = layout
-        band = np.zeros((2 * self.kl + self.ku + 1) * n)
-        band[at] = values
-        self.lu, self.piv, info = lapack.dgbtrf(band.reshape(-1, n, order="F"), self.kl, self.ku, overwrite_ab=1)
+    def __init__(self, band: np.ndarray, kl: int, ku: int, sid):
+        self.kl, self.ku = kl, ku
+        self.lu, self.piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=1)
         if info > 0:
             raise SingularMatrixError(f"exact zero pivot in time slice {sid}")
 
@@ -235,15 +240,14 @@ class _BandLU:
         return lapack.dgbtrs(self.lu, self.kl, self.ku, y, self.piv)[0]
 
 
-def _factor(values: np.ndarray, layout, n: int, sid):
-    """Slice ``sid``'s n x n block factored from its values in the plan's
-    layout, a :class:`_BandLU` from ``(kl, ku, band positions)``, SuperLU from
-    ``(CSC rows, column pointers)``; a singular one raises SingularMatrixError
-    naming the slice."""
-    if len(layout) == 3:
-        return _BandLU(values, layout, n, sid)
+def _splu(values: np.ndarray, csc, sid):
+    """Slice ``sid``'s block factored by SuperLU from its field's diagonal-block
+    values and its plan's ``(run, CSC rows, column pointers)``; a singular one
+    raises SingularMatrixError naming the slice."""
+    run, rows, colptr = csc
     try:
-        return spla.splu(sp.csc_matrix((values, *layout), shape=(n, n)), permc_spec=PERMC_SPEC)
+        return spla.splu(sp.csc_matrix((values[run], rows, colptr), shape=(colptr.size - 1,) * 2),
+                         permc_spec=PERMC_SPEC)
     except RuntimeError as exc:
         raise SingularMatrixError(f"exactly singular block in time slice {sid}") from exc
 
@@ -251,15 +255,21 @@ def _factor(values: np.ndarray, layout, n: int, sid):
 class _Sweeps:
     """A plan's sweeps on ``data``: per field its order, and each slice
     block's factor and its layers' values v and columns c; a slice solves
-    for ``b[part] - sum v * x[c]``, subtracting layer by layer."""
+    for ``b[part] - sum v * x[c]``, subtracting layer by layer.  A field's band
+    slices are scattered into one zeroed band storage, then factored in it."""
 
     def __init__(self, plan: _SweepPlan, data: np.ndarray):
         self.fields = []
-        for order, entries, coupled, parts in plan.fields:
+        for order, entries, coupled, band, parts in plan.fields:
             values, couplings = data[entries], np.append(data[coupled], 0.0)  # the padding slot last
-            self.fields.append((order, [(part, _factor(values[run], layout, part.stop - part.start, sid),
+            if band:
+                kl, ku, at = band
+                ab = np.zeros((2 * kl + ku + 1) * order.size)
+                ab[at] = values
+                ab = ab.reshape(-1, order.size, order="F")
+            self.fields.append((order, [(part, _splu(values, csc, sid) if csc else _BandLU(ab[:, part], kl, ku, sid),
                                          [(couplings[e], c) for e, c in layers])
-                                        for sid, part, run, layout, layers in parts]))
+                                        for sid, part, csc, layers in parts]))
 
     def solve(self, f: int, b: np.ndarray) -> np.ndarray:
         """Field f's block solved for ``b``, that field's part of a right-hand

@@ -43,8 +43,8 @@ def manufactured(nx=32, nt=16, alpha=1.0, coupling="sigmoid", dim=1):
     return diag.make_manufactured(grid, spec, cpl.LocalCoupling(coupling))
 
 
-def manufactured_nonlocal(nx=32, nt=16, sigma=0.1, congestion=False):
-    grid = tg.GridSpec(dim=1, nx=nx, nt=nt, horizon=1.0)
+def manufactured_nonlocal(nx=32, nt=16, sigma=0.1, congestion=False, dim=1):
+    grid = tg.GridSpec(dim=dim, nx=nx, nt=nt, horizon=1.0)
     spec = ham.congestion(grid, 1.0, alpha=1.0) if congestion else ham.separable_quadratic(grid, 1.0)
     nc = solver.NonlocalCoupling(
         f=cpl.gaussian_kernel_coupling(grid, sigma),
@@ -860,7 +860,7 @@ class TestNewtonSlices:
                 assert split in (0, a.shape[0]) and ids in ([value], [density])
             else:
                 assert ids == [value, density] and np.all(slices[split:] > 0)
-            for lo, (_, _, coupled, parts) in zip((0, split) if len(ids) == 2 else (0,), plan.fields):
+            for lo, (_, _, coupled, _, parts) in zip((0, split) if len(ids) == 2 else (0,), plan.fields):
                 for before, (*_, layers) in zip(parts, parts[1:]):
                     for ents, cols in layers:
                         assert np.all(slices[lo + cols[ents < coupled.size]] == before[0])
@@ -877,7 +877,7 @@ class TestNewtonSlices:
         else:
             p, exact = manufactured(nx=int(case[3:5]), nt=int(case[3:5]), dim=int(case[0]))
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        for _, _, coupled, parts in sla._SweepPlan(system.matrix, system.slices, system.split).fields:
+        for _, _, coupled, _, parts in sla._SweepPlan(system.matrix, system.slices, system.split).fields:
             assert [len(layers) for *_, layers in parts] == [0] + [1] * (len(parts) - 1)
             assert all(np.all(ents < coupled.size) for *_, layers in parts for ents, _ in layers)
 
@@ -887,9 +887,38 @@ class TestNewtonSlices:
         p, exact = manufactured(nx=64, nt=8)
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
         plan, split = sla._SweepPlan(system.matrix, system.slices, system.split), system.split
-        for part, (order, _, _, parts) in zip((slice(0, split), slice(split, None)), plan.fields):
-            assert np.array_equal(system.slices[part][order], system.slices[part])
-            assert {layout[:2] for _, _, _, layout, *_ in parts} == {(2, 2)}
+        for part, (order, _, _, band, parts) in zip((slice(0, split), slice(split, None)), plan.fields):
+            s = system.slices[part]
+            assert np.array_equal(s[order], s)
+            block = sp.coo_matrix(system.matrix[part][:, part][order][:, order])
+            inside = s[block.row] == s[block.col]
+            d, k = (block.row - block.col)[inside], s[block.row[inside]]
+            assert {(d[k == j].max(), -d[k == j].min()) for j in np.unique(s)} == {(2, 2)}
+            assert band[:2] == (2, 2) and all(csc is None for _, _, csc, _ in parts)  # the field's band
+
+    @pytest.mark.parametrize("case, kl", [("2d-16-local", 32), ("2d-16-kernel", 32), ("1d-64-local", 2),
+                                          ("2d-12-local", 23)])
+    def test_band_padded_to_the_lapack_block_size(self, monkeypatch, case, kl):
+        # a 2D 16 slice block's RCM half-bandwidth is 31 (32 on one kernel
+        # value slice): one more sub-diagonal adds 2 of 94 rows, so every band
+        # slice is factored at kl = LAPACK_NB; 1D's 2 and 2D 12's 23 would
+        # need many more rows and stay; the solve matches SuperLU's
+        dim, nx = int(case[0]), int(case[3:5])
+        if case.endswith("kernel"):
+            p, exact = manufactured_nonlocal(nx=nx, nt=nx, dim=dim)
+        else:
+            p, exact = manufactured(nx=nx, nt=nx, dim=dim)
+        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        args = (system.matrix, system.slices, system.dense, system.split)
+        sweeps = sla._Sweeps(sla._SweepPlan(*args[:2], system.split), system.matrix.data)
+        lus = [lu for _, steps in sweeps.fields for _, lu, _ in steps]
+        assert all(isinstance(lu, sla._BandLU) and lu.kl == kl and lu.lu.shape[0] == 2 * kl + lu.ku + 1
+                   for lu in lus)
+        x, meta = sla.factorize(*args)(system.rhs)
+        monkeypatch.setattr(sla, "BAND_MAX", -1)  # every slice factored by SuperLU
+        y, ref = sla.factorize(*args)(system.rhs)
+        assert np.linalg.norm(x - y, np.inf) <= 1e-10 * np.linalg.norm(y, np.inf)
+        assert meta.iterations == ref.iterations
 
     def test_kernel_blocks_stay_out_of_the_csr(self):
         # the CSR keeps the stencils only (7 entries in a row here, 20 when

@@ -339,13 +339,59 @@ class TestSliceLU:
         r, c = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(3 * nx, 3 * nx, r, c, dense[r, c])
         slices = np.repeat(np.arange(3), nx)
-        [(_, _, _, parts)] = sla._SweepPlan(mat, slices, 0).fields
-        assert [len(layout) for _, _, _, layout, *_ in parts] == [3, 3, 3]  # band layouts
+        [(_, _, _, band, parts)] = sla._SweepPlan(mat, slices, 0).fields
+        assert band is not None and [csc for _, _, csc, _ in parts] == [None] * 3  # band LUs
         with pytest.raises(SingularMatrixError, match="^exact zero pivot in time slice 2$"):
             sla.factorize(mat, slices)
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
         with pytest.raises(SingularMatrixError, match="^exactly singular block in time slice 2$"):
             sla.factorize(mat, slices)
+
+    @pytest.mark.parametrize("backward", [True, False])
+    def test_first_singular_slice_swept_is_named(self, monkeypatch, backward):
+        # four slices of a 16 x 16 torus Laplacian (RCM half-bandwidth 31,
+        # padded to LAPACK_NB in the field's one band storage), each reading
+        # the next slice (swept backward) or the one before (forward); slices 1
+        # and 2 lack column 5, and the error names the one swept first
+        nx, k = 16, 4
+        ring = 2.0 * np.eye(nx) - np.roll(np.eye(nx), 1, axis=1) - np.roll(np.eye(nx), -1, axis=1)
+        n = nx * nx
+        dense = np.kron(np.eye(k), np.kron(ring, np.eye(nx)) + np.kron(np.eye(nx), ring) + 0.1 * np.eye(n))
+        dense -= np.kron(np.eye(k, k=1 if backward else -1), np.eye(n))
+        for s in (1, 2):
+            dense[s * n:(s + 1) * n, s * n + 5] = 0.0
+        r, c = np.nonzero(dense)
+        mat = sla.SparseMatrix.from_triplets(k * n, k * n, r, c, dense[r, c])
+        slices = np.repeat(np.arange(k), n)
+        [(_, _, _, band, parts)] = sla._SweepPlan(mat, slices, 0).fields
+        assert band[0] == sla.LAPACK_NB and [part[0] for part in parts] == [3, 2, 1, 0][::1 if backward else -1]
+        first = 2 if backward else 1
+        with pytest.raises(SingularMatrixError, match=f"^exact zero pivot in time slice {first}$"):
+            sla.factorize(mat, slices)
+        monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
+        with pytest.raises(SingularMatrixError, match=f"^exactly singular block in time slice {first}$"):
+            sla.factorize(mat, slices)
+
+    def test_band_and_superlu_slices_share_a_field(self, monkeypatch):
+        # with BAND_MAX = 2, a field's slices of at most that half-bandwidth
+        # take the band LU in the field's band storage and its wider ones
+        # SuperLU, whose entries land unread in their own columns there
+        monkeypatch.setattr(sla, "BAND_MAX", 2)
+        mixed = 0
+        for seed in range(40):
+            mat, dense, slices, _, split = random_two_field(seed)
+            fields = [f for f in (slice(0, split), slice(split, mat.shape[0])) if f.start < f.stop]
+            sweeps = sla._Sweeps(sla._SweepPlan(mat, slices, split), mat.data)
+            for f, (part, (order, steps)) in enumerate(zip(fields, sweeps.fields)):
+                block = dense[part, part][np.ix_(order, order)]
+                for p, lu, _ in steps:  # the band LU exactly where the block's half-bandwidth is at most 2
+                    i, j = np.nonzero(block[p, p])
+                    assert isinstance(lu, sla._BandLU) == (np.abs(i - j).max() <= 2), seed
+                mixed += {isinstance(lu, sla._BandLU) for _, lu, _ in steps} == {True, False}
+                b = np.random.default_rng(seed).standard_normal(part.stop - part.start)
+                np.testing.assert_allclose(sweeps.solve(f, b), np.linalg.solve(dense[part, part], b),
+                                           rtol=1e-10, atol=1e-12, err_msg=f"seed {seed}")
+        assert mixed > 0
 
 
 class TestPlanCache:
@@ -683,7 +729,7 @@ class TestSweep:
         for seed in range(200):
             mat, dense, slices, _, split = random_two_field(seed)
             fields = [f for f in (slice(0, split), slice(split, mat.shape[0])) if f.start < f.stop]
-            for part, (order, _, coupled, parts) in zip(fields, sla._SweepPlan(mat, slices, split).fields):
+            for part, (order, _, coupled, _, parts) in zip(fields, sla._SweepPlan(mat, slices, split).fields):
                 assert np.array_equal(slices[part][order], slices[part]), seed
                 seen["backward"] += parts[0][0] > parts[-1][0]
                 seen["forward"] += parts[0][0] < parts[-1][0]
@@ -755,10 +801,10 @@ class TestLayers:
             i, j = np.nonzero(dense)
             mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
             fields = [(0, split), (split, mat.shape[0])] if two else [(0, mat.shape[0])]
-            for (lo, hi), (_, _, coupled, parts) in zip(fields, sla._SweepPlan(mat, slices, split).fields):
+            for (lo, hi), (_, _, coupled, _, parts) in zip(fields, sla._SweepPlan(mat, slices, split).fields):
                 block, s = dense[lo:hi, lo:hi], slices[lo:hi]
                 reads = np.count_nonzero(block * (s[:, None] != s[None, :]), axis=1)  # each row's entries
-                for sid, _, _, _, layers in parts:
+                for sid, _, _, layers in parts:
                     assert len(layers) == reads[s == sid].max(), seed
                     seen["padded"] += any(np.any(ents == coupled.size) for ents, _ in layers)
                     seen.update({str(w): seen[str(w)] + 1 for w in set(reads[s == sid]) if str(w) in seen})
