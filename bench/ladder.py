@@ -7,9 +7,10 @@ which also plans the grid's pattern and map and the mask's index;
 and solve it four times through ``sparse_linalg.factorize``: the
 ``factorize`` time of the first call (``factor_first_s``: the pattern's plan
 is built, then the numeric factorization runs), the median of the three
-repeats (``factor_repeat_s``: the plan is reused) and the median time of the
-four solves (``solve_s``).  ``path`` is the path that ran (``"schur"`` for
-the two-field Newton system), ``relres`` and ``lin_iters`` the relative
+repeats (``factor_repeat_s``: the plan is reused), the median count of
+minor page faults (``resource.getrusage`` ``ru_minflt``) over those repeats
+(``factor_faults``), and the median time of the four solves (``solve_s``).
+``path`` is the path that ran (``"schur"`` for the two-field Newton system), ``relres`` and ``lin_iters`` the relative
 residual and the GMRES iterations of the last solve, ``gmres_solves`` the
 Schur solves it ran (2 with a refinement step), and ``sweeps`` the
 ``_Sweeps.solve`` calls it made (2 ``lin_iters`` + 2 ``gmres_solves`` on
@@ -31,7 +32,7 @@ setting ``sparse_linalg.BAND_MAX`` above every slice block's half-bandwidth
 factor, which at half-bandwidth 95 and 127 stores several times SuperLU's
 fill there.  Each labelled entry also records the tree's ``src/`` line
 count.  From the repository root, once per source tree (rows are stored in
-BENCH_10.json under the label):
+BENCH_11.json under the label):
 
     python bench/ladder.py --label change
 
@@ -65,10 +66,11 @@ RUNGS = {"1d-64-local": (1, 64, "local"), "1d-128-local": (1, 128, "local"),
          "1d-256-local": (1, 256, "local"), "1d-64-kernel": (1, 64, "kernel"),
          "1d-128-kernel": (1, 128, "kernel"), "2d-8-local": (2, 8, "local"),
          "2d-12-local": (2, 12, "local"), "2d-16-local": (2, 16, "local"),
-         "2d-20-local": (2, 20, "local"), "2d-24-local": (2, 24, "local"), "2d-32-local": (2, 32, "local"),
+         "2d-20-local": (2, 20, "local"), "2d-24-local": (2, 24, "local"), "2d-28-local": (2, 28, "local"),
+         "2d-32-local": (2, 32, "local"),
          "2d-48-local": (2, 48, "local"), "2d-64-local": (2, 64, "local"),
          "2d-16-kernel": (2, 16, "kernel"), "2d-20-kernel": (2, 20, "kernel"),
-         "2d-24-kernel": (2, 24, "kernel"),
+         "2d-24-kernel": (2, 24, "kernel"), "2d-28-kernel": (2, 28, "kernel"),
          "2d-32-kernel": (2, 32, "kernel"), "2d-48-kernel": (2, 48, "kernel"),
          "2d-64-kernel": (2, 64, "kernel")}
 PATHS = ("band", "splu")  # the slice factors
@@ -100,7 +102,7 @@ def rung(name: str, path: str | None = None) -> dict:
     row = {"rung": name, "path": None, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
            "assembly_first_s": assembly[0], "assembly_s": statistics.median(assembly[1:])}
     args = (system.matrix, system.slices, system.dense)
-    factor_s, solve_s, swept, solved, sweep, schur = [], [], [], [], sla._Sweeps.solve, sla._schur
+    factor_s, faults, solve_s, swept, solved, sweep, schur = [], [], [], [], [], sla._Sweeps.solve, sla._schur
     sweep_s = []  # every sweep of the four solves
 
     def counting(self, f, b):  # the sweeps of a solve, each timed
@@ -123,9 +125,10 @@ def rung(name: str, path: str | None = None) -> dict:
     try:
         for _ in range(4):
             solve = None  # the previous factor is freed before the next is built
-            t0 = time.perf_counter()
+            f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
             solve = sla.factorize(*args, split=system.split)
             factor_s.append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             swept.clear()
             solved.clear()
             t0 = time.perf_counter()
@@ -158,6 +161,7 @@ def rung(name: str, path: str | None = None) -> dict:
     row["slice_factor"] = "+".join(sorted({factor for _, factor in counted})) or None
     row["factor_first_s"] = factor_s[0] if factor_s else None
     row["factor_repeat_s"] = statistics.median(factor_s[1:]) if factor_s[1:] else None
+    row["factor_faults"] = statistics.median(faults[1:]) if faults[1:] else None
     row["solve_s"] = statistics.median(solve_s) if solve_s else None
     system = args = None
     t0 = time.perf_counter()
@@ -206,7 +210,7 @@ def interleaved(against: Path, repeats: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_10.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_11.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
     ap.add_argument("--against", type=Path, help="a second source tree, run interleaved with this one")

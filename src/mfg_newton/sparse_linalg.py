@@ -13,7 +13,8 @@ and the density field forward, in one reverse Cuthill-McKee order per field
 that keeps each slice's unknowns together.  In that order each slice's
 diagonal block is a band matrix, factored by LAPACK's band LU up to
 ``BAND_MAX`` half-bandwidth, in one band storage per field (kl raised to
-dgbtrf's block size ``LAPACK_NB`` where cheap), and by SuperLU beyond it;
+dgbtrf's block size ``LAPACK_NB`` where cheap; the plan keeps a dropped
+factor's storages for the next factorization), and by SuperLU beyond it;
 its couplings are layers gathered from x (a Newton system's slice has one).
 One field is one sweep; two are solved by GMRES (Saad & Schultz, SIAM J.
 Sci. Stat. Comput. 1986) on the density Schur complement
@@ -29,6 +30,7 @@ The sweeps are planned once per sparsity pattern (``PLAN_CACHE``).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,10 +168,11 @@ class _SweepPlan:
     holds each row's j-th coupling entry and column, a row with fewer pointing
     at a zero padding slot past the couplings and at x's zero trailing entry.
     ``pattern`` holds what the plan was built from, by reference an array
-    that nothing can write to and a copy of any other."""
+    that nothing can write to and a copy of any other; ``spare`` one band
+    storage per field (None without a band) that no live factor holds."""
 
     def __init__(self, a: sp.csr_matrix, slices: np.ndarray, split: int):
-        self.key = (a.shape, a.nnz, split, BAND_MAX)
+        self.key, self.spare = (a.shape, a.nnz, split, BAND_MAX), None
         self.pattern = [x if _frozen(x) else x.copy() for x in (a.indptr, a.indices, slices)]
         n = a.shape[0]
         row = np.repeat(np.arange(n, dtype=np.int32), np.diff(a.indptr))
@@ -256,17 +259,24 @@ class _Sweeps:
     """A plan's sweeps on ``data``: per field its order, and each slice
     block's factor and its layers' values v and columns c; a slice solves
     for ``b[part] - sum v * x[c]``, subtracting layer by layer.  A field's band
-    slices are scattered into one zeroed band storage, then factored in it."""
+    slices are scattered into one zeroed band storage, then factored in it:
+    the plan's spare (a new one where it has none), back to the plan once
+    these sweeps are collected, so a live factor's storage is never written."""
 
     def __init__(self, plan: _SweepPlan, data: np.ndarray):
+        store, plan.spare = plan.spare or [None] * len(plan.fields), None
+        weakref.finalize(self, setattr, plan, "spare", store)  # back to the plan once this is collected
         self.fields = []
-        for order, entries, coupled, band, parts in plan.fields:
+        for f, (order, entries, coupled, band, parts) in enumerate(plan.fields):
             values, couplings = data[entries], np.append(data[coupled], 0.0)  # the padding slot last
             if band:
                 kl, ku, at = band
-                ab = np.zeros((2 * kl + ku + 1) * order.size)
-                ab[at] = values
-                ab = ab.reshape(-1, order.size, order="F")
+                if store[f] is None:
+                    store[f] = np.zeros((2 * kl + ku + 1) * order.size)
+                else:
+                    store[f].fill(0.0)  # the last factorization's LU
+                store[f][at] = values
+                ab = store[f].reshape(-1, order.size, order="F")
             self.fields.append((order, [(part, _splu(values, csc, sid) if csc else _BandLU(ab[:, part], kl, ku, sid),
                                          [(couplings[e], c) for e, c in layers])
                                         for sid, part, csc, layers in parts]))

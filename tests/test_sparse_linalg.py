@@ -1,4 +1,5 @@
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -257,6 +258,17 @@ def permuted(mat, dense, perm):
             dense[np.ix_(perm, perm)])
 
 
+def torus_slices(backward=True, nx=16, k=4):
+    """k slices of a nx x nx torus Laplacian plus 0.1 I, each reading the
+    next slice (swept backward) or the one before (forward) through -I, as a
+    dense matrix and the slice of each unknown."""
+    ring = 2.0 * np.eye(nx) - np.roll(np.eye(nx), 1, axis=1) - np.roll(np.eye(nx), -1, axis=1)
+    n = nx * nx
+    dense = np.kron(np.eye(k), np.kron(ring, np.eye(nx)) + np.kron(np.eye(nx), ring) + 0.1 * np.eye(n))
+    dense -= np.kron(np.eye(k, k=1 if backward else -1), np.eye(n))
+    return dense, np.repeat(np.arange(k), n)
+
+
 class TestSliceLU:
     """One field whose slices each read the next one only: one backward sweep."""
 
@@ -353,16 +365,12 @@ class TestSliceLU:
         # padded to LAPACK_NB in the field's one band storage), each reading
         # the next slice (swept backward) or the one before (forward); slices 1
         # and 2 lack column 5, and the error names the one swept first
-        nx, k = 16, 4
-        ring = 2.0 * np.eye(nx) - np.roll(np.eye(nx), 1, axis=1) - np.roll(np.eye(nx), -1, axis=1)
-        n = nx * nx
-        dense = np.kron(np.eye(k), np.kron(ring, np.eye(nx)) + np.kron(np.eye(nx), ring) + 0.1 * np.eye(n))
-        dense -= np.kron(np.eye(k, k=1 if backward else -1), np.eye(n))
+        dense, slices = torus_slices(backward)
+        n = dense.shape[0] // 4
         for s in (1, 2):
             dense[s * n:(s + 1) * n, s * n + 5] = 0.0
         r, c = np.nonzero(dense)
-        mat = sla.SparseMatrix.from_triplets(k * n, k * n, r, c, dense[r, c])
-        slices = np.repeat(np.arange(k), n)
+        mat = sla.SparseMatrix.from_triplets(*dense.shape, r, c, dense[r, c])
         [(_, _, _, band, parts)] = sla._SweepPlan(mat, slices, 0).fields
         assert band[0] == sla.LAPACK_NB and [part[0] for part in parts] == [3, 2, 1, 0][::1 if backward else -1]
         first = 2 if backward else 1
@@ -479,6 +487,105 @@ class TestPlanCache:
         x, _ = sla.factorize(mat, view)(b)
         assert len(plan_builds) == 3
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+
+
+def revalued(mat, seed):
+    """mat's pattern with each stored value scaled by a random factor in [1, 1.5)."""
+    scale = 1.0 + 0.5 * np.random.default_rng(seed).random(mat.nnz)
+    return sp.csr_matrix((mat.data * scale, mat.indices, mat.indptr), shape=mat.shape)
+
+
+def first_band_lu(sweeps):
+    """The band LU array of the first band slice that sweeps factor."""
+    return next(lu.lu for _, steps in sweeps.fields for _, lu, _ in steps if isinstance(lu, sla._BandLU))
+
+
+class TestBandStorageReuse:
+    """A plan's spare band storages: taken by the next factorization once no
+    live one holds them, zeroed, and returned when its factor is collected."""
+
+    @staticmethod
+    def torus(backward=True):
+        dense, slices = torus_slices(backward)
+        r, c = np.nonzero(dense)
+        return sla.SparseMatrix.from_triplets(*dense.shape, r, c, dense[r, c]), slices
+
+    @staticmethod
+    def solved(sweeps, n, seed):
+        b = np.random.default_rng(seed).standard_normal(n)
+        return sweeps.solve(0, b).tobytes()
+
+    @pytest.mark.parametrize("backward", [True, False])
+    def test_dropped_factor_storage_is_reused_and_zeroed(self, plan_builds, backward):
+        # the band holds structural zeros that the first LU fills; left in
+        # place, that fill would leak into the second factorization
+        mat, slices = self.torus(backward)
+        dropped = sla._Sweeps(sla._cached(mat, slices, 0), mat.data)
+        old = first_band_lu(dropped)
+        dropped = None
+        a = revalued(mat, 1)
+        again = sla._Sweeps(sla._cached(a, slices, 0), a.data)
+        assert len(plan_builds) == 1 and plan_builds[0].spare is None
+        assert np.shares_memory(first_band_lu(again), old)
+        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 0), a.data)
+        assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
+        assert self.solved(again, mat.shape[0], 2) == self.solved(fresh, mat.shape[0], 2)
+
+    def test_live_factor_is_never_written(self, plan_builds):
+        mat, slices = self.torus()
+        a = revalued(mat, 3)
+        live = sla._Sweeps(sla._cached(mat, slices, 0), mat.data)
+        before = self.solved(live, mat.shape[0], 4)
+        second = sla._Sweeps(sla._cached(a, slices, 0), a.data)
+        assert len(plan_builds) == 1 and not np.shares_memory(first_band_lu(live), first_band_lu(second))
+        assert self.solved(live, mat.shape[0], 4) == before
+        for sweeps, m in ((live, mat), (second, a)):
+            fresh = sla._Sweeps(sla._SweepPlan(m, slices, 0), m.data)
+            assert self.solved(sweeps, mat.shape[0], 4) == self.solved(fresh, mat.shape[0], 4)
+
+    def test_two_fields_reuse_one_storage_each(self, plan_builds):
+        mat, _, slices, _ = two_field([3, 4, 4, 2], [2, 4, 4, 3], seed=5, density=0.3)
+        dropped = sla._Sweeps(sla._cached(mat, slices, 13), mat.data)
+        old = [steps[0][1].lu for _, steps in dropped.fields]
+        dropped = None
+        a = revalued(mat, 6)
+        again = sla._Sweeps(sla._cached(a, slices, 13), a.data)
+        assert [np.shares_memory(steps[0][1].lu, lu) for (_, steps), lu in zip(again.fields, old)] == [True] * 2
+        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 13), a.data)
+        assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
+
+    def test_storage_of_an_aborted_factorization_is_reused(self, plan_builds):
+        # the torus slices with slices 1 and 2's column 5 stored as exact
+        # zeros: one pattern, first singular, then regular
+        mat, slices = self.torus()
+        n = mat.shape[0] // 4
+        row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        hole = (mat.indices % n == 5) & (mat.indices // n == row // n) & np.isin(row // n, (1, 2))
+        singular = sp.csr_matrix((np.where(hole, 0.0, mat.data), mat.indices, mat.indptr), shape=mat.shape)
+        with pytest.raises(SingularMatrixError, match="^exact zero pivot in time slice 2$"):
+            sla.factorize(singular, slices)
+        [spare] = plan_builds[0].spare  # back once the aborted factorization is collected
+        a = revalued(mat, 7)
+        again = sla._Sweeps(sla._cached(a, slices, 0), a.data)
+        assert len(plan_builds) == 1 and np.shares_memory(first_band_lu(again), spare)
+        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 0), a.data)
+        assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
+        assert self.solved(again, mat.shape[0], 8) == self.solved(fresh, mat.shape[0], 8)
+
+    def test_evicted_plan_frees_its_storages(self, plan_builds):
+        # once two other patterns evict a plan and its factors are dropped,
+        # nothing holds the plan or its spare storages
+        mat, slices = self.torus()
+        sla.factorize(mat, slices)
+        spare = weakref.ref(plan_builds[0].spare[0])
+        live = sla.factorize(revalued(mat, 9), slices)  # holds the spare storage past the eviction
+        plan = weakref.ref(plan_builds[0])
+        plan_builds.clear()
+        for other in (mat[:512, :512], mat[:256, :256]):  # slices 0-1, then slice 0
+            sla.factorize(other, slices[:other.shape[0]])
+        assert plan() is not None and plan() not in sla._PLANS and spare() is not None
+        live = None
+        assert plan() is None and spare() is None
 
 
 def two_field(n_u, n_m, seed, aligned=True, holes=0.0, addends=False, density=0.4):
