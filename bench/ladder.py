@@ -2,12 +2,11 @@
 
 For the seed-0 benchmark start on each rung, assemble the masked Newton
 system four times (``assembly_first_s``: the first ``newton_system`` call,
-which also plans the grid's pattern and map and the mask's index;
-``assembly_s``: the median of the three repeats), then factor
-and solve it four times through ``sparse_linalg.factorize``: the
-``factorize`` time of the first call (``factor_first_s``: the pattern's plan
-is built, then the numeric factorization runs), the median of the three
-repeats (``factor_repeat_s``: the plan is reused), the median count of
+which also plans the grid's pattern and map, and the mask's index and its
+sweep plan; ``assembly_s``: the median of the three repeats), then factor
+and solve it four times through ``sparse_linalg.factorize`` on the system's
+plan: the ``factorize`` time of the first call (``factor_first_s``), the
+median of the three repeats (``factor_repeat_s``), the median count of
 minor page faults (``resource.getrusage`` ``ru_minflt``) over those repeats
 (``factor_faults``), and the median time of the four solves (``solve_s``).
 ``path`` is the path that ran (``"schur"`` for the two-field Newton system), ``relres`` and ``lin_iters`` the relative
@@ -25,14 +24,17 @@ Then ``newton_s`` times one ``solve_newton`` from the same start to
 perfbench's residual tolerance, taking ``newton_steps`` steps, and
 ``peak_rss_mb`` is the process's peak.
 
-Each rung runs in its own process, so its plan cache starts empty and the
-peak RSS is its own.  Each rung runs once with each slice factor, forced by
-setting ``sparse_linalg.BAND_MAX`` above every slice block's half-bandwidth
+Each rung runs in its own process, so its grid cache starts empty and the
+peak RSS is its own.  A tree whose systems carry no plan (before the mask
+planned its sweeps) is factored as its ``factorize`` takes it, from the
+system's slices and split, and plans in its first ``factorize`` call, so
+there ``factor_first_s`` holds the plan and ``assembly_first_s`` does not.
+Each rung runs once with each slice factor, forced by setting ``sparse_linalg.BAND_MAX`` above every slice block's half-bandwidth
 (``band``) or to -1 (``splu``), except that 2D 48 and 64 leave out the band
 factor, which at half-bandwidth 95 and 127 stores several times SuperLU's
 fill there.  Each labelled entry also records the tree's ``src/`` line
 count.  From the repository root, once per source tree (rows are stored in
-BENCH_11.json under the label):
+BENCH_12.json under the label):
 
     python bench/ladder.py --label change
 
@@ -101,7 +103,10 @@ def rung(name: str, path: str | None = None) -> dict:
         assembly.append(time.perf_counter() - t0)
     row = {"rung": name, "path": None, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
            "assembly_first_s": assembly[0], "assembly_s": statistics.median(assembly[1:])}
-    args = (system.matrix, system.slices, system.dense)
+    if getattr(system, "plan", None) is not None:
+        args, kwargs = (system.matrix, system.plan, system.dense), {}
+    else:  # a tree that plans in factorize
+        args, kwargs = (system.matrix, system.slices, system.dense), {"split": system.split}
     factor_s, faults, solve_s, swept, solved, sweep, schur = [], [], [], [], [], sla._Sweeps.solve, sla._schur
     sweep_s = []  # every sweep of the four solves
 
@@ -126,7 +131,7 @@ def rung(name: str, path: str | None = None) -> dict:
         for _ in range(4):
             solve = None  # the previous factor is freed before the next is built
             f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-            solve = sla.factorize(*args, split=system.split)
+            solve = sla.factorize(*args, **kwargs)
             factor_s.append(time.perf_counter() - t0)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             swept.clear()
@@ -153,7 +158,7 @@ def rung(name: str, path: str | None = None) -> dict:
 
     sla._Sweeps = CountedSweeps
     try:
-        sla.factorize(*args, split=system.split)
+        sla.factorize(*args, **kwargs)
     except mn.SolverError:
         pass
     sla._Sweeps = sweeps
@@ -210,7 +215,7 @@ def interleaved(against: Path, repeats: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_11.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_12.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
     ap.add_argument("--against", type=Path, help="a second source tree, run interleaved with this one")

@@ -13,7 +13,7 @@ from .mfg_solver import (NewtonConfig, ProblemSpec, SolverState,
                          linearized_solver, make_state, newton_step,
                          newton_system, residual, solve_fixed_point,
                          solve_linearized, solve_newton)
-from .sparse_linalg import LinearSystem, SparseMatrix, factorize, solve
+from .sparse_linalg import LinearSystem, SparseMatrix, SweepPlan, factorize, solve
 from .torus_grid import (Field, GridSpec, VectorField, divergence, gradient,
                          laplacian, write_field_csv)
 

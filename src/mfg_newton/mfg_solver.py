@@ -32,9 +32,10 @@ values are known, and their columns times those values move to the
 right-hand side.  Newton, those inner solves and the linearized stability
 probe all go through ``_eliminate`` into ``sparse_linalg``: per mask it
 indexes once which stored entries the system keeps, in its own numbering,
-which move to the right-hand side, each free unknown's time slice and
-where the density field starts.  An entry that comes out exactly 0 is not
-stored, nor is the um diagonal when its field is 0 everywhere.  The probe's
+and which move to the right-hand side.  A mask's plan is built once with
+its index, from each free unknown's time slice and where the density field
+starts, so every system of a mask has one pattern and one plan; the um
+diagonal is not stored when its field is 0 everywhere.  The probe's
 boundary data are zero, so its draws reuse one set of sweep factors as
 they are.
 """
@@ -331,9 +332,10 @@ class _Masked:
     ``um``) with their CSR column indices and row pointers in the system,
     ``moved`` the ones whose known columns move to the right-hand side,
     with their full column indices and row pointers over the free rows.
-    ``index`` numbers the free unknowns, ``slices`` gives each one's time
-    slice, and ``split`` counts those before the density field's (all of
-    them in a one-field system)."""
+    ``index`` numbers the free unknowns, and ``plan`` is the sweep plan of
+    the system's pattern, from each free unknown's time slice and the count
+    of those before the density field's (all of them in a one-field
+    system)."""
 
     def __init__(self, st: _Stencils, known: np.ndarray, um: bool):
         free = ~known
@@ -351,9 +353,10 @@ class _Masked:
 
         self.take = entries(free[row] & free[col] & (um | (row >= st.nodes) | (col < st.nodes)), self.index[col])
         self.moved = entries(free[row] & known[col], col)
-        self.slices = (np.arange(known.size) // st.grid.n_space % (st.grid.nt + 1))[free]
-        self.slices.setflags(write=False)  # every system shares it, and its plan keeps it
-        self.split = int(np.count_nonzero(free[:st.nodes])) or size
+        row = None  # freed before the plan is built, the mask's peak
+        slices = (np.arange(known.size) // st.grid.n_space % (st.grid.nt + 1))[free]
+        _, indices, indptr = self.take
+        self.plan = sla.SweepPlan(indptr, indices, slices, int(np.count_nonzero(free[:st.nodes])) or size)
 
 
 def _linearization(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBundle):
@@ -389,26 +392,20 @@ def _eliminate(grid: tg.GridSpec, coef: np.ndarray, rhs: np.ndarray,
     unknowns: their rows are identity rows, so x = rhs there, and their
     columns (dense blocks on them too) times those values move to the
     right-hand side.  The matrix is in the canonical form ``sparse_linalg``
-    factors, with no entry that comes out exactly 0; each free unknown is
-    tagged with its time slice (unknowns and dense blocks are
-    slice-stacked), the free dense blocks are its addends, and ``split``
-    counts the free unknowns before the density field's."""
+    factors, in the pattern of its mask's plan, which the system carries
+    (unknowns and dense blocks are slice-stacked); the free dense blocks
+    are its addends."""
     st = _stencils(grid)
     mask = st.masked(known, bool(coef[st.um].any()))  # an all-zero um field stores nothing
     data, free, index = st.map @ coef, mask.free, mask.index
     (stored, indices, indptr), (moved, columns, rows) = mask.take, mask.moved
-    values = data[stored]
-    zeros = np.flatnonzero(values == 0.0)
-    if zeros.size:
-        values, indices = np.delete(values, zeros), np.delete(indices, zeros)
-        indptr = np.subtract(indptr, np.searchsorted(zeros, indptr), dtype=np.int32)
     size = indptr.size - 1
     addends = [(index[r], index[c], block) for r, c, block in dense if free[r] and free[c]]
     shift = sla.apply(sp.csr_matrix((data[moved], columns, rows), shape=(size, known.size)),
                       [(index[r], c, block) for r, c, block in dense if free[r] and known[c]],
                       np.where(known, rhs, 0.0))
-    return sla.LinearSystem(sp.csr_matrix((values, indices, indptr), shape=(size, size)),
-                            rhs[free] - shift, mask.slices, addends, mask.split)
+    return sla.LinearSystem(sp.csr_matrix((data[stored], indices, indptr), shape=(size, size)),
+                            rhs[free] - shift, mask.plan, addends)
 
 
 def _solve_eliminated(grid, coef, rhs, known) -> np.ndarray:
@@ -614,7 +611,7 @@ def linearized_solver(p: ProblemSpec, base: SolverState):
     grid, u, m = p.grid, base.u.values, base.m.values
     coef, dense, known = _linearization(p, m, _bundle(p, u, m))
     system = _eliminate(grid, coef, np.zeros(known.size), known, dense)
-    factored = sla.factorize(system.matrix, system.slices, system.dense, split=system.split)
+    factored = sla.factorize(system.matrix, system.plan, system.dense)
 
     def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):
         if a.grid != grid or b.grid != grid:

@@ -1,10 +1,11 @@
 """Space-time solves of canonical scipy CSR matrices, and triplet assembly.
 
-Matrices are ``scipy.sparse.csr_matrix`` with sorted column indices and no
-stored zeros; triplet assembly sorts by (row, col, value), so any permutation
-of one triplet stream gives a bit-identical matrix.  Every solve meets
-``DIRECT_TOL`` on the relative residual, dense addends included; a residual
-that misses it gets one refinement step, then the solve raises.
+Matrices are ``scipy.sparse.csr_matrix`` with sorted column indices;
+triplet assembly also prunes zeros and sorts by (row, col, value), so any
+permutation of one triplet stream gives a bit-identical matrix.  Every
+solve meets ``DIRECT_TOL`` on the relative residual, dense addends
+included; a residual that misses it gets one refinement step, then the
+solve raises.
 
 The unknowns ``[0, split)`` are the value field and ``[split, n)`` the
 density field, each in time order (one field if split is 0 or n).  A sweep
@@ -25,7 +26,8 @@ preconditioned vectors (SIAM J. Sci. Comput. 1993), so a product with S is
 one more sweep, of the value field.  Each restart cycle starts with the
 value sweep from the density so far, and checks S's true residual; the last
 one is the back-substitution: k iterations in one cycle take 2k + 2 sweeps.
-The sweeps are planned once per sparsity pattern (``PLAN_CACHE``).
+The sweeps are planned once per sparsity pattern, by a :class:`SweepPlan`
+that the caller keeps and passes to every factorization of that pattern.
 """
 
 from __future__ import annotations
@@ -88,9 +90,8 @@ class SolveMeta:
 class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    slices: np.ndarray  # time slice of each unknown
+    plan: SweepPlan  # of the matrix's pattern
     dense: list = field(default_factory=list)  # dense addends (row, column, block) in A_um
-    split: int = 0  # the value unknowns, which come first; 0 or all: one field
     meta: SolveMeta | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -126,31 +127,7 @@ def _applied(a: sp.csr_matrix, runs, x: np.ndarray) -> np.ndarray:
     return y
 
 
-_PLANS: dict = {}  # the cached plans as keys, least recently used first
-PLAN_CACHE = 2  # Picard alternates between its value block and its density block
-
-
-def _cached(a: sp.csr_matrix, slices: np.ndarray, split: int) -> _SweepPlan:
-    """``_SweepPlan(a, slices, split)``, from the cache or built and cached."""
-    plan = next((p for p in _PLANS if p.planned(a, slices, split)), None)
-    if plan is None:
-        plan = _SweepPlan(a, slices, split)
-    else:
-        del _PLANS[plan]
-    _PLANS[plan] = None
-    if len(_PLANS) > PLAN_CACHE:
-        del _PLANS[next(iter(_PLANS))]
-    return plan
-
-
-def _frozen(x: np.ndarray) -> bool:
-    """Whether nothing writes to x's memory: x is read-only and owns it, or
-    views an array that is read-only too."""
-    return not x.flags.writeable and (x.base is None or isinstance(x.base, np.ndarray)
-                                      and not x.base.flags.writeable)
-
-
-class _SweepPlan:
+class SweepPlan:
     """Where the sweeps put each stored entry of a CSR pattern, for the fields
     ``[0, split)`` and ``[split, n)`` (one if split is 0 or n), each in time
     order with every coupling reading a later slice (a backward sweep) or
@@ -167,15 +144,21 @@ class _SweepPlan:
     (its block's run, rows and column pointers; else None) and layers: layer j
     holds each row's j-th coupling entry and column, a row with fewer pointing
     at a zero padding slot past the couplings and at x's zero trailing entry.
-    ``pattern`` holds what the plan was built from, by reference an array
-    that nothing can write to and a copy of any other; ``spare`` one band
-    storage per field (None without a band) that no live factor holds."""
+    ``spare`` holds one band storage per field (None without a band) that no
+    live factor holds.
 
-    def __init__(self, a: sp.csr_matrix, slices: np.ndarray, split: int):
-        self.key, self.spare = (a.shape, a.nnz, split, BAND_MAX), None
-        self.pattern = [x if _frozen(x) else x.copy() for x in (a.indptr, a.indices, slices)]
-        n = a.shape[0]
-        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(a.indptr))
+    The plan reads only the pattern ``(indptr, indices)`` and each unknown's
+    time slice, once.  Whoever knows that every matrix it factors has this
+    pattern keeps the plan and passes it to each :func:`factorize`, as the
+    solver's index of one mask of known unknowns does; ``factorize`` checks
+    only the shape and the stored-entry count against it."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, slices: np.ndarray, split: int = 0):
+        n, slices = indptr.size - 1, np.asarray(slices)
+        if slices.shape != (n,):
+            raise ValueError(f"slice index length {slices.shape} != n_rows {n}")
+        self.shape, self.nnz, self.split, self.spare = (n, n), indices.size, split, None
+        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
         pos = np.empty(n, dtype=np.int32)  # each unknown's place in its field's new numbering
         self.fields = []
         for lo, hi in ((0, split), (split, n)) if 0 < split < n else ((0, n),):
@@ -185,18 +168,18 @@ class _SweepPlan:
             bounds = np.r_[np.flatnonzero(np.r_[True, s[1:] != s[:-1]]), hi - lo]
             block = np.full(n, -1, dtype=np.int32)  # each unknown's slice in the field, or -1
             block[lo:hi] = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
-            br, bc = block[row], block[a.indices]
+            br, bc = block[row], block[indices]
             inside = (br >= 0) & (bc >= 0)
             later, earlier = inside & (bc > br), inside & (bc < br)
             if later.any() and earlier.any():
                 raise ValueError(f"unknowns {lo}..{hi - 1} read both earlier and later slices")
             diag = np.flatnonzero(inside & (br == bc))  # row-major
-            graph = sp.csr_matrix((np.ones(diag.size), a.indices[diag] - lo,
+            graph = sp.csr_matrix((np.ones(diag.size), indices[diag] - lo,
                                    np.searchsorted(row[diag], np.arange(lo, hi + 1))), shape=(hi - lo,) * 2)
             order = reverse_cuthill_mckee(graph, symmetric_mode=False)
             order = order[np.argsort(block[lo + order], kind="stable")]
             pos[lo + order] = np.arange(hi - lo, dtype=np.int32)
-            pr, pc = pos[row[diag]], pos[a.indices[diag]]
+            pr, pc = pos[row[diag]], pos[indices[diag]]
             sort = np.lexsort((pr, pc))  # column-major, slice by slice
             diag, pr, pc, sk = diag[sort], pr[sort], pc[sort], bc[diag[sort]]  # sk: each entry's slice
             kl, ku = np.zeros((2, len(bounds) - 1), dtype=np.int32)  # each slice's band
@@ -215,7 +198,7 @@ class _SweepPlan:
             width = np.maximum.reduceat(np.diff(rowptr), bounds[:-1])  # each slice's fullest row
             ents = np.full((width.max(initial=0), hi - lo), coupled.size)  # the padding slot: a zero
             cols = np.full_like(ents, hi - lo)  # x's trailing zero
-            ents[rank, pos[cr]], cols[rank, pos[cr]] = np.arange(coupled.size), pos[a.indices[coupled]]
+            ents[rank, pos[cr]], cols[rank, pos[cr]] = np.arange(coupled.size), pos[indices[coupled]]
             parts = []
             for k, (b0, b1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
                 run, w = slice(colptr[b0], colptr[b1]), width[k]
@@ -223,11 +206,6 @@ class _SweepPlan:
                                               np.subtract(colptr[b0:b1 + 1], colptr[b0], dtype=np.int32))
                 parts.append((s[b0], slice(b0, b1), csc, list(zip(ents[:w, b0:b1], cols[:w, b0:b1]))))
             self.fields.append((order, diag, coupled, band, parts[::-1] if later.any() else parts))
-
-    def planned(self, a: sp.csr_matrix, slices: np.ndarray, split: int) -> bool:
-        """Whether this plan is the one ``_SweepPlan(a, slices, split)`` builds."""
-        return (self.key == (a.shape, a.nnz, split, BAND_MAX)
-                and all(map(np.array_equal, self.pattern, (a.indptr, a.indices, slices))))
 
 
 class _BandLU:
@@ -263,7 +241,7 @@ class _Sweeps:
     the plan's spare (a new one where it has none), back to the plan once
     these sweeps are collected, so a live factor's storage is never written."""
 
-    def __init__(self, plan: _SweepPlan, data: np.ndarray):
+    def __init__(self, plan: SweepPlan, data: np.ndarray):
         store, plan.spare = plan.spare or [None] * len(plan.fields), None
         weakref.finalize(self, setattr, plan, "spare", store)  # back to the plan once this is collected
         self.fields = []
@@ -380,27 +358,27 @@ def _schur(a, runs, sweeps: _Sweeps, split: int):
     return solve_schur
 
 
-def factorize(a: sp.csr_matrix, slices: np.ndarray, dense=(), split: int = 0):
+def factorize(a: sp.csr_matrix, plan: SweepPlan, dense=()):
     """Factor the square canonical CSR matrix and its ``dense`` addends once,
-    given each unknown's time slice and ``split``, where the density unknowns
-    start (0 or n: one field): the sweeps of :class:`_Sweeps`, one for one
-    field and GMRES on the density Schur complement for two.
+    on ``plan``, the :class:`SweepPlan` of a's pattern: the sweeps of
+    :class:`_Sweeps`, one for one field and GMRES on the density Schur
+    complement for two.
 
     Returns ``solve(b) -> (x, SolveMeta)``, x with a relative residual of at
-    most ``DIRECT_TOL``.  Raises ValueError on a pattern the plan rejects or
-    an addend not in ``A_um``, and SingularMatrixError on an exactly
-    singular slice block.  The solve refines once a residual that misses the
-    bound, then raises as :func:`_checked` does, or NoConvergenceError when
-    GMRES's budget runs out."""
-    n, slices = a.shape[0], np.asarray(slices)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("solve requires a square matrix")
-    if slices.shape != (n,):
-        raise ValueError(f"slice index length {slices.shape} != n_rows {n}")
+    most ``DIRECT_TOL``.  Raises ValueError on a matrix whose shape or count
+    of stored entries is not the plan's, or an addend not in ``A_um``, and
+    SingularMatrixError on an exactly singular slice block.  The solve
+    refines once a residual that misses the bound, then raises as
+    :func:`_checked` does, or NoConvergenceError when GMRES's budget runs
+    out."""
+    n, split = a.shape[0], plan.split
+    if a.shape != plan.shape or a.nnz != plan.nnz:
+        raise ValueError(f"a {a.shape} matrix with {a.nnz} stored entries is not its plan's "
+                         f"{plan.shape} with {plan.nnz}")
     for r, c, block in dense:  # none with one field
         if not (r >= 0 and r + block.shape[0] <= split <= c and c + block.shape[1] <= n):
             raise ValueError(f"dense addend at ({r}, {c}) does not lie in A_um")
-    sweeps, runs = _Sweeps(_cached(a, slices, split), a.data), _runs(dense)
+    sweeps, runs = _Sweeps(plan, a.data), _runs(dense)
     if 0 < split < n:
         return _checked(a, runs, _schur(a, runs, sweeps, split), "schur")
     return _checked(a, (), lambda b: (sweeps.solve(0, b), 0), "sweep")
@@ -409,5 +387,5 @@ def factorize(a: sp.csr_matrix, slices: np.ndarray, dense=(), split: int = 0):
 def solve(system: LinearSystem) -> np.ndarray:
     """Factor the square system and solve it, populating ``system.meta``;
     raises as :func:`factorize` and the solve it returns do."""
-    x, system.meta = factorize(system.matrix, system.slices, system.dense, system.split)(system.rhs)
+    x, system.meta = factorize(system.matrix, system.plan, system.dense)(system.rhs)
     return x

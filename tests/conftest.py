@@ -5,16 +5,35 @@ from mfg_newton import sparse_linalg as sla
 
 @pytest.fixture
 def plan_builds(monkeypatch):
-    """Start from an empty plan cache and record every sweep plan built."""
-    built, build = [], sla._SweepPlan
+    """Start from an empty grid cache, so that no mask keeps a plan, and
+    record every sweep plan built."""
+    from mfg_newton import mfg_solver as solver
+
+    built, build = [], sla.SweepPlan
 
     def counting(*args):
         built.append(build(*args))
         return built[-1]
 
-    monkeypatch.setattr(sla, "_PLANS", {})
-    monkeypatch.setattr(sla, "_SweepPlan", counting)
-    return built
+    solver._stencils.cache_clear()
+    monkeypatch.setattr(sla, "SweepPlan", counting)
+    yield built
+    solver._stencils.cache_clear()
+
+
+@pytest.fixture
+def set_band_max(monkeypatch):
+    """``set_band_max(value)`` sets ``sparse_linalg.BAND_MAX`` with an empty grid
+    cache, so that no mask's plan built under another value is reused; the
+    cache is emptied again on exit."""
+    from mfg_newton import mfg_solver as solver
+
+    def setting(value):
+        solver._stencils.cache_clear()
+        monkeypatch.setattr(sla, "BAND_MAX", value)
+
+    yield setting
+    solver._stencils.cache_clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -61,10 +62,25 @@ def whole(mat, dense):
 
 
 def assert_csr_invariants(mat):
-    """Strictly increasing columns in every row, and no stored zero."""
+    """Strictly increasing columns in every row."""
     assert mat.indptr.shape == (mat.shape[0] + 1,)
     assert mat.has_canonical_format
-    assert np.all(mat.data != 0.0)
+
+
+def slices_of(plan):
+    """Each unknown's time slice, read back from a sweep plan's slices."""
+    slices, lo = np.empty(plan.shape[0], dtype=int), 0
+    for order, *_, parts in plan.fields:
+        for sid, part, *_ in parts:
+            slices[lo + order[part]] = sid
+        lo += order.size
+    return slices
+
+
+def slice_factors(plan):
+    """The slice factors that ``plan`` picks: "band" for LAPACK's band LU,
+    "splu" for SuperLU."""
+    return {"splu" if csc else "band" for *_, parts in plan.fields for _, _, csc, _ in parts}
 
 
 class OperatorAlgebra:
@@ -125,7 +141,8 @@ class OperatorAlgebra:
         addends = [(index[r], index[c], block) for r, c, block in dense if free[r] and free[c]]
         rhs = rhs - sla.apply(matrix, [d for d in dense if known[d[1]]], np.where(known, rhs, 0.0))
         split = int(np.count_nonzero(free[:(self.grid.nt + 1) * self.grid.n_space]))
-        return sla.LinearSystem(reduced, rhs[free], slices, addends, split)
+        return sla.LinearSystem(reduced, rhs[free], sla.SweepPlan(reduced.indptr, reduced.indices, slices, split),
+                                addends)
 
     def newton_system(self, p, state):
         matrix, dense, known = self.jacobian(p, state)
@@ -134,13 +151,16 @@ class OperatorAlgebra:
 
 
 def assert_same_system(system, ref):
-    """The same CSR pattern, slices, split and addends, and the same values
-    and right-hand side to 1e-14 relative."""
-    assert np.array_equal(system.matrix.indptr, ref.matrix.indptr)
-    assert np.array_equal(system.matrix.indices, ref.matrix.indices)
-    np.testing.assert_allclose(system.matrix.data, ref.matrix.data, rtol=1e-14, atol=0)
+    """The same CSR pattern once the system's exact zeros are dropped from a
+    copy (the reference stores none), the same slices, split and addends,
+    and the same values and right-hand side to 1e-14 relative."""
+    mat = system.matrix.copy()
+    mat.eliminate_zeros()
+    assert np.array_equal(mat.indptr, ref.matrix.indptr)
+    assert np.array_equal(mat.indices, ref.matrix.indices)
+    np.testing.assert_allclose(mat.data, ref.matrix.data, rtol=1e-14, atol=0)
     assert np.linalg.norm(system.rhs - ref.rhs) <= 1e-14 * np.linalg.norm(ref.rhs)
-    assert np.array_equal(system.slices, ref.slices) and system.split == ref.split
+    assert np.array_equal(slices_of(system.plan), slices_of(ref.plan)) and system.plan.split == ref.plan.split
     assert [(r, c) for r, c, _ in system.dense] == [(r, c) for r, c, _ in ref.dense]
     assert all(a is b for (*_, a), (*_, b) in zip(system.dense, ref.dense))
 
@@ -625,6 +645,15 @@ class TestNewtonSystem:
         assert_csr_invariants(system.matrix)
 
 
+def zero_um_state(p, state, k, i):
+    """``state`` with u(k, i + 1) = u(k, i - 1): Du = 0 at node i of slice
+    k, where a congestion Hamiltonian's H_m, and with a kernel coupling that
+    node's um entry, comes out exactly 0."""
+    u = state.u.values.copy()
+    u[k, i + 1] = u[k, i - 1]
+    return solver.make_state(p.grid, u, state.m.values)
+
+
 def assembly_case(case):
     """A problem and a perturbed state: 1D or 2D, local sigmoid coupling or
     a Gaussian kernel (with the separable Hamiltonian, or congestion)."""
@@ -642,7 +671,7 @@ def assembly_case(case):
 class TestAssemblyMap:
     """Every Jacobian is assembled into the pattern its grid plans once:
     one map per grid and one index per mask of known unknowns, the same
-    systems as the operator algebra assembles, no stored zero."""
+    systems as the operator algebra assembles."""
 
     CASES = ["1d-local", "1d-kernel", "1d-kernel-congestion", "2d-local", "2d-kernel"]
 
@@ -673,9 +702,9 @@ class TestAssemblyMap:
             solver.NewtonConfig(residual_tol=1e-9, max_iter=200, damping=0.5))
         assert len(history) - 1 > 2
         assert [st.grid for st in map_builds["maps"]] == [p.grid]
-        value, density = map_builds["masks"]
-        assert value.split == value.slices.size and set(value.slices) == set(range(p.grid.nt))
-        assert density.split == density.slices.size and set(density.slices) == set(range(1, p.grid.nt + 1))
+        value, density = (mask.plan for mask in map_builds["masks"])
+        assert value.split == value.shape[0] and set(slices_of(value)) == set(range(p.grid.nt))
+        assert density.split == density.shape[0] and set(slices_of(density)) == set(range(1, p.grid.nt + 1))
 
     @pytest.mark.parametrize("case", CASES)
     def test_newton_matches_operator_algebra(self, case):
@@ -692,8 +721,8 @@ class TestAssemblyMap:
         matrix, dense, known = ref.jacobian(p, state)
         expected = ref.eliminate(matrix, np.zeros(known.size), known, dense)
         (call,) = factorizations
-        assert_same_system(sla.LinearSystem(call["a"], np.zeros(call["a"].shape[0]), call["slices"],
-                                            list(call["dense"]), call["split"]), expected)
+        assert_same_system(sla.LinearSystem(call["a"], np.zeros(call["a"].shape[0]), call["plan"],
+                                            list(call["dense"])), expected)
 
     @pytest.mark.parametrize("case", CASES)
     def test_picard_blocks_match_operator_algebra(self, case, solved):
@@ -717,46 +746,50 @@ class TestAssemblyMap:
         (system,) = solved
         assert_same_system(system, ref.eliminate(ref.density_block(hp.reshape(grid.dim, -1)), rhs.ravel(), ref.first))
 
-    def test_zero_um_entry_is_not_stored(self):
+    def test_zero_um_entry_is_stored_as_zero(self):
         # congestion with a kernel: H_m = 0 where Du = 0, so that node's um
-        # entry comes out exactly 0 and is dropped, the rest of the row kept
+        # entry comes out exactly 0 and is stored as 0 in its mask's pattern,
+        # the rest of the row as the reference has it
         p, state = assembly_case("1d-kernel-congestion")
         grid, (k, i) = p.grid, (3, 5)
-        u = state.u.values.copy()
-        u[k, i + 1] = u[k, i - 1]
-        state = solver.make_state(grid, u, state.m.values)
+        before, _ = solver.newton_system(p, state)
+        state = zero_um_state(p, state, k, i)
         system, known = solver.newton_system(p, state)
         assert_csr_invariants(system.matrix)
         assert_same_system(system, OperatorAlgebra(grid).newton_system(p, state))
         index = np.cumsum(~known) - 1
         row, col = index[k * grid.nx + i], index[(grid.nt + 1 + k) * grid.nx + i]
         a = system.matrix
-        assert col not in a.indices[a.indptr[row]:a.indptr[row + 1]]
+        assert np.array_equal(a.indptr, before.matrix.indptr) and np.array_equal(a.indices, before.matrix.indices)
+        cols, vals = a.indices[a.indptr[row]:a.indptr[row + 1]], a.data[a.indptr[row]:a.indptr[row + 1]]
+        assert vals[cols == col].tolist() == [0.0] and np.count_nonzero(vals) == vals.size - 1
         assert col + 1 in a.indices[a.indptr[row + 1]:a.indptr[row + 2]]  # the next node's
         x = sla.solve(system)
         assert np.all(np.isfinite(x)) and system.meta.residual_norm <= sla.DIRECT_TOL
 
     def test_separable_kernel_stores_no_um_diagonal(self, map_builds):
         # H_m = 0 and no -f'(m): the um field is 0 everywhere, so the mask's
-        # index takes none of its entries and nothing is dropped per state
+        # index takes none of its entries
         p, state = assembly_case("1d-kernel")
         system, _ = solver.newton_system(p, state)
         (mask,) = map_builds["masks"]
-        assert system.matrix[:system.split, system.split:].nnz == 0
+        assert system.matrix[:system.plan.split, system.plan.split:].nnz == 0
         assert mask.take[0].size == system.matrix.nnz
         assert_csr_invariants(system.matrix)
 
 
 class TestDirectVsIterativeOnNewtonSystem:
-    def test_agreement(self, monkeypatch):
+    def test_agreement(self, set_band_max):
         # the slice blocks as LAPACK's band LUs, then with the half-bandwidth
-        # constant at -1 as SuperLU's
+        # constant at -1 as SuperLU's, on a plan built after that
         p, exact = manufactured(nx=32, nt=32)
         init = diag.perturbed_state(exact, 1e-2)
         system, _ = solver.newton_system(p, init)
         xd = sla.solve(system)
-        monkeypatch.setattr(sla, "BAND_MAX", -1)
-        xi = sla.solve(system)
+        set_band_max(-1)
+        forced, _ = solver.newton_system(p, init)
+        xi = sla.solve(forced)
+        assert slice_factors(system.plan) == {"band"} and slice_factors(forced.plan) == {"splu"}
         assert np.linalg.norm(xd - xi) / np.linalg.norm(xd) <= 1e-8
 
 
@@ -782,7 +815,7 @@ class TestBlockLUAgainstSuperLU:
     def assert_matches_splu(solved):
         assert solved
         for system, x in solved:
-            assert system.slices is not None
+            assert system.plan is not None
             expected = spla.splu(sp.csc_matrix(whole(system.matrix, system.dense))).solve(system.rhs)
             assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -800,29 +833,63 @@ class TestBlockLUAgainstSuperLU:
             solver.solve_fixed_point(p, diag.perturbed_state(exact, 1e-2),
                                      solver.NewtonConfig(max_iter=1))
         # the value block lives on slices 0..nt-1, the density block on 1..nt
-        assert {int(system.slices.min()) for system, _ in handed} == {0, 1}
+        assert {slices_of(system.plan).min() for system, _ in handed} == {0, 1}
         self.assert_matches_splu(handed)
 
 
 class TestPlanReuse:
-    """The sweeps are planned once per sparsity pattern: every Newton step
-    reuses the first step's plan, and Picard needs one plan for its value
-    block and one for its density block."""
+    """The sweeps are planned once per mask of known unknowns, with its
+    index: every Newton step and the linearized probe on a grid reuse one
+    plan, Picard needs one for its value block and one for its density
+    block, and the plans last as long as their grid's stencils."""
 
     def test_newton_builds_one_plan(self, plan_builds):
         p, exact = manufactured(nx=16, nt=16)
-        _, history = solver.solve_newton(p, diag.perturbed_state(exact, 1e-2),
-                                         solver.NewtonConfig(residual_tol=1e-10))
+        start, cfg = diag.perturbed_state(exact, 1e-2), solver.NewtonConfig(residual_tol=1e-10)
+        _, history = solver.solve_newton(p, start, cfg)
         assert len(history) - 1 >= 3
+        solver.linearized_solver(p, start)
         assert len(plan_builds) == 1
+
+    def test_second_newton_solve_builds_none(self, plan_builds):
+        p, exact = manufactured(nx=16, nt=16)
+        cfg = solver.NewtonConfig(residual_tol=1e-10)
+        solver.solve_newton(p, diag.perturbed_state(exact, 1e-2), cfg)
+        _, history = solver.solve_newton(p, diag.perturbed_state(exact, 2e-2), cfg)
+        assert len(history) - 1 >= 3 and len(plan_builds) == 1
+
+    def test_plan_lives_with_its_grid(self):
+        # the mask keeps its plan past every system, until the grid's
+        # stencils leave the cache
+        solver._stencils.cache_clear()
+        p, exact = manufactured(nx=16, nt=8)
+        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
+        sla.solve(system)
+        plan, system = weakref.ref(system.plan), None
+        assert plan() is solver.newton_system(p, exact)[0].plan
+        solver._stencils.cache_clear()
+        assert plan() is None
 
     def test_fixed_point_builds_at_most_two(self, plan_builds):
         p, exact = manufactured(nx=16, nt=16)
-        _, history = solver.solve_fixed_point(
-            p, diag.perturbed_state(exact, 1e-2),
-            solver.NewtonConfig(residual_tol=1e-9, max_iter=200, damping=0.5))
-        assert len(history) - 1 > 2  # each iteration solves both blocks
-        assert len(plan_builds) <= 2
+        for _ in range(2):
+            _, history = solver.solve_fixed_point(
+                p, diag.perturbed_state(exact, 1e-2),
+                solver.NewtonConfig(residual_tol=1e-9, max_iter=200, damping=0.5))
+            assert len(history) - 1 > 2  # each iteration solves both blocks
+            assert len(plan_builds) == 2  # the value block's and the density block's, both passes
+
+    def test_exact_zero_um_entry_keeps_the_newton_plan(self, plan_builds):
+        # a stored 0 is still an entry of the pattern: the state whose um
+        # entry comes out exactly 0 has the Newton system's pattern and plan
+        p, state = assembly_case("1d-kernel-congestion")
+        system, _ = solver.newton_system(p, state)
+        zero, _ = solver.newton_system(p, zero_um_state(p, state, 3, 5))
+        assert np.count_nonzero(zero.matrix.data == 0.0) == np.count_nonzero(system.matrix.data == 0.0) + 1
+        assert zero.plan is system.plan and len(plan_builds) == 1
+        assert zero.matrix.nnz == system.matrix.nnz
+        sla.solve(zero)
+        assert zero.meta.residual_norm <= sla.DIRECT_TOL
 
 
 class TestNewtonSlices:
@@ -853,8 +920,8 @@ class TestNewtonSlices:
         nt, last = p.grid.nt, p.grid.nt if p.coupling.derives_terminal else p.grid.nt - 1
         value, density = list(range(last, -1, -1)), list(range(1, nt + 1))
         for call in factorizations:
-            a, slices, split = call["a"], call["slices"], call.get("split", 0)
-            plan = sla._SweepPlan(a, slices, split)
+            a, plan = call["a"], call["plan"]
+            slices, split = slices_of(plan), plan.split
             ids = [[part[0] for part in parts] for *_, parts in plan.fields]
             if case == "picard":  # the value block, or the density block: one field
                 assert split in (0, a.shape[0]) and ids in ([value], [density])
@@ -877,7 +944,7 @@ class TestNewtonSlices:
         else:
             p, exact = manufactured(nx=int(case[3:5]), nt=int(case[3:5]), dim=int(case[0]))
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        for _, _, coupled, _, parts in sla._SweepPlan(system.matrix, system.slices, system.split).fields:
+        for _, _, coupled, _, parts in system.plan.fields:
             assert [len(layers) for *_, layers in parts] == [0] + [1] * (len(parts) - 1)
             assert all(np.all(ents < coupled.size) for *_, layers in parts for ents, _ in layers)
 
@@ -886,9 +953,9 @@ class TestNewtonSlices:
         # every 1D 64 slice block (periodic tridiagonal) has half-bandwidth 2
         p, exact = manufactured(nx=64, nt=8)
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        plan, split = sla._SweepPlan(system.matrix, system.slices, system.split), system.split
+        plan, split = system.plan, system.plan.split
         for part, (order, _, _, band, parts) in zip((slice(0, split), slice(split, None)), plan.fields):
-            s = system.slices[part]
+            s = slices_of(plan)[part]
             assert np.array_equal(s[order], s)
             block = sp.coo_matrix(system.matrix[part][:, part][order][:, order])
             inside = s[block.row] == s[block.col]
@@ -898,7 +965,7 @@ class TestNewtonSlices:
 
     @pytest.mark.parametrize("case, kl", [("2d-16-local", 32), ("2d-16-kernel", 32), ("1d-64-local", 2),
                                           ("2d-12-local", 23)])
-    def test_band_padded_to_the_lapack_block_size(self, monkeypatch, case, kl):
+    def test_band_padded_to_the_lapack_block_size(self, set_band_max, case, kl):
         # a 2D 16 slice block's RCM half-bandwidth is 31 (32 on one kernel
         # value slice): one more sub-diagonal adds 2 of 94 rows, so every band
         # slice is factored at kl = LAPACK_NB; 1D's 2 and 2D 12's 23 would
@@ -908,15 +975,17 @@ class TestNewtonSlices:
             p, exact = manufactured_nonlocal(nx=nx, nt=nx, dim=dim)
         else:
             p, exact = manufactured(nx=nx, nt=nx, dim=dim)
-        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        args = (system.matrix, system.slices, system.dense, system.split)
-        sweeps = sla._Sweeps(sla._SweepPlan(*args[:2], system.split), system.matrix.data)
+        start = diag.perturbed_state(exact, 1e-2)
+        system, _ = solver.newton_system(p, start)
+        sweeps = sla._Sweeps(system.plan, system.matrix.data)
         lus = [lu for _, steps in sweeps.fields for _, lu, _ in steps]
         assert all(isinstance(lu, sla._BandLU) and lu.kl == kl and lu.lu.shape[0] == 2 * kl + lu.ku + 1
                    for lu in lus)
-        x, meta = sla.factorize(*args)(system.rhs)
-        monkeypatch.setattr(sla, "BAND_MAX", -1)  # every slice factored by SuperLU
-        y, ref = sla.factorize(*args)(system.rhs)
+        x, meta = sla.factorize(system.matrix, system.plan, system.dense)(system.rhs)
+        set_band_max(-1)  # every slice factored by SuperLU
+        forced, _ = solver.newton_system(p, start)
+        assert slice_factors(forced.plan) == {"splu"}
+        y, ref = sla.factorize(forced.matrix, forced.plan, forced.dense)(forced.rhs)
         assert np.linalg.norm(x - y, np.inf) <= 1e-10 * np.linalg.norm(y, np.inf)
         assert meta.iterations == ref.iterations
 
@@ -931,8 +1000,8 @@ class TestNewtonSlices:
         assert np.diff(system.matrix.indptr).max() < n
         assert len(system.dense) == p.grid.nt
         for k, (r, c, block) in enumerate(system.dense, start=1):
-            assert r + n <= system.split <= c and block.shape == (n, n)
-            assert set(system.slices[r:r + n]) == set(system.slices[c:c + n]) == {k}
+            assert r + n <= system.plan.split <= c and block.shape == (n, n)
+            assert set(slices_of(system.plan)[r:r + n]) == set(slices_of(system.plan)[c:c + n]) == {k}
             assert system.matrix[r:r + n, c:c + n].nnz == 0
         assert np.array_equal(system.dense[-1][2], -p.coupling.g.conv)
 
@@ -988,7 +1057,7 @@ class TestSweepPath:
         monkeypatch.setattr(sla, "solve", record)
         return recorded
 
-    def test_newton_takes_the_schur_path_in_the_block_lus_steps(self, metas, monkeypatch):
+    def test_newton_takes_the_schur_path_in_the_block_lus_steps(self, metas, set_band_max):
         # the same steps, and the same solution, with every slice factored by SuperLU
         p, exact = manufactured(nx=128, nt=8)
         start, cfg = diag.perturbed_state(exact, 1e-2), solver.NewtonConfig(residual_tol=1e-10)
@@ -996,8 +1065,9 @@ class TestSweepPath:
         assert len(metas) == len(history) - 1 >= 3
         assert all(m.method == "schur" and m.iterations > 0 and m.residual_norm <= sla.DIRECT_TOL
                    for m in metas)
-        monkeypatch.setattr(sla, "BAND_MAX", -1)
+        set_band_max(-1)
         forced, forced_history = solver.solve_newton(p, start, cfg)
+        assert slice_factors(solver.newton_system(p, start)[0].plan) == {"splu"}  # the forced steps' mask
         assert metas[-1].method == "schur"
         assert len(forced_history) == len(history)
         for ours, theirs in ((final.u, forced.u), (final.m, forced.m)):
@@ -1012,7 +1082,7 @@ class TestSweepPath:
         assert all(m.method == "sweep" and m.iterations == 0 and m.residual_norm <= sla.DIRECT_TOL
                    for m in metas)
 
-    def test_linearized_solver_factors_its_sweeps_once(self, monkeypatch):
+    def test_linearized_solver_factors_its_sweeps_once(self, monkeypatch, set_band_max):
         p, exact = manufactured(nx=128, nt=8)
         factored, dgbtrf = [], sla.lapack.dgbtrf
 
@@ -1028,9 +1098,9 @@ class TestSweepPath:
         draws = [diag.random_smooth_data(p.grid, seed=seed) for seed in range(3)]
         solved = [solve(a, b) for a, b in draws]
         assert len(factored) == 2 * p.grid.nt
-        monkeypatch.setattr(sla, "BAND_MAX", -1)  # every slice factored by SuperLU
+        set_band_max(-1)  # every slice factored by SuperLU
         splu = solver.linearized_solver(p, exact)
-        assert len(factored) == 2 * p.grid.nt
+        assert len(factored) == 2 * p.grid.nt  # no band LU
         for (a, b), (v, rho) in zip(draws, solved):
             v_lu, rho_lu = splu(a, b)
             assert np.abs(v.values - v_lu.values).max() <= 1e-10

@@ -48,6 +48,18 @@ def one_slice(mat):
     return np.zeros(mat.shape[0], dtype=int)
 
 
+def planned(mat, slices, split=0):
+    """The sweep plan of mat's pattern, given each unknown's time slice and
+    where the density field starts (0: one field)."""
+    return sla.SweepPlan(mat.indptr, mat.indices, slices, split)
+
+
+def slice_factors(plan):
+    """The slice factors that ``plan`` picks: "band" for LAPACK's band LU,
+    "splu" for SuperLU."""
+    return {"splu" if csc else "band" for *_, parts in plan.fields for _, _, csc, _ in parts}
+
+
 SLICE_FACTORS = {"band": sys.maxsize, "splu": -1}  # BAND_MAX that forces each slice factor
 
 
@@ -104,7 +116,7 @@ class TestSolve:
         n = 7
         mat = sla.SparseMatrix.from_triplets(n, n, range(n), range(n), np.ones(n))
         b = np.arange(n, dtype=float)
-        x = sla.solve(sla.LinearSystem(mat, b, one_slice(mat)))
+        x = sla.solve(sla.LinearSystem(mat, b, planned(mat, one_slice(mat))))
         np.testing.assert_array_equal(x, b)
 
     def test_periodic_lap_against_dense_oracle(self):
@@ -112,7 +124,7 @@ class TestSolve:
         mat = periodic_minus_lap_plus_identity(nx)
         x_nodes = np.arange(nx) / nx
         b = np.sin(2 * np.pi * x_nodes)
-        sys = sla.LinearSystem(mat, b, one_slice(mat))
+        sys = sla.LinearSystem(mat, b, planned(mat, one_slice(mat)))
         x = sla.solve(sys)
         expected = dense_gauss_solve(mat.toarray(), b)
         np.testing.assert_allclose(x, expected, atol=1e-10)
@@ -123,18 +135,18 @@ class TestSolve:
         # x = (1e600, 1) overflows: the factor has no zero pivot, yet no finite solution
         mat = sla.SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1e-300, 1.0])
         with pytest.raises(SingularMatrixError, match="^direct solve produced non-finite values$"):
-            sla.solve(sla.LinearSystem(mat, np.array([1e300, 1.0]), one_slice(mat)))
+            sla.solve(sla.LinearSystem(mat, np.array([1e300, 1.0]), planned(mat, one_slice(mat))))
 
     def test_all_zero_matrix_is_singular(self):
         mat = sla.SparseMatrix.from_triplets(2, 2, [], [], [])
         with pytest.raises(SingularMatrixError):
-            sla.solve(sla.LinearSystem(mat, np.ones(2), one_slice(mat)))
+            sla.solve(sla.LinearSystem(mat, np.ones(2), planned(mat, one_slice(mat))))
 
     def test_structurally_singular(self):
         # duplicated row -> rank deficient
         mat = sla.SparseMatrix.from_triplets(2, 2, [0, 1], [0, 0], [1.0, 1.0])
         with pytest.raises(SingularMatrixError):
-            sla.solve(sla.LinearSystem(mat, np.ones(2), one_slice(mat)))
+            sla.solve(sla.LinearSystem(mat, np.ones(2), planned(mat, one_slice(mat))))
 
     def test_hilbert_stays_singular_after_refinement(self):
         # Hilbert(10) has condition ~1.6e13: its residual is ~1e-10 before
@@ -145,7 +157,7 @@ class TestSolve:
         mat = sla.SparseMatrix.from_triplets(
             n, n, i.ravel(), j.ravel(), (1.0 / (i + j + 1)).ravel())
         with pytest.raises(SingularMatrixError, match="after refinement"):
-            sla.solve(sla.LinearSystem(mat, np.ones(n), one_slice(mat)))
+            sla.solve(sla.LinearSystem(mat, np.ones(n), planned(mat, one_slice(mat))))
 
     # the ids keep the names of the two linear methods, which once chose
     # between a dense factor and SuperLU; each now forces a slice factor,
@@ -167,27 +179,29 @@ class TestSolve:
         dense = mat.toarray()
         assert np.all(np.diag(dense) == 0.0)
         b = rng.standard_normal(n)
-        x = sla.solve(sla.LinearSystem(mat, b, one_slice(mat)))
+        system = sla.LinearSystem(mat, b, planned(mat, one_slice(mat)))
+        assert slice_factors(system.plan) == {"band" if band_max > 0 else "splu"}
+        x = sla.solve(system)
         np.testing.assert_allclose(x, dense_gauss_solve(dense, b), atol=1e-10)
 
     def test_factor_once_solve_many(self):
         mat = periodic_minus_lap_plus_identity(16)
-        solve = sla.factorize(mat, one_slice(mat))
+        solve = sla.factorize(mat, planned(mat, one_slice(mat)))
         for k in range(1, 4):
             b = np.sin(2 * np.pi * k * np.arange(16) / 16)
             x, meta = solve(b)
-            np.testing.assert_array_equal(x, sla.solve(sla.LinearSystem(mat, b, one_slice(mat))))
+            np.testing.assert_array_equal(x, sla.solve(sla.LinearSystem(mat, b, planned(mat, one_slice(mat)))))
             assert meta.method == "sweep" and meta.residual_norm <= sla.DIRECT_TOL
 
     def test_non_square_rejected(self):
         mat = sla.SparseMatrix.from_triplets(2, 3, [0, 1], [0, 1], [1.0, 1.0])
         with pytest.raises(ValueError):
-            sla.solve(sla.LinearSystem(mat, np.ones(2), one_slice(mat)))
+            sla.solve(sla.LinearSystem(mat, np.ones(2), planned(mat, one_slice(mat))))
 
     def test_rhs_length_checked(self):
         mat = periodic_minus_lap_plus_identity(8)
         with pytest.raises(ValueError):
-            sla.LinearSystem(mat, np.ones(9), one_slice(mat))
+            sla.LinearSystem(mat, np.ones(9), planned(mat, one_slice(mat)))
 
     def test_iterative_matches_direct(self, monkeypatch):
         # one slice of 64 unknowns: one sweep of LAPACK's band LU, and with
@@ -196,10 +210,12 @@ class TestSolve:
         nx = 64
         mat = periodic_minus_lap_plus_identity(nx)
         b = np.cos(2 * np.pi * np.arange(nx) / nx)
-        xd = sla.solve(sla.LinearSystem(mat, b, one_slice(mat)))
+        direct = sla.LinearSystem(mat, b, planned(mat, one_slice(mat)))
+        xd = sla.solve(direct)
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
-        sys = sla.LinearSystem(mat, b, one_slice(mat))
+        sys = sla.LinearSystem(mat, b, planned(mat, one_slice(mat)))
         xi = sla.solve(sys)
+        assert slice_factors(direct.plan) == {"band"} and slice_factors(sys.plan) == {"splu"}
         assert sys.meta.method == "sweep"
         assert sys.meta.iterations == 0
         assert sys.meta.residual_norm <= sla.DIRECT_TOL
@@ -213,7 +229,7 @@ class TestSolve:
         mat, _, slices, added = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=23, aligned=False,
                                           holes=0.3, addends=True)
         b = np.random.default_rng(24).standard_normal(mat.shape[0])
-        sla.solve(system := sla.LinearSystem(mat, b, slices, added, 20))
+        sla.solve(system := sla.LinearSystem(mat, b, planned(mat, slices, 20), added))
         assert system.meta.method == "schur"
         assert system.meta.iterations > 1 and system.meta.residual_norm <= sla.DIRECT_TOL
         monkeypatch.setattr(sla, "GMRES_MAX_ITER", 1)
@@ -225,7 +241,7 @@ class TestSolve:
         # one path solves every system, so factorize takes no method at all
         mat = periodic_minus_lap_plus_identity(8)
         with pytest.raises(TypeError, match="method"):
-            sla.factorize(mat, one_slice(mat), method="direct")
+            sla.factorize(mat, planned(mat, one_slice(mat)), method="direct")
 
 
 def random_block_tridiagonal(sizes, seed, density=0.3):
@@ -276,7 +292,7 @@ class TestSliceLU:
     def test_matches_dense_solve(self, sizes):
         mat, dense, slices = random_block_tridiagonal(sizes, seed=len(sizes))
         b = np.random.default_rng(7).standard_normal(mat.shape[0])
-        x, meta = sla.factorize(mat, slices)(b)
+        x, meta = sla.factorize(mat, planned(mat, slices))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.method == "sweep" and meta.residual_norm <= sla.DIRECT_TOL
 
@@ -287,45 +303,56 @@ class TestSliceLU:
         mat, dense, slices = random_block_tridiagonal((4, 6, 3, 5), seed=3)
         ids = np.array([0, 2, 5, 6])[slices]
         b = np.random.default_rng(5).standard_normal(mat.shape[0])
-        x, _ = sla.factorize(mat, ids)(b)
+        x, _ = sla.factorize(mat, planned(mat, ids))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         perm = np.random.default_rng(4).permutation(mat.shape[0])
         with pytest.raises(ValueError, match="do not run in time order"):
-            sla.factorize(permuted(mat, dense, perm)[0], ids[perm])
+            planned(permuted(mat, dense, perm)[0], ids[perm])
 
     def test_single_slice_is_band_lu(self):
         mat, dense, _ = random_block_tridiagonal((4, 4, 4), seed=6, density=1.0)
         b = np.arange(mat.shape[0], dtype=float)
-        sweeps = sla._Sweeps(sla._SweepPlan(mat, one_slice(mat), 0), mat.data)
+        sweeps = sla._Sweeps(planned(mat, one_slice(mat)), mat.data)
         [(_, [(part, lu, layers)])] = sweeps.fields  # one field of one slice, reading none
         assert part == slice(0, 12) and isinstance(lu, sla._BandLU) and layers == []
         assert lu.lu.shape == (2 * lu.kl + lu.ku + 1, 12) and max(lu.kl, lu.ku) < 12
-        x, _ = sla.factorize(mat, one_slice(mat))(b)
+        x, _ = sla.factorize(mat, planned(mat, one_slice(mat)))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10)
 
     def test_system_carries_its_slices(self):
         mat, _, slices = random_block_tridiagonal((3, 4, 5), seed=8)
         b = np.ones(mat.shape[0])
-        x = sla.solve(sla.LinearSystem(mat, b, slices))
-        np.testing.assert_array_equal(x, sla.factorize(mat, slices)(b)[0])
+        x = sla.solve(sla.LinearSystem(mat, b, planned(mat, slices)))
+        np.testing.assert_array_equal(x, sla.factorize(mat, planned(mat, slices))(b)[0])
 
-    def test_coupling_two_slices_apart_rejected(self, plan_builds):
+    def test_coupling_two_slices_apart_rejected(self):
         # a sweep reads any slice it solved before, so a coupling past the
-        # neighbour slice is solved, on one cached plan
+        # neighbour slice is solved, twice on one plan
         mat, dense, slices = random_block_tridiagonal((3, 3, 3), seed=9)
         dense[0, 7] = 1.0  # slice 0 row, slice 2 column
         i, j = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(9, 9, i, j, dense[i, j])
-        b = np.random.default_rng(9).standard_normal(9)
+        b, plan = np.random.default_rng(9).standard_normal(9), planned(mat, slices)
         for _ in range(2):
-            x, _ = sla.factorize(mat, slices)(b)
+            x, _ = sla.factorize(mat, plan)(b)
             np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-        assert len(plan_builds) == 1
 
     def test_slice_index_length_checked(self):
         mat, _, slices = random_block_tridiagonal((3, 3), seed=10)
-        with pytest.raises(ValueError):
-            sla.factorize(mat, slices[:-1])
+        with pytest.raises(ValueError, match="slice index length"):
+            planned(mat, slices[:-1])
+
+    def test_matrix_off_its_plan_rejected(self):
+        # a plan serves its pattern only: a matrix of another shape or count
+        # of stored entries is rejected before anything is factored
+        mat, _, slices = random_block_tridiagonal((3, 4, 3), seed=10)
+        plan = planned(mat, slices)
+        fewer = sp.csr_matrix(mat)
+        fewer.data[0] = 0.0
+        fewer.eliminate_zeros()
+        for other in (fewer, mat[:7, :7]):
+            with pytest.raises(ValueError, match="is not its plan's"):
+                sla.factorize(other, plan)
 
     def test_exact_zero_pivot_is_singular(self, monkeypatch):
         # slice 1 reads slice 0, and its block [[1, 1], [1, 1]] is singular:
@@ -333,10 +360,10 @@ class TestSliceLU:
         mat = sla.SparseMatrix.from_triplets(
             4, 4, [0, 1, 2, 2, 2, 3, 3], [0, 1, 0, 2, 3, 2, 3], np.ones(7))
         with pytest.raises(SingularMatrixError, match="^exact zero pivot in time slice 1$"):
-            sla.factorize(mat, np.array([0, 0, 1, 1]))
+            sla.factorize(mat, planned(mat, np.array([0, 0, 1, 1])))
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
         with pytest.raises(SingularMatrixError, match="^exactly singular block in time slice 1$"):
-            sla.factorize(mat, np.array([0, 0, 1, 1]))
+            sla.factorize(mat, planned(mat, np.array([0, 0, 1, 1])))
 
     def test_singular_band_block_names_its_slice(self, monkeypatch):
         # three periodic tridiagonal slice blocks of 16, each slice reading
@@ -351,13 +378,13 @@ class TestSliceLU:
         r, c = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(3 * nx, 3 * nx, r, c, dense[r, c])
         slices = np.repeat(np.arange(3), nx)
-        [(_, _, _, band, parts)] = sla._SweepPlan(mat, slices, 0).fields
+        [(_, _, _, band, parts)] = planned(mat, slices).fields
         assert band is not None and [csc for _, _, csc, _ in parts] == [None] * 3  # band LUs
         with pytest.raises(SingularMatrixError, match="^exact zero pivot in time slice 2$"):
-            sla.factorize(mat, slices)
+            sla.factorize(mat, planned(mat, slices))
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
         with pytest.raises(SingularMatrixError, match="^exactly singular block in time slice 2$"):
-            sla.factorize(mat, slices)
+            sla.factorize(mat, planned(mat, slices))
 
     @pytest.mark.parametrize("backward", [True, False])
     def test_first_singular_slice_swept_is_named(self, monkeypatch, backward):
@@ -371,14 +398,14 @@ class TestSliceLU:
             dense[s * n:(s + 1) * n, s * n + 5] = 0.0
         r, c = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(*dense.shape, r, c, dense[r, c])
-        [(_, _, _, band, parts)] = sla._SweepPlan(mat, slices, 0).fields
+        [(_, _, _, band, parts)] = planned(mat, slices).fields
         assert band[0] == sla.LAPACK_NB and [part[0] for part in parts] == [3, 2, 1, 0][::1 if backward else -1]
         first = 2 if backward else 1
         with pytest.raises(SingularMatrixError, match=f"^exact zero pivot in time slice {first}$"):
-            sla.factorize(mat, slices)
+            sla.factorize(mat, planned(mat, slices))
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
         with pytest.raises(SingularMatrixError, match=f"^exactly singular block in time slice {first}$"):
-            sla.factorize(mat, slices)
+            sla.factorize(mat, planned(mat, slices))
 
     def test_band_and_superlu_slices_share_a_field(self, monkeypatch):
         # with BAND_MAX = 2, a field's slices of at most that half-bandwidth
@@ -389,7 +416,7 @@ class TestSliceLU:
         for seed in range(40):
             mat, dense, slices, _, split = random_two_field(seed)
             fields = [f for f in (slice(0, split), slice(split, mat.shape[0])) if f.start < f.stop]
-            sweeps = sla._Sweeps(sla._SweepPlan(mat, slices, split), mat.data)
+            sweeps = sla._Sweeps(planned(mat, slices, split), mat.data)
             for f, (part, (order, steps)) in enumerate(zip(fields, sweeps.fields)):
                 block = dense[part, part][np.ix_(order, order)]
                 for p, lu, _ in steps:  # the band LU exactly where the block's half-bandwidth is at most 2
@@ -403,90 +430,19 @@ class TestSliceLU:
 
 
 class TestPlanCache:
-    def test_refactor_matches_fresh_plan_bitwise(self, plan_builds):
+    """A plan built once serves every factorization of its pattern."""
+
+    def test_refactor_matches_fresh_plan_bitwise(self):
         mat, _, slices = random_block_tridiagonal((4, 6, 3, 5), seed=11)
-        sla.factorize(mat, slices)
+        plan = planned(mat, slices)
+        sla.factorize(mat, plan)
         values = np.random.default_rng(12).standard_normal(mat.nnz)
         a = sp.csr_matrix((mat.data + values, mat.indices, mat.indptr), shape=mat.shape)
-        cached = sla._Sweeps(sla._cached(a, slices, 0), a.data)
-        assert len(plan_builds) == 1 and sla._cached(a, slices, 0) is plan_builds[0]
-        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 0), a.data)  # built, not cached
-        assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
+        again = sla._Sweeps(plan, a.data)
+        fresh = sla._Sweeps(planned(a, slices), a.data)
+        assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
         b = np.random.default_rng(13).standard_normal(mat.shape[0])
-        assert cached.solve(0, b).tobytes() == fresh.solve(0, b).tobytes()
-
-    def test_moved_column_builds_new_plan(self, plan_builds):
-        mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=14, density=0.5)
-        b = np.random.default_rng(15).standard_normal(mat.shape[0])
-        sla.factorize(mat, slices)
-        # in a slice 0 row, move one entry of its coupling to slice 1 to a free column
-        row = next(r for r in range(3) if 0 < np.count_nonzero(dense[r, 3:7]) < 4)
-        stored, free = np.flatnonzero(dense[row, 3:7]) + 3, np.flatnonzero(dense[row, 3:7] == 0.0) + 3
-        dense[row, free[0]], dense[row, stored[0]] = dense[row, stored[0]], 0.0
-        i, j = np.nonzero(dense)
-        moved = sla.SparseMatrix.from_triplets(*mat.shape, i, j, dense[i, j])
-        assert moved.nnz == mat.nnz
-        x, _ = sla.factorize(moved, slices)(b)
-        assert len(plan_builds) == 2
-        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-
-    def test_changed_slices_build_new_plan(self, plan_builds):
-        mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=16)
-        b = np.random.default_rng(17).standard_normal(mat.shape[0])
-        sla.factorize(mat, slices)
-        merged = np.minimum(slices, 1)  # slices 1 and 2 become one slice
-        x, _ = sla.factorize(mat, merged)(b)
-        assert len(plan_builds) == 2
-        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-
-    def test_equal_shape_and_nnz_with_other_indices_get_two_plans(self, plan_builds):
-        # two patterns that share shape, nnz, row pointers and slices but not
-        # column indices: each gets its own plan and finds it again; a
-        # writable pattern changed in place after its plan was built is a new
-        # pattern, so the plan keeps a copy of it
-        mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=14, density=0.5)
-        row = next(r for r in range(3) if 0 < np.count_nonzero(dense[r, 3:7]) < 4)
-        moved_dense = dense.copy()
-        stored, free = np.flatnonzero(dense[row, 3:7]) + 3, np.flatnonzero(dense[row, 3:7] == 0.0) + 3
-        moved_dense[row, free[0]], moved_dense[row, stored[0]] = dense[row, stored[0]], 0.0
-        i, j = np.nonzero(moved_dense)
-        moved = sla.SparseMatrix.from_triplets(*mat.shape, i, j, moved_dense[i, j])
-        assert np.array_equal(moved.indptr, mat.indptr) and not np.array_equal(moved.indices, mat.indices)
-        b = np.random.default_rng(15).standard_normal(mat.shape[0])
-        for a, d in ((mat, dense), (moved, moved_dense), (mat, dense), (moved, moved_dense)):
-            x, _ = sla.factorize(a, slices)(b)
-            np.testing.assert_allclose(x, np.linalg.solve(d, b), rtol=1e-10, atol=1e-12)
-        assert len(plan_builds) == 2 and list(sla._PLANS) == plan_builds
-        assert sla._cached(mat, slices, 0) is plan_builds[0] and sla._cached(moved, slices, 0) is plan_builds[1]
-        sla._PLANS.clear()
-        sla.factorize(mat, slices)
-        mat.indices[:], mat.data[:] = moved.indices, moved.data  # now the moved pattern, in place
-        x, _ = sla.factorize(mat, slices)(b)
-        assert len(plan_builds) == 4
-        np.testing.assert_allclose(x, np.linalg.solve(moved_dense, b), rtol=1e-10, atol=1e-12)
-
-    def test_read_only_view_of_writable_slices_is_copied(self, plan_builds):
-        # a read-only array that owns its memory is kept by reference; a
-        # read-only view of a writable array is copied, so slices changed
-        # through that array are a new pattern
-        mat, dense, slices = random_block_tridiagonal((3, 4, 3), seed=16)
-        b = np.random.default_rng(17).standard_normal(mat.shape[0])
-        owned = slices.copy()
-        owned.setflags(write=False)
-        sla.factorize(mat, owned)
-        assert plan_builds[0].pattern[2] is owned
-        writable = slices.copy()
-        view = writable[:]
-        view.setflags(write=False)
-        sla.factorize(mat, view)
-        assert len(plan_builds) == 1 and plan_builds[0].pattern[2] is owned
-        sla._PLANS.clear()
-        sla.factorize(mat, view)
-        assert plan_builds[1].pattern[2] is not view
-        writable[:] = np.minimum(slices, 1)  # slices 1 and 2 become one slice
-        x, _ = sla.factorize(mat, view)(b)
-        assert len(plan_builds) == 3
-        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        assert again.solve(0, b).tobytes() == fresh.solve(0, b).tobytes()
 
 
 def revalued(mat, seed):
@@ -516,74 +472,73 @@ class TestBandStorageReuse:
         return sweeps.solve(0, b).tobytes()
 
     @pytest.mark.parametrize("backward", [True, False])
-    def test_dropped_factor_storage_is_reused_and_zeroed(self, plan_builds, backward):
+    def test_dropped_factor_storage_is_reused_and_zeroed(self, backward):
         # the band holds structural zeros that the first LU fills; left in
         # place, that fill would leak into the second factorization
         mat, slices = self.torus(backward)
-        dropped = sla._Sweeps(sla._cached(mat, slices, 0), mat.data)
+        plan = planned(mat, slices)
+        dropped = sla._Sweeps(plan, mat.data)
         old = first_band_lu(dropped)
         dropped = None
         a = revalued(mat, 1)
-        again = sla._Sweeps(sla._cached(a, slices, 0), a.data)
-        assert len(plan_builds) == 1 and plan_builds[0].spare is None
-        assert np.shares_memory(first_band_lu(again), old)
-        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 0), a.data)
+        again = sla._Sweeps(plan, a.data)
+        assert plan.spare is None and np.shares_memory(first_band_lu(again), old)
+        fresh = sla._Sweeps(planned(a, slices), a.data)
         assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
         assert self.solved(again, mat.shape[0], 2) == self.solved(fresh, mat.shape[0], 2)
 
-    def test_live_factor_is_never_written(self, plan_builds):
+    def test_live_factor_is_never_written(self):
         mat, slices = self.torus()
-        a = revalued(mat, 3)
-        live = sla._Sweeps(sla._cached(mat, slices, 0), mat.data)
+        a, plan = revalued(mat, 3), planned(mat, slices)
+        live = sla._Sweeps(plan, mat.data)
         before = self.solved(live, mat.shape[0], 4)
-        second = sla._Sweeps(sla._cached(a, slices, 0), a.data)
-        assert len(plan_builds) == 1 and not np.shares_memory(first_band_lu(live), first_band_lu(second))
+        second = sla._Sweeps(plan, a.data)
+        assert not np.shares_memory(first_band_lu(live), first_band_lu(second))
         assert self.solved(live, mat.shape[0], 4) == before
         for sweeps, m in ((live, mat), (second, a)):
-            fresh = sla._Sweeps(sla._SweepPlan(m, slices, 0), m.data)
+            fresh = sla._Sweeps(planned(m, slices), m.data)
             assert self.solved(sweeps, mat.shape[0], 4) == self.solved(fresh, mat.shape[0], 4)
 
-    def test_two_fields_reuse_one_storage_each(self, plan_builds):
+    def test_two_fields_reuse_one_storage_each(self):
         mat, _, slices, _ = two_field([3, 4, 4, 2], [2, 4, 4, 3], seed=5, density=0.3)
-        dropped = sla._Sweeps(sla._cached(mat, slices, 13), mat.data)
+        plan = planned(mat, slices, 13)
+        dropped = sla._Sweeps(plan, mat.data)
         old = [steps[0][1].lu for _, steps in dropped.fields]
         dropped = None
         a = revalued(mat, 6)
-        again = sla._Sweeps(sla._cached(a, slices, 13), a.data)
+        again = sla._Sweeps(plan, a.data)
         assert [np.shares_memory(steps[0][1].lu, lu) for (_, steps), lu in zip(again.fields, old)] == [True] * 2
-        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 13), a.data)
+        fresh = sla._Sweeps(planned(a, slices, 13), a.data)
         assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
 
-    def test_storage_of_an_aborted_factorization_is_reused(self, plan_builds):
+    def test_storage_of_an_aborted_factorization_is_reused(self):
         # the torus slices with slices 1 and 2's column 5 stored as exact
         # zeros: one pattern, first singular, then regular
         mat, slices = self.torus()
-        n = mat.shape[0] // 4
+        n, plan = mat.shape[0] // 4, planned(mat, slices)
         row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
         hole = (mat.indices % n == 5) & (mat.indices // n == row // n) & np.isin(row // n, (1, 2))
         singular = sp.csr_matrix((np.where(hole, 0.0, mat.data), mat.indices, mat.indptr), shape=mat.shape)
         with pytest.raises(SingularMatrixError, match="^exact zero pivot in time slice 2$"):
-            sla.factorize(singular, slices)
-        [spare] = plan_builds[0].spare  # back once the aborted factorization is collected
+            sla.factorize(singular, plan)
+        [spare] = plan.spare  # back once the aborted factorization is collected
         a = revalued(mat, 7)
-        again = sla._Sweeps(sla._cached(a, slices, 0), a.data)
-        assert len(plan_builds) == 1 and np.shares_memory(first_band_lu(again), spare)
-        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 0), a.data)
+        again = sla._Sweeps(plan, a.data)
+        assert np.shares_memory(first_band_lu(again), spare)
+        fresh = sla._Sweeps(planned(a, slices), a.data)
         assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
         assert self.solved(again, mat.shape[0], 8) == self.solved(fresh, mat.shape[0], 8)
 
-    def test_evicted_plan_frees_its_storages(self, plan_builds):
-        # once two other patterns evict a plan and its factors are dropped,
-        # nothing holds the plan or its spare storages
+    def test_dropped_plan_frees_its_storages(self):
+        # once its holder drops a plan and its factors are dropped, nothing
+        # holds the plan or its spare storages
         mat, slices = self.torus()
-        sla.factorize(mat, slices)
-        spare = weakref.ref(plan_builds[0].spare[0])
-        live = sla.factorize(revalued(mat, 9), slices)  # holds the spare storage past the eviction
-        plan = weakref.ref(plan_builds[0])
-        plan_builds.clear()
-        for other in (mat[:512, :512], mat[:256, :256]):  # slices 0-1, then slice 0
-            sla.factorize(other, slices[:other.shape[0]])
-        assert plan() is not None and plan() not in sla._PLANS and spare() is not None
+        plan = planned(mat, slices)
+        sla.factorize(mat, plan)
+        spare = weakref.ref(plan.spare[0])
+        live = sla.factorize(revalued(mat, 9), plan)  # holds the spare storage past the plan's drop
+        plan = weakref.ref(plan)
+        assert plan() is not None and spare() is not None
         live = None
         assert plan() is None and spare() is None
 
@@ -671,11 +626,11 @@ class TestTwoLevel:
         holes = float(addends) if aligned else 0.3
         mat, dense, slices, added = two_field(n_u, n_m, seed=sum(n_u), aligned=aligned,
                                               holes=holes, addends=addends)
-        plan = sla._SweepPlan(mat, slices, sum(n_u))
+        plan = planned(mat, slices, sum(n_u))
         assert [[part[0] for part in parts] for *_, parts in plan.fields] == \
             [[k for k in reversed(range(len(n_u))) if n_u[k]], [k for k in range(len(n_m)) if n_m[k]]]
         b = np.random.default_rng(1).standard_normal(mat.shape[0])
-        x, meta = sla.factorize(mat, slices, added, sum(n_u))(b)
+        x, meta = sla.factorize(mat, planned(mat, slices, sum(n_u)), added)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.method == "schur" and meta.residual_norm <= sla.DIRECT_TOL
 
@@ -683,22 +638,22 @@ class TestTwoLevel:
         # each field's slice block is one band LU of its n unknowns, in
         # LAPACK's band storage of 2 kl + ku + 1 rows
         mat, _, slices, _ = two_field((8, 8, 8), (0, 8, 8), seed=2)
-        sweeps = sla._Sweeps(sla._SweepPlan(mat, slices, 24), mat.data)
+        sweeps = sla._Sweeps(planned(mat, slices, 24), mat.data)
         lus = [lu for _, steps in sweeps.fields for _, lu, *_ in steps]
         assert len(lus) == 5 and all(isinstance(lu, sla._BandLU) for lu in lus)
         assert [lu.lu.shape for lu in lus] == [(2 * lu.kl + lu.ku + 1, 8) for lu in lus]
 
-    def test_refactor_matches_fresh_plan_bitwise(self, plan_builds):
+    def test_refactor_matches_fresh_plan_bitwise(self):
         mat, _, slices, added = two_field((6, 6, 6, 6), (0, 6, 6, 6), seed=3, holes=0.3, addends=True)
-        sla.factorize(mat, slices, added, 24)
+        plan = planned(mat, slices, 24)
+        sla.factorize(mat, plan, added)
         values = np.random.default_rng(4).uniform(0.5, 1.0, mat.nnz)
         a = sp.csr_matrix((mat.data * values, mat.indices, mat.indptr), shape=mat.shape)
-        cached = sla._Sweeps(sla._cached(a, slices, 24), a.data)
-        assert len(plan_builds) == 1 and sla._cached(a, slices, 24) is plan_builds[0]
-        fresh = sla._Sweeps(sla._SweepPlan(a, slices, 24), a.data)  # built, not cached
-        assert all(same(x, y) for x, y in zip(stored(cached), stored(fresh), strict=True))
+        again = sla._Sweeps(plan, a.data)
+        fresh = sla._Sweeps(planned(a, slices, 24), a.data)
+        assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
         b = np.random.default_rng(5).standard_normal(mat.shape[0])
-        x, _ = sla._schur(a, sla._runs(added), cached, 24)(b)
+        x, _ = sla._schur(a, sla._runs(added), again, 24)(b)
         assert x.tobytes() == sla._schur(a, sla._runs(added), fresh, 24)(b)[0].tobytes()
 
     # two_field(n_u, (0, 5, 5, 5)) numbers u_0.. first, then m_1, m_2, m_3;
@@ -717,15 +672,15 @@ class TestTwoLevel:
             "a second entry in a row of slice 1's B",
             "a row of m_2 reads two columns of m_1",
             "u_2's last row also reads m_3: the update would reach D"])
-    def test_unsupported_pattern_rejected_before_plan_cached(self, plan_builds, n_u, entry, k):
+    def test_unsupported_pattern_rejected_before_plan_cached(self, n_u, entry, k):
         _, dense, slices, _ = two_field(n_u, (0, 5, 5, 5), seed=30)
         dense[entry] = 0.5
         i, j = np.nonzero(dense)
         mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
         b = np.random.default_rng(k).standard_normal(mat.shape[0])
-        x, meta = sla.factorize(mat, slices, split=sum(n_u))(b)
+        x, meta = sla.factorize(mat, planned(mat, slices, sum(n_u)))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-        assert meta.method == "schur" and len(plan_builds) == 1
+        assert meta.method == "schur"
 
 
 class TestDenseAddends:
@@ -746,16 +701,17 @@ class TestDenseAddends:
             dense[r:r + block.shape[0], c:c + block.shape[1]] += block
         b = rng.standard_normal(mat.shape[0])
         np.testing.assert_allclose(sla.apply(mat, addends, b), dense @ b, rtol=1e-12)
-        x, meta = sla.factorize(mat, slices, addends, 20)(b)
+        x, meta = sla.factorize(mat, planned(mat, slices, 20), addends)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.residual_norm <= sla.DIRECT_TOL
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
-        xi = sla.solve(sla.LinearSystem(mat, b, slices, addends, 20))
+        xi = sla.solve(system := sla.LinearSystem(mat, b, planned(mat, slices, 20), addends))
+        assert slice_factors(system.plan) == {"splu"}
         np.testing.assert_allclose(xi, x, rtol=1e-9, atol=1e-11)
 
     # addends that are not one slice's whole B: the sweeps solve those that
     # lie in A_um (rows below 20, columns from 20 on), and reject the others
-    # before any plan is built
+    # before any slice is factored
     IN_A_UM = {(8, 20), (5, 22), (11, 27)}
 
     @pytest.mark.parametrize("r, c, shape", [
@@ -767,19 +723,20 @@ class TestDenseAddends:
         (15, 33, (5, 5)),  # past the last column
         (11, 27, (3, 2)),  # part of slice 2's B
     ])
-    def test_misplaced_rejected_before_plan_cached(self, plan_builds, r, c, shape):
+    def test_misplaced_rejected_before_plan_cached(self, r, c, shape):
         mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
         if (r, c) not in self.IN_A_UM:
+            plan = planned(mat, slices, 20)
             with pytest.raises(ValueError, match="does not lie in A_um"):
-                sla.factorize(mat, slices, [(r, c, np.ones(shape))], 20)
-            assert plan_builds == [] and sla._PLANS == {}
+                sla.factorize(mat, plan, [(r, c, np.ones(shape))])
+            assert plan.spare is None  # no factorization ran
             return
         dense[r:r + shape[0], c:c + shape[1]] += 1.0
         b = np.random.default_rng(r).standard_normal(mat.shape[0])
-        x, _ = sla.factorize(mat, slices, [(r, c, np.ones(shape))], 20)(b)
+        x, _ = sla.factorize(mat, planned(mat, slices, 20), [(r, c, np.ones(shape))])(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
 
-    def test_second_addend_on_one_b_rejected(self, plan_builds):
+    def test_second_addend_on_one_b_rejected(self):
         # two addends on one B, sharing one block, both count: apply takes
         # one product of the block with both addends' columns
         mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
@@ -787,11 +744,10 @@ class TestDenseAddends:
         dense[15:20, 30:35] += 2.0 * block
         b = np.random.default_rng(23).standard_normal(mat.shape[0])
         np.testing.assert_allclose(sla.apply(mat, [(15, 30, block)] * 2, b), dense @ b, rtol=1e-12)
-        x, _ = sla.factorize(mat, slices, [(15, 30, block)] * 2, 20)(b)
+        x, _ = sla.factorize(mat, planned(mat, slices, 20), [(15, 30, block)] * 2)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-        assert len(plan_builds) == 1
 
-    def test_run_through_another_field_rejected(self, plan_builds):
+    def test_run_through_another_field_rejected(self):
         # unknowns reordered so that rows 0..4 are u_1, m_1, u_1, u_1, u_1: the
         # value field [0, 20) holds m_1 and so does not run in time order
         mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
@@ -800,8 +756,7 @@ class TestDenseAddends:
         mat = sla.SparseMatrix.from_triplets(35, 35, i, j, dense[order][:, order][i, j])
         column = int(np.flatnonzero(order == 21)[0])  # in slice 1's m
         with pytest.raises(ValueError, match="do not run in time order"):
-            sla.factorize(mat, slices[order], [(0, column, np.ones((5, 5)))], 20)
-        assert sla._PLANS == {}
+            sla.factorize(mat, planned(mat, slices[order], 20), [(0, column, np.ones((5, 5)))])
 
 
 def random_two_field(seed):
@@ -836,7 +791,7 @@ class TestSweep:
         for seed in range(200):
             mat, dense, slices, _, split = random_two_field(seed)
             fields = [f for f in (slice(0, split), slice(split, mat.shape[0])) if f.start < f.stop]
-            for part, (order, _, coupled, _, parts) in zip(fields, sla._SweepPlan(mat, slices, split).fields):
+            for part, (order, _, coupled, _, parts) in zip(fields, planned(mat, slices, split).fields):
                 assert np.array_equal(slices[part][order], slices[part]), seed
                 seen["backward"] += parts[0][0] > parts[-1][0]
                 seen["forward"] += parts[0][0] < parts[-1][0]
@@ -846,7 +801,7 @@ class TestSweep:
             solved = []
             for name, band_max in SLICE_FACTORS.items():
                 monkeypatch.setattr(sla, "BAND_MAX", band_max)  # the plan picks each slice's layout
-                sweeps = sla._Sweeps(sla._SweepPlan(mat, slices, split), mat.data)
+                sweeps = sla._Sweeps(planned(mat, slices, split), mat.data)
                 assert all(isinstance(step[1], sla._BandLU) == (name == "band")
                            for _, steps in sweeps.fields for step in steps), seed
                 seen[name] += 1
@@ -908,7 +863,8 @@ class TestLayers:
             i, j = np.nonzero(dense)
             mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
             fields = [(0, split), (split, mat.shape[0])] if two else [(0, mat.shape[0])]
-            for (lo, hi), (_, _, coupled, _, parts) in zip(fields, sla._SweepPlan(mat, slices, split).fields):
+            plan = planned(mat, slices, split)
+            for (lo, hi), (_, _, coupled, _, parts) in zip(fields, plan.fields):
                 block, s = dense[lo:hi, lo:hi], slices[lo:hi]
                 reads = np.count_nonzero(block * (s[:, None] != s[None, :]), axis=1)  # each row's entries
                 for sid, _, _, layers in parts:
@@ -917,7 +873,8 @@ class TestLayers:
                     seen.update({str(w): seen[str(w)] + 1 for w in set(reads[s == sid]) if str(w) in seen})
             seen["two fields" if two else "backward" if backward else "forward"] += 1
             b = rng.standard_normal(mat.shape[0])
-            x, meta = sla.factorize(mat, slices, (), split)(b)
+            assert slice_factors(plan) == {name}, seed
+            x, meta = sla.factorize(mat, plan)(b)
             np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12,
                                        err_msg=f"seed {seed}")
             assert meta.residual_norm <= sla.DIRECT_TOL and meta.method == ("schur" if two else "sweep"), seed
@@ -940,7 +897,9 @@ class TestSchur:
             solved = []
             for name, band_max in SLICE_FACTORS.items():
                 monkeypatch.setattr(sla, "BAND_MAX", band_max)
-                x, meta = sla.factorize(mat, slices, addends, split)(b)
+                plan = planned(mat, slices, split)
+                assert slice_factors(plan) == {name}, seed
+                x, meta = sla.factorize(mat, plan, addends)(b)
                 solved.append(x)
                 np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11,
                                            err_msg=f"seed {seed}, {name}")
@@ -950,7 +909,7 @@ class TestSchur:
                 for field in (slice(0, split), slice(split, None)):  # each field alone: one sweep
                     block = mat[field][:, field]
                     if block.shape[0]:
-                        y, meta = sla.factorize(block, slices[field])(b[field])
+                        y, meta = sla.factorize(block, planned(block, slices[field]))(b[field])
                         np.testing.assert_allclose(y, np.linalg.solve(dense[field, field], b[field]),
                                                    rtol=1e-10, atol=1e-12, err_msg=f"seed {seed}, {name}")
                         assert meta.method == "sweep" and meta.iterations == 0, seed
@@ -968,7 +927,7 @@ class TestSchur:
             order = np.argsort(slices, kind="stable")
             mat, slices = permuted(mat, dense, order)[0], slices[order]
         with pytest.raises(ValueError, match=match):
-            sla.factorize(mat, slices)
+            sla.factorize(mat, planned(mat, slices))
 
     @pytest.mark.parametrize("r, c, shape", [(5, 5, (5, 5)), (20, 20, (5, 5)), (20, 5, (5, 5)),
                                              (15, 33, (5, 5)), (-1, 20, (5, 5))])
@@ -976,7 +935,7 @@ class TestSchur:
         # A_uu's and A_mm's slice 1, A_mu, past the last column, before the first row
         mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=25)
         with pytest.raises(ValueError, match="does not lie in A_um"):
-            sla.factorize(mat, slices, [(r, c, np.ones(shape))], 20)
+            sla.factorize(mat, planned(mat, slices, 20), [(r, c, np.ones(shape))])
 
     @pytest.mark.parametrize("spoil_every", [False, True])
     def test_a_residual_above_the_bound_is_refined_once(self, monkeypatch, spoil_every):
@@ -1000,7 +959,7 @@ class TestSchur:
             return spoiled
 
         monkeypatch.setattr(sla, "_schur", spoiling)
-        solve = sla.factorize(mat, slices, added, 20)
+        solve = sla.factorize(mat, planned(mat, slices, 20), added)
         if spoil_every:
             with pytest.raises(NoConvergenceError, match=r"exceeds 1.0e-12 after \d+ iterations$"):
                 solve(b)
@@ -1046,10 +1005,10 @@ class TestSchur:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(sla.spla, "splu", counting)
-        x, meta = sla.factorize(mat, slices, addends, split)(b)
+        x, meta = sla.factorize(mat, planned(mat, slices, split), addends)(b)
         assert meta.method == "schur" and factored == []
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
-        y, meta = sla.factorize(mat, slices, addends, split)(b)
+        y, meta = sla.factorize(mat, planned(mat, slices, split), addends)(b)
         assert meta.method == "schur"
         assert len(factored) == np.unique(slices[:split]).size + np.unique(slices[split:]).size
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11)
@@ -1082,7 +1041,7 @@ class TestGMRES:
             if not 0 < split < mat.shape[0]:
                 continue
             b = np.random.default_rng(seed).standard_normal(mat.shape[0])
-            solve = sla.factorize(mat, slices, addends, split)
+            solve = sla.factorize(mat, planned(mat, slices, split), addends)
             sweep_calls.clear()
             x, meta = solve(b)
             assert sweep_calls == [0] + [1, 0] * meta.iterations + [0], seed
@@ -1099,7 +1058,7 @@ class TestGMRES:
         else:
             problem, exact = mn.make_manufactured(grid, mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid"))
         system, _ = mn.newton_system(problem, mn.perturbed_state(exact, 1e-1))
-        solve = sla.factorize(system.matrix, system.slices, system.dense, system.split)
+        solve = sla.factorize(system.matrix, system.plan, system.dense)
         sweep_calls.clear()
         x, meta = solve(system.rhs)
         assert meta.method == "schur" and meta.iterations > 1 and meta.residual_norm <= sla.DIRECT_TOL
@@ -1117,7 +1076,7 @@ class TestGMRES:
             i, j = np.nonzero(dense)
             mat = sla.SparseMatrix.from_triplets(*dense.shape, i, j, dense[i, j])
         b = np.random.default_rng(28).standard_normal(mat.shape[0])
-        solve = sla.factorize(mat, slices, (), split)
+        solve = sla.factorize(mat, planned(mat, slices, split))
         sweep_calls.clear()
         with np.errstate(all="raise"):
             x, meta = solve(b)
