@@ -5,7 +5,8 @@ system four times (``assembly_first_s``: the first ``newton_system`` call,
 which also plans the grid's pattern and map, and the mask's index and its
 sweep plan; ``assembly_s``: the median of the three repeats), then factor
 and solve it four times through ``sparse_linalg.factorize`` on the system's
-plan: the ``factorize`` time of the first call (``factor_first_s``), the
+plan and its operator on A_um (``system.um``; a tree from before that
+operator passes its dense addends, ``system.dense``): the ``factorize`` time of the first call (``factor_first_s``), the
 median of the three repeats (``factor_repeat_s``), the median count of
 minor page faults (``resource.getrusage`` ``ru_minflt``) over those repeats
 (``factor_faults``), and the median time of the four solves (``solve_s``).
@@ -34,7 +35,7 @@ Each rung runs once with each slice factor, forced by setting ``sparse_linalg.BA
 factor, which at half-bandwidth 95 and 127 stores several times SuperLU's
 fill there.  Each labelled entry also records the tree's ``src/`` line
 count.  From the repository root, once per source tree (rows are stored in
-BENCH_12.json under the label):
+BENCH_13.json under the label):
 
     python bench/ladder.py --label change
 
@@ -103,10 +104,11 @@ def rung(name: str, path: str | None = None) -> dict:
         assembly.append(time.perf_counter() - t0)
     row = {"rung": name, "path": None, "unknowns": system.matrix.shape[0], "jac_nnz": system.matrix.nnz,
            "assembly_first_s": assembly[0], "assembly_s": statistics.median(assembly[1:])}
+    extra = system.um if hasattr(system, "um") else system.dense  # a tree with dense addends passes those
     if getattr(system, "plan", None) is not None:
-        args, kwargs = (system.matrix, system.plan, system.dense), {}
+        args, kwargs = (system.matrix, system.plan, extra), {}
     else:  # a tree that plans in factorize
-        args, kwargs = (system.matrix, system.slices, system.dense), {"split": system.split}
+        args, kwargs = (system.matrix, system.slices, extra), {"split": system.split}
     factor_s, faults, solve_s, swept, solved, sweep, schur = [], [], [], [], [], sla._Sweeps.solve, sla._schur
     sweep_s = []  # every sweep of the four solves
 
@@ -168,7 +170,7 @@ def rung(name: str, path: str | None = None) -> dict:
     row["factor_repeat_s"] = statistics.median(factor_s[1:]) if factor_s[1:] else None
     row["factor_faults"] = statistics.median(faults[1:]) if faults[1:] else None
     row["solve_s"] = statistics.median(solve_s) if solve_s else None
-    system = args = None
+    system = args = extra = None
     t0 = time.perf_counter()
     try:
         _, history = mn.solve_newton(problem, start, mn.NewtonConfig(residual_tol=RESIDUAL_TOL))
@@ -215,7 +217,7 @@ def interleaved(against: Path, repeats: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description="Solve the Newton system on a grid ladder.")
     ap.add_argument("--label", required=True, help="key of this tree's rows in the output")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_12.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_13.json"))
     ap.add_argument("--rung", choices=RUNGS, help="run this rung only and print its row")
     ap.add_argument("--path", choices=PATHS, help="force this slice factor on --rung")
     ap.add_argument("--against", type=Path, help="a second source tree, run interleaved with this one")

@@ -3,9 +3,9 @@ couplings that also derive the terminal value u(T) = g[m(T)].
 
 Each coupling gives the solver ``values(m)``, the running cost on every time
 slice; ``blocks(m)``, the value rows' derivative in m as a diagonal (-f'(m))
-and dense blocks, one per slice (-conv_f, then -conv_g, each built once, the
-same array when g is f); ``derives_terminal``, with ``terminal(m_T)`` when
-it is true; and ``grids``, the grids its kernels are built on.
+and an operator (the kernel coupling's ``rows``: -f[dm] on each slice of a
+density step, -g[dm] on m(T)); ``derives_terminal``, with ``terminal(m_T)``
+when it is true; and ``grids``, the grids its kernels are built on.
 
 The kernel coupling convolves the density with a periodized Gaussian whose
 discrete Fourier coefficients are nonnegative by construction, which makes the
@@ -18,7 +18,6 @@ their circulants (P. J. Davis, Circulant Matrices, 1979).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +57,8 @@ class LocalCoupling:
         return np.asarray(local_eval(self, m).f)
 
     def blocks(self, m):
-        """-f'(m) on every node of m, and no dense block."""
-        return -np.asarray(local_eval(self, m).f1).ravel(), ()
+        """-f'(m) on every node of m, and no operator."""
+        return -np.asarray(local_eval(self, m).f1).ravel(), None
 
 
 class CouplingValues(NamedTuple):
@@ -123,13 +122,6 @@ class KernelCoupling:
         flat = self.conv @ np.asarray(m_slice, dtype=float).ravel()
         return flat.reshape(self.grid.spatial_shape)
 
-    @cached_property
-    def neg_conv(self) -> np.ndarray:
-        """-conv, Fortran-ordered and read-only, built once for every use."""
-        neg = np.negative(self.conv, order="F")
-        neg.setflags(write=False)
-        return neg
-
 
 @dataclass(frozen=True)
 class NonlocalCoupling:
@@ -149,9 +141,15 @@ class NonlocalCoupling:
         return (flat @ self.f.conv.T).reshape(m.shape)
 
     def blocks(self, m: np.ndarray):
-        """No diagonal; the kernels' cached -conv: -conv_f on each slice of
-        m but the last, -conv_g on the last (the same array when g is f)."""
-        return 0.0, [self.f.neg_conv] * (m.shape[0] - 1) + [self.g.neg_conv]
+        """No diagonal, and :meth:`rows` as the value rows' operator."""
+        return 0.0, self.rows
+
+    def rows(self, dm: np.ndarray, terminal: bool = True) -> np.ndarray:
+        """-f[dm] on each slice of the stack ``dm`` (slices, nodes), -g[dm] on
+        the last when ``terminal`` (m(T)); conv is symmetric: one product."""
+        if not terminal or self.g is self.f:
+            return -(dm @ self.f.conv)
+        return -np.concatenate([dm[:-1] @ self.f.conv, dm[-1:] @ self.g.conv])
 
     def terminal(self, m_T: np.ndarray) -> np.ndarray:
         """u(T) = g[m(T)]."""

@@ -23,8 +23,8 @@ values; a state's Jacobian is then one sparse product, as PETSc reuses a
 fixed nonzero structure (``SAME_NONZERO_PATTERN``, Balay et al., PETSc Users
 Manual).  The local and kernel variants differ only in the coupling's
 values and blocks, which ``coupling.py`` supplies through one interface: a
-diagonal -f'(m), kept in the CSR, or dense blocks -conv_f and -conv_g (one
-array in all when g is f), kept out of it as value-density blocks.
+diagonal -f'(m), kept in the CSR, or the kernel's operator -f[dm] (-g[dm]
+on m(T)), kept out of it and handed to the solve as A_um's product.
 Before a solve, one boolean mask marks the known unknowns: m(0) always and
 u(T) unless the coupling derives it, and for the fixed-point baseline's two
 inner solves the frozen field too.  Their rows are identity rows, so their
@@ -362,50 +362,50 @@ class _Masked:
 def _linearization(p: ProblemSpec, m_vals: np.ndarray, b: ham.HamiltonianBundle):
     """The Jacobian at a state with density ``m_vals`` and Hamiltonian bundle
     ``b``: its coefficient fields (see :class:`_Stencils`), the coupling's
-    dense blocks as (row, column, block) addends, and the mask of the known
-    boundary slices: m(0), and u(T) unless the coupling derives it."""
+    operator on the value rows (None for a local coupling), and the mask of
+    the known boundary slices: m(0), and u(T) unless the coupling derives it."""
     grid, st = p.grid, _stencils(p.grid)
     m, hp = m_vals.ravel(), b.Hp.reshape(grid.dim, -1)
-    # -f'(m) enters the backward rows k < nt, a dense block also the terminal row
-    diagonal, dense = p.coupling.blocks(m_vals)
+    # -f'(m) enters the backward rows k < nt, a kernel's operator also the terminal row
+    diagonal, rows = p.coupling.blocks(m_vals)
     coef = st.coefficients(hp=hp, um=b.Hm.ravel() + diagonal, mu=m * b.Hpp.ravel(),
                            drift=hp + m * b.Hpm.reshape(grid.dim, -1))
-    dense = [(k * grid.n_space, (grid.nt + 1 + k) * grid.n_space, block) for k, block in enumerate(dense)]
     known = np.concatenate([st.last & (not p.coupling.derives_terminal), st.first])
-    return coef, dense, known
+    return coef, rows, known
 
 
 def _jacobian(p: ProblemSpec, state: SolverState):
     """Jacobian of the full residual (r_u, r_m) with respect to (u, m) at
     ``state``, both boundary rows included: the CSR matrix of its sparse
-    part and the coupling's dense blocks as (row, column, block) addends."""
+    part and the coupling's operator, u_k's rows reading m_k (or None)."""
     u, m = state.u.values, state.m.values
-    coef, dense, _ = _linearization(p, m, _bundle(p, u, m))
+    coef, rows, _ = _linearization(p, m, _bundle(p, u, m))
     st = _stencils(p.grid)
-    return sp.csr_matrix((st.map @ coef, st.indices, st.indptr), shape=(2 * st.nodes,) * 2), dense
+    return sp.csr_matrix((st.map @ coef, st.indices, st.indptr), shape=(2 * st.nodes,) * 2), rows
 
 
 def _eliminate(grid: tg.GridSpec, coef: np.ndarray, rhs: np.ndarray,
-               known: np.ndarray, dense=()) -> sla.LinearSystem:
-    """The system ``(J + dense) @ x = rhs`` on the full unknown vector, J the
-    sparse Jacobian at coefficient fields ``coef``, without the ``known``
-    unknowns: their rows are identity rows, so x = rhs there, and their
-    columns (dense blocks on them too) times those values move to the
-    right-hand side.  The matrix is in the canonical form ``sparse_linalg``
-    factors, in the pattern of its mask's plan, which the system carries
-    (unknowns and dense blocks are slice-stacked); the free dense blocks
-    are its addends."""
+               known: np.ndarray, rows=None) -> sla.LinearSystem:
+    """The system ``J @ x = rhs`` on the full unknown vector, J the Jacobian
+    at coefficient fields ``coef`` with the coupling's operator ``rows`` on
+    the value rows if any, without the ``known`` unknowns: their rows are
+    identity rows, so x = rhs there, and their columns times those values
+    move to the right-hand side.  The matrix is in the canonical form
+    ``sparse_linalg`` factors, in the pattern of its mask's plan, which the
+    system carries.  ``rows`` needs the mask m(0): u_0's product with the
+    known m_0 moves to the right-hand side, and the system's operator on
+    A_um gives u_k's with the free m_k (k >= 1)."""
     st = _stencils(grid)
     mask = st.masked(known, bool(coef[st.um].any()))  # an all-zero um field stores nothing
-    data, free, index = st.map @ coef, mask.free, mask.index
-    (stored, indices, indptr), (moved, columns, rows) = mask.take, mask.moved
+    data, free, n = st.map @ coef, mask.free, grid.n_space
+    (stored, indices, indptr), (moved, columns, rowptr) = mask.take, mask.moved
     size = indptr.size - 1
-    addends = [(index[r], index[c], block) for r, c, block in dense if free[r] and free[c]]
-    shift = sla.apply(sp.csr_matrix((data[moved], columns, rows), shape=(size, known.size)),
-                      [(index[r], c, block) for r, c, block in dense if free[r] and known[c]],
-                      np.where(known, rhs, 0.0))
+    shift = sp.csr_matrix((data[moved], columns, rowptr), shape=(size, known.size)) @ np.where(known, rhs, 0.0)
+    if rows is not None:
+        shift[:n] += rows(rhs[st.nodes:st.nodes + n][None], terminal=False)[0]
+    um = None if rows is None else lambda xm: np.concatenate((np.zeros(n), rows(xm.reshape(-1, n)).ravel()))
     return sla.LinearSystem(sp.csr_matrix((data[stored], indices, indptr), shape=(size, size)),
-                            rhs[free] - shift, mask.plan, addends)
+                            rhs[free] - shift, mask.plan, um)
 
 
 def _solve_eliminated(grid, coef, rhs, known) -> np.ndarray:
@@ -433,9 +433,9 @@ def newton_system(p: ProblemSpec, prev: SolverState):
     """
     u, m = prev.u.values, prev.m.values
     b = _bundle(p, u, m)
-    coef, dense, known = _linearization(p, m, b)
+    coef, rows, known = _linearization(p, m, b)
     r_u, r_m = _residual(p, u, m, b)
-    return _eliminate(p.grid, coef, -_stack(r_u, r_m), known, dense), known
+    return _eliminate(p.grid, coef, -_stack(r_u, r_m), known, rows), known
 
 
 def newton_step(p: ProblemSpec, prev: SolverState, cfg: NewtonConfig):
@@ -463,7 +463,11 @@ def linearized_apply(p: ProblemSpec, state: SolverState,
     on the known boundary slices (du(T) in the local variant, dm(0) always)
     the other rows are those of the masked system a Newton step solves.
     """
-    return _unstack(p.grid, sla.apply(*_jacobian(p, state), _stack(du_vals, dm_vals)))
+    jac, rows = _jacobian(p, state)
+    y = jac @ _stack(du_vals, dm_vals)
+    if rows is not None:
+        y[:y.size // 2] += rows(dm_vals.reshape(p.grid.nt + 1, -1)).ravel()
+    return _unstack(p.grid, y)
 
 
 def _record(it, p, state, reference, wall_ms) -> diag.IterationRecord:
@@ -609,9 +613,9 @@ def linearized_solver(p: ProblemSpec, base: SolverState):
     the sweeps' factors under each GMRES every call.
     """
     grid, u, m = p.grid, base.u.values, base.m.values
-    coef, dense, known = _linearization(p, m, _bundle(p, u, m))
-    system = _eliminate(grid, coef, np.zeros(known.size), known, dense)
-    factored = sla.factorize(system.matrix, system.plan, system.dense)
+    coef, rows, known = _linearization(p, m, _bundle(p, u, m))
+    system = _eliminate(grid, coef, np.zeros(known.size), known, rows)
+    factored = sla.factorize(system.matrix, system.plan, system.um)
 
     def solve(a: tg.Field, b: tg.VectorField, c: np.ndarray | None = None):
         if a.grid != grid or b.grid != grid:

@@ -3,9 +3,9 @@
 Matrices are ``scipy.sparse.csr_matrix`` with sorted column indices;
 triplet assembly also prunes zeros and sorts by (row, col, value), so any
 permutation of one triplet stream gives a bit-identical matrix.  Every
-solve meets ``DIRECT_TOL`` on the relative residual, dense addends
-included; a residual that misses it gets one refinement step, then the
-solve raises.
+solve meets ``DIRECT_TOL`` on the relative residual, an optional operator
+on A_um included (no sweep factors it); a residual that misses it gets one
+refinement step, then the solve raises.
 
 The unknowns ``[0, split)`` are the value field and ``[split, n)`` the
 density field, each in time order (one field if split is 0 or n).  A sweep
@@ -25,14 +25,16 @@ Each Krylov vector keeps its density sweep, as Saad's FGMRES keeps its
 preconditioned vectors (SIAM J. Sci. Comput. 1993), so a product with S is
 one more sweep, of the value field.  Each restart cycle starts with the
 value sweep from the density so far, and checks S's true residual; the last
-one is the back-substitution: k iterations in one cycle take 2k + 2 sweeps.
-The sweeps are planned once per sparsity pattern, by a :class:`SweepPlan`
-that the caller keeps and passes to every factorization of that pattern.
+one is the back-substitution: k iterations in one cycle take 2k + 2 sweeps,
+``GMRES_MAX_ITER`` iterations at most.  The sweeps are planned once per
+sparsity pattern, by a :class:`SweepPlan` that the caller keeps and passes
+to every factorization of that pattern.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +48,7 @@ from .errors import NoConvergenceError, SingularMatrixError
 DIRECT_TOL = 1e-12
 PERMC_SPEC = "MMD_AT_PLUS_A"
 GMRES_RESTART = 50  # inner iterations between restarts
-GMRES_MAX_ITER = 5000  # restart cycles
+GMRES_MAX_ITER = 1000  # iterations over all restart cycles: a Newton system takes at most 14
 BAND_MAX = 39  # the RCM half-bandwidth up to which LAPACK's band LU factors a slice block, not SuperLU
 LAPACK_NB = 32  # dgbtrf's block size: from kl = LAPACK_NB on, it factors by blocks, faster
 
@@ -91,40 +93,12 @@ class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     plan: SweepPlan  # of the matrix's pattern
-    dense: list = field(default_factory=list)  # dense addends (row, column, block) in A_um
+    um: Callable | None = None  # A_um's product outside the matrix: x's density part to the value rows
     meta: SolveMeta | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.rhs.shape != (self.matrix.shape[0],):
             raise ValueError(f"rhs length {self.rhs.shape} != n_rows {self.matrix.shape[0]}")
-
-
-def apply(a: sp.csr_matrix, dense, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` plus each dense addend's block times its columns of x."""
-    return _applied(a, _runs(dense), x)
-
-
-def _runs(dense) -> list:
-    """The dense addends (row, column, block) as runs [row, column, addends,
-    block] that share a block, each addend placed right after the previous."""
-    runs = []
-    for r, c, block in dense:
-        (nr, nc), last = block.shape, runs[-1] if runs else [0, 0, 0, None]
-        if last[3] is block and (r, c) == (last[0] + last[2] * nr, last[1] + last[2] * nc):
-            last[2] += 1
-        else:
-            runs.append([r, c, 1, block])
-    return runs
-
-
-def _applied(a: sp.csr_matrix, runs, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` plus each run's block times its addends' columns of x."""
-    y = a @ x
-    for r, c, k, block in runs:
-        nr, nc = block.shape
-        rows = y[r:r + k * nr].reshape(k, nr)  # a view: the sum lands in y
-        rows += x[c:c + k * nc].reshape(k, nc) @ block.T
-    return y
 
 
 class SweepPlan:
@@ -273,9 +247,9 @@ class _Sweeps:
         return b
 
 
-def _checked(a, runs, solve, method: str):
-    """``solve(b) -> (x, GMRES iterations)`` with the bound checked on ``a``
-    and its addends' runs: one refinement step when the residual misses it,
+def _checked(times, solve, method: str):
+    """``solve(b) -> (x, GMRES iterations)`` with the bound checked on the
+    product ``times(x)``: one refinement step when the residual misses it,
     then NoConvergenceError on the Schur path, SingularMatrixError otherwise."""
 
     def solve_checked(b):
@@ -283,12 +257,12 @@ def _checked(a, runs, solve, method: str):
         x, its = solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("direct solve produced non-finite values")
-        r, scale = b - _applied(a, runs, x), max(np.linalg.norm(b), 1.0)
+        r, scale = b - times(x), max(np.linalg.norm(b), 1.0)
         res = float(np.linalg.norm(r) / scale)
         if res > DIRECT_TOL:  # one step of iterative refinement
             dx, more = solve(r)
             x, its = x + dx, its + more
-            res = float(np.linalg.norm(b - _applied(a, runs, x)) / scale)
+            res = float(np.linalg.norm(b - times(x)) / scale)
         if not res <= DIRECT_TOL and method == "schur":  # also when refinement left a NaN
             raise NoConvergenceError(f"GMRES residual {res:.3e} exceeds {DIRECT_TOL:.1e} after {its} iterations")
         if not res <= DIRECT_TOL:
@@ -299,10 +273,10 @@ def _checked(a, runs, solve, method: str):
     return solve_checked
 
 
-def _schur(a, runs, sweeps: _Sweeps, split: int):
+def _schur(a, um, sweeps: _Sweeps, split: int):
     """The two-field solve by restarted GMRES on the density Schur complement
     ``S = A_mm - A_mu A_uu^-1 A_um``, right-preconditioned by the density
-    sweep, to half the bound on S, the addends' ``runs`` all in A_um.  Each
+    sweep, to half the bound on S, A_um with its operator ``um`` if any.  Each
     cycle sweeps u = A_uu^-1 (b_u - A_um m) once and checks the m rows'
     residual, which is S's; the last cycle's sweep is the back-substitution.
     Step j keeps z_j = A_mm^-1 v_j, and S z_j = A_mm z_j - A_mu A_uu^-1 A_um z_j
@@ -314,20 +288,22 @@ def _schur(a, runs, sweeps: _Sweeps, split: int):
     n, start = a.shape[0], a.indptr[split]
     a_um, a_m = a[:split, split:], sp.csr_matrix((a.data[start:], a.indices[start:], a.indptr[split:] - start),
                                                  shape=(n - split, n))
-    runs_um = [(r, c - split, k, block) for r, c, k, block in runs]
+
+    def um_times(z):  # A_um z, um's product included
+        return a_um @ z if um is None else a_um @ z + um(z)
 
     def solve_schur(b):
         tol, its, x = 0.5 * DIRECT_TOL * max(np.linalg.norm(b), 1.0), 0, np.zeros(n)
-        for cycle in range(GMRES_MAX_ITER + 1):
-            x[:split] = sweeps.solve(0, b[:split] - _applied(a_um, runs_um, x[split:]))
+        while True:
+            x[:split] = sweeps.solve(0, b[:split] - um_times(x[split:]))
             r = b[split:] - a_m @ x
             g = [np.linalg.norm(r)]  # the least-squares right-hand side, rotated
-            if not g[0] > tol or cycle == GMRES_MAX_ITER:  # a NaN too: the check below raises
+            if not g[0] > tol or its >= GMRES_MAX_ITER:  # a NaN too: the check below raises
                 break
             basis, zs, cols, rotations = [r / g[0]], [], [], []
-            while abs(g[-1]) > tol and len(zs) < GMRES_RESTART:
+            while abs(g[-1]) > tol and len(zs) < GMRES_RESTART and its < GMRES_MAX_ITER:
                 zs.append(sweeps.solve(1, basis[-1]))
-                w = a_m @ np.concatenate((-sweeps.solve(0, _applied(a_um, runs_um, zs[-1])), zs[-1]))  # S z_j
+                w = a_m @ np.concatenate((-sweeps.solve(0, um_times(zs[-1])), zs[-1]))  # S z_j
                 w0, h = np.linalg.norm(w), []
                 for v in basis:  # modified Gram-Schmidt
                     h.append(v @ w)
@@ -352,40 +328,46 @@ def _schur(a, runs, sweeps: _Sweeps, split: int):
             for yj, z in zip(y, zs):
                 x[split:] += yj * z
         if not g[0] <= tol or not np.all(np.isfinite(x)):  # the budget spent, or a NaN iterate
-            raise NoConvergenceError(f"GMRES missed its bound on S after {its} iterations")
+            raise NoConvergenceError(f"GMRES missed its bound on S after {its} iterations: residual {g[0]:.3e} > {tol:.3e}")
         return x, its
 
     return solve_schur
 
 
-def factorize(a: sp.csr_matrix, plan: SweepPlan, dense=()):
-    """Factor the square canonical CSR matrix and its ``dense`` addends once,
-    on ``plan``, the :class:`SweepPlan` of a's pattern: the sweeps of
-    :class:`_Sweeps`, one for one field and GMRES on the density Schur
-    complement for two.
+def factorize(a: sp.csr_matrix, plan: SweepPlan, um=None):
+    """Factor the square canonical CSR matrix once, on ``plan``, the
+    :class:`SweepPlan` of a's pattern: the sweeps of :class:`_Sweeps`, one
+    for one field and GMRES on the density Schur complement for two, where
+    ``um`` maps x's density part to A_um's product outside the CSR.
 
     Returns ``solve(b) -> (x, SolveMeta)``, x with a relative residual of at
     most ``DIRECT_TOL``.  Raises ValueError on a matrix whose shape or count
-    of stored entries is not the plan's, or an addend not in ``A_um``, and
-    SingularMatrixError on an exactly singular slice block.  The solve
+    of stored entries is not the plan's, or on ``um`` with a one-field plan,
+    and SingularMatrixError on an exactly singular slice block.  The solve
     refines once a residual that misses the bound, then raises as
-    :func:`_checked` does, or NoConvergenceError when GMRES's budget runs
-    out."""
+    :func:`_checked` does, or NoConvergenceError when GMRES's budget of
+    ``GMRES_MAX_ITER`` iterations runs out."""
     n, split = a.shape[0], plan.split
     if a.shape != plan.shape or a.nnz != plan.nnz:
         raise ValueError(f"a {a.shape} matrix with {a.nnz} stored entries is not its plan's "
                          f"{plan.shape} with {plan.nnz}")
-    for r, c, block in dense:  # none with one field
-        if not (r >= 0 and r + block.shape[0] <= split <= c and c + block.shape[1] <= n):
-            raise ValueError(f"dense addend at ({r}, {c}) does not lie in A_um")
-    sweeps, runs = _Sweeps(plan, a.data), _runs(dense)
+    if um is not None and not 0 < split < n:
+        raise ValueError("an operator on A_um needs a two-field plan")
+
+    def times(x):  # a @ x, um's product added to the value rows
+        y = a @ x
+        if um is not None:
+            y[:split] += um(x[split:])
+        return y
+
+    sweeps = _Sweeps(plan, a.data)
     if 0 < split < n:
-        return _checked(a, runs, _schur(a, runs, sweeps, split), "schur")
-    return _checked(a, (), lambda b: (sweeps.solve(0, b), 0), "sweep")
+        return _checked(times, _schur(a, um, sweeps, split), "schur")
+    return _checked(times, lambda b: (sweeps.solve(0, b), 0), "sweep")
 
 
 def solve(system: LinearSystem) -> np.ndarray:
     """Factor the square system and solve it, populating ``system.meta``;
     raises as :func:`factorize` and the solve it returns do."""
-    x, system.meta = factorize(system.matrix, system.plan, system.dense)(system.rhs)
+    x, system.meta = factorize(system.matrix, system.plan, system.um)(system.rhs)
     return x

@@ -150,6 +150,42 @@ class TestNonlocalEval:
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
+class TestRows:
+    """The kernel coupling's operator on a stack of density slices: -f[dm]
+    on each slice, -g[dm] on the last one when it is m(T), against one
+    ``conv @`` product per slice; a local coupling gives no operator."""
+
+    GRID2 = tg.GridSpec(dim=2, nx=6, nt=2, horizon=1.0)
+
+    @pytest.mark.parametrize("grid", [GRID, GRID2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("g_is_f", [False, True])
+    @pytest.mark.parametrize("terminal", [True, False])
+    def test_matches_per_slice_products(self, grid, g_is_f, terminal):
+        f = cpl.gaussian_kernel_coupling(grid, 0.1)
+        g = f if g_is_f else cpl.gaussian_kernel_coupling(grid, 0.25)
+        coupling = cpl.NonlocalCoupling(f=f, g=g)
+        assert np.array_equal(f.conv, f.conv.T) and np.array_equal(g.conv, g.conv.T)  # one product serves all
+        dm = np.random.default_rng(3).standard_normal((5, grid.n_space))
+        last = g if terminal else f
+        expected = np.array([-(f.conv @ x) for x in dm[:-1]] + [-(last.conv @ dm[-1])])
+        np.testing.assert_allclose(coupling.rows(dm, terminal=terminal), expected, rtol=1e-13, atol=1e-14)
+        _, rows = coupling.blocks(np.ones((5, grid.n_space)))
+        assert np.array_equal(rows(dm, terminal=terminal), coupling.rows(dm, terminal=terminal))
+
+    def test_one_slice_off_the_terminal(self):
+        # u_0's row reads m_0 alone, which is not m(T): -f, not -g
+        f, g = (cpl.gaussian_kernel_coupling(GRID, s) for s in (0.1, 0.25))
+        dm = np.random.default_rng(4).standard_normal((1, GRID.n_space))
+        rows = cpl.NonlocalCoupling(f=f, g=g).rows
+        np.testing.assert_allclose(rows(dm, terminal=False)[0], -(f.conv @ dm[0]), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(rows(dm)[0], -(g.conv @ dm[0]), rtol=1e-13, atol=1e-14)
+
+    def test_local_coupling_gives_no_operator(self):
+        diagonal, rows = cpl.LocalCoupling("sigmoid").blocks(np.zeros((3, GRID.nx)))
+        assert rows is None
+        np.testing.assert_allclose(diagonal, -0.25)
+
+
 class TestKernelCsv:
     def test_export(self, tmp_path):
         k = cpl.gaussian_kernel_coupling(GRID, 0.1)

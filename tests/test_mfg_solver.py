@@ -53,12 +53,24 @@ def manufactured_nonlocal(nx=32, nt=16, sigma=0.1, congestion=False, dim=1):
     return diag.make_manufactured_nonlocal(grid, spec, nc)
 
 
-def whole(mat, dense):
-    """The CSR matrix ``mat`` plus its dense addends, as a dense array."""
+def whole(mat, um=None, split=0):
+    """The CSR matrix ``mat`` plus the operator ``um`` (x's columns from
+    ``split`` on to its rows before ``split``, or None), as a dense array."""
     out = mat.toarray()
-    for r, c, block in dense:
-        out[r:r + block.shape[0], c:c + block.shape[1]] += block
+    if um is not None:
+        out[:split, split:] += np.column_stack([um(e) for e in np.eye(out.shape[1] - split)])
     return out
+
+
+def kernel_blocks(p):
+    """The kernel coupling's dense blocks of the full Jacobian, from its
+    kernels' conv: -conv_f at u_k's rows and m_k's columns, -conv_g at
+    u(T)'s; none for a local coupling."""
+    grid, c = p.grid, p.coupling
+    nt, n = grid.nt, grid.n_space
+    if not c.derives_terminal:
+        return []
+    return [(k * n, (nt + 1 + k) * n, -(c.g if k == nt else c.f).conv) for k in range(nt + 1)]
 
 
 def assert_csr_invariants(mat):
@@ -125,24 +137,31 @@ class OperatorAlgebra:
         mm = self.density_block(b.Hp.reshape(grid.dim, -1) + m * b.Hpm.reshape(grid.dim, -1))
         flux = sp.diags(self.m_rows * m * b.Hpp.ravel())
         mu = -sum(d @ flux @ d for d in self.diff)
-        diagonal, dense = p.coupling.blocks(m_vals)
+        diagonal, _ = p.coupling.blocks(m_vals)
         um = sp.diags(self.u_rows * (b.Hm.ravel() + diagonal))
-        dense = [(k * grid.n_space, (grid.nt + 1 + k) * grid.n_space, block) for k, block in enumerate(dense)]
         known = np.concatenate([self.last & (not p.coupling.derives_terminal), self.first])
-        return sp.bmat([[self.value_block(b), um], [mu, mm]], format="csr"), dense, known
+        return sp.bmat([[self.value_block(b), um], [mu, mm]], format="csr"), kernel_blocks(p), known
 
     def eliminate(self, matrix, rhs, known, dense=()):
+        """The masked system, the dense blocks' known columns times their
+        values moved to the right-hand side and their free part in A_um
+        applied as one dense product."""
         free = ~known
         reduced = matrix[free][:, free]
         reduced.eliminate_zeros()
         reduced.sort_indices()
         slices = (np.arange(known.size) // self.grid.n_space % (self.grid.nt + 1))[free]
-        index = np.cumsum(free) - 1
-        addends = [(index[r], index[c], block) for r, c, block in dense if free[r] and free[c]]
-        rhs = rhs - sla.apply(matrix, [d for d in dense if known[d[1]]], np.where(known, rhs, 0.0))
+        blocks = np.zeros(matrix.shape)
+        for r, c, block in dense:
+            blocks[r:r + block.shape[0], c:c + block.shape[1]] += block
+        x = np.where(known, rhs, 0.0)
+        rhs = rhs - matrix @ x - blocks @ x
         split = int(np.count_nonzero(free[:(self.grid.nt + 1) * self.grid.n_space]))
+        blocks = blocks[free][:, free]
+        assert not blocks[split:].any() and not blocks[:, :split].any()  # all in A_um
+        um = (lambda xm: blocks[:split, split:] @ xm) if dense else None
         return sla.LinearSystem(reduced, rhs[free], sla.SweepPlan(reduced.indptr, reduced.indices, slices, split),
-                                addends)
+                                um)
 
     def newton_system(self, p, state):
         matrix, dense, known = self.jacobian(p, state)
@@ -152,8 +171,8 @@ class OperatorAlgebra:
 
 def assert_same_system(system, ref):
     """The same CSR pattern once the system's exact zeros are dropped from a
-    copy (the reference stores none), the same slices, split and addends,
-    and the same values and right-hand side to 1e-14 relative."""
+    copy (the reference stores none), the same slices and split, and the same
+    values, operator on A_um and right-hand side to 1e-14 relative."""
     mat = system.matrix.copy()
     mat.eliminate_zeros()
     assert np.array_equal(mat.indptr, ref.matrix.indptr)
@@ -161,8 +180,10 @@ def assert_same_system(system, ref):
     np.testing.assert_allclose(mat.data, ref.matrix.data, rtol=1e-14, atol=0)
     assert np.linalg.norm(system.rhs - ref.rhs) <= 1e-14 * np.linalg.norm(ref.rhs)
     assert np.array_equal(slices_of(system.plan), slices_of(ref.plan)) and system.plan.split == ref.plan.split
-    assert [(r, c) for r, c, _ in system.dense] == [(r, c) for r, c, _ in ref.dense]
-    assert all(a is b for (*_, a), (*_, b) in zip(system.dense, ref.dense))
+    assert (system.um is None) == (ref.um is None)
+    if ref.um is not None:
+        split, empty = ref.plan.split, sp.csr_matrix(ref.matrix.shape)
+        np.testing.assert_allclose(whole(empty, system.um, split), whole(empty, ref.um, split), rtol=1e-14, atol=0)
 
 
 def uniform_problem(coupling, nx=16, nt=8, const_u=0.3):
@@ -340,16 +361,19 @@ class TestNewtonStep:
 
 
 class TestJacobianAgainstBruteForce:
-    """Entrywise comparison of the assembled operator, its CSR plus its dense
-    blocks, with a finite-difference Jacobian of the residual map on tiny
-    grids, over the full unknown layout with both boundary rows and columns."""
+    """Entrywise comparison of the assembled operator, its CSR plus its
+    coupling's operator, with a finite-difference Jacobian of the residual
+    map on tiny grids, over the full unknown layout with both boundary rows
+    and columns."""
 
     def _check(self, p, state):
         from mfg_newton.mfg_solver import _jacobian
 
         grid = p.grid
         u, m = state.u.values, state.m.values
-        dense = whole(*_jacobian(p, state)[:2])
+        jac, rows = _jacobian(p, state)
+        um = None if rows is None else lambda dm: rows(dm.reshape(grid.nt + 1, -1)).ravel()
+        dense = whole(jac, um, u.size)
 
         def residual_vec(x):
             du, dm = x.reshape((2, grid.nt + 1) + grid.spatial_shape)
@@ -722,7 +746,7 @@ class TestAssemblyMap:
         expected = ref.eliminate(matrix, np.zeros(known.size), known, dense)
         (call,) = factorizations
         assert_same_system(sla.LinearSystem(call["a"], np.zeros(call["a"].shape[0]), call["plan"],
-                                            list(call["dense"])), expected)
+                                            call["um"]), expected)
 
     @pytest.mark.parametrize("case", CASES)
     def test_picard_blocks_match_operator_algebra(self, case, solved):
@@ -816,7 +840,7 @@ class TestBlockLUAgainstSuperLU:
         assert solved
         for system, x in solved:
             assert system.plan is not None
-            expected = spla.splu(sp.csc_matrix(whole(system.matrix, system.dense))).solve(system.rhs)
+            expected = spla.splu(sp.csc_matrix(whole(system.matrix, system.um, system.plan.split))).solve(system.rhs)
             assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("make", [
@@ -981,61 +1005,71 @@ class TestNewtonSlices:
         lus = [lu for _, steps in sweeps.fields for _, lu, _ in steps]
         assert all(isinstance(lu, sla._BandLU) and lu.kl == kl and lu.lu.shape[0] == 2 * kl + lu.ku + 1
                    for lu in lus)
-        x, meta = sla.factorize(system.matrix, system.plan, system.dense)(system.rhs)
+        x, meta = sla.factorize(system.matrix, system.plan, system.um)(system.rhs)
         set_band_max(-1)  # every slice factored by SuperLU
         forced, _ = solver.newton_system(p, start)
         assert slice_factors(forced.plan) == {"splu"}
-        y, ref = sla.factorize(forced.matrix, forced.plan, forced.dense)(forced.rhs)
+        y, ref = sla.factorize(forced.matrix, forced.plan, forced.um)(forced.rhs)
         assert np.linalg.norm(x - y, np.inf) <= 1e-10 * np.linalg.norm(y, np.inf)
         assert meta.iterations == ref.iterations
 
     def test_kernel_blocks_stay_out_of_the_csr(self):
         # the CSR keeps the stencils only (7 entries in a row here, 20 when
-        # it held conv_f and conv_g); every two-field slice k = 1..nt adds a
-        # dense block to A_um, at u_k's rows and m_k's columns, where the CSR
-        # holds no entry (H_m = 0)
+        # it held conv_f and conv_g); the system's operator on A_um gives
+        # every two-field slice k = 1..nt its block, at u_k's rows and m_k's
+        # columns, where the CSR holds no entry (H_m = 0), and u_0's rows none
         p, exact = manufactured_nonlocal(nx=16, nt=8)
-        n = p.grid.n_space
+        n, nt = p.grid.n_space, p.grid.nt
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        assert np.diff(system.matrix.indptr).max() < n
-        assert len(system.dense) == p.grid.nt
-        for k, (r, c, block) in enumerate(system.dense, start=1):
-            assert r + n <= system.plan.split <= c and block.shape == (n, n)
-            assert set(slices_of(system.plan)[r:r + n]) == set(slices_of(system.plan)[c:c + n]) == {k}
-            assert system.matrix[r:r + n, c:c + n].nnz == 0
-        assert np.array_equal(system.dense[-1][2], -p.coupling.g.conv)
+        split = system.plan.split
+        assert np.diff(system.matrix.indptr).max() < n and split == (nt + 1) * n
+        assert system.matrix[:split, split:].nnz == 0
+        blocks = whole(sp.csr_matrix(system.matrix.shape), system.um, split)[:split, split:]
+        assert not blocks[:n].any()
+        for k in range(1, nt + 1):
+            rows, cols = slice(k * n, (k + 1) * n), slice((k - 1) * n, k * n)
+            assert set(slices_of(system.plan)[rows]) == set(slices_of(system.plan)[split:][cols]) == {k}
+            expected = -(p.coupling.g if k == nt else p.coupling.f).conv
+            np.testing.assert_array_equal(blocks[rows, cols], expected)
+            blocks[rows, cols] = 0.0
+        assert not blocks.any()
 
-    def test_slices_share_the_handed_out_block(self, monkeypatch):
-        # the system keeps -conv_f by reference: every running slice's addend
-        # is the one Fortran-ordered array the coupling handed out, not a
-        # copy, so apply takes one product for them and one for -conv_g
-        handed, blocks = [], cpl.NonlocalCoupling.blocks
-
-        def recording(coupling, m):
-            handed.append(blocks(coupling, m))
-            return handed[-1]
-
-        monkeypatch.setattr(cpl.NonlocalCoupling, "blocks", recording)
-        p, exact = manufactured_nonlocal(nx=16, nt=8)
-        system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        neg_f = handed[-1][1][0]
-        assert neg_f.flags.f_contiguous and np.array_equal(neg_f, -p.coupling.f.conv)
-        assert all(block is neg_f for _, _, block in system.dense[:-1])
-        assert len({id(block) for _, _, block in system.dense}) == 2
+    def test_operator_and_moved_product_match_the_dense_blocks(self):
+        # a start whose m(0) is off m0, so that u_0's product with the known
+        # m_0 moves a nonzero term to the right-hand side: the system's
+        # operator and right-hand side match the dense blocks' reference,
+        # with g a second kernel
+        grid = tg.GridSpec(dim=1, nx=16, nt=8, horizon=1.0)
+        coupling = cpl.NonlocalCoupling(f=cpl.gaussian_kernel_coupling(grid, 0.1),
+                                        g=cpl.gaussian_kernel_coupling(grid, 0.2))
+        p, exact = diag.make_manufactured(grid, ham.separable_quadratic(grid, 1.0), coupling)
+        state = diag.perturbed_state(exact, 1e-2)
+        m = state.m.values.copy()
+        m[0] *= 1.0 + 0.1 * np.sin(2 * np.pi * np.arange(grid.nx) / grid.nx)
+        state = solver.make_state(grid, state.u.values, m)
+        system, _ = solver.newton_system(p, state)
+        ref = OperatorAlgebra(grid).newton_system(p, state)
+        assert_same_system(system, ref)
+        n, split = grid.n_space, system.plan.split
+        shift = -(coupling.f.conv @ (p.m0 - m[0]))  # u_0's rows: -f[dm_0], dm_0 = m0 - m(0)
+        residual = -solver.residual(p, state)[0].values[0]
+        assert np.abs(shift).max() > 1e-3
+        np.testing.assert_allclose(system.rhs[:n], residual - shift, rtol=1e-12, atol=1e-12)
+        x = sla.solve(system)
+        np.testing.assert_allclose(whole(system.matrix, system.um, split) @ x, system.rhs, rtol=0, atol=1e-10)
 
     def test_one_kernel_gives_one_block(self):
-        # with g = f, the terminal slice's B is the running slices' B, and
-        # every blocks call hands out that one cached, read-only array
+        # with g = f, the terminal slice's block is the running slices' one:
+        # the operator takes one product for every slice, bitwise the same
+        # with the last slice read as m(T) or not
         grid = tg.GridSpec(dim=1, nx=16, nt=8, horizon=1.0)
         kernel = cpl.gaussian_kernel_coupling(grid, 0.1)
         p, exact = diag.make_manufactured(grid, ham.separable_quadratic(grid, 1.0),
                                           cpl.NonlocalCoupling(f=kernel, g=kernel))
         system, _ = solver.newton_system(p, diag.perturbed_state(exact, 1e-2))
-        assert all(block is system.dense[0][2] for _, _, block in system.dense)
-        _, first = p.coupling.blocks(exact.m.values)
-        _, second = p.coupling.blocks(exact.m.values)
-        assert all(a is b is first[0] for a, b in zip(first, second))
-        assert not first[0].flags.writeable
+        dm = np.random.default_rng(6).standard_normal((grid.nt, grid.n_space))
+        assert np.array_equal(p.coupling.rows(dm), p.coupling.rows(dm, terminal=False))
+        assert np.array_equal(system.um(dm.ravel())[grid.n_space:], p.coupling.rows(dm).ravel())
 
 
 class TestSweepPath:

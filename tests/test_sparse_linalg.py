@@ -229,7 +229,7 @@ class TestSolve:
         mat, _, slices, added = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=23, aligned=False,
                                           holes=0.3, addends=True)
         b = np.random.default_rng(24).standard_normal(mat.shape[0])
-        sla.solve(system := sla.LinearSystem(mat, b, planned(mat, slices, 20), added))
+        sla.solve(system := sla.LinearSystem(mat, b, planned(mat, slices, 20), operator(added, 20)))
         assert system.meta.method == "schur"
         assert system.meta.iterations > 1 and system.meta.residual_norm <= sla.DIRECT_TOL
         monkeypatch.setattr(sla, "GMRES_MAX_ITER", 1)
@@ -597,6 +597,23 @@ def two_field(n_u, n_m, seed, aligned=True, holes=0.0, addends=False, density=0.
     return mat, dense, slices, blocks
 
 
+def operator(addends, split):
+    """The dense blocks ``addends`` (row, column, block), all in A_um, as one
+    operator from x's density part (its unknowns from ``split`` on) to its
+    product on the value rows, as the kernel coupling's is; None without
+    blocks."""
+    if not addends:
+        return None
+
+    def um(xm):
+        y = np.zeros(split)
+        for r, c, block in addends:
+            y[r:r + block.shape[0]] += block @ xm[c - split:c - split + block.shape[1]]
+        return y
+
+    return um
+
+
 def stored(sweeps):
     """Every array and index that sweeps keep for their slices, in order."""
     def flat(x):
@@ -630,7 +647,7 @@ class TestTwoLevel:
         assert [[part[0] for part in parts] for *_, parts in plan.fields] == \
             [[k for k in reversed(range(len(n_u))) if n_u[k]], [k for k in range(len(n_m)) if n_m[k]]]
         b = np.random.default_rng(1).standard_normal(mat.shape[0])
-        x, meta = sla.factorize(mat, planned(mat, slices, sum(n_u)), added)(b)
+        x, meta = sla.factorize(mat, planned(mat, slices, sum(n_u)), operator(added, sum(n_u)))(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.method == "schur" and meta.residual_norm <= sla.DIRECT_TOL
 
@@ -646,15 +663,15 @@ class TestTwoLevel:
     def test_refactor_matches_fresh_plan_bitwise(self):
         mat, _, slices, added = two_field((6, 6, 6, 6), (0, 6, 6, 6), seed=3, holes=0.3, addends=True)
         plan = planned(mat, slices, 24)
-        sla.factorize(mat, plan, added)
+        sla.factorize(mat, plan, operator(added, 24))
         values = np.random.default_rng(4).uniform(0.5, 1.0, mat.nnz)
         a = sp.csr_matrix((mat.data * values, mat.indices, mat.indptr), shape=mat.shape)
         again = sla._Sweeps(plan, a.data)
         fresh = sla._Sweeps(planned(a, slices, 24), a.data)
         assert all(same(x, y) for x, y in zip(stored(again), stored(fresh), strict=True))
         b = np.random.default_rng(5).standard_normal(mat.shape[0])
-        x, _ = sla._schur(a, sla._runs(added), again, 24)(b)
-        assert x.tobytes() == sla._schur(a, sla._runs(added), fresh, 24)(b)[0].tobytes()
+        x, _ = sla._schur(a, operator(added, 24), again, 24)(b)
+        assert x.tobytes() == sla._schur(a, operator(added, 24), fresh, 24)(b)[0].tobytes()
 
     # two_field(n_u, (0, 5, 5, 5)) numbers u_0.. first, then m_1, m_2, m_3;
     # each added entry breaks a condition that a block LU in time would put
@@ -672,7 +689,7 @@ class TestTwoLevel:
             "a second entry in a row of slice 1's B",
             "a row of m_2 reads two columns of m_1",
             "u_2's last row also reads m_3: the update would reach D"])
-    def test_unsupported_pattern_rejected_before_plan_cached(self, n_u, entry, k):
+    def test_patterns_beyond_a_block_lu_are_solved(self, n_u, entry, k):
         _, dense, slices, _ = two_field(n_u, (0, 5, 5, 5), seed=30)
         dense[entry] = 0.5
         i, j = np.nonzero(dense)
@@ -684,9 +701,9 @@ class TestTwoLevel:
 
 
 class TestDenseAddends:
-    """Dense blocks added to a slice's B outside the CSR, as the kernel
-    coupling's are: the residual check, ``apply`` and GMRES all see the
-    whole operator, and no sweep factors them."""
+    """Dense blocks added to a slice's B outside the CSR and applied as one
+    operator on A_um, as the kernel coupling's are: the residual check and
+    GMRES both see the whole operator, and no sweep factors it."""
 
     # two_field((5, 5, 5, 5), (0, 5, 5, 5)): u_k at 5k.., m_k at 15 + 5k..;
     # each addend is the whole B of slices 1, 2 and 3
@@ -699,53 +716,15 @@ class TestDenseAddends:
         addends = [(r, c, rng.standard_normal(shape)) for r, c, shape in self.ADDENDS]
         for r, c, block in addends:
             dense[r:r + block.shape[0], c:c + block.shape[1]] += block
-        b = rng.standard_normal(mat.shape[0])
-        np.testing.assert_allclose(sla.apply(mat, addends, b), dense @ b, rtol=1e-12)
-        x, meta = sla.factorize(mat, planned(mat, slices, 20), addends)(b)
+        b, um = rng.standard_normal(mat.shape[0]), operator(addends, 20)
+        np.testing.assert_allclose(mat @ b + np.r_[um(b[20:]), np.zeros(15)], dense @ b, rtol=1e-12)
+        x, meta = sla.factorize(mat, planned(mat, slices, 20), um)(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         assert meta.residual_norm <= sla.DIRECT_TOL
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
-        xi = sla.solve(system := sla.LinearSystem(mat, b, planned(mat, slices, 20), addends))
+        xi = sla.solve(system := sla.LinearSystem(mat, b, planned(mat, slices, 20), um))
         assert slice_factors(system.plan) == {"splu"}
         np.testing.assert_allclose(xi, x, rtol=1e-9, atol=1e-11)
-
-    # addends that are not one slice's whole B: the sweeps solve those that
-    # lie in A_um (rows below 20, columns from 20 on), and reject the others
-    # before any slice is factored
-    IN_A_UM = {(8, 20), (5, 22), (11, 27)}
-
-    @pytest.mark.parametrize("r, c, shape", [
-        (8, 20, (5, 5)),   # rows straddle the u of slices 1 and 2
-        (5, 22, (5, 5)),   # columns straddle the m of slices 1 and 2
-        (5, 5, (5, 5)),    # slice 1's A
-        (20, 20, (5, 5)),  # slice 1's D
-        (0, 15, (5, 1)),   # slice 0 holds u only: it has no B
-        (15, 33, (5, 5)),  # past the last column
-        (11, 27, (3, 2)),  # part of slice 2's B
-    ])
-    def test_misplaced_rejected_before_plan_cached(self, r, c, shape):
-        mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
-        if (r, c) not in self.IN_A_UM:
-            plan = planned(mat, slices, 20)
-            with pytest.raises(ValueError, match="does not lie in A_um"):
-                sla.factorize(mat, plan, [(r, c, np.ones(shape))])
-            assert plan.spare is None  # no factorization ran
-            return
-        dense[r:r + shape[0], c:c + shape[1]] += 1.0
-        b = np.random.default_rng(r).standard_normal(mat.shape[0])
-        x, _ = sla.factorize(mat, planned(mat, slices, 20), [(r, c, np.ones(shape))])(b)
-        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-
-    def test_second_addend_on_one_b_rejected(self):
-        # two addends on one B, sharing one block, both count: apply takes
-        # one product of the block with both addends' columns
-        mat, dense, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=22)
-        block = np.random.default_rng(22).standard_normal((5, 5))
-        dense[15:20, 30:35] += 2.0 * block
-        b = np.random.default_rng(23).standard_normal(mat.shape[0])
-        np.testing.assert_allclose(sla.apply(mat, [(15, 30, block)] * 2, b), dense @ b, rtol=1e-12)
-        x, _ = sla.factorize(mat, planned(mat, slices, 20), [(15, 30, block)] * 2)(b)
-        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
 
     def test_run_through_another_field_rejected(self):
         # unknowns reordered so that rows 0..4 are u_1, m_1, u_1, u_1, u_1: the
@@ -756,7 +735,7 @@ class TestDenseAddends:
         mat = sla.SparseMatrix.from_triplets(35, 35, i, j, dense[order][:, order][i, j])
         column = int(np.flatnonzero(order == 21)[0])  # in slice 1's m
         with pytest.raises(ValueError, match="do not run in time order"):
-            sla.factorize(mat, planned(mat, slices[order], 20), [(0, column, np.ones((5, 5)))])
+            sla.factorize(mat, planned(mat, slices[order], 20), operator([(0, column, np.ones((5, 5)))], 20))
 
 
 def random_two_field(seed):
@@ -899,7 +878,7 @@ class TestSchur:
                 monkeypatch.setattr(sla, "BAND_MAX", band_max)
                 plan = planned(mat, slices, split)
                 assert slice_factors(plan) == {name}, seed
-                x, meta = sla.factorize(mat, plan, addends)(b)
+                x, meta = sla.factorize(mat, plan, operator(addends, split))(b)
                 solved.append(x)
                 np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11,
                                            err_msg=f"seed {seed}, {name}")
@@ -929,13 +908,18 @@ class TestSchur:
         with pytest.raises(ValueError, match=match):
             sla.factorize(mat, planned(mat, slices))
 
-    @pytest.mark.parametrize("r, c, shape", [(5, 5, (5, 5)), (20, 20, (5, 5)), (20, 5, (5, 5)),
-                                             (15, 33, (5, 5)), (-1, 20, (5, 5))])
-    def test_addend_outside_a_um_rejected(self, r, c, shape):
-        # A_uu's and A_mm's slice 1, A_mu, past the last column, before the first row
+    @pytest.mark.parametrize("split", [0, 20])
+    def test_operator_on_one_field_plan_rejected(self, split):
+        # the value field alone, planned as one field whether split is 0 or
+        # its size: it has no A_um, so an operator on it is rejected before
+        # any slice is factored
         mat, _, slices, _ = two_field((5, 5, 5, 5), (0, 5, 5, 5), seed=25)
-        with pytest.raises(ValueError, match="does not lie in A_um"):
-            sla.factorize(mat, planned(mat, slices, 20), [(r, c, np.ones(shape))])
+        block, plan = mat[:20][:, :20], planned(mat[:20][:, :20], slices[:20], split)
+        with pytest.raises(ValueError, match="needs a two-field plan"):
+            sla.factorize(block, plan, lambda xm: np.zeros(20))
+        assert plan.spare is None  # no factorization ran
+        x, meta = sla.factorize(block, plan)(np.ones(20))
+        assert meta.method == "sweep" and meta.residual_norm <= sla.DIRECT_TOL
 
     @pytest.mark.parametrize("spoil_every", [False, True])
     def test_a_residual_above_the_bound_is_refined_once(self, monkeypatch, spoil_every):
@@ -946,8 +930,8 @@ class TestSchur:
         b = np.random.default_rng(27).standard_normal(mat.shape[0])
         calls, schur = [], sla._schur
 
-        def spoiling(a, runs, sweeps, split):
-            solve = schur(a, runs, sweeps, split)
+        def spoiling(a, um, sweeps, split):
+            solve = schur(a, um, sweeps, split)
 
             def spoiled(rhs):
                 x, its = solve(rhs)
@@ -959,7 +943,7 @@ class TestSchur:
             return spoiled
 
         monkeypatch.setattr(sla, "_schur", spoiling)
-        solve = sla.factorize(mat, planned(mat, slices, 20), added)
+        solve = sla.factorize(mat, planned(mat, slices, 20), operator(added, 20))
         if spoil_every:
             with pytest.raises(NoConvergenceError, match=r"exceeds 1.0e-12 after \d+ iterations$"):
                 solve(b)
@@ -1005,10 +989,10 @@ class TestSchur:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(sla.spla, "splu", counting)
-        x, meta = sla.factorize(mat, planned(mat, slices, split), addends)(b)
+        x, meta = sla.factorize(mat, planned(mat, slices, split), operator(addends, split))(b)
         assert meta.method == "schur" and factored == []
         monkeypatch.setattr(sla, "BAND_MAX", SLICE_FACTORS["splu"])
-        y, meta = sla.factorize(mat, planned(mat, slices, split), addends)(b)
+        y, meta = sla.factorize(mat, planned(mat, slices, split), operator(addends, split))(b)
         assert meta.method == "schur"
         assert len(factored) == np.unique(slices[:split]).size + np.unique(slices[split:]).size
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-9, atol=1e-11)
@@ -1041,7 +1025,7 @@ class TestGMRES:
             if not 0 < split < mat.shape[0]:
                 continue
             b = np.random.default_rng(seed).standard_normal(mat.shape[0])
-            solve = sla.factorize(mat, planned(mat, slices, split), addends)
+            solve = sla.factorize(mat, planned(mat, slices, split), operator(addends, split))
             sweep_calls.clear()
             x, meta = solve(b)
             assert sweep_calls == [0] + [1, 0] * meta.iterations + [0], seed
@@ -1058,7 +1042,7 @@ class TestGMRES:
         else:
             problem, exact = mn.make_manufactured(grid, mn.congestion(grid, 1.0, 1.0), mn.LocalCoupling("sigmoid"))
         system, _ = mn.newton_system(problem, mn.perturbed_state(exact, 1e-1))
-        solve = sla.factorize(system.matrix, system.plan, system.dense)
+        solve = sla.factorize(system.matrix, system.plan, system.um)
         sweep_calls.clear()
         x, meta = solve(system.rhs)
         assert meta.method == "schur" and meta.iterations > 1 and meta.residual_norm <= sla.DIRECT_TOL
